@@ -7,6 +7,12 @@ channels, per-channel filters, and finally two gated single-photon detectors.
 
 All quantities are SI internally (meters, watts, hertz, seconds).  dB values
 and bench units (cm, mW, GHz, ...) belong to the configuration boundary only.
+
+``evaluate`` is the single evaluation point of the chain: it computes the
+pump power at the source, the transmittances, the collection bandwidths and
+the pair and singles photon numbers once into a ``ChainEvaluation``.
+``predict``, ``expected_gate_statistics``, the Monte Carlo and the fitters'
+fixed parameters all read that record.
 """
 
 from __future__ import annotations
@@ -346,6 +352,31 @@ class GateStatistics:
         return self.p_coincidence / self.p_accidental
 
 
+@dataclass(frozen=True)
+class ChainEvaluation:
+    """Derived SI quantities of one chain at one pump operating point.
+
+    Built by ``evaluate``.  Photon numbers are per pulse at the
+    nonlinear-segment output; the noise terms are ``n0 + n1 * P`` at the pump
+    peak power at the source.  Detector figures (quantum efficiency, dark
+    probability, dead gates) stay on the chain's ``DetectorConfig``.
+    """
+
+    peak_power_w: float  # pump peak power at the nonlinear segment input
+    downstream_transmittance: float  # passive sections after the source
+    eta_signal: float  # optical transmittance per arm, detector excluded
+    eta_idler: float
+    pair_bandwidth_hz: float
+    single_bandwidth_signal_hz: float
+    single_bandwidth_idler_hz: float
+    pair_density_per_hz: float  # pairs per pulse per Hz of collection bandwidth
+    mu_pair: float
+    mu_signal: float
+    mu_idler: float
+    noise_signal: float
+    noise_idler: float
+
+
 # ---------------------------------------------------------------------------
 # rate equations
 
@@ -488,25 +519,6 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
     return pair_bw, single_s, single_i
 
 
-def singles_rate(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float]:
-    """Photons per pulse in each collection channel at the nonlinear-segment output.
-
-    Quadratic pair term plus the configured linear noise slope and constant
-    offset: ``mu_channel = mu_pairs(P) + n1 * P + n0``.  The pair term uses
-    each channel's own collection bandwidth, which coincides with the pair
-    bandwidth for matched rectangular channels.
-    """
-    p_eff = pump_peak_power_at_source(chain, pump)
-    _, bw_s, bw_i = collection_bandwidths(chain, pump)
-    seg = chain.nonlinear_segment
-    mu_s = pair_generation_rate_at_power(seg, bw_s, pump.pulse_fwhm_s, p_eff)
-    mu_i = pair_generation_rate_at_power(seg, bw_i, pump.pulse_fwhm_s, p_eff)
-    return (
-        mu_s + chain.noise_signal.at_peak_power(p_eff),
-        mu_i + chain.noise_idler.at_peak_power(p_eff),
-    )
-
-
 def gate_duty(p_click: float, dead_time_s: float, gate_rate_hz: float) -> float:
     """Steady-state fraction of gates that are active, given a dead time.
 
@@ -521,75 +533,6 @@ def gate_duty(p_click: float, dead_time_s: float, gate_rate_hz: float) -> float:
         raise ValueError("dead_time_s must be >= 0 and gate_rate_hz > 0")
     dead_gates = round(dead_time_s * gate_rate_hz)
     return 1.0 / (1.0 + p_click * dead_gates)
-
-
-def _active_click_probabilities(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float]:
-    """Per-active-gate click probabilities, before the gate-duty factor."""
-    mu_s, mu_i = singles_rate(chain, pump)
-    eta_s, eta_i = chain_transmittances(chain)
-    p_s = eta_s * chain.detector_signal.quantum_efficiency * mu_s
-    p_i = eta_i * chain.detector_idler.quantum_efficiency * mu_i
-    p_s += chain.detector_signal.dark_prob_per_gate
-    p_i += chain.detector_idler.dark_prob_per_gate
-    for name, p in (("signal", p_s), ("idler", p_i)):
-        if p > 1.0:
-            raise InvalidProbabilityError(f"{name} click probability {p:.4g} exceeds 1")
-    return p_s, p_i
-
-
-def gate_duties(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float]:
-    """Steady-state active-gate fractions of the two detectors."""
-    p_s, p_i = _active_click_probabilities(chain, pump)
-    det_s, det_i = chain.detector_signal, chain.detector_idler
-    return (
-        gate_duty(p_s, det_s.dead_time_s, det_s.gate_rate_hz),
-        gate_duty(p_i, det_i.dead_time_s, det_i.gate_rate_hz),
-    )
-
-
-def click_probabilities(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float]:
-    """Per-gate click probabilities in the linearized small-mu regime.
-
-    ``p = eta_total * mu_channel + p_dark`` with the total efficiency
-    containing the optical transmittance, the detector quantum efficiency and
-    the gate duty.
-    """
-    mu_s, mu_i = singles_rate(chain, pump)
-    eta_s, eta_i = chain_transmittances(chain)
-    duty_s, duty_i = gate_duties(chain, pump)
-    p_s = eta_s * chain.detector_signal.quantum_efficiency * duty_s * mu_s
-    p_i = eta_i * chain.detector_idler.quantum_efficiency * duty_i * mu_i
-    p_s += chain.detector_signal.dark_prob_per_gate
-    p_i += chain.detector_idler.dark_prob_per_gate
-    for name, p in (("signal", p_s), ("idler", p_i)):
-        if p > 1.0:
-            raise InvalidProbabilityError(f"{name} click probability {p:.4g} exceeds 1")
-    return p_s, p_i
-
-
-def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
-    """Coincidence-to-accidental ratio of the chain.
-
-    True-pair coincidence probability over the accidental probability of two
-    statistically independent clicks, plus one: the accidental bed also sits
-    under the coincidence peak.
-    """
-    p_s, p_i = click_probabilities(chain, pump)
-    if p_s == 0.0 or p_i == 0.0:
-        raise ValueError("CAR undefined: a channel never clicks")
-    pair_bw, _, _ = collection_bandwidths(chain, pump)
-    mu_pair = pair_generation_rate_at_power(
-        chain.nonlinear_segment,
-        pair_bw,
-        pump.pulse_fwhm_s,
-        pump_peak_power_at_source(chain, pump),
-    )
-    eta_s, eta_i = chain_transmittances(chain)
-    duty_s, duty_i = gate_duties(chain, pump)
-    eta_s_total = eta_s * chain.detector_signal.quantum_efficiency * duty_s
-    eta_i_total = eta_i * chain.detector_idler.quantum_efficiency * duty_i
-    p_true = eta_s_total * eta_i_total * mu_pair
-    return 1.0 + p_true / (p_s * p_i)
 
 
 def pair_rate_from_counts(
@@ -694,37 +637,96 @@ def _check_gate_alignment(chain: ExperimentChain, pump: PumpConfig) -> None:
             )
 
 
-def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
-    """Full analytic pipeline for one operating point."""
+def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
+    """Evaluate the chain once at one operating point.
+
+    The only place where the pump power at the source, the transmittances and
+    the collection bandwidths are computed.  Raises ValueError when a
+    detector gate rate differs from the pump repetition rate.
+    """
     _check_gate_alignment(chain, pump)
     p_eff = pump_peak_power_at_source(chain, pump)
-    pair_bw, _, _ = collection_bandwidths(chain, pump)
-    seg = chain.nonlinear_segment
-    mu_pair = pair_generation_rate_at_power(seg, pair_bw, pump.pulse_fwhm_s, p_eff)
+    pair_bw, bw_s, bw_i = collection_bandwidths(chain, pump)
     eta_s, eta_i = chain_transmittances(chain)
-    mu_signal, mu_idler = singles_rate(chain, pump)
-    duty_s, duty_i = gate_duties(chain, pump)
-    p_s, p_i = click_probabilities(chain, pump)
-    eta_s_total = eta_s * chain.detector_signal.quantum_efficiency * duty_s
-    eta_i_total = eta_i * chain.detector_idler.quantum_efficiency * duty_i
-    p_true = eta_s_total * eta_i_total * mu_pair
-    p_acc = p_s * p_i
-    car = 1.0 + p_true / p_acc if p_acc > 0.0 else math.nan
-    return RatePrediction(
+    density = pair_generation_rate_at_power(chain.nonlinear_segment, 1.0, pump.pulse_fwhm_s, p_eff)
+    noise_s = chain.noise_signal.at_peak_power(p_eff)
+    noise_i = chain.noise_idler.at_peak_power(p_eff)
+    return ChainEvaluation(
         peak_power_w=p_eff,
+        downstream_transmittance=downstream_passive_transmittance(chain),
+        eta_signal=eta_s,
+        eta_idler=eta_i,
         pair_bandwidth_hz=pair_bw,
-        mu_pair_generated=mu_pair,
-        mu_pair_out=mu_pair * eta_s * eta_i,
-        mu_signal=mu_signal,
-        mu_idler=mu_idler,
+        single_bandwidth_signal_hz=bw_s,
+        single_bandwidth_idler_hz=bw_i,
+        pair_density_per_hz=density,
+        mu_pair=density * pair_bw,
+        mu_signal=density * bw_s + noise_s,
+        mu_idler=density * bw_i + noise_i,
+        noise_signal=noise_s,
+        noise_idler=noise_i,
+    )
+
+
+def singles_rate(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float]:
+    """Photons per pulse in each collection channel at the nonlinear-segment output.
+
+    ``mu_channel = mu_pairs(P) + n1 * P + n0``, where the pair term uses each
+    channel's own collection bandwidth (see ``evaluate``).
+    """
+    rec = evaluate(chain, pump)
+    return rec.mu_signal, rec.mu_idler
+
+
+def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
+    """Linearised rates for one operating point.
+
+    Per active gate a detector clicks with ``eta * QE * mu_channel + p_dark``;
+    that probability sets the dead-time duty, and the per-gate click
+    probabilities carry the duty in the total efficiency.  The coincidence
+    probability counts true pairs, the accidental one two independent clicks,
+    and ``car = 1 + p_true / p_acc`` since the accidental bed also sits under
+    the coincidence peak.  Raises InvalidProbabilityError when an active-gate
+    click probability exceeds 1.
+    """
+    rec = evaluate(chain, pump)
+    det_s, det_i = chain.detector_signal, chain.detector_idler
+    active_s = rec.eta_signal * det_s.quantum_efficiency * rec.mu_signal + det_s.dark_prob_per_gate
+    active_i = rec.eta_idler * det_i.quantum_efficiency * rec.mu_idler + det_i.dark_prob_per_gate
+    for name, p in (("signal", active_s), ("idler", active_i)):
+        if p > 1.0:
+            raise InvalidProbabilityError(f"{name} click probability {p:.4g} exceeds 1")
+    duty_s = gate_duty(active_s, det_s.dead_time_s, det_s.gate_rate_hz)
+    duty_i = gate_duty(active_i, det_i.dead_time_s, det_i.gate_rate_hz)
+    eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s
+    eta_i_total = rec.eta_idler * det_i.quantum_efficiency * duty_i
+    p_s = eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate
+    p_i = eta_i_total * rec.mu_idler + det_i.dark_prob_per_gate
+    p_true = eta_s_total * eta_i_total * rec.mu_pair
+    p_acc = p_s * p_i
+    return RatePrediction(
+        peak_power_w=rec.peak_power_w,
+        pair_bandwidth_hz=rec.pair_bandwidth_hz,
+        mu_pair_generated=rec.mu_pair,
+        mu_pair_out=rec.mu_pair * rec.eta_signal * rec.eta_idler,
+        mu_signal=rec.mu_signal,
+        mu_idler=rec.mu_idler,
         p_click_signal=p_s,
         p_click_idler=p_i,
         p_coincidence=p_true,
         p_accidental=p_acc,
-        car=car,
+        car=1.0 + p_true / p_acc if p_acc > 0.0 else math.nan,
         duty_signal=duty_s,
         duty_idler=duty_i,
     )
+
+
+def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
+    """``predict(chain, pump).car``; raises ValueError when a channel never clicks."""
+    car = predict(chain, pump).car
+    if math.isnan(car):
+        raise ValueError("CAR undefined: a channel never clicks")
+    return car
 
 
 def expected_gate_statistics(chain: ExperimentChain, pump: PumpConfig) -> GateStatistics:
@@ -737,29 +739,23 @@ def expected_gate_statistics(chain: ExperimentChain, pump: PumpConfig) -> GateSt
     are the quantities a long counting run estimates, and they are what the
     stochastic simulator is validated against.
     """
-    _check_gate_alignment(chain, pump)
-    p_eff = pump_peak_power_at_source(chain, pump)
-    pair_bw, _, _ = collection_bandwidths(chain, pump)
-    seg = chain.nonlinear_segment
-    mu_pair = pair_generation_rate_at_power(seg, pair_bw, pump.pulse_fwhm_s, p_eff)
-    mu_signal, mu_idler = singles_rate(chain, pump)
-    eta_s, eta_i = chain_transmittances(chain)
-    eta_s_end = eta_s * chain.detector_signal.quantum_efficiency
-    eta_i_end = eta_i * chain.detector_idler.quantum_efficiency
-    pd_s = chain.detector_signal.dark_prob_per_gate
-    pd_i = chain.detector_idler.dark_prob_per_gate
+    rec = evaluate(chain, pump)
+    det_s, det_i = chain.detector_signal, chain.detector_idler
+    eta_s_end = rec.eta_signal * det_s.quantum_efficiency
+    eta_i_end = rec.eta_idler * det_i.quantum_efficiency
+    pd_s = det_s.dark_prob_per_gate
+    pd_i = det_i.dark_prob_per_gate
 
-    q_s = math.exp(-eta_s_end * mu_signal)  # no photon cause on the signal arm
-    q_i = math.exp(-eta_i_end * mu_idler)
+    q_s = math.exp(-eta_s_end * rec.mu_signal)  # no photon cause on the signal arm
+    q_i = math.exp(-eta_i_end * rec.mu_idler)
     p_active_s = 1.0 - q_s * (1.0 - pd_s)
     p_active_i = 1.0 - q_i * (1.0 - pd_i)
-    det_s, det_i = chain.detector_signal, chain.detector_idler
     duty_s = gate_duty(p_active_s, det_s.dead_time_s, det_s.gate_rate_hz)
     duty_i = gate_duty(p_active_i, det_i.dead_time_s, det_i.gate_rate_hz)
 
     # pairs whose both photons reach the detectors couple the two arms
     joint_excess = q_s * q_i * (1.0 - pd_s) * (1.0 - pd_i) * math.expm1(
-        mu_pair * eta_s_end * eta_i_end
+        rec.mu_pair * eta_s_end * eta_i_end
     )
     p_joint_active = p_active_s * p_active_i + joint_excess
     return GateStatistics(

@@ -17,7 +17,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +40,6 @@ _GRID_LABELS = {
     "dark": "dark_rate_hz",
 }
 
-FIGURES = ("3a", "3b", "3c", "3d", "5a", "5b")
-
 
 @dataclass
 class ResultTable:
@@ -60,21 +59,6 @@ class ResultTable:
             writer.writerow([_format_cell(v) for v in row])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ResultTable":
-        metadata: dict[str, str] = {}
-        body: list[str] = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key.strip()] = value.strip()
-            elif line.strip():
-                body.append(line)
-        reader = csv.reader(body)
-        columns = next(reader)
-        rows = [[_parse_cell(v) for v in row] for row in reader]
-        return cls(columns=columns, rows=rows, metadata=metadata)
-
     def to_json_text(self) -> str:
         return json.dumps(
             {"metadata": self.metadata, "columns": self.columns, "rows": self.rows},
@@ -84,19 +68,8 @@ class ResultTable:
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy scalars repr as np.float64(...)
     return str(value)
-
-
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def _base_metadata(command: str, document: dict, seed: int | None = None) -> dict[str, str]:
@@ -319,31 +292,37 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return data[:, 0], data[:, 1], sigma
 
 
+_FIT_MODELS = {
+    # model: (role of x, SI per unit of x in the data file, fitter)
+    "decay": ("l_siox", 1e-2, fitting.fit_sio2_decay),
+    "gamma_alpha": ("l_si", 1e-2, fitting.fit_gamma_alpha),
+    "poly": ("pp", 1e-3, fitting.fit_singles_poly),
+}
+
+
 def cmd_fit(args, parser) -> int:
     x, y, sigma = _read_xy_csv(args.data)
-    fixed: dict = {}
-    document = None
+    built = None
     if args.preset or args.config:
-        document = _load_document(args, parser)
-        chain, pump = cfg.build_experiment(document)
-    if args.model == "decay":
-        data = fitting.DataSet(x=x * 1e-2, y=y, sigma=sigma, role="l_siox")
-        result = fitting.fit_sio2_decay(data)
-    elif args.model == "gamma_alpha":
-        if document is None:
+        built = cfg.build_experiment(_load_document(args, parser))
+    fixed: dict = {}
+    if args.model == "gamma_alpha":
+        if built is None:
             parser.error("--model gamma_alpha requires --config or --preset for fixed parameters")
-        pair_bw, _, _ = cm.collection_bandwidths(chain, pump)
+        chain, pump = built
+        rec = cm.evaluate(chain, pump)
         fixed = {
-            "peak_power_w": cm.pump_peak_power_at_source(chain, pump),
-            "pair_bandwidth_hz": pair_bw,
+            "peak_power_w": rec.peak_power_w,
+            "pair_bandwidth_hz": rec.pair_bandwidth_hz,
             "pulse_fwhm_s": pump.pulse_fwhm_s,
-            "downstream_transmittance": cm.downstream_passive_transmittance(chain),
+            "downstream_transmittance": rec.downstream_transmittance,
         }
-        data = fitting.DataSet(x=x * 1e-2, y=y, sigma=sigma, role="l_si", fixed_params=fixed)
-        result = fitting.fit_gamma_alpha(data)
-    else:
-        data = fitting.DataSet(x=x * 1e-3, y=y, sigma=sigma, role="pp")
-        result = fitting.fit_singles_poly(data)
+    role, unit, fitter = _FIT_MODELS[args.model]
+    try:
+        data = fitting.DataSet(x=x * unit, y=y, sigma=sigma, role=role, fixed_params=fixed)
+    except ValueError as exc:
+        raise cfg.ConfigError(f"bad data file: {exc}") from exc
+    result = fitter(data)
 
     for name, value in result.params.items():
         print(f"{name} = {value:.10g}  (stderr {result.stderr[name]:.4g})")
@@ -372,111 +351,111 @@ def cmd_fit(args, parser) -> int:
 # built-in study curves
 
 
-def _figure_3a() -> ResultTable:
-    document = presets.get_preset("wg-i")
-    chain, pump = cfg.build_experiment(document)
-    rows = []
-    for l_cm in np.arange(0.0, 6.0 + 1e-9, 0.05):
-        chain_v, _ = montecarlo.apply_sweep_value(chain, pump, "l_siox", l_cm * 1e-2)
-        pred = cm.predict(chain_v, pump)
-        eta_passive = cm.downstream_passive_transmittance(chain_v)
-        rows.append([float(l_cm), pred.mu_pair_generated * eta_passive**2])
-    meta = _base_metadata("reproduce", document)
-    meta["figure"] = "3a"
-    return ResultTable(["l_siox_cm", "pair_rate_per_pulse"], rows, meta)
+def _pair_rate_past_passive(chain, pump) -> list[float]:
+    rec = cm.evaluate(chain, pump)
+    return [rec.mu_pair * rec.downstream_transmittance**2]
 
 
-def _figure_3b() -> ResultTable:
-    document = presets.get_preset("wg-i")
-    chain, pump = cfg.build_experiment(document)
-    rows = []
-    for l_cm in np.arange(0.30, 6.0 + 1e-9, 0.01):
-        chain_v, _ = montecarlo.apply_sweep_value(chain, pump, "l_si", l_cm * 1e-2)
-        pred = cm.predict(chain_v, pump)
-        eta_passive = cm.downstream_passive_transmittance(chain_v)
-        rows.append([float(l_cm), pred.mu_pair_generated * eta_passive**2])
-    meta = _base_metadata("reproduce", document)
-    meta["figure"] = "3b"
-    return ResultTable(["l_si_cm", "pair_rate_per_pulse"], rows, meta)
+def _pair_rate_past_demux(chain, pump) -> list[float]:
+    return [cm.evaluate(chain, pump).mu_pair * chain.demux.spec.peak_transmittance**2]
 
 
-def _figure_3c() -> ResultTable:
-    document = presets.get_preset("wg-i")
-    chain, pump = cfg.build_experiment(document)
-    rows = []
-    for pp_mw in np.geomspace(0.5, 50.0, 60):
-        _, pump_v = montecarlo.apply_sweep_value(chain, pump, "pp", pp_mw * 1e-3)
-        mu_s, mu_i = cm.singles_rate(chain, pump_v)
-        rows.append([float(pp_mw), mu_s, mu_i])
-    meta = _base_metadata("reproduce", document)
-    meta["figure"] = "3c"
-    return ResultTable(
-        ["pp_mw", "singles_signal_per_pulse", "singles_idler_per_pulse"], rows, meta
-    )
+def _singles(chain, pump) -> list[float]:
+    rec = cm.evaluate(chain, pump)
+    return [rec.mu_signal, rec.mu_idler]
 
 
-def _figure_3d() -> ResultTable:
-    names = ["wg-i", "wg-v", "wg-vi"]
-    built = [cfg.build_experiment(presets.get_preset(n)) for n in names]
-    rows = []
-    for pp_mw in np.geomspace(1.0, 60.0, 50):
-        row = [float(pp_mw)]
-        for chain, pump in built:
-            _, pump_v = montecarlo.apply_sweep_value(chain, pump, "pp", pp_mw * 1e-3)
-            row.append(cm.car_estimate(chain, pump_v))
-        rows.append(row)
-    meta = _base_metadata("reproduce", presets.get_preset("wg-i"))
-    meta["figure"] = "3d"
-    return ResultTable(["pp_mw", "car_wg_i", "car_wg_v", "car_wg_vi"], rows, meta)
+def _car(chain, pump) -> list[float]:
+    return [cm.car_estimate(chain, pump)]
 
 
-def _figure_5a() -> ResultTable:
-    document = presets.get_preset("awg")
-    chain, pump = cfg.build_experiment(document)
-    peak = chain.demux.spec.peak_transmittance
-    rows = []
-    for pp_mw in np.geomspace(1.0, 60.0, 50):
-        _, pump_v = montecarlo.apply_sweep_value(chain, pump, "pp", pp_mw * 1e-3)
-        pred = cm.predict(chain, pump_v)
-        rows.append([float(pp_mw), pred.mu_pair_generated * peak**2])
-    meta = _base_metadata("reproduce", document)
-    meta["figure"] = "5a"
-    return ResultTable(["pp_mw", "pair_rate_per_pulse"], rows, meta)
+@dataclass(frozen=True)
+class _Figure:
+    """A built-in curve: a grid over one sweep variable on one or more chains.
+
+    Each chain is a preset, optionally with one sweep value applied.
+    ``values`` maps one operating point of one chain to its cells; the row is
+    the grid value (in the units of ``_GRID_UNITS``) and then the cells of
+    each chain in order.  The metadata names the first chain's preset.
+    """
+
+    chains: tuple[tuple[str, tuple[str, float] | None], ...]
+    variable: str
+    grid: np.ndarray
+    columns: tuple[str, ...]
+    values: Callable[[cm.ExperimentChain, cm.PumpConfig], list[float]]
 
 
-def _figure_5b() -> ResultTable:
-    document = presets.get_preset("awg")
-    chain, pump = cfg.build_experiment(document)
-    chain_lossless, _ = montecarlo.apply_sweep_value(chain, pump, "awg_loss", 0.0)
-    chain_low_dark, _ = montecarlo.apply_sweep_value(chain, pump, "dark", 20.0)
-    rows = []
-    for pp_mw in np.geomspace(1.0, 60.0, 60):
-        _, pump_v = montecarlo.apply_sweep_value(chain, pump, "pp", pp_mw * 1e-3)
-        rows.append(
-            [
-                float(pp_mw),
-                cm.car_estimate(chain, pump_v),
-                cm.car_estimate(chain_lossless, pump_v),
-                cm.car_estimate(chain_low_dark, pump_v),
-            ]
-        )
-    meta = _base_metadata("reproduce", document)
-    meta["figure"] = "5b"
-    return ResultTable(["pp_mw", "car", "car_no_demux_loss", "car_low_dark"], rows, meta)
-
-
-_FIGURE_BUILDERS = {
-    "3a": _figure_3a,
-    "3b": _figure_3b,
-    "3c": _figure_3c,
-    "3d": _figure_3d,
-    "5a": _figure_5a,
-    "5b": _figure_5b,
+_FIGURES = {
+    "3a": _Figure(
+        (("wg-i", None),),
+        "l_siox",
+        np.arange(0.0, 6.0 + 1e-9, 0.05),
+        ("pair_rate_per_pulse",),
+        _pair_rate_past_passive,
+    ),
+    "3b": _Figure(
+        (("wg-i", None),),
+        "l_si",
+        np.arange(0.30, 6.0 + 1e-9, 0.01),
+        ("pair_rate_per_pulse",),
+        _pair_rate_past_passive,
+    ),
+    "3c": _Figure(
+        (("wg-i", None),),
+        "pp",
+        np.geomspace(0.5, 50.0, 60),
+        ("singles_signal_per_pulse", "singles_idler_per_pulse"),
+        _singles,
+    ),
+    "3d": _Figure(
+        (("wg-i", None), ("wg-v", None), ("wg-vi", None)),
+        "pp",
+        np.geomspace(1.0, 60.0, 50),
+        ("car_wg_i", "car_wg_v", "car_wg_vi"),
+        _car,
+    ),
+    "5a": _Figure(
+        (("awg", None),),
+        "pp",
+        np.geomspace(1.0, 60.0, 50),
+        ("pair_rate_per_pulse",),
+        _pair_rate_past_demux,
+    ),
+    "5b": _Figure(
+        (("awg", None), ("awg", ("awg_loss", 0.0)), ("awg", ("dark", 20.0))),
+        "pp",
+        np.geomspace(1.0, 60.0, 60),
+        ("car", "car_no_demux_loss", "car_low_dark"),
+        _car,
+    ),
 }
+FIGURES = tuple(_FIGURES)
+
+
+def _figure_table(name: str) -> ResultTable:
+    figure = _FIGURES[name]
+    built = []
+    for preset, override in figure.chains:
+        chain, pump = cfg.build_experiment(presets.get_preset(preset))
+        if override is not None:
+            chain, pump = montecarlo.apply_sweep_value(chain, pump, *override)
+        built.append((chain, pump))
+    unit = _GRID_UNITS[figure.variable]
+    rows = []
+    for value in figure.grid:
+        row = [float(value)]
+        for chain, pump in built:
+            point = montecarlo.apply_sweep_value(chain, pump, figure.variable, value * unit)
+            row += figure.values(*point)
+        rows.append(row)
+    meta = _base_metadata("reproduce", presets.get_preset(figure.chains[0][0]))
+    meta["figure"] = name
+    return ResultTable([_GRID_LABELS[figure.variable], *figure.columns], rows, meta)
 
 
 def cmd_reproduce(args, parser) -> int:
-    table = _FIGURE_BUILDERS[args.figure]()
+    table = _figure_table(args.figure)
     _write_output(args, table)
     return EXIT_OK
 

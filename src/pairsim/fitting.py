@@ -49,8 +49,8 @@ class DataSet:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if self.x.size < 2:
             raise ValueError("need at least two data points")
-        if np.any(self.x <= 0):
-            raise ValueError("x values must be strictly positive")
+        if np.any(self.x < 0):
+            raise ValueError("x values must be non-negative")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if self.sigma.shape != self.y.shape:
@@ -231,15 +231,13 @@ def _length_shape(alpha_db_per_m: float, lengths: np.ndarray) -> np.ndarray:
     return leff**2 * np.exp(-2.0 * x)
 
 
-def fit_gamma_alpha(data: DataSet, fit_downstream: bool = False) -> FitResult:
+def fit_gamma_alpha(data: DataSet) -> FitResult:
     """Fit the pair rate versus nonlinear-waveguide length.
 
     Model: ``y = dnu * dt * (gamma * P * L_eff(alpha, L))**2 * exp(-2 a_np L)
     * eta_down**2``.  Required fixed parameters: ``peak_power_w``,
     ``pair_bandwidth_hz``, ``pulse_fwhm_s``; ``downstream_transmittance``
-    (scalar or per point) defaults to 1.  With ``fit_downstream`` the
-    downstream loss is co-fitted instead, which additionally requires
-    per-point ``downstream_length_m`` values that actually vary.
+    (scalar or per point) defaults to 1.
     """
     _require_role(data, "l_si")
     x, y, w = data.x, data.y, data.weights
@@ -253,10 +251,6 @@ def fit_gamma_alpha(data: DataSet, fit_downstream: bool = False) -> FitResult:
     notes: list[str] = []
     budget = _Budget(20_000)
     distinct = np.unique(x).size
-
-    if fit_downstream:
-        return _fit_gamma_alpha_downstream(data, scale, notes, budget)
-
     eta_down = np.broadcast_to(
         np.asarray(data.fixed_params.get("downstream_transmittance", 1.0), dtype=float), x.shape
     )
@@ -304,70 +298,6 @@ def fit_gamma_alpha(data: DataSet, fit_downstream: bool = False) -> FitResult:
         stderr={"gamma_per_w_m": float(err[0]), "alpha_db_per_m": float(err[1])},
         rss=rss,
         converged=not budget.exhausted,
-        n_evaluations=budget.count,
-        notes=tuple(notes),
-    )
-
-
-def _fit_gamma_alpha_downstream(
-    data: DataSet, scale: float, notes: list[str], budget: _Budget
-) -> FitResult:
-    x, y, w = data.x, data.y, data.weights
-    if "downstream_length_m" not in data.fixed_params:
-        raise ValueError("fit_downstream requires per-point downstream_length_m")
-    ld = np.broadcast_to(
-        np.asarray(data.fixed_params["downstream_length_m"], dtype=float), x.shape
-    )
-    if np.ptp(ld) == 0:
-        raise DegenerateDataError(
-            "downstream length is constant: downstream loss cannot be co-fitted"
-        )
-
-    def profile(alpha: float, alpha_down: float) -> tuple[float, float]:
-        budget.tick()
-        m = scale * _length_shape(alpha, x) * np.exp(-2.0 * cm.db_to_neper(alpha_down) * ld)
-        denom = float(np.sum(w * m * m))
-        amp = float(np.sum(w * m * y)) / denom if denom > 0 else 0.0
-        resid = y - amp * m
-        return float(np.sum(w * resid**2)), amp
-
-    coarse = np.geomspace(1.0, 1e4, 13)
-    best = min(
-        ((a, d) for a in coarse for d in coarse), key=lambda p: profile(p[0], p[1])[0]
-    )
-    res = optimize.minimize(
-        lambda p: profile(abs(p[0]), abs(p[1]))[0],
-        x0=np.array(best),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-24, "maxiter": 4000},
-    )
-    alpha, alpha_down = float(abs(res.x[0])), float(abs(res.x[1]))
-    rss, amp = profile(alpha, alpha_down)
-    gamma = math.sqrt(max(amp, 0.0))
-
-    def ssr_full(p: np.ndarray) -> float:
-        budget.tick()
-        g, a, a_down = p
-        resid = y - g**2 * scale * _length_shape(a, x) * np.exp(
-            -2.0 * cm.db_to_neper(a_down) * ld
-        )
-        return float(np.sum(w * resid**2))
-
-    params = np.array([gamma, alpha, alpha_down])
-    err = _hessian_stderr(ssr_full, params, rss, x.size, notes)
-    return FitResult(
-        params={
-            "gamma_per_w_m": gamma,
-            "alpha_db_per_m": alpha,
-            "alpha_downstream_db_per_m": alpha_down,
-        },
-        stderr={
-            "gamma_per_w_m": float(err[0]),
-            "alpha_db_per_m": float(err[1]),
-            "alpha_downstream_db_per_m": float(err[2]),
-        },
-        rss=rss,
-        converged=bool(res.success) and not budget.exhausted,
         n_evaluations=budget.count,
         notes=tuple(notes),
     )

@@ -21,6 +21,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -114,10 +115,6 @@ class CountSummary:
             return None
         return self.car * math.sqrt(1.0 / self.coincidences + 1.0 / self.accidentals)
 
-    def count_stderr(self, count: int) -> float:
-        """Poisson standard error of a raw count."""
-        return math.sqrt(count)
-
 
 def measured_gate_duty(summary: CountSummary) -> tuple[float, float]:
     """Measured active-gate fraction per channel; exactly 1.0 without dead time."""
@@ -164,15 +161,21 @@ def _apply_dead_time(fire: np.ndarray, dead_gates: int) -> tuple[np.ndarray, int
 
 
 def _count_block(
+    rng: np.random.Generator,
     fire_s: np.ndarray,
     fire_i: np.ndarray,
+    chain: ExperimentChain,
     trial: TrialConfig,
-    dead_s: int,
-    dead_i: int,
 ) -> np.ndarray:
+    """Add dark counts to the photon fires, apply dead time and count the block."""
+    det_s, det_i = chain.detector_signal, chain.detector_idler
+    if det_s.dark_prob_per_gate > 0:
+        fire_s |= rng.random(fire_s.size) < det_s.dark_prob_per_gate
+    if det_i.dark_prob_per_gate > 0:
+        fire_i |= rng.random(fire_i.size) < det_i.dark_prob_per_gate
     if trial.dead_time_enabled:
-        click_s, active_s = _apply_dead_time(fire_s, dead_s)
-        click_i, active_i = _apply_dead_time(fire_i, dead_i)
+        click_s, active_s = _apply_dead_time(fire_s, det_s.dead_gates)
+        click_i, active_i = _apply_dead_time(fire_i, det_i.dead_gates)
     else:
         click_s, active_s = fire_s, fire_s.size
         click_i, active_i = fire_i, fire_i.size
@@ -203,45 +206,28 @@ def _draw_pairs(rng: np.random.Generator, mean: float, size: int, trial: TrialCo
     return rng.poisson(mean, size)
 
 
-@dataclass(frozen=True)
-class _AggregateRates:
-    """Pulse-level draw parameters for chains without frequency structure."""
-
-    mu_pair: float
-    eta_signal: float  # end-to-end optical x quantum efficiency, pair photons
-    eta_idler: float
-    noise_signal: float  # mean detected noise photons per pulse
-    noise_idler: float
-    extra_signal: float  # detected band-excess pair photons without a partner
-    extra_idler: float
-    dark_signal: float
-    dark_idler: float
-    dead_signal: int
-    dead_idler: int
+def _end_efficiencies(chain: ExperimentChain, rec: cm.ChainEvaluation) -> tuple[float, float]:
+    """Optical transmittance times quantum efficiency of the (signal, idler) arms."""
+    return (
+        rec.eta_signal * chain.detector_signal.quantum_efficiency,
+        rec.eta_idler * chain.detector_idler.quantum_efficiency,
+    )
 
 
 @dataclass(frozen=True)
 class _SpectralRates:
-    """Pulse-level draw parameters for AWG chains, resolved in frequency."""
+    """Frequency structure of an AWG chain for per-pair sampling."""
 
-    pair_density_per_hz: float  # pairs per pulse per Hz of generation band
     support_lo: np.ndarray  # merged signal-frequency intervals worth sampling
     support_hi: np.ndarray
-    pump_frequency_hz: float
     center_signal: float
     center_idler_mirrored: float
     half_width_hz: float
     gaussian: bool
     crosstalk_floor: float
     peak: float
-    eta_rest_signal: float  # everything except the channel passband shape
+    eta_rest_signal: float  # end-to-end efficiency except the channel passband
     eta_rest_idler: float
-    noise_signal: float
-    noise_idler: float
-    dark_signal: float
-    dark_idler: float
-    dead_signal: int
-    dead_idler: int
 
 
 def _merge_intervals(intervals: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,108 +244,76 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> tuple[np.ndarray, 
     )
 
 
-def _rate_parameters(chain: ExperimentChain, pump: PumpConfig):
-    p_eff = cm.pump_peak_power_at_source(chain, pump)
-    eta_s, eta_i = cm.chain_transmittances(chain)
-    eta_s_end = eta_s * chain.detector_signal.quantum_efficiency
-    eta_i_end = eta_i * chain.detector_idler.quantum_efficiency
-    dark_s = chain.detector_signal.dark_prob_per_gate
-    dark_i = chain.detector_idler.dark_prob_per_gate
-    dead_s = chain.detector_signal.dead_gates
-    dead_i = chain.detector_idler.dead_gates
-    noise_s = chain.noise_signal.at_peak_power(p_eff) * eta_s_end
-    noise_i = chain.noise_idler.at_peak_power(p_eff) * eta_i_end
-    seg = chain.nonlinear_segment
-    density = pump.pulse_fwhm_s * (
-        seg.gamma_per_w_m * p_eff * seg.effective_length_m
-    ) ** 2 * seg.transmittance**2  # pairs per pulse per Hz
-
-    if isinstance(chain.demux, AwgDemux):
-        d = chain.demux
-        spec = d.spec
-        nu_p = pump.frequency_hz
-        band = (
-            d.generation_band_hz
-            if d.generation_band_hz is not None
-            else spec.default_generation_band_hz
-        )
-        lo, hi = nu_p - band / 2.0, nu_p + band / 2.0
-        center_s = awg_mod.channel_center(spec, d.signal_channel)
-        center_i_m = 2.0 * nu_p - awg_mod.channel_center(spec, d.idler_channel)
-        half_width = spec.passband_3db_hz / 2.0
-        if spec.crosstalk_floor > 0.0:
-            supports = [(lo, hi)]
-        else:
-            # outside +/- 7 half-widths a gaussian passband is below 2^-49
-            reach = half_width * (7.0 if spec.passband_shape == "gaussian" else 1.0)
-            supports = [
-                (max(c - reach, lo), min(c + reach, hi)) for c in (center_s, center_i_m)
-            ]
-        support_lo, support_hi = _merge_intervals(supports)
-        # the demux channel shape is sampled per pair; its peak moves to eta_rest
-        return _SpectralRates(
-            pair_density_per_hz=density,
-            support_lo=support_lo,
-            support_hi=support_hi,
-            pump_frequency_hz=nu_p,
-            center_signal=center_s,
-            center_idler_mirrored=center_i_m,
-            half_width_hz=half_width,
-            gaussian=spec.passband_shape == "gaussian",
-            crosstalk_floor=spec.crosstalk_floor,
-            peak=spec.peak_transmittance,
-            eta_rest_signal=eta_s_end / spec.peak_transmittance,
-            eta_rest_idler=eta_i_end / spec.peak_transmittance,
-            noise_signal=noise_s,
-            noise_idler=noise_i,
-            dark_signal=dark_s,
-            dark_idler=dark_i,
-            dead_signal=dead_s,
-            dead_idler=dead_i,
-        )
-
-    pair_bw, bw_s, bw_i = cm.collection_bandwidths(chain, pump)
-    mu_pair = density * pair_bw
-    return _AggregateRates(
-        mu_pair=mu_pair,
-        eta_signal=eta_s_end,
-        eta_idler=eta_i_end,
-        noise_signal=noise_s,
-        noise_idler=noise_i,
-        extra_signal=density * max(bw_s - pair_bw, 0.0) * eta_s_end,
-        extra_idler=density * max(bw_i - pair_bw, 0.0) * eta_i_end,
-        dark_signal=dark_s,
-        dark_idler=dark_i,
-        dead_signal=dead_s,
-        dead_idler=dead_i,
+def _spectral_rates(
+    chain: ExperimentChain, pump: PumpConfig, rec: cm.ChainEvaluation
+) -> _SpectralRates:
+    d = chain.demux
+    spec = d.spec
+    nu_p = pump.frequency_hz
+    lo, hi, _ = awg_mod._band_edges(spec, nu_p, d.generation_band_hz)
+    center_s = awg_mod.channel_center(spec, d.signal_channel)
+    center_i_m = 2.0 * nu_p - awg_mod.channel_center(spec, d.idler_channel)
+    half_width = spec.passband_3db_hz / 2.0
+    if spec.crosstalk_floor > 0.0:
+        supports = [(lo, hi)]
+    else:
+        # outside +/- 7 half-widths a gaussian passband is below 2^-49
+        reach = half_width * (7.0 if spec.passband_shape == "gaussian" else 1.0)
+        supports = [(max(c - reach, lo), min(c + reach, hi)) for c in (center_s, center_i_m)]
+    support_lo, support_hi = _merge_intervals(supports)
+    eta_s, eta_i = _end_efficiencies(chain, rec)
+    # the demux channel shape is sampled per pair; its peak moves to eta_rest
+    return _SpectralRates(
+        support_lo=support_lo,
+        support_hi=support_hi,
+        center_signal=center_s,
+        center_idler_mirrored=center_i_m,
+        half_width_hz=half_width,
+        gaussian=spec.passband_shape == "gaussian",
+        crosstalk_floor=spec.crosstalk_floor,
+        peak=spec.peak_transmittance,
+        eta_rest_signal=eta_s / spec.peak_transmittance,
+        eta_rest_idler=eta_i / spec.peak_transmittance,
     )
 
 
 def _aggregate_block(
-    rates: _AggregateRates, trial: TrialConfig, seed: int, block_index: int, size: int
+    chain: ExperimentChain,
+    rec: cm.ChainEvaluation,
+    trial: TrialConfig,
+    seed: int,
+    block_index: int,
+    size: int,
 ) -> np.ndarray:
+    """One block of a chain without frequency structure: pulse-level draws."""
+    eta_s, eta_i = _end_efficiencies(chain, rec)
+    # pair photons collected beyond the pair bandwidth arrive without a partner
+    density, pair_bw = rec.pair_density_per_hz, rec.pair_bandwidth_hz
+    extra_s = density * max(rec.single_bandwidth_signal_hz - pair_bw, 0.0)
+    extra_i = density * max(rec.single_bandwidth_idler_hz - pair_bw, 0.0)
     rng = _block_rng(seed, block_index)
-    pairs = _draw_pairs(rng, rates.mu_pair, size, trial)
-    hits_s = rng.binomial(pairs, rates.eta_signal) if rates.eta_signal > 0 else 0
-    hits_i = rng.binomial(pairs, rates.eta_idler) if rates.eta_idler > 0 else 0
-    causes_s = np.asarray(hits_s) + rng.poisson(rates.noise_signal + rates.extra_signal, size)
-    causes_i = np.asarray(hits_i) + rng.poisson(rates.noise_idler + rates.extra_idler, size)
-    fire_s = causes_s > 0
-    fire_i = causes_i > 0
-    if rates.dark_signal > 0:
-        fire_s |= rng.random(size) < rates.dark_signal
-    if rates.dark_idler > 0:
-        fire_i |= rng.random(size) < rates.dark_idler
-    return _count_block(fire_s, fire_i, trial, rates.dead_signal, rates.dead_idler)
+    pairs = _draw_pairs(rng, rec.mu_pair, size, trial)
+    hits_s = rng.binomial(pairs, eta_s) if eta_s > 0 else 0
+    hits_i = rng.binomial(pairs, eta_i) if eta_i > 0 else 0
+    causes_s = np.asarray(hits_s) + rng.poisson(rec.noise_signal * eta_s + extra_s * eta_s, size)
+    causes_i = np.asarray(hits_i) + rng.poisson(rec.noise_idler * eta_i + extra_i * eta_i, size)
+    return _count_block(rng, causes_s > 0, causes_i > 0, chain, trial)
 
 
 def _spectral_block(
-    rates: _SpectralRates, trial: TrialConfig, seed: int, block_index: int, size: int
+    chain: ExperimentChain,
+    rec: cm.ChainEvaluation,
+    rates: _SpectralRates,
+    trial: TrialConfig,
+    seed: int,
+    block_index: int,
+    size: int,
 ) -> np.ndarray:
+    """One block of an AWG chain: every pair gets a frequency and passes the channel shapes."""
     rng = _block_rng(seed, block_index)
     widths = rates.support_hi - rates.support_lo
     total_width = float(widths.sum())
-    mu_sample = rates.pair_density_per_hz * total_width
+    mu_sample = rec.pair_density_per_hz * total_width
     pairs = _draw_pairs(rng, mu_sample, size, trial)
     total = int(pairs.sum())
     hit_s = np.zeros(size, dtype=bool)
@@ -387,13 +341,10 @@ def _spectral_block(
         kept_i = rng.random(total) < p_i
         np.logical_or.at(hit_s, pulse_of_pair[kept_s], True)
         np.logical_or.at(hit_i, pulse_of_pair[kept_i], True)
-    fire_s = hit_s | (rng.poisson(rates.noise_signal, size) > 0)
-    fire_i = hit_i | (rng.poisson(rates.noise_idler, size) > 0)
-    if rates.dark_signal > 0:
-        fire_s |= rng.random(size) < rates.dark_signal
-    if rates.dark_idler > 0:
-        fire_i |= rng.random(size) < rates.dark_idler
-    return _count_block(fire_s, fire_i, trial, rates.dead_signal, rates.dead_idler)
+    eta_s, eta_i = _end_efficiencies(chain, rec)
+    fire_s = hit_s | (rng.poisson(rec.noise_signal * eta_s, size) > 0)
+    fire_i = hit_i | (rng.poisson(rec.noise_idler * eta_i, size) > 0)
+    return _count_block(rng, fire_s, fire_i, chain, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +362,15 @@ def simulate(
     Deterministic given (chain, pump, trial): the same inputs always produce
     the same CountSummary, regardless of ``threads``.
     """
-    cm._check_gate_alignment(chain, pump)
-    rates = _rate_parameters(chain, pump)
-    if isinstance(rates, _AggregateRates):
-        mu_check = rates.mu_pair + max(rates.noise_signal, rates.noise_idler)
+    rec = cm.evaluate(chain, pump)
+    if isinstance(chain.demux, AwgDemux):
+        rates = _spectral_rates(chain, pump, rec)
+        mu_check = rec.pair_density_per_hz * float((rates.support_hi - rates.support_lo).sum())
+        worker = partial(_spectral_block, chain, rec, rates)
     else:
-        mu_check = rates.pair_density_per_hz * float(
-            (rates.support_hi - rates.support_lo).sum()
-        )
+        eta_s, eta_i = _end_efficiencies(chain, rec)
+        mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
+        worker = partial(_aggregate_block, chain, rec)
     if mu_check > 1.0:
         warnings.warn(
             f"per-pulse mean {mu_check:.3g} exceeds 1; multi-photon pile-up will be "
@@ -432,11 +384,10 @@ def simulate(
         (bi, min(_BLOCK_SIZE, n - bi * _BLOCK_SIZE))
         for bi in range((n + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     ]
-    worker = _aggregate_block if isinstance(rates, _AggregateRates) else _spectral_block
 
     def run(block) -> np.ndarray:
         bi, size = block
-        return worker(rates, trial, trial.seed, bi, size)
+        return worker(trial, trial.seed, bi, size)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

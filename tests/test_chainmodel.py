@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pairsim import awg
 from pairsim import chainmodel as cm
 from conftest import make_rate_chain
 
@@ -232,17 +233,19 @@ class TestGateDuty:
 class TestClickProbabilities:
     def test_all_zero(self):
         chain, pump = make_rate_chain(0.0)
-        assert cm.click_probabilities(chain, pump) == (0.0, 0.0)
+        pred = cm.predict(chain, pump)
+        assert (pred.p_click_signal, pred.p_click_idler) == (0.0, 0.0)
 
     def test_dark_only(self):
         chain, pump = make_rate_chain(0.0, dark_rate_hz=2.1e3)
-        p_s, p_i = cm.click_probabilities(chain, pump)
+        pred = cm.predict(chain, pump)
+        p_s, p_i = pred.p_click_signal, pred.p_click_idler
         assert p_s == pytest.approx(2.1e-5, rel=1e-12)
         assert p_i == pytest.approx(2.1e-5, rel=1e-12)
 
     def test_linear_product(self):
         chain, pump = make_rate_chain(1e-3, eta_signal=0.05, eta_idler=0.05)
-        p_s, _ = cm.click_probabilities(chain, pump)
+        p_s = cm.predict(chain, pump).p_click_signal
         mu_s, _ = cm.singles_rate(chain, pump)
         assert p_s == pytest.approx(0.05 * mu_s, rel=1e-12)
         assert p_s == pytest.approx(5e-5, rel=1e-6)
@@ -251,7 +254,7 @@ class TestClickProbabilities:
         chain, pump = make_rate_chain(0.9)
         big = replace(pump, average_power_w=pump.average_power_w * 40)
         with pytest.raises(cm.InvalidProbabilityError):
-            cm.click_probabilities(chain, big)
+            cm.predict(chain, big)
 
 
 class TestCarEstimate:
@@ -438,8 +441,8 @@ class TestGateStatistics:
     def test_matches_linear_model_at_small_mu(self):
         chain, pump = make_rate_chain(1e-4, eta_signal=0.1, eta_idler=0.1, dark_rate_hz=500.0)
         stats = cm.expected_gate_statistics(chain, pump)
-        p_s, p_i = cm.click_probabilities(chain, pump)
         pred = cm.predict(chain, pump)
+        p_s, p_i = pred.p_click_signal, pred.p_click_idler
         assert stats.p_click_signal == pytest.approx(p_s, rel=2e-3)
         assert stats.p_click_idler == pytest.approx(p_i, rel=2e-3)
         assert stats.p_coincidence - stats.p_accidental == pytest.approx(
@@ -449,7 +452,7 @@ class TestGateStatistics:
     def test_saturation_below_linear(self):
         chain, pump = make_rate_chain(0.1, eta_signal=0.8, eta_idler=0.8)
         stats = cm.expected_gate_statistics(chain, pump)
-        p_s, _ = cm.click_probabilities(chain, pump)
+        p_s = cm.predict(chain, pump).p_click_signal
         assert stats.p_click_signal < p_s  # threshold detector saturates
 
     def test_car_nan_without_accidentals(self):
@@ -483,3 +486,46 @@ class TestValidation:
     def test_noise_invariants(self):
         with pytest.raises(ValueError):
             cm.NoiseCoefficients(offset_photons=-1e-3)
+
+
+class TestEvaluate:
+    def test_record_matches_chain_helpers(self, wg_i, awg_chain):
+        for chain, pump in (wg_i, awg_chain):
+            rec = cm.evaluate(chain, pump)
+            pair_bw, bw_s, bw_i = cm.collection_bandwidths(chain, pump)
+            assert rec.peak_power_w == cm.pump_peak_power_at_source(chain, pump)
+            assert rec.downstream_transmittance == cm.downstream_passive_transmittance(chain)
+            assert (rec.eta_signal, rec.eta_idler) == cm.chain_transmittances(chain)
+            assert (rec.pair_bandwidth_hz, rec.single_bandwidth_signal_hz) == (pair_bw, bw_s)
+            assert rec.single_bandwidth_idler_hz == bw_i
+            assert rec.mu_pair == rec.pair_density_per_hz * pair_bw
+            assert rec.mu_pair == pytest.approx(
+                cm.pair_generation_rate_at_power(
+                    chain.nonlinear_segment, pair_bw, pump.pulse_fwhm_s, rec.peak_power_w
+                ),
+                rel=1e-15,
+            )
+            assert rec.mu_signal == rec.pair_density_per_hz * bw_s + rec.noise_signal
+            assert rec.noise_idler == chain.noise_idler.at_peak_power(rec.peak_power_w)
+
+    @pytest.mark.parametrize("call", [cm.evaluate, cm.singles_rate, cm.car_estimate])
+    def test_gate_rate_mismatch_rejected(self, call):
+        chain, pump = make_rate_chain(1e-3, dark_rate_hz=1e3)
+        bad = replace(pump, rep_rate_hz=5e7, average_power_w=pump.average_power_w / 2)
+        with pytest.raises(ValueError, match="gate rate"):
+            call(chain, bad)
+
+    @pytest.mark.parametrize(
+        "call", [cm.predict, cm.car_estimate, cm.expected_gate_statistics], ids=lambda f: f.__name__
+    )
+    def test_one_awg_overlap_per_call(self, awg_chain, monkeypatch, call):
+        calls = []
+        original = awg.pair_transmittance
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(awg, "pair_transmittance", counting)
+        call(*awg_chain)
+        assert len(calls) == 1

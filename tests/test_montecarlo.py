@@ -296,3 +296,43 @@ class TestPresetEquivalence:
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=8_000_000, seed=19))
         assert s.car is not None
         assert abs(s.car - estimate) < 3 * s.car_stderr
+
+
+class TestGoldenCounts:
+    """Counts pinned bit for bit: a refactor of the rate parameters must not move them.
+
+    Frozen from 300k-pulse runs of the preset chains.  The last point is wg-i
+    at 200 mW peak with a one-gate detector dead time, where about 3% of
+    gates click and the dead-time filter does real work.
+    """
+
+    GOLDEN = {
+        # (preset, pair statistics, seed, dead time us, peak power W) -> counts
+        ("wg-i", "poisson", 11, None, None): (172, 189, 1, 0, 128000, 111219, 299999),
+        ("wg-i", "thermal", 12, None, None): (185, 167, 3, 0, 115849, 133352, 299999),
+        ("awg", "poisson", 13, None, None): (98, 96, 1, 0, 202000, 204000, 299999),
+        ("wg-i", "poisson", 14, 0.01, 0.2): (10153, 10128, 740, 301, 289847, 289872, 299999),
+    }
+
+    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
+    def test_counts_are_frozen(self, key):
+        name, statistics, seed, dead_us, peak_w = key
+        document = presets.get_preset(name)
+        if dead_us is not None:
+            for arm in ("signal", "idler"):
+                document["detectors"][arm]["dead_time_us"] = dead_us
+        chain, pump = cfg.build_experiment(document)
+        if peak_w is not None:
+            chain, pump = mc.apply_sweep_value(chain, pump, "pp", peak_w)
+        trial = mc.TrialConfig(n_pulses=300_000, seed=seed, pair_statistics=statistics)
+        s = mc.simulate(chain, pump, trial)
+        counts = (
+            s.singles_signal,
+            s.singles_idler,
+            s.coincidences,
+            s.accidentals,
+            s.active_gates_signal,
+            s.active_gates_idler,
+            s.accidental_pairs,
+        )
+        assert counts == self.GOLDEN[key]
