@@ -4,7 +4,10 @@ Provides per-channel transmission spectra and the effective transmittance
 seen by spectrally anti-correlated photon pairs.  A pair created at signal
 frequency nu has its partner at 2*nu_pump - nu (energy conservation), so the
 joint collection efficiency of a channel pair is the overlap integral of one
-passband with the mirror image of the other.
+passband with the mirror image of the other.  ``passband_overlap`` gives
+that integral in closed form: every passband, with or without a crosstalk
+floor, is piecewise constant or gaussian, so each piece of a product is an
+erf difference.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 _LN2 = math.log(2.0)
 
@@ -110,6 +112,61 @@ def _band_edges(spec: AwgSpec, pump_frequency_hz: float, generation_band_hz: flo
     return pump_frequency_hz - band / 2.0, pump_frequency_hz + band / 2.0, band
 
 
+def _gaussian_integral(center: float, rate: float, lo: float, hi: float) -> float:
+    """``integral exp(-rate * (x - center)**2) dx`` over [lo, hi]; with both limits in
+    one tail the erf difference is taken through erfc to keep its relative precision."""
+    scale = math.sqrt(rate)
+    u_lo, u_hi = scale * (lo - center), scale * (hi - center)
+    if u_lo > 0.0:
+        diff = math.erfc(u_lo) - math.erfc(u_hi)
+    elif u_hi < 0.0:
+        diff = math.erfc(-u_hi) - math.erfc(-u_lo)
+    else:
+        diff = math.erf(u_hi) - math.erf(u_lo)
+    return 0.5 * math.sqrt(math.pi / rate) * diff
+
+
+def passband_overlap(first, second, lo: float, hi: float) -> float:
+    """``integral f_1(x) * f_2(x) dx`` over [lo, hi] of two unit-peak passbands, exactly.
+
+    A passband is ``(center, half_width, gaussian, floor)``: the shape is
+    ``max(2**(-((x - center) / half_width)**2), floor)`` when ``gaussian``,
+    else ``max(1 if |x - center| <= half_width else 0, floor)``.  The shape
+    meets its floor at ``center +/- reach``; [lo, hi] (limits may be infinite)
+    is clipped to the reach of a passband without floor, split at the other
+    reach points, and each piece, a product of constants and at most two
+    gaussians, is integrated by erf.
+    """
+    bands = []
+    for center, half_width, gaussian, floor in (first, second):
+        reach = half_width
+        if gaussian:
+            reach *= math.sqrt(-math.log2(floor)) if floor > 0.0 else math.inf
+        if floor == 0.0:
+            lo, hi = max(lo, center - reach), min(hi, center + reach)
+        if gaussian or floor > 0.0:  # a rectangle without floor is 1 on [lo, hi]
+            rate = _LN2 / half_width**2
+            bands.append((center - reach, center + reach, gaussian, floor, center, rate))
+    if lo >= hi or not bands:
+        return max(hi - lo, 0.0)
+    edges = sorted({lo, hi, *(e for b in bands for e in b[:2] if lo < e < hi)})
+    total = 0.0
+    for x0, x1 in zip(edges, edges[1:]):
+        const, gaussians = 1.0, []
+        for start, stop, gaussian, floor, center, rate in bands:
+            if not start <= x0 <= x1 <= stop:
+                const *= floor
+            elif gaussian:
+                gaussians.append((center, rate))
+        if len(gaussians) == 2:
+            # a(x - c_a)^2 + b(x - c_b)^2 = (a + b)(x - c)^2 + ab/(a + b) (c_a - c_b)^2
+            (c_a, a), (c_b, b) = gaussians
+            const *= math.exp(-a * b / (a + b) * (c_a - c_b) ** 2)
+            gaussians = [((a * c_a + b * c_b) / (a + b), a + b)]
+        total += const * (_gaussian_integral(*gaussians[0], x0, x1) if gaussians else x1 - x0)
+    return total
+
+
 def pair_transmittance(
     spec: AwgSpec,
     signal_channel: int,
@@ -124,46 +181,15 @@ def pair_transmittance(
 
         (1 / band) * integral T_s(nu) * T_i(2*nu_p - nu) d nu
 
-    evaluated by adaptive quadrature to a relative tolerance of 1e-9.
+    evaluated exactly by ``passband_overlap`` in detuning from the pump (the
+    mirrored idler passband is centered at ``nu_p - (nu_i - nu_p)``).
     """
     _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
-    center_s = channel_center(spec, signal_channel)
-    center_i = channel_center(spec, idler_channel)
-    mirrored_i = 2.0 * pump_frequency_hz - center_i
-    peak2 = spec.peak_transmittance**2
-
-    # integrate in GHz of detuning from the pump: absolute optical
-    # frequencies are ~2e14 Hz and destroy the quadrature conditioning
-    ghz = 1e9
-    d_s = (center_s - pump_frequency_hz) / ghz
-    d_i = (mirrored_i - pump_frequency_hz) / ghz
-    lo, hi = -band / (2.0 * ghz), band / (2.0 * ghz)
-
-    def integrand(x: float) -> float:
-        nu_rel = x * ghz
-        return float(_shape(spec, nu_rel - (center_s - pump_frequency_hz))) * float(
-            _shape(spec, nu_rel - (mirrored_i - pump_frequency_hz))
-        )
-
-    half_width = spec.passband_3db_hz / (2.0 * ghz)
-    breakpoints = sorted(
-        {
-            p
-            for c in (d_s, d_i, 0.5 * (d_s + d_i))
-            for p in (c - half_width, c, c + half_width)
-            if lo < p < hi
-        }
-    )
-    value, _ = quad(
-        integrand,
-        lo,
-        hi,
-        points=breakpoints or None,
-        limit=400,
-        epsabs=1e-30,
-        epsrel=1e-9,
-    )
-    return peak2 * value * ghz / band
+    shape = (spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
+    signal = (channel_center(spec, signal_channel) - pump_frequency_hz, *shape)
+    idler = (pump_frequency_hz - channel_center(spec, idler_channel), *shape)
+    overlap = passband_overlap(signal, idler, -band / 2.0, band / 2.0)
+    return spec.peak_transmittance**2 * overlap / band
 
 
 def effective_pair_bandwidth(

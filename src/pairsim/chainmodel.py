@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.integrate import quad
-
 from . import awg as awg_mod
 from .awg import AwgSpec
 
@@ -178,12 +176,6 @@ class FilterSpec:
         if self.shape == "gaussian":
             return (self.bandwidth_3db_hz / 2.0) * math.sqrt(math.pi / _LN2)
         return self.bandwidth_3db_hz
-
-    def _unit_shape(self, detuning_hz: float) -> float:
-        half = self.bandwidth_3db_hz / 2.0
-        if self.shape == "gaussian":
-            return 2.0 ** (-((detuning_hz / half) ** 2))
-        return 1.0 if abs(detuning_hz) <= half else 0.0
 
 
 @dataclass(frozen=True)
@@ -447,44 +439,6 @@ def chain_transmittances(chain: ExperimentChain) -> tuple[float, float]:
     return eta_s, eta_i
 
 
-def _mirrored_filter_pair_width(
-    signal: FilterSpec, idler: FilterSpec, mirror_offset_hz: float
-) -> float:
-    """Equivalent width of the overlap between a passband and a mirrored one.
-
-    Computes ``integral f_s(x) * f_i(x - offset) dx`` of the unit-peak shapes,
-    where offset is how far the mirrored idler passband center lands from the
-    signal passband center (zero for energy-matched channels).
-    """
-    if signal.shape == "rectangular" and idler.shape == "rectangular":
-        lo = max(-signal.bandwidth_3db_hz / 2.0, mirror_offset_hz - idler.bandwidth_3db_hz / 2.0)
-        hi = min(signal.bandwidth_3db_hz / 2.0, mirror_offset_hz + idler.bandwidth_3db_hz / 2.0)
-        return max(hi - lo, 0.0)
-    span = 4.0 * (signal.bandwidth_3db_hz + idler.bandwidth_3db_hz) + abs(mirror_offset_hz)
-    points = sorted(
-        p
-        for p in (
-            -signal.bandwidth_3db_hz / 2.0,
-            signal.bandwidth_3db_hz / 2.0,
-            mirror_offset_hz - idler.bandwidth_3db_hz / 2.0,
-            mirror_offset_hz + idler.bandwidth_3db_hz / 2.0,
-            0.0,
-            mirror_offset_hz,
-        )
-        if -span < p < span
-    )
-    value, _ = quad(
-        lambda x: signal._unit_shape(x) * idler._unit_shape(x - mirror_offset_hz),
-        -span,
-        span,
-        points=points,
-        limit=400,
-        epsabs=1e-30,
-        epsrel=1e-9,
-    )
-    return value
-
-
 def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float, float]:
     """(pair, signal-single, idler-single) equivalent collection bandwidths.
 
@@ -503,11 +457,17 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
         single_i = awg_mod.effective_single_bandwidth(d.spec, d.idler_channel)
     else:
         sig, idl = chain.demux.signal, chain.demux.idler
+        # offset: where the mirrored idler passband center lands from the signal one
         offset = 0.0
         if sig.center_frequency_hz is not None and idl.center_frequency_hz is not None:
             mirrored_idler = 2.0 * pump.frequency_hz - idl.center_frequency_hz
             offset = mirrored_idler - sig.center_frequency_hz
-        pair_bw = _mirrored_filter_pair_width(sig, idl, offset)
+        pair_bw = awg_mod.passband_overlap(
+            (0.0, sig.bandwidth_3db_hz / 2.0, sig.shape == "gaussian", 0.0),
+            (offset, idl.bandwidth_3db_hz / 2.0, idl.shape == "gaussian", 0.0),
+            -math.inf,
+            math.inf,
+        )
         single_s = sig.equivalent_bandwidth_hz
         single_i = idl.equivalent_bandwidth_hz
     for f in chain.post_filters_signal:

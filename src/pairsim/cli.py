@@ -273,20 +273,28 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    rows = []
+    """x, y and optional sigma: ``x,y[,sigma]`` without a header; under a
+    header a third column must be named ``sigma`` and no other may follow."""
+    rows, header = [], None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
+            cells = [c.strip() for c in line.split(",")]
             try:
-                rows.append([float(c) for c in cells[:3] if c.strip() != ""])
+                rows.append([float(c) for c in cells[:3] if c != ""])
             except ValueError:
-                continue  # header line
+                if header is None and not rows:
+                    header = cells
     if not rows:
         raise cfg.ConfigError("no numeric rows found in data file")
     n_cols = min(len(r) for r in rows)
+    if header is not None:
+        extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
+        if extra:
+            raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
+        n_cols = min(n_cols, len(header))
     data = np.array([r[:n_cols] for r in rows], dtype=float)
     sigma = data[:, 2] if n_cols >= 3 else None
     return data[:, 0], data[:, 1], sigma

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -227,6 +228,10 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
     """Validate a configuration document and build the domain objects."""
     validate_config(document)
     p = document["pump"]
+    for arm in ("signal", "idler"):
+        gate_rate = document["detectors"][arm]["gate_rate_mhz"]
+        if not math.isclose(gate_rate, p["rep_rate_mhz"], rel_tol=1e-9):
+            raise ConfigError(f"detectors.{arm}.gate_rate_mhz {gate_rate} != pump.rep_rate_mhz")
     rep_rate = p["rep_rate_mhz"] * 1e6
     fwhm = p["fwhm_ps"] * 1e-12
     if "average_power_mw" in p:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import chainmodel as cm
 
@@ -99,6 +98,7 @@ def _profiled_minimum(ssr, grid: np.ndarray) -> tuple[float, float]:
 
     Returns (argmin, min).  The result never exceeds the best grid value.
     """
+    from scipy import optimize  # deferred, so that importing pairsim loads no scipy
     values = np.array([ssr(r) for r in grid])
     best = int(np.argmin(values))
     lo = grid[best - 1] if best > 0 else grid[best] / 4.0

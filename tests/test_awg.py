@@ -1,9 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairsim import awg
+from pairsim import chainmodel as cm
+from pairsim import config as cfg
+from pairsim import presets
 
 # Values marked "oracle" were frozen from an independent 30-digit mpmath
 # evaluation of the closed-form gaussian integrals.
@@ -99,11 +105,19 @@ class TestPairTransmittance:
             overlap = max(spec.passband_3db_hz - abs(2 * shift), 0.0)
             assert value == pytest.approx(overlap / band, rel=1e-9, abs=1e-15)
 
-    def test_gaussian_matches_trapezoid_oracle(self):
-        spec = make_spec()
+    @settings(max_examples=30, deadline=None)
+    @given(
+        floor=st.one_of(st.just(0.0), st.floats(1e-6, 0.3)),
+        signal=st.integers(-4, 4),
+        idler=st.integers(-4, 4),
+        shift_hz=st.floats(-30e9, 30e9),
+    )
+    @example(floor=0.0, signal=3, idler=-3, shift_hz=0.0)
+    def test_gaussian_matches_trapezoid_oracle(self, floor, signal, idler, shift_hz):
+        spec = make_spec(floor=floor)
         band = spec.default_generation_band_hz
-        value = awg.pair_transmittance(spec, 3, -3, PUMP, band)
-        oracle = trapezoid_pair_overlap(spec, 3, -3, PUMP, band)
+        value = awg.pair_transmittance(spec, signal, idler, PUMP + shift_hz, band)
+        oracle = trapezoid_pair_overlap(spec, signal, idler, PUMP + shift_hz, band)
         assert value == pytest.approx(oracle, rel=1e-6)
 
     def test_asymmetric_pair_ratio(self):
@@ -134,6 +148,83 @@ class TestPairTransmittance:
             lossy, 3, -3, PUMP
         )
         assert ratio == pytest.approx(10.0 ** (2 * 7.7 / 10.0), rel=1e-9)
+
+
+class TestClosedFormOverlap:
+    """Exact erf overlaps against frozen 30-digit mpmath values.
+
+    Oracle values come from mpmath quadrature of the piecewise integrand
+    (breakpoints at every piece edge and on a dense grid), except where noted.
+    ``abs=0`` keeps pytest's default 1e-12 absolute tolerance from passing
+    the small values.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, floor, channels, oracle",
+        [
+            # oracle: both gaussians above the 1e-4 floor only within
+            # 40 GHz * sqrt(log2(1e4)) of their centers
+            ("gaussian", 1e-4, (3, -3), 0.0376346005186209),
+            ("gaussian", 1e-4, (3, -2), 1.61921192196838e-5),
+            # oracle: (80 GHz + 1e-6 * 1520 GHz) / 1.6 THz, exact
+            ("rectangular", 1e-3, (3, -3), 0.05000095),
+            # oracle: (2 * 1e-3 * 80 GHz + 1e-6 * 1440 GHz) / 1.6 THz, exact
+            ("rectangular", 1e-3, (3, -2), 1.009e-4),
+        ],
+    )
+    def test_crosstalk_floor(self, shape, floor, channels, oracle):
+        spec = make_spec(shape=shape, loss_db=0.0, floor=floor)
+        value = awg.pair_transmittance(spec, *channels, PUMP)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_off_center_pair(self):
+        # pump 17 GHz above the AWG center: the mirrored idler of channel -2
+        # lands 234 GHz from channel 1
+        spec = make_spec(loss_db=0.0)
+        value = awg.pair_transmittance(spec, 1, -2, PUMP + 17e9)
+        assert value == pytest.approx(2.65820030414723e-7, rel=1e-12, abs=0.0)  # oracle
+
+    def test_far_detuned_gaussian_pair(self):
+        # channel 3 against the mirror of channel 3: 2**-450 times the
+        # matched overlap; oracle from the 30-digit erf closed form
+        spec = make_spec(loss_db=0.0)
+        value = awg.pair_transmittance(spec, 3, 3, PUMP)
+        assert value == pytest.approx(1.29446158863973e-137, rel=1e-12, abs=0.0)
+
+    def test_unequal_gaussians_with_mirror_offset(self):
+        value = awg.passband_overlap(
+            (0.0, 25e9, True, 0.0), (20e9, 15e9, True, 0.0), -math.inf, math.inf
+        )
+        assert value == pytest.approx(19761633303.1331, rel=1e-12, abs=0.0)  # oracle
+
+    def test_gaussian_times_rectangular(self):
+        value = awg.passband_overlap(
+            (0.0, 25e9, True, 0.0), (30e9, 50e9, False, 0.0), -math.inf, math.inf
+        )
+        assert value == pytest.approx(44005219735.3413, rel=1e-12, abs=0.0)  # oracle
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_far_tail_keeps_relative_precision(self, side):
+        # the rectangle 450-550 GHz off center sits 18 half-widths out in the
+        # gaussian's upper or lower tail, where an erf difference cancels to 0;
+        # oracle from the 30-digit erfc closed form, confirmed by dense mpmath
+        # quadrature to 1e-12
+        value = awg.passband_overlap(
+            (0.0, 25e9, True, 0.0), (side * 500e9, 50e9, False, 0.0), -math.inf, math.inf
+        )
+        assert value < 1e-60
+        assert value == pytest.approx(2.92504040921221e-89, rel=1e-12, abs=0.0)
+
+    def test_filter_sites_read_the_same_overlap(self):
+        # the wg-i chain with gaussian filters placed so that the mirrored
+        # idler passband lands 20 GHz above the signal passband
+        chain, pump = cfg.build_experiment(presets.get_preset("wg-i"))
+        nu_p = pump.frequency_hz
+        signal = cm.FilterSpec(50e9, shape="gaussian", center_frequency_hz=nu_p + 1e12)
+        idler = cm.FilterSpec(30e9, shape="gaussian", center_frequency_hz=nu_p - 1e12 - 20e9)
+        chain = replace(chain, demux=cm.FilterDemux(signal=signal, idler=idler))
+        pair_bw, _, _ = cm.collection_bandwidths(chain, pump)
+        assert pair_bw == pytest.approx(19761633303.1331, rel=1e-9)  # oracle above
 
 
 class TestEffectiveBandwidths:

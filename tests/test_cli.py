@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +46,7 @@ class TestReproduceFitRoundTrip:
 
     def test_figure_3c_signal_gives_noise_polynomial(self, tmp_path):
         rows = _reproduce(tmp_path, "3c").read_text().splitlines()
-        # x and the signal column only: a third column would be read as sigma
+        # x and the signal column only: a third column must be named sigma
         data = tmp_path / "signal.csv"
         data.write_text("\n".join(",".join(line.split(",")[:2]) for line in rows) + "\n")
         params = _fit(tmp_path, data, "--model", "poly")
@@ -68,3 +72,44 @@ class TestFitInput:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit", str(data), "--model", "gamma_alpha"])
         assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_untrimmed_figure_3c_names_the_extra_column(self, tmp_path, capsys):
+        data = _reproduce(tmp_path, "3c")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "'singles_idler_per_pulse'" in capsys.readouterr().err
+
+    def test_column_after_sigma_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("pp_mw,y,sigma,extra\n1,2,0.1,7\n2,3,0.1,7\n3,5,0.1,7\n")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "'extra'" in capsys.readouterr().err
+
+    def test_sigma_column_weights_the_fit(self, tmp_path):
+        # one outlier at x = 4 whose tiny sigma pulls the weighted fit
+        rows = ["1,2,1", "2,3,1", "3,5,1", "4,9,1e-6", "5,10,1", "6,12,1"]
+        files = {
+            "named": "pp_mw,y,sigma\n" + "\n".join(rows),
+            "headerless": "\n".join(rows),
+            "unweighted": "pp_mw,y\n" + "\n".join(r.rsplit(",", 1)[0] for r in rows),
+        }
+        fits = {}
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text + "\n")
+            fits[name] = _fit(tmp_path, tmp_path / f"{name}.csv", "--model", "poly")
+        assert fits["named"] == fits["headerless"]
+        assert fits["named"] != fits["unweighted"]
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only inside the fitter that uses it
+        code = "import sys, pairsim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        src = Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
