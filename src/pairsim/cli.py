@@ -112,9 +112,11 @@ def _parse_grid(spec: str) -> np.ndarray:
             start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
             if start <= 0 or stop <= 0:
                 raise ValueError("log grids need positive endpoints")
-            return np.geomspace(start, stop, count)
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
+        else:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        return (np.geomspace if parts[0] == "log" else np.linspace)(start, stop, count)
     except (IndexError, ValueError) as exc:
         raise cfg.ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
@@ -274,19 +276,25 @@ def cmd_sweep(args, parser) -> int:
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x, y and optional sigma: ``x,y[,sigma]`` without a header; under a
-    header a third column must be named ``sigma`` and no other may follow."""
+    header a third column must be named ``sigma`` and no other may follow;
+    any other line without numeric x and y is an error naming its number."""
     rows, header = [], None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = [c.strip() for c in line.split(",")]
             try:
-                rows.append([float(c) for c in cells[:3] if c != ""])
+                row = [float(c) for c in cells[:3] if c != ""]
             except ValueError:
-                if header is None and not rows:
-                    header = cells
+                row = None
+            if row is None and header is None and not rows and len(cells) >= 2:
+                header = cells
+            elif row is None or len(row) < 2:
+                raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
+            else:
+                rows.append(row)
     if not rows:
         raise cfg.ConfigError("no numeric rows found in data file")
     n_cols = min(len(r) for r in rows)

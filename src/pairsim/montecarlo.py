@@ -9,10 +9,10 @@ closed-form rate model.
 Pulses are processed in fixed-size blocks, each with its own
 counter-based random stream derived from (seed, block index).  The block
 decomposition never depends on the worker count, so results are bit-identical
-for any number of threads.  Dead-time bookkeeping is sequential inside a
-block and resets at block boundaries; blocks are much longer than any
-realistic dead time, which keeps the boundary effect far below statistical
-resolution.
+for any number of threads.  Dead time is applied to a whole block at once,
+by pointer doubling over each fire's next allowed fire, and resets at block
+boundaries; blocks are much longer than any realistic dead time, which keeps
+the boundary effect far below statistical resolution.
 """
 
 from __future__ import annotations
@@ -149,15 +149,20 @@ def _apply_dead_time(fire: np.ndarray, dead_gates: int) -> tuple[np.ndarray, int
     if dead_gates <= 0:
         return fire, n
     idx = np.flatnonzero(fire)
+    k = idx.size
+    # jump[i] is the first fire past the dead window of fire i (sentinel k maps
+    # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
+    # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
+    # the next 2**L.
+    jump = np.append(np.searchsorted(idx, idx + (dead_gates + 1)), k)
+    path = np.zeros(1, dtype=np.intp)
+    while path[-1] < k:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    accepted = idx[path[path < k]]
     clicks = np.zeros(n, dtype=bool)
-    dead = 0
-    i = 0
-    while i < idx.size:
-        g = int(idx[i])
-        clicks[g] = True
-        dead += min(dead_gates, n - 1 - g)
-        i = int(np.searchsorted(idx, g + dead_gates + 1, side="left"))
-    return clicks, n - dead
+    clicks[accepted] = True
+    return clicks, n - int(np.minimum(dead_gates, n - 1 - accepted).sum())
 
 
 def _count_block(
@@ -173,12 +178,9 @@ def _count_block(
         fire_s |= rng.random(fire_s.size) < det_s.dark_prob_per_gate
     if det_i.dark_prob_per_gate > 0:
         fire_i |= rng.random(fire_i.size) < det_i.dark_prob_per_gate
-    if trial.dead_time_enabled:
-        click_s, active_s = _apply_dead_time(fire_s, det_s.dead_gates)
-        click_i, active_i = _apply_dead_time(fire_i, det_i.dead_gates)
-    else:
-        click_s, active_s = fire_s, fire_s.size
-        click_i, active_i = fire_i, fire_i.size
+    dead_s, dead_i = (det_s.dead_gates, det_i.dead_gates) if trial.dead_time_enabled else (0, 0)
+    click_s, active_s = _apply_dead_time(fire_s, dead_s)
+    click_i, active_i = _apply_dead_time(fire_i, dead_i)
     off = trial.accidental_offset
     n = fire_s.size
     n_acc = max(n - off, 0)
@@ -222,10 +224,7 @@ class _SpectralRates:
     support_hi: np.ndarray
     center_signal: float
     center_idler_mirrored: float
-    half_width_hz: float
-    gaussian: bool
-    crosstalk_floor: float
-    peak: float
+    spec: awg_mod.AwgSpec  # the channel passband shape sampled per pair
     eta_rest_signal: float  # end-to-end efficiency except the channel passband
     eta_rest_idler: float
 
@@ -268,10 +267,7 @@ def _spectral_rates(
         support_hi=support_hi,
         center_signal=center_s,
         center_idler_mirrored=center_i_m,
-        half_width_hz=half_width,
-        gaussian=spec.passband_shape == "gaussian",
-        crosstalk_floor=spec.crosstalk_floor,
-        peak=spec.peak_transmittance,
+        spec=spec,
         eta_rest_signal=eta_s / spec.peak_transmittance,
         eta_rest_idler=eta_i / spec.peak_transmittance,
     )
@@ -325,18 +321,10 @@ def _spectral_block(
         edges = np.concatenate(([0.0], np.cumsum(widths)))
         k = np.searchsorted(edges, u, side="right") - 1
         nu = rates.support_lo[k] + (u - edges[k])
-
-        def shape(detuning: np.ndarray) -> np.ndarray:
-            if rates.gaussian:
-                val = np.exp2(-np.square(detuning / rates.half_width_hz))
-            else:
-                val = (np.abs(detuning) <= rates.half_width_hz).astype(float)
-            if rates.crosstalk_floor > 0.0:
-                val = np.maximum(val, rates.crosstalk_floor)
-            return val
-
-        p_s = shape(nu - rates.center_signal) * (rates.peak * rates.eta_rest_signal)
-        p_i = shape(nu - rates.center_idler_mirrored) * (rates.peak * rates.eta_rest_idler)
+        shape = partial(awg_mod._shape, rates.spec)
+        peak = rates.spec.peak_transmittance
+        p_s = shape(nu - rates.center_signal) * (peak * rates.eta_rest_signal)
+        p_i = shape(nu - rates.center_idler_mirrored) * (peak * rates.eta_rest_idler)
         kept_s = rng.random(total) < p_s
         kept_i = rng.random(total) < p_i
         np.logical_or.at(hit_s, pulse_of_pair[kept_s], True)

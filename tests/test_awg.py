@@ -43,7 +43,7 @@ class TestChannelTransmission:
         center = awg.channel_center(spec, 3)
         # oracle: 10**(-0.77)
         assert awg.channel_transmission(spec, 3, center) == pytest.approx(
-            0.169824365246174, rel=1e-12
+            0.169824365246174, rel=1e-12, abs=0.0
         )
 
     def test_half_peak_at_half_width(self):
@@ -52,7 +52,7 @@ class TestChannelTransmission:
         peak = awg.channel_transmission(spec, -2, center)
         for sign in (-1, 1):
             value = awg.channel_transmission(spec, -2, center + sign * 40e9)
-            assert value == pytest.approx(peak / 2, rel=1e-12)
+            assert value == pytest.approx(peak / 2, rel=1e-12, abs=0.0)
 
     def test_suppression_at_one_spacing(self):
         spec = make_spec()
@@ -60,7 +60,7 @@ class TestChannelTransmission:
         peak = awg.channel_transmission(spec, 0, center)
         value = awg.channel_transmission(spec, 0, center + 200e9)
         # oracle: 2**(-(200/40)**2) = 2**-25
-        assert value / peak == pytest.approx(2.98023223876953e-8, rel=1e-12)
+        assert value / peak == pytest.approx(2.98023223876953e-8, rel=1e-12, abs=0.0)
         assert value / peak <= 1e-3
 
     def test_channel_out_of_range(self):
@@ -79,7 +79,7 @@ class TestChannelTransmission:
         spec = make_spec(floor=1e-4)
         center = awg.channel_center(spec, 0)
         far = awg.channel_transmission(spec, 0, center + 600e9)
-        assert far == pytest.approx(spec.peak_transmittance * 1e-4, rel=1e-12)
+        assert far == pytest.approx(spec.peak_transmittance * 1e-4, rel=1e-12, abs=0.0)
 
     def test_vectorized(self):
         spec = make_spec()
@@ -266,7 +266,7 @@ class TestEffectiveBandwidths:
         gaussian = make_spec()
         # oracle: (w/2) * sqrt(pi / ln 2)
         assert awg.effective_single_bandwidth(gaussian, 3) == pytest.approx(
-            85.1573615544981e9, rel=1e-12
+            85.1573615544981e9, rel=1e-12, abs=0.0
         )
         rect = make_spec(shape="rectangular")
         assert awg.effective_single_bandwidth(rect, 3) == 80e9

@@ -26,12 +26,12 @@ class TestUnitHelpers:
         ],
     )
     def test_db_to_linear_values(self, db, expected):
-        assert cm.db_to_linear(db) == pytest.approx(expected, rel=1e-12)
+        assert cm.db_to_linear(db) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_db_to_neper(self):
-        assert cm.db_to_neper(10.0) == pytest.approx(math.log(10.0), rel=1e-15)
+        assert cm.db_to_neper(10.0) == pytest.approx(math.log(10.0), rel=1e-15, abs=0.0)
         # 2.0 dB/cm as dB/m
-        assert cm.db_to_neper(200.0) == pytest.approx(46.0517018598809, rel=1e-12)
+        assert cm.db_to_neper(200.0) == pytest.approx(46.0517018598809, rel=1e-12, abs=0.0)
 
 
 class TestEffectiveLength:
@@ -41,7 +41,7 @@ class TestEffectiveLength:
     def test_reference_point(self):
         # oracle: alpha = 2.0 dB/cm, L = 1.37 cm
         assert cm.effective_length(200.0, 0.0137) == pytest.approx(
-            0.0101601400564269, rel=1e-12
+            0.0101601400564269, rel=1e-12, abs=0.0
         )
 
     def test_long_length_asymptote(self):
@@ -77,15 +77,15 @@ class TestEffectiveLength:
 class TestPeakPower:
     def test_reference(self):
         pump = cm.PumpConfig(1551.1e-9, 1e8, 200e-12, 0.74e-3)
-        assert cm.peak_power(pump) == pytest.approx(0.037, rel=1e-12)
+        assert cm.peak_power(pump) == pytest.approx(0.037, rel=1e-12, abs=0.0)
 
     def test_cw_limit(self):
         pump = cm.PumpConfig(1550e-9, 1e8, 1e-8, 5e-3)
-        assert cm.peak_power(pump) == pytest.approx(5e-3, rel=1e-12)
+        assert cm.peak_power(pump) == pytest.approx(5e-3, rel=1e-12, abs=0.0)
 
     def test_direct(self):
         pump = cm.PumpConfig(1550e-9, 1e8, 100e-12, 1e-3)
-        assert cm.peak_power(pump) == pytest.approx(0.1, rel=1e-12)
+        assert cm.peak_power(pump) == pytest.approx(0.1, rel=1e-12, abs=0.0)
 
     def test_duty_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -104,21 +104,21 @@ class TestPairGenerationRate:
     def test_reference_point(self):
         # oracle: full fitted parameter set at 37 mW peak
         value = cm.pair_generation_rate(self.pump, self.segment, 0.12e12)
-        assert value == pytest.approx(0.0248923461322535, rel=1e-12)
+        assert value == pytest.approx(0.0248923461322535, rel=1e-12, abs=0.0)
 
     def test_quadratic_in_power(self):
         double = replace(self.pump, average_power_w=2 * self.pump.average_power_w)
         ratio = cm.pair_generation_rate(double, self.segment, 0.12e12) / cm.pair_generation_rate(
             self.pump, self.segment, 0.12e12
         )
-        assert ratio == pytest.approx(4.0, rel=1e-12)
+        assert ratio == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_quadratic_in_gamma(self):
         seg2 = replace(self.segment, gamma_per_w_m=2 * self.segment.gamma_per_w_m)
         ratio = cm.pair_generation_rate(self.pump, seg2, 0.12e12) / cm.pair_generation_rate(
             self.pump, self.segment, 0.12e12
         )
-        assert ratio == pytest.approx(4.0, rel=1e-12)
+        assert ratio == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_passive_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestPairGenerationRate:
     def test_length_optimum_analytic_and_numeric(self):
         # oracle: ln 2 / alpha_Np = 1.50514997831991 cm for 2.0 dB/cm
         optimum = cm.optimal_nonlinear_length(200.0)
-        assert optimum == pytest.approx(0.0150514997831991, rel=1e-12)
+        assert optimum == pytest.approx(0.0150514997831991, rel=1e-12, abs=0.0)
         grid = np.arange(0.005, 0.04, 1e-4)  # 0.01 cm steps
         rates = [
             cm.pair_generation_rate(
@@ -151,7 +151,7 @@ class TestChainTransmittances:
         chain = replace(chain, segments=chain.segments + (seg,))
         eta_s, eta_i = cm.chain_transmittances(chain)
         # oracle: 10**(-1.8 * 2.93 / 10)
-        assert eta_s == pytest.approx(0.296893028622637, rel=1e-12)
+        assert eta_s == pytest.approx(0.296893028622637, rel=1e-12, abs=0.0)
         assert eta_i == eta_s
 
     def test_filter_stage_multiplies(self):
@@ -163,7 +163,7 @@ class TestChainTransmittances:
         )
         after = cm.chain_transmittances(chain)[0]
         # oracle: 10**(-0.38)
-        assert after / before == pytest.approx(0.416869383470335, rel=1e-12)
+        assert after / before == pytest.approx(0.416869383470335, rel=1e-12, abs=0.0)
 
     def test_upstream_segment_attenuates_pump_not_photons(self):
         chain, pump = make_rate_chain(1e-3)
@@ -171,7 +171,7 @@ class TestChainTransmittances:
         chain2 = replace(chain, segments=(seg,) + chain.segments)
         assert cm.chain_transmittances(chain2) == cm.chain_transmittances(chain)
         assert cm.pump_peak_power_at_source(chain2, pump) == pytest.approx(
-            cm.peak_power(pump) * seg.transmittance, rel=1e-12
+            cm.peak_power(pump) * seg.transmittance, rel=1e-12, abs=0.0
         )
 
     def test_exactly_one_nonlinear_enforced(self):
@@ -187,8 +187,8 @@ class TestSinglesRate:
         chain, pump = make_rate_chain(1e-2)
         mu_s, mu_i = cm.singles_rate(chain, pump)
         mu_pair = cm.pair_generation_rate(pump, chain.nonlinear_segment, 0.12e12)
-        assert mu_s == pytest.approx(mu_pair, rel=1e-12)
-        assert mu_i == pytest.approx(mu_pair, rel=1e-12)
+        assert mu_s == pytest.approx(mu_pair, rel=1e-12, abs=0.0)
+        assert mu_i == pytest.approx(mu_pair, rel=1e-12, abs=0.0)
 
     def test_low_power_linear_dominates(self):
         chain, pump = make_rate_chain(1e-2, n1_per_w=0.3)
@@ -206,7 +206,7 @@ class TestSinglesRate:
         chain = replace(chain, segments=(segment,))
         pump = replace(pump, average_power_w=0.037 * pump.duty_cycle)
         mu_s, _ = cm.singles_rate(chain, pump)
-        assert mu_s == pytest.approx(0.0248923461322535 + 0.0037, rel=1e-12)
+        assert mu_s == pytest.approx(0.0248923461322535 + 0.0037, rel=1e-12, abs=0.0)
         assert mu_s == pytest.approx(0.0286, rel=1e-3)
 
 
@@ -215,7 +215,7 @@ class TestGateDuty:
         assert cm.gate_duty(0.0, 10e-6, 1e8) == 1.0
 
     def test_reference_point(self):
-        assert cm.gate_duty(0.01, 10e-6, 1e8) == pytest.approx(1.0 / 11.0, rel=1e-12)
+        assert cm.gate_duty(0.01, 10e-6, 1e8) == pytest.approx(1.0 / 11.0, rel=1e-12, abs=0.0)
 
     def test_zero_dead_gates(self):
         assert cm.gate_duty(0.9, 0.0, 1e8) == 1.0
@@ -223,7 +223,9 @@ class TestGateDuty:
 
     def test_dark_only_reference(self):
         # oracle: 1 / (1 + 2.1e-5 * 1000)
-        assert cm.gate_duty(2.1e-5, 10e-6, 1e8) == pytest.approx(0.979431929480901, rel=1e-12)
+        assert cm.gate_duty(2.1e-5, 10e-6, 1e8) == pytest.approx(
+            0.979431929480901, rel=1e-12, abs=0.0
+        )
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -240,14 +242,14 @@ class TestClickProbabilities:
         chain, pump = make_rate_chain(0.0, dark_rate_hz=2.1e3)
         pred = cm.predict(chain, pump)
         p_s, p_i = pred.p_click_signal, pred.p_click_idler
-        assert p_s == pytest.approx(2.1e-5, rel=1e-12)
-        assert p_i == pytest.approx(2.1e-5, rel=1e-12)
+        assert p_s == pytest.approx(2.1e-5, rel=1e-12, abs=0.0)
+        assert p_i == pytest.approx(2.1e-5, rel=1e-12, abs=0.0)
 
     def test_linear_product(self):
         chain, pump = make_rate_chain(1e-3, eta_signal=0.05, eta_idler=0.05)
         p_s = cm.predict(chain, pump).p_click_signal
         mu_s, _ = cm.singles_rate(chain, pump)
-        assert p_s == pytest.approx(0.05 * mu_s, rel=1e-12)
+        assert p_s == pytest.approx(0.05 * mu_s, rel=1e-12, abs=0.0)
         assert p_s == pytest.approx(5e-5, rel=1e-6)
 
     def test_probability_above_one_rejected(self):
@@ -283,7 +285,7 @@ class TestCarEstimate:
             noise_idler=chain.noise_signal,
         )
         assert cm.car_estimate(swapped, pump) == pytest.approx(
-            cm.car_estimate(chain, pump), rel=1e-12
+            cm.car_estimate(chain, pump), rel=1e-12, abs=0.0
         )
 
     def test_unimodal_in_power(self, wg_i):
@@ -314,7 +316,7 @@ class TestPairRateFromCounts:
 
     def test_reference(self):
         value = cm.pair_rate_from_counts(100.0, 10.0, 1e8, 0.05, 0.05)
-        assert value == pytest.approx(3.6e-4, rel=1e-12)
+        assert value == pytest.approx(3.6e-4, rel=1e-12, abs=0.0)
 
     def test_round_trip(self):
         mu = 3.3e-4
@@ -323,7 +325,7 @@ class TestPairRateFromCounts:
         accidental = 12.0
         coincidence = mu * rep * eta_s * eta_i + accidental
         assert cm.pair_rate_from_counts(coincidence, accidental, rep, eta_s, eta_i) == (
-            pytest.approx(mu, rel=1e-12)
+            pytest.approx(mu, rel=1e-12, abs=0.0)
         )
 
     def test_negative_flagged_not_clamped(self):
@@ -356,7 +358,7 @@ class TestPairRateFromCountsMultipair:
         stats = cm.expected_gate_statistics(chain, pump)
         rates = _counts_from_statistics(stats, pump.rep_rate_hz)
         value = cm.pair_rate_from_counts_multipair(*rates, pump.rep_rate_hz, eta_s, eta_i)
-        assert value == pytest.approx(mu, rel=1e-12)
+        assert value == pytest.approx(mu, rel=1e-12, abs=0.0)
 
     def test_agrees_with_linear_at_small_mu(self):
         mu, eta = 1e-4, 0.1
@@ -419,9 +421,9 @@ class TestPredict:
         eta = seg.transmittance
         base = cm.predict(chain, pump)
         lossy = cm.predict(chain_lossy, pump)
-        assert lossy.mu_pair_out / base.mu_pair_out == pytest.approx(eta**2, rel=1e-12)
-        assert lossy.p_click_signal / base.p_click_signal == pytest.approx(eta, rel=1e-12)
-        assert lossy.p_click_idler / base.p_click_idler == pytest.approx(eta, rel=1e-12)
+        assert lossy.mu_pair_out / base.mu_pair_out == pytest.approx(eta**2, rel=1e-12, abs=0.0)
+        assert lossy.p_click_signal / base.p_click_signal == pytest.approx(eta, rel=1e-12, abs=0.0)
+        assert lossy.p_click_idler / base.p_click_idler == pytest.approx(eta, rel=1e-12, abs=0.0)
         assert lossy.mu_signal == base.mu_signal  # referred to the source output
 
     def test_car_undefined_reported_as_nan(self):
@@ -503,7 +505,7 @@ class TestEvaluate:
                 cm.pair_generation_rate_at_power(
                     chain.nonlinear_segment, pair_bw, pump.pulse_fwhm_s, rec.peak_power_w
                 ),
-                rel=1e-15,
+                rel=1e-15, abs=0.0,
             )
             assert rec.mu_signal == rec.pair_density_per_hz * bw_s + rec.noise_signal
             assert rec.noise_idler == chain.noise_idler.at_peak_power(rec.peak_power_w)

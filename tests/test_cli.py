@@ -84,6 +84,20 @@ class TestFitInput:
         assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
         assert "'extra'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("pp_mw,y\n1,2\n2,3\nthree,4\n4,7\n5,9\n", 4),
+            ("pp_mw,y\n1,2\n2,3\n# note\n\n3,\n4,7\n5,9\n", 6),
+        ],
+        ids=["non-numeric", "one-cell"],
+    )
+    def test_bad_data_row_names_its_line(self, tmp_path, capsys, text, line):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_sigma_column_weights_the_fit(self, tmp_path):
         # one outlier at x = 4 whose tiny sigma pulls the weighted fit
         rows = ["1,2,1", "2,3,1", "3,5,1", "4,9,1e-6", "5,10,1", "6,12,1"]
@@ -98,6 +112,17 @@ class TestFitInput:
             fits[name] = _fit(tmp_path, tmp_path / f"{name}.csv", "--model", "poly")
         assert fits["named"] == fits["headerless"]
         assert fits["named"] != fits["unweighted"]
+
+
+class TestExitCodes:
+    def test_out_of_range_operating_point_is_a_numerical_failure(self, capsys):
+        # 100 W peak on wg-i drives the linearised click probability far above 1
+        sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid"]
+        assert cli.main([*sweep, "100000:200000:2"]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        for bad in (["100000:200000"], ["1:2:0"], ["log:1:2:0", "--mc"]):
+            assert cli.main([*sweep, *bad]) == cli.EXIT_CONFIG
+            assert "bad grid spec" in capsys.readouterr().err
 
 
 class TestImport:

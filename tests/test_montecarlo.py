@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairsim import chainmodel as cm
 from pairsim import config as cfg
@@ -115,7 +117,53 @@ class TestAgainstPoissonOracle:
         assert abs(ratio_coinc - 4.0) < 3 * sigma_coinc + 0.05
 
 
+def reference_dead_time(fire: np.ndarray, dead_gates: int) -> tuple[np.ndarray, int]:
+    """Gate-by-gate dead-time filter: a click at gate g leaves g+1 .. g+dead_gates dead."""
+    clicks = np.zeros(fire.size, dtype=bool)
+    active = 0
+    last_dead = -1
+    for g, fired in enumerate(fire):
+        if g <= last_dead:
+            continue
+        active += 1
+        if fired:
+            clicks[g] = True
+            last_dead = g + dead_gates
+    return clicks, active
+
+
+@st.composite
+def fires_and_dead_time(draw):
+    n = draw(st.integers(1, 3000))
+    density = draw(st.floats(0.0, 1.0))
+    fire = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < density
+    return fire, draw(st.integers(0, n + 5))
+
+
+_LAST_ONLY = np.zeros(1000, dtype=bool)
+_LAST_ONLY[-1] = True
+
+
 class TestDeadTime:
+    @settings(max_examples=200, deadline=None)
+    @given(case=fires_and_dead_time())
+    @example(case=(np.zeros(1000, dtype=bool), 3))
+    @example(case=(np.ones(1000, dtype=bool), 3))
+    @example(case=(_LAST_ONLY, 3))
+    @example(case=(np.random.default_rng(0).random(1000) < 0.3, 0))
+    def test_filter_matches_per_gate_reference(self, case):
+        fire, dead_gates = case
+        clicks, active = mc._apply_dead_time(fire.copy(), dead_gates)
+        ref_clicks, ref_active = reference_dead_time(fire, dead_gates)
+        assert np.array_equal(clicks, ref_clicks)
+        assert active == ref_active
+        # every click but the last leaves exactly dead_gates dead gates; the
+        # last one may be cut short by the end of the block
+        n, n_clicks = fire.size, int(np.count_nonzero(clicks))
+        assert n - dead_gates * n_clicks <= active <= n - dead_gates * n_clicks + dead_gates
+        if dead_gates == 0:
+            assert np.array_equal(clicks, fire) and active == n
+
     def test_monotonicity(self):
         chain, pump = make_rate_chain(2e-2, 0.5, 0.5, dark_rate_hz=5e3, dead_time_us=10.0)
         trial_on = mc.TrialConfig(n_pulses=1_000_000, seed=31, dead_time_enabled=True)
