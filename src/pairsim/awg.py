@@ -211,15 +211,22 @@ def effective_pair_bandwidth(
     return t_pair * band / spec.peak_transmittance**2
 
 
-def effective_single_bandwidth(spec: AwgSpec, channel: int) -> float:
-    """Equivalent noise bandwidth of one channel: integral of the unit-peak shape.
+def effective_single_bandwidth(
+    spec: AwgSpec,
+    channel: int,
+    pump_frequency_hz: float,
+    generation_band_hz: float | None = None,
+) -> float:
+    """Equivalent noise bandwidth of one channel: its unit-peak shape integrated
+    over the generation band, crosstalk floor included.
 
-    Rectangular passbands give the 3-dB width; gaussian passbands give
-    ``(w/2) * sqrt(pi / ln 2)``.  Computed in closed form (the crosstalk floor,
-    when set, is unbounded in frequency and is deliberately excluded here).
+    This is ``passband_overlap`` of the channel with a flat band.  Without a
+    floor, and with the band edges far out in the tails, rectangular passbands
+    give the 3-dB width and gaussian ones ``(w/2) * sqrt(pi / ln 2)``; a floor
+    adds about ``floor * band``.
     """
-    channel_center(spec, channel)  # range check
-    half_width = spec.passband_3db_hz / 2.0
-    if spec.passband_shape == "gaussian":
-        return half_width * math.sqrt(math.pi / _LN2)
-    return spec.passband_3db_hz
+    _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
+    detuning = channel_center(spec, channel) - pump_frequency_hz
+    gaussian = spec.passband_shape == "gaussian"
+    passband = (detuning, spec.passband_3db_hz / 2.0, gaussian, spec.crosstalk_floor)
+    return passband_overlap(passband, (0.0, band / 2.0, False, 0.0), -math.inf, math.inf)

@@ -17,6 +17,7 @@ fixed parameters all read that record.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -439,12 +440,27 @@ def chain_transmittances(chain: ExperimentChain) -> tuple[float, float]:
     return eta_s, eta_i
 
 
+@functools.lru_cache(maxsize=64)
+def _awg_single_bandwidths(d: AwgDemux, pump_frequency_hz: float) -> tuple[float, float]:
+    """Signal and idler channel shapes integrated over the generation band.
+
+    Two exact overlaps of about 4 us each, which uncached slowed the AWG
+    figures by a fifth; sweeps and figures evaluate one demux at many pump
+    powers, so the cache hits.
+    """
+    return tuple(
+        awg_mod.effective_single_bandwidth(d.spec, ch, pump_frequency_hz, d.generation_band_hz)
+        for ch in (d.signal_channel, d.idler_channel)
+    )
+
+
 def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float, float]:
     """(pair, signal-single, idler-single) equivalent collection bandwidths.
 
     The pair bandwidth is the overlap of one demux passband with the mirror
     image of the other under perfect spectral anti-correlation; the single
-    bandwidths are each channel's own equivalent noise bandwidth.  Post
+    bandwidths are each channel's own equivalent noise bandwidth (for an AWG,
+    over the generation band and with its crosstalk floor).  Post
     filters are assumed spectrally broader than the demux channels and only
     clamp these widths (their insertion loss enters the transmittance).
     """
@@ -453,8 +469,7 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
         pair_bw = awg_mod.effective_pair_bandwidth(
             d.spec, d.signal_channel, d.idler_channel, pump.frequency_hz, d.generation_band_hz
         )
-        single_s = awg_mod.effective_single_bandwidth(d.spec, d.signal_channel)
-        single_i = awg_mod.effective_single_bandwidth(d.spec, d.idler_channel)
+        single_s, single_i = _awg_single_bandwidths(d, pump.frequency_hz)
     else:
         sig, idl = chain.demux.signal, chain.demux.idler
         # offset: where the mirrored idler passband center lands from the signal one

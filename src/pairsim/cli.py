@@ -182,8 +182,13 @@ def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]
 
 
 def _trial_from_args(args, parser) -> montecarlo.TrialConfig:
-    if args.pulses < 1:
-        parser.error("--pulses must be a positive integer")
+    for flag, value in (
+        ("--pulses", args.pulses),
+        ("--accidental-offset", args.accidental_offset),
+        ("--thermal-modes", args.thermal_modes),
+    ):
+        if value < 1:
+            parser.error(f"{flag} must be a positive integer")
     return montecarlo.TrialConfig(
         n_pulses=args.pulses,
         seed=args.seed,
@@ -203,11 +208,9 @@ def cmd_simulate(args, parser) -> int:
     for key, value in items:
         shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
-    table = ResultTable(
-        columns=[k for k, _ in items],
-        rows=[[v for _, v in items]],
-        metadata=_base_metadata("simulate", document, seed=trial.seed),
-    )
+    meta = _base_metadata("simulate", document, seed=trial.seed)
+    meta["rng_stream"] = montecarlo.RNG_STREAM
+    table = ResultTable(columns=[k for k, _ in items], rows=[[v for _, v in items]], metadata=meta)
     if args.out:
         _write_output(args, table)
     return EXIT_OK
@@ -267,6 +270,8 @@ def cmd_sweep(args, parser) -> int:
         rows.append(row)
 
     meta = _base_metadata("sweep", document, seed=args.seed if args.mc else None)
+    if args.mc:
+        meta["rng_stream"] = montecarlo.RNG_STREAM
     meta["variable"] = args.var
     meta["grid"] = args.grid
     table = ResultTable(columns=columns, rows=rows, metadata=meta)
@@ -277,7 +282,8 @@ def cmd_sweep(args, parser) -> int:
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x, y and optional sigma: ``x,y[,sigma]`` without a header; under a
     header a third column must be named ``sigma`` and no other may follow;
-    any other line without numeric x and y is an error naming its number."""
+    any other line without numeric x and y, or with an empty cell, is an
+    error naming its number."""
     rows, header = [], None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -285,8 +291,10 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             if not line or line.startswith("#"):
                 continue
             cells = [c.strip() for c in line.split(",")]
+            if "" in cells:
+                raise cfg.ConfigError(f"data file line {number}: empty cell: {line!r}")
             try:
-                row = [float(c) for c in cells[:3] if c != ""]
+                row = [float(c) for c in cells[:3]]
             except ValueError:
                 row = None
             if row is None and header is None and not rows and len(cells) >= 2:

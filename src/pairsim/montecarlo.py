@@ -1,18 +1,29 @@
-"""Per-pulse stochastic counting oracle.
+"""Event-driven stochastic counting oracle.
 
-Simulates every pump pulse of a counting run: pair creation in the nonlinear
-segment, loss on each arm, noise photons, dark counts, detector gating with
-dead time.  Counts singles, same-gate coincidences and offset-gate
-accidentals exactly as a time-interval analyzer would, independently of the
-closed-form rate model.
+Simulates a counting run pulse for pulse in law, but draws only the pulses
+that carry an event: pair creation in the nonlinear segment, loss on each
+arm, noise photons, dark counts, detector gating with dead time.  Counts
+singles, same-gate coincidences and offset-gate accidentals exactly as a
+time-interval analyzer would, independently of the closed-form rate model.
 
-Pulses are processed in fixed-size blocks, each with its own
-counter-based random stream derived from (seed, block index).  The block
-decomposition never depends on the worker count, so results are bit-identical
-for any number of threads.  Dead time is applied to a whole block at once,
+Each block of pulses is sampled sparsely.  The pulses holding at least one
+pair are a Bernoulli stream, drawn as geometric gaps between them; each gets
+a zero-truncated pair number of its pair law (Poisson, or negative binomial
+as a compound Poisson of log-series clusters).  Every pair photon is then
+thinned by its arm's efficiency, on the AWG path after the pair was given a
+frequency and passed through the channel shapes.  Noise photons and dark
+counts are further Bernoulli streams per arm, merged with the pair-photon
+fires into one sorted list of fire indices.  The work per block therefore
+scales with the number of events, not with the number of pulses.
+
+Pulses are processed in fixed-size blocks, each with its own counter-based
+random stream derived from (seed, block index).  The block decomposition
+never depends on the worker count, so results are bit-identical for any
+number of threads.  Dead time is applied to a block's fire indices at once,
 by pointer doubling over each fire's next allowed fire, and resets at block
 boundaries; blocks are much longer than any realistic dead time, which keeps
-the boundary effect far below statistical resolution.
+the boundary effect far below statistical resolution.  ``RNG_STREAM`` names
+this sampling scheme; counts for a given seed change only with it.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ from . import chainmodel as cm
 from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
 
 _BLOCK_SIZE = 1_000_000
+
+RNG_STREAM = "philox-sparse-v1"
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -139,73 +152,123 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), block_index])))
 
 
-def _apply_dead_time(fire: np.ndarray, dead_gates: int) -> tuple[np.ndarray, int]:
+def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """Sorted indices of the successes among n independent Bernoulli(p) trials.
+
+    Drawn as geometric gaps between successes, so the work is proportional
+    to the number of successes, not to n.
+    """
+    if p <= 0.0 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    mean = n * p
+    chunk = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    parts, last = [], -1
+    while last < n:
+        # a gap past n + 1 lands beyond the block from any start, so clipping
+        # it changes nothing kept and keeps the cumulative sum from overflowing
+        positions = last + np.cumsum(np.minimum(rng.geometric(p, chunk), n + 1))
+        parts.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(parts)
+    return positions[: np.searchsorted(positions, n)]
+
+
+def _zero_truncated_poisson(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
+    """``size`` Poisson(lam) counts conditioned on being at least 1.
+
+    The first arrival of a rate-lam process on [0, 1], given that one
+    arrives, is drawn by inversion at T = -log1p(U * expm1(-lam)) / lam;
+    the rest are Poisson(lam * (1 - T)).  Once expm1(-lam) rounds to -1,
+    lam * (1 - T) can round a hair below 0, hence the clip.
+    """
+    rest = lam + np.log1p(rng.random(size) * math.expm1(-lam))  # lam * (1 - T)
+    return 1 + rng.poisson(np.maximum(rest, 0.0))
+
+
+def _occupied_pulses(
+    rng: np.random.Generator, mean: float, size: int, trial: TrialConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the pulses of a block holding at least one pair, and their pair numbers.
+
+    Poisson pairs are a Poisson(mean) count per pulse.  Thermal pairs with m
+    modes are negative binomial, which is compound Poisson: a Poisson(lam)
+    number of log-series(q) clusters with lam = m * log1p(mean / m) and
+    q = mean / (m + mean).  Either way a pulse is occupied with probability
+    -expm1(-lam) and holds a zero-truncated Poisson(lam) number of clusters.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    if mean <= 0.0:
+        return empty, empty
+    thermal = trial.pair_statistics == "thermal"
+    m = trial.thermal_modes
+    lam = m * math.log1p(mean / m) if thermal else mean
+    positions = _bernoulli_positions(rng, -math.expm1(-lam), size)
+    pairs = _zero_truncated_poisson(rng, lam, positions.size)
+    if thermal and positions.size:
+        clusters = rng.logseries(mean / (m + mean), int(pairs.sum()))
+        pairs = np.add.reduceat(clusters, np.cumsum(pairs) - pairs)
+    return positions, pairs
+
+
+def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.ndarray, int]:
     """Suppress fires landing in the dead window after an accepted click.
 
-    Returns the accepted-click mask and the number of active gates in the
+    ``fires`` are the sorted gate indices in [0, n) where a detector fires.
+    Returns the accepted click indices and the number of active gates in the
     block.  A click at gate g deactivates gates g+1 .. g+dead_gates.
     """
-    n = fire.size
     if dead_gates <= 0:
-        return fire, n
-    idx = np.flatnonzero(fire)
-    k = idx.size
+        return fires, n
+    k = fires.size
     # jump[i] is the first fire past the dead window of fire i (sentinel k maps
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
     # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
     # the next 2**L.
-    jump = np.append(np.searchsorted(idx, idx + (dead_gates + 1)), k)
+    jump = np.append(np.searchsorted(fires, fires + (dead_gates + 1)), k)
     path = np.zeros(1, dtype=np.intp)
     while path[-1] < k:
         path = np.concatenate((path, jump[path]))
         jump = jump[jump]
-    accepted = idx[path[path < k]]
-    clicks = np.zeros(n, dtype=bool)
-    clicks[accepted] = True
-    return clicks, n - int(np.minimum(dead_gates, n - 1 - accepted).sum())
+    accepted = fires[path[path < k]]
+    return accepted, n - int(np.minimum(dead_gates, n - 1 - accepted).sum())
 
 
 def _count_block(
     rng: np.random.Generator,
-    fire_s: np.ndarray,
-    fire_i: np.ndarray,
+    n: int,
+    pair_fires: tuple[np.ndarray, np.ndarray],
+    p_noise: tuple[float, float],
     chain: ExperimentChain,
     trial: TrialConfig,
 ) -> np.ndarray:
-    """Add dark counts to the photon fires, apply dead time and count the block."""
-    det_s, det_i = chain.detector_signal, chain.detector_idler
-    if det_s.dark_prob_per_gate > 0:
-        fire_s |= rng.random(fire_s.size) < det_s.dark_prob_per_gate
-    if det_i.dark_prob_per_gate > 0:
-        fire_i |= rng.random(fire_i.size) < det_i.dark_prob_per_gate
-    dead_s, dead_i = (det_s.dead_gates, det_i.dead_gates) if trial.dead_time_enabled else (0, 0)
-    click_s, active_s = _apply_dead_time(fire_s, dead_s)
-    click_i, active_i = _apply_dead_time(fire_i, dead_i)
+    """Add noise and dark fires, apply dead time and count the block.
+
+    ``pair_fires`` are the sorted gates where a pair photon reaches each
+    arm's detector (repeats allowed); ``p_noise`` is each arm's per-gate
+    probability that another photon fires it.
+    """
+    arms = []
+    detectors = (chain.detector_signal, chain.detector_idler)
+    for fires, p, detector in zip(pair_fires, p_noise, detectors):
+        dead_gates = detector.dead_gates if trial.dead_time_enabled else 0
+        noise = _bernoulli_positions(rng, p, n)
+        dark = _bernoulli_positions(rng, detector.dark_prob_per_gate, n)
+        fires = np.concatenate((fires, noise, dark))
+        # each stream is sorted, so the stable sort (a run-merging timsort) is a merge
+        fires.sort(kind="stable")
+        first = np.ones(fires.size, dtype=bool)
+        first[1:] = fires[1:] != fires[:-1]
+        arms.append(_apply_dead_time(fires[first], n, dead_gates))
+    (clicks_s, active_s), (clicks_i, active_i) = arms
     off = trial.accidental_offset
-    n = fire_s.size
     n_acc = max(n - off, 0)
-    accidentals = int(np.count_nonzero(click_s[:n_acc] & click_i[off : off + n_acc]))
-    return np.array(
-        [
-            int(np.count_nonzero(click_s)),
-            int(np.count_nonzero(click_i)),
-            int(np.count_nonzero(click_s & click_i)),
-            accidentals,
-            active_s,
-            active_i,
-            n_acc,
-        ],
-        dtype=np.int64,
-    )
-
-
-def _draw_pairs(rng: np.random.Generator, mean: float, size: int, trial: TrialConfig) -> np.ndarray:
-    if mean == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    if trial.pair_statistics == "thermal":
-        m = trial.thermal_modes
-        return rng.negative_binomial(m, m / (m + mean), size)
-    return rng.poisson(mean, size)
+    # a signal click at gate g and an idler click at g + off, for g < n - off
+    early_s = clicks_s[: np.searchsorted(clicks_s, n_acc)]
+    late_i = clicks_i[np.searchsorted(clicks_i, off) :] - off
+    coincidences = np.intersect1d(clicks_s, clicks_i, assume_unique=True).size
+    accidentals = np.intersect1d(early_s, late_i, assume_unique=True).size
+    counts = (clicks_s.size, clicks_i.size, coincidences, accidentals, active_s, active_i, n_acc)
+    return np.array(counts, dtype=np.int64)
 
 
 def _end_efficiencies(chain: ExperimentChain, rec: cm.ChainEvaluation) -> tuple[float, float]:
@@ -281,19 +344,23 @@ def _aggregate_block(
     block_index: int,
     size: int,
 ) -> np.ndarray:
-    """One block of a chain without frequency structure: pulse-level draws."""
+    """One block of a chain without frequency structure: each pair photon is thinned by its arm."""
     eta_s, eta_i = _end_efficiencies(chain, rec)
     # pair photons collected beyond the pair bandwidth arrive without a partner
     density, pair_bw = rec.pair_density_per_hz, rec.pair_bandwidth_hz
     extra_s = density * max(rec.single_bandwidth_signal_hz - pair_bw, 0.0)
     extra_i = density * max(rec.single_bandwidth_idler_hz - pair_bw, 0.0)
     rng = _block_rng(seed, block_index)
-    pairs = _draw_pairs(rng, rec.mu_pair, size, trial)
-    hits_s = rng.binomial(pairs, eta_s) if eta_s > 0 else 0
-    hits_i = rng.binomial(pairs, eta_i) if eta_i > 0 else 0
-    causes_s = np.asarray(hits_s) + rng.poisson(rec.noise_signal * eta_s + extra_s * eta_s, size)
-    causes_i = np.asarray(hits_i) + rng.poisson(rec.noise_idler * eta_i + extra_i * eta_i, size)
-    return _count_block(rng, causes_s > 0, causes_i > 0, chain, trial)
+    occupied, pairs = _occupied_pulses(rng, rec.mu_pair, size, trial)
+    pair_fires = (
+        occupied[rng.binomial(pairs, eta_s) > 0],
+        occupied[rng.binomial(pairs, eta_i) > 0],
+    )
+    p_noise = (
+        -math.expm1(-(rec.noise_signal + extra_s) * eta_s),
+        -math.expm1(-(rec.noise_idler + extra_i) * eta_i),
+    )
+    return _count_block(rng, size, pair_fires, p_noise, chain, trial)
 
 
 def _spectral_block(
@@ -309,30 +376,25 @@ def _spectral_block(
     rng = _block_rng(seed, block_index)
     widths = rates.support_hi - rates.support_lo
     total_width = float(widths.sum())
-    mu_sample = rec.pair_density_per_hz * total_width
-    pairs = _draw_pairs(rng, mu_sample, size, trial)
-    total = int(pairs.sum())
-    hit_s = np.zeros(size, dtype=bool)
-    hit_i = np.zeros(size, dtype=bool)
-    if total > 0:
-        pulse_of_pair = np.repeat(np.arange(size), pairs)
-        u = rng.random(total) * total_width
-        # map uniform draws onto the merged support intervals
-        edges = np.concatenate(([0.0], np.cumsum(widths)))
-        k = np.searchsorted(edges, u, side="right") - 1
-        nu = rates.support_lo[k] + (u - edges[k])
-        shape = partial(awg_mod._shape, rates.spec)
-        peak = rates.spec.peak_transmittance
-        p_s = shape(nu - rates.center_signal) * (peak * rates.eta_rest_signal)
-        p_i = shape(nu - rates.center_idler_mirrored) * (peak * rates.eta_rest_idler)
-        kept_s = rng.random(total) < p_s
-        kept_i = rng.random(total) < p_i
-        np.logical_or.at(hit_s, pulse_of_pair[kept_s], True)
-        np.logical_or.at(hit_i, pulse_of_pair[kept_i], True)
+    occupied, pairs = _occupied_pulses(rng, rec.pair_density_per_hz * total_width, size, trial)
+    pulse_of_pair = np.repeat(occupied, pairs)
+    total = pulse_of_pair.size
+    u = rng.random(total) * total_width
+    # map uniform draws onto the merged support intervals
+    edges = np.concatenate(([0.0], np.cumsum(widths)))
+    k = np.searchsorted(edges, u, side="right") - 1
+    nu = rates.support_lo[k] + (u - edges[k])
+    shape = partial(awg_mod._shape, rates.spec)
+    peak = rates.spec.peak_transmittance
+    p_s = shape(nu - rates.center_signal) * (peak * rates.eta_rest_signal)
+    p_i = shape(nu - rates.center_idler_mirrored) * (peak * rates.eta_rest_idler)
+    pair_fires = (
+        pulse_of_pair[rng.random(total) < p_s],
+        pulse_of_pair[rng.random(total) < p_i],
+    )
     eta_s, eta_i = _end_efficiencies(chain, rec)
-    fire_s = hit_s | (rng.poisson(rec.noise_signal * eta_s, size) > 0)
-    fire_i = hit_i | (rng.poisson(rec.noise_idler * eta_i, size) > 0)
-    return _count_block(rng, fire_s, fire_i, chain, trial)
+    p_noise = (-math.expm1(-rec.noise_signal * eta_s), -math.expm1(-rec.noise_idler * eta_i))
+    return _count_block(rng, size, pair_fires, p_noise, chain, trial)
 
 
 # ---------------------------------------------------------------------------

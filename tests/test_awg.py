@@ -264,12 +264,36 @@ class TestEffectiveBandwidths:
 
     def test_single_bandwidth(self):
         gaussian = make_spec()
-        # oracle: (w/2) * sqrt(pi / ln 2)
-        assert awg.effective_single_bandwidth(gaussian, 3) == pytest.approx(
+        # oracle: (w/2) * sqrt(pi / ln 2); a 3 THz band puts its edge 22
+        # half-widths past channel 3, where the tail is below 2**-480
+        assert awg.effective_single_bandwidth(gaussian, 3, PUMP, 3.0e12) == pytest.approx(
             85.1573615544981e9, rel=1e-12, abs=0.0
         )
         rect = make_spec(shape="rectangular")
-        assert awg.effective_single_bandwidth(rect, 3) == 80e9
+        assert awg.effective_single_bandwidth(rect, 3, PUMP) == 80e9
+
+    def test_single_bandwidth_is_clipped_by_the_generation_band(self):
+        # the default 1.6 THz band ends at channel 4's center (half its shape
+        # is generated) and 5 half-widths past channel 3 (an erfc tail is lost)
+        spec = make_spec()
+        full = awg.effective_single_bandwidth(spec, 3, PUMP, 3.0e12)
+        half = awg.effective_single_bandwidth(spec, 4, PUMP)
+        assert half == pytest.approx(full / 2, rel=1e-12, abs=0.0)
+        deficit = full - awg.effective_single_bandwidth(spec, 3, PUMP)
+        assert deficit == pytest.approx(full * math.erfc(5 * math.sqrt(math.log(2))) / 2, rel=1e-6)
+
+    def test_single_bandwidth_includes_the_crosstalk_floor(self):
+        band = 1.6e12
+        rect = make_spec(shape="rectangular", floor=1e-2)
+        # exact: the passband plus the floor over the rest of the band
+        assert awg.effective_single_bandwidth(rect, 3, PUMP) == pytest.approx(
+            80e9 + 1e-2 * (band - 80e9), rel=1e-12, abs=0.0
+        )
+        gaussian = make_spec(floor=1e-2)
+        nu = np.linspace(PUMP - band / 2, PUMP + band / 2, 400_001)
+        transmission = awg.channel_transmission(gaussian, 3, nu) / gaussian.peak_transmittance
+        oracle = np.trapezoid(transmission, nu)
+        assert awg.effective_single_bandwidth(gaussian, 3, PUMP) == pytest.approx(oracle, rel=1e-6)
 
 
 class TestSpecValidation:

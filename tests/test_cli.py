@@ -98,6 +98,14 @@ class TestFitInput:
         assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_empty_cell_names_its_line(self, tmp_path, capsys):
+        # read with the empty cell dropped, line 1 would be x = 1, y = 2 and
+        # every other row's sigma column would be ignored
+        data = tmp_path / "d.csv"
+        data.write_text("1,,2\n2,3,0.1\n3,5,0.1\n4,7,0.1\n")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "line 1: empty cell" in capsys.readouterr().err
+
     def test_sigma_column_weights_the_fit(self, tmp_path):
         # one outlier at x = 4 whose tiny sigma pulls the weighted fit
         rows = ["1,2,1", "2,3,1", "3,5,1", "4,9,1e-6", "5,10,1", "6,12,1"]
@@ -123,6 +131,33 @@ class TestExitCodes:
         for bad in (["100000:200000"], ["1:2:0"], ["log:1:2:0", "--mc"]):
             assert cli.main([*sweep, *bad]) == cli.EXIT_CONFIG
             assert "bad grid spec" in capsys.readouterr().err
+
+
+class TestCountingOptions:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--accidental-offset", "0"], "--accidental-offset"),
+            (["--pair-statistics", "thermal", "--thermal-modes", "0"], "--thermal-modes"),
+        ],
+    )
+    def test_bad_counting_option_is_a_usage_error(self, capsys, flags, named):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--preset", "wg-i", "--pulses", "1000", *flags])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_counting_output_names_its_random_stream(self, tmp_path):
+        out = tmp_path / "sim.json"
+        simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
+        assert cli.main(simulate) == cli.EXIT_OK
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v1"
+        sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
+        assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v1"
+        # the analytic sweep draws nothing and its output stays as it was
+        assert cli.main(sweep) == cli.EXIT_OK
+        assert "rng_stream" not in json.loads(out.read_text())["metadata"]
 
 
 class TestImport:
