@@ -181,14 +181,12 @@ def pair_transmittance(
 
         (1 / band) * integral T_s(nu) * T_i(2*nu_p - nu) d nu
 
-    evaluated exactly by ``passband_overlap`` in detuning from the pump (the
-    mirrored idler passband is centered at ``nu_p - (nu_i - nu_p)``).
+    that is ``peak_s * peak_i * effective_pair_bandwidth / band``.
     """
     _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
-    shape = (spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
-    signal = (channel_center(spec, signal_channel) - pump_frequency_hz, *shape)
-    idler = (pump_frequency_hz - channel_center(spec, idler_channel), *shape)
-    overlap = passband_overlap(signal, idler, -band / 2.0, band / 2.0)
+    overlap = effective_pair_bandwidth(
+        spec, signal_channel, idler_channel, pump_frequency_hz, generation_band_hz
+    )
     return spec.peak_transmittance**2 * overlap / band
 
 
@@ -201,14 +199,17 @@ def effective_pair_bandwidth(
 ) -> float:
     """Equivalent rectangular bandwidth seen by pairs, insertion loss factored out.
 
-    ``pair_transmittance * band / (peak_s * peak_i)``.  For mirrored
-    rectangular passbands this equals the 3-dB width itself.
+    The overlap of the unit-peak signal passband with the mirrored idler one
+    over the generation band, evaluated exactly by ``passband_overlap`` in
+    detuning from the pump (the mirrored idler passband is centered at
+    ``nu_p - (nu_i - nu_p)``).  For mirrored rectangular passbands this
+    equals the 3-dB width itself.
     """
     _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
-    t_pair = pair_transmittance(
-        spec, signal_channel, idler_channel, pump_frequency_hz, generation_band_hz
-    )
-    return t_pair * band / spec.peak_transmittance**2
+    shape = (spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
+    signal = (channel_center(spec, signal_channel) - pump_frequency_hz, *shape)
+    idler = (pump_frequency_hz - channel_center(spec, idler_channel), *shape)
+    return passband_overlap(signal, idler, -band / 2.0, band / 2.0)
 
 
 def effective_single_bandwidth(

@@ -282,8 +282,9 @@ def cmd_sweep(args, parser) -> int:
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x, y and optional sigma: ``x,y[,sigma]`` without a header; under a
     header a third column must be named ``sigma`` and no other may follow;
-    any other line without numeric x and y, or with an empty cell, is an
-    error naming its number."""
+    every data row has as many cells as the header, or without one as the
+    widest row.  Any other line, one without numeric x and y, with an empty
+    cell, or with too few or too many cells, is an error naming its number."""
     rows, header = [], None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -294,25 +295,26 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             if "" in cells:
                 raise cfg.ConfigError(f"data file line {number}: empty cell: {line!r}")
             try:
-                row = [float(c) for c in cells[:3]]
+                row = [float(c) for c in cells]
             except ValueError:
                 row = None
             if row is None and header is None and not rows and len(cells) >= 2:
                 header = cells
-            elif row is None or len(row) < 2:
+                extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
+                if extra:
+                    raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
+            elif row is None or len(row) not in (2, 3):
                 raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
             else:
-                rows.append(row)
+                rows.append((number, line, row))
     if not rows:
         raise cfg.ConfigError("no numeric rows found in data file")
-    n_cols = min(len(r) for r in rows)
-    if header is not None:
-        extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
-        if extra:
-            raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
-        n_cols = min(n_cols, len(header))
-    data = np.array([r[:n_cols] for r in rows], dtype=float)
-    sigma = data[:, 2] if n_cols >= 3 else None
+    n_cols = len(header) if header is not None else max(len(row) for _, _, row in rows)
+    for number, line, row in rows:
+        if len(row) != n_cols:
+            raise cfg.ConfigError(f"data file line {number}: expected {n_cols} cells: {line!r}")
+    data = np.array([row for _, _, row in rows], dtype=float)
+    sigma = data[:, 2] if n_cols == 3 else None
     return data[:, 0], data[:, 1], sigma
 
 

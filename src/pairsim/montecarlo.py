@@ -6,15 +6,20 @@ arm, noise photons, dark counts, detector gating with dead time.  Counts
 singles, same-gate coincidences and offset-gate accidentals exactly as a
 time-interval analyzer would, independently of the closed-form rate model.
 
-Each block of pulses is sampled sparsely.  The pulses holding at least one
-pair are a Bernoulli stream, drawn as geometric gaps between them; each gets
-a zero-truncated pair number of its pair law (Poisson, or negative binomial
-as a compound Poisson of log-series clusters).  Every pair photon is then
-thinned by its arm's efficiency, on the AWG path after the pair was given a
-frequency and passed through the channel shapes.  Noise photons and dark
-counts are further Bernoulli streams per arm, merged with the pair-photon
-fires into one sorted list of fire indices.  The work per block therefore
-scales with the number of events, not with the number of pulses.
+Every chain, filter or AWG, is sampled by one thinned sampler that reads
+the chain record of ``chainmodel.evaluate`` and the detectors alone.  A
+pair reaches the signal detector, the idler detector, both or neither
+independently of the other pairs, so the pairs of a pulse that reach at
+least one detector keep the pair law at a thinned mean: Poisson stays
+Poisson, and a negative binomial stays negative binomial with the same
+number of modes.  Only those pairs are drawn.  The pulses holding at least
+one are a Bernoulli stream, drawn as geometric gaps between them; each gets
+a zero-truncated number of them, and one uniform per pulse decides whether
+they fire the signal detector alone, the idler alone or both.  Noise
+photons and dark counts are further Bernoulli streams per arm, merged with
+the pair-photon fires into one sorted list of fire indices.  The work per
+block therefore scales with the number of events, not with the number of
+pulses.
 
 Pulses are processed in fixed-size blocks, each with its own counter-based
 random stream derived from (seed, block index).  The block decomposition
@@ -32,17 +37,15 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from . import awg as awg_mod
 from . import chainmodel as cm
 from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
 
 _BLOCK_SIZE = 1_000_000
 
-RNG_STREAM = "philox-sparse-v1"
+RNG_STREAM = "philox-sparse-v2"
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -190,9 +193,11 @@ def _occupied_pulses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the pulses of a block holding at least one pair, and their pair numbers.
 
-    Poisson pairs are a Poisson(mean) count per pulse.  Thermal pairs with m
-    modes are negative binomial, which is compound Poisson: a Poisson(lam)
-    number of log-series(q) clusters with lam = m * log1p(mean / m) and
+    ``mean`` is the thinned mean: the pairs per pulse that reach a detector,
+    which follow the pair law of ``trial`` at that mean.  Poisson pairs are
+    a Poisson(mean) count per pulse.  Thermal pairs with m modes are
+    negative binomial, which is compound Poisson: a Poisson(lam) number of
+    log-series(q) clusters with lam = m * log1p(mean / m) and
     q = mean / (m + mean).  Either way a pulse is occupied with probability
     -expm1(-lam) and holds a zero-truncated Poisson(lam) number of clusters.
     """
@@ -271,130 +276,70 @@ def _count_block(
     return np.array(counts, dtype=np.int64)
 
 
-def _end_efficiencies(chain: ExperimentChain, rec: cm.ChainEvaluation) -> tuple[float, float]:
-    """Optical transmittance times quantum efficiency of the (signal, idler) arms."""
-    return (
-        rec.eta_signal * chain.detector_signal.quantum_efficiency,
-        rec.eta_idler * chain.detector_idler.quantum_efficiency,
-    )
+def _pair_fires(
+    rng: np.random.Generator, rates: tuple[float, float, float], size: int, trial: TrialConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted gates of a block where a pair photon reaches the signal and the idler detector.
+
+    ``rates`` are the mean numbers per pulse of pairs reaching any detector
+    (seen), the signal detector and both.  Each seen pair reaches the signal
+    alone, the idler alone or both independently of the others, so a pulse
+    with k of them fires the signal alone with probability
+    ((signal - both) / seen)**k, the idler alone with ((seen - signal) /
+    seen)**k and both otherwise; one uniform per pulse picks which.  Only
+    the two fire arrays outlive this call.
+    """
+    seen, signal, both = rates
+    occupied, pairs = _occupied_pulses(rng, seen, size, trial)
+    if not occupied.size:
+        return occupied, occupied
+    u = rng.random(occupied.size)
+    signal_alone = ((signal - both) / seen) ** pairs
+    idler_alone = ((seen - signal) / seen) ** pairs
+    fires_signal = occupied[(u < signal_alone) | (u >= signal_alone + idler_alone)]
+    return fires_signal, occupied[u >= signal_alone]
 
 
-@dataclass(frozen=True)
-class _SpectralRates:
-    """Frequency structure of an AWG chain for per-pair sampling."""
+def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
+    """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
 
-    support_lo: np.ndarray  # merged signal-frequency intervals worth sampling
-    support_hi: np.ndarray
-    center_signal: float
-    center_idler_mirrored: float
-    spec: awg_mod.AwgSpec  # the channel passband shape sampled per pair
-    eta_rest_signal: float  # end-to-end efficiency except the channel passband
-    eta_rest_idler: float
-
-
-def _merge_intervals(intervals: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    intervals = sorted((lo, hi) for lo, hi in intervals if hi > lo)
-    merged: list[list[float]] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return (
-        np.array([m[0] for m in merged], dtype=float),
-        np.array([m[1] for m in merged], dtype=float),
-    )
-
-
-def _spectral_rates(
-    chain: ExperimentChain, pump: PumpConfig, rec: cm.ChainEvaluation
-) -> _SpectralRates:
-    d = chain.demux
-    spec = d.spec
-    nu_p = pump.frequency_hz
-    lo, hi, _ = awg_mod._band_edges(spec, nu_p, d.generation_band_hz)
-    center_s = awg_mod.channel_center(spec, d.signal_channel)
-    center_i_m = 2.0 * nu_p - awg_mod.channel_center(spec, d.idler_channel)
-    half_width = spec.passband_3db_hz / 2.0
-    if spec.crosstalk_floor > 0.0:
-        supports = [(lo, hi)]
-    else:
-        # outside +/- 7 half-widths a gaussian passband is below 2^-49
-        reach = half_width * (7.0 if spec.passband_shape == "gaussian" else 1.0)
-        supports = [(max(c - reach, lo), min(c + reach, hi)) for c in (center_s, center_i_m)]
-    support_lo, support_hi = _merge_intervals(supports)
-    eta_s, eta_i = _end_efficiencies(chain, rec)
-    # the demux channel shape is sampled per pair; its peak moves to eta_rest
-    return _SpectralRates(
-        support_lo=support_lo,
-        support_hi=support_hi,
-        center_signal=center_s,
-        center_idler_mirrored=center_i_m,
-        spec=spec,
-        eta_rest_signal=eta_s / spec.peak_transmittance,
-        eta_rest_idler=eta_i / spec.peak_transmittance,
-    )
-
-
-def _aggregate_block(
-    chain: ExperimentChain,
-    rec: cm.ChainEvaluation,
-    trial: TrialConfig,
-    seed: int,
-    block_index: int,
-    size: int,
-) -> np.ndarray:
-    """One block of a chain without frequency structure: each pair photon is thinned by its arm."""
-    eta_s, eta_i = _end_efficiencies(chain, rec)
-    # pair photons collected beyond the pair bandwidth arrive without a partner
+    Efficiencies are end to end (optical transmittance times quantum
+    efficiency).  Every photon an AWG channel passes belongs to a pair spread
+    over the generation band, so its arms collect pairs over their single
+    bandwidths; behind filters pairs are collected over the pair bandwidth
+    and the photons beyond it arrive without a partner, as noise.  Warns
+    when a pulse holds more than one pair or noise photon on average.
+    """
+    eta_s = rec.eta_signal * chain.detector_signal.quantum_efficiency
+    eta_i = rec.eta_idler * chain.detector_idler.quantum_efficiency
     density, pair_bw = rec.pair_density_per_hz, rec.pair_bandwidth_hz
-    extra_s = density * max(rec.single_bandwidth_signal_hz - pair_bw, 0.0)
-    extra_i = density * max(rec.single_bandwidth_idler_hz - pair_bw, 0.0)
-    rng = _block_rng(seed, block_index)
-    occupied, pairs = _occupied_pulses(rng, rec.mu_pair, size, trial)
-    pair_fires = (
-        occupied[rng.binomial(pairs, eta_s) > 0],
-        occupied[rng.binomial(pairs, eta_i) > 0],
-    )
+    bw_s = bw_i = pair_bw
+    if isinstance(chain.demux, AwgDemux):
+        bw_s, bw_i = rec.single_bandwidth_signal_hz, rec.single_bandwidth_idler_hz
+    signal, idler = density * eta_s * bw_s, density * eta_i * bw_i
+    both = density * eta_s * eta_i * pair_bw
+    rates = (signal + idler - both, signal, both)
+    extra_s = density * max(rec.single_bandwidth_signal_hz - bw_s, 0.0)
+    extra_i = density * max(rec.single_bandwidth_idler_hz - bw_i, 0.0)
     p_noise = (
         -math.expm1(-(rec.noise_signal + extra_s) * eta_s),
         -math.expm1(-(rec.noise_idler + extra_i) * eta_i),
     )
-    return _count_block(rng, size, pair_fires, p_noise, chain, trial)
+    mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
+    if mu_check > 1.0:
+        warnings.warn(
+            f"per-pulse mean {mu_check:.3g} exceeds 1; multi-photon pile-up will be "
+            "heavy and the analytic model unreliable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
+    def count(block: tuple[int, int]) -> np.ndarray:
+        block_index, size = block
+        rng = _block_rng(trial.seed, block_index)
+        return _count_block(rng, size, _pair_fires(rng, rates, size, trial), p_noise, chain, trial)
 
-def _spectral_block(
-    chain: ExperimentChain,
-    rec: cm.ChainEvaluation,
-    rates: _SpectralRates,
-    trial: TrialConfig,
-    seed: int,
-    block_index: int,
-    size: int,
-) -> np.ndarray:
-    """One block of an AWG chain: every pair gets a frequency and passes the channel shapes."""
-    rng = _block_rng(seed, block_index)
-    widths = rates.support_hi - rates.support_lo
-    total_width = float(widths.sum())
-    occupied, pairs = _occupied_pulses(rng, rec.pair_density_per_hz * total_width, size, trial)
-    pulse_of_pair = np.repeat(occupied, pairs)
-    total = pulse_of_pair.size
-    u = rng.random(total) * total_width
-    # map uniform draws onto the merged support intervals
-    edges = np.concatenate(([0.0], np.cumsum(widths)))
-    k = np.searchsorted(edges, u, side="right") - 1
-    nu = rates.support_lo[k] + (u - edges[k])
-    shape = partial(awg_mod._shape, rates.spec)
-    peak = rates.spec.peak_transmittance
-    p_s = shape(nu - rates.center_signal) * (peak * rates.eta_rest_signal)
-    p_i = shape(nu - rates.center_idler_mirrored) * (peak * rates.eta_rest_idler)
-    pair_fires = (
-        pulse_of_pair[rng.random(total) < p_s],
-        pulse_of_pair[rng.random(total) < p_i],
-    )
-    eta_s, eta_i = _end_efficiencies(chain, rec)
-    p_noise = (-math.expm1(-rec.noise_signal * eta_s), -math.expm1(-rec.noise_idler * eta_i))
-    return _count_block(rng, size, pair_fires, p_noise, chain, trial)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -412,38 +357,18 @@ def simulate(
     Deterministic given (chain, pump, trial): the same inputs always produce
     the same CountSummary, regardless of ``threads``.
     """
-    rec = cm.evaluate(chain, pump)
-    if isinstance(chain.demux, AwgDemux):
-        rates = _spectral_rates(chain, pump, rec)
-        mu_check = rec.pair_density_per_hz * float((rates.support_hi - rates.support_lo).sum())
-        worker = partial(_spectral_block, chain, rec, rates)
-    else:
-        eta_s, eta_i = _end_efficiencies(chain, rec)
-        mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
-        worker = partial(_aggregate_block, chain, rec)
-    if mu_check > 1.0:
-        warnings.warn(
-            f"per-pulse mean {mu_check:.3g} exceeds 1; multi-photon pile-up will be "
-            "heavy and the analytic model unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
+    count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
     blocks = [
         (bi, min(_BLOCK_SIZE, n - bi * _BLOCK_SIZE))
         for bi in range((n + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     ]
 
-    def run(block) -> np.ndarray:
-        bi, size = block
-        return worker(trial, trial.seed, bi, size)
-
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
+            parts = list(pool.map(count, blocks))
     else:
-        parts = [run(b) for b in blocks]
+        parts = [count(b) for b in blocks]
     totals = np.sum(parts, axis=0)
     return CountSummary(
         n_pulses=n,

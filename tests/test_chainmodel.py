@@ -522,12 +522,12 @@ class TestEvaluate:
     )
     def test_one_awg_overlap_per_call(self, awg_chain, monkeypatch, call):
         calls = []
-        original = awg.pair_transmittance
+        original = awg.effective_pair_bandwidth
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(awg, "pair_transmittance", counting)
+        monkeypatch.setattr(awg, "effective_pair_bandwidth", counting)
         call(*awg_chain)
         assert len(calls) == 1

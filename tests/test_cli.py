@@ -106,6 +106,21 @@ class TestFitInput:
         assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
         assert "line 1: empty cell" in capsys.readouterr().err
 
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        # read with the short row, every row would lose its sigma and the
+        # weighted fit would run unweighted
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,1\n2,3,1\n3,5\n4,9,1e-6\n5,10,1\n6,12,1\n")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["# no header", "pp_mw,y,sigma"])
+    def test_fourth_cell_names_its_line(self, tmp_path, capsys, header):
+        data = tmp_path / "d.csv"
+        data.write_text(f"{header}\n1,2,0.1,9\n2,3,0.1,9\n3,5,0.1,9\n")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "line 2:" in capsys.readouterr().err
+
     def test_sigma_column_weights_the_fit(self, tmp_path):
         # one outlier at x = 4 whose tiny sigma pulls the weighted fit
         rows = ["1,2,1", "2,3,1", "3,5,1", "4,9,1e-6", "5,10,1", "6,12,1"]
@@ -151,10 +166,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v1"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v2"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v1"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v2"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]
