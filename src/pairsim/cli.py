@@ -284,7 +284,8 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     header a third column must be named ``sigma`` and no other may follow;
     every data row has as many cells as the header, or without one as the
     widest row.  Any other line, one without numeric x and y, with an empty
-    cell, or with too few or too many cells, is an error naming its number."""
+    or non-finite cell, or with too few or too many cells, is an error naming
+    its number."""
     rows, header = [], None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -305,6 +306,8 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                     raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
             elif row is None or len(row) not in (2, 3):
                 raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
+            elif not all(map(math.isfinite, row)):
+                raise cfg.ConfigError(f"data file line {number}: non-finite value: {line!r}")
             else:
                 rows.append((number, line, row))
     if not rows:

@@ -89,8 +89,12 @@ class TestFitInput:
         [
             ("pp_mw,y\n1,2\n2,3\nthree,4\n4,7\n5,9\n", 4),
             ("pp_mw,y\n1,2\n2,3\n# note\n\n3,\n4,7\n5,9\n", 6),
+            # float() reads these, and the fit would print nan parameters
+            ("pp_mw,y\n1,2\n2,3\n3,nan\n4,9\n5,11\n", 4),
+            ("pp_mw,y,sigma\n1,2,0.1\n2,3,nan\n3,5,0.1\n4,9,0.1\n", 3),
+            ("pp_mw,y\n1,2\n2,3\n3,5\n4,9\n5,inf\n", 6),
         ],
-        ids=["non-numeric", "one-cell"],
+        ids=["non-numeric", "one-cell", "nan-y", "nan-sigma", "inf-y"],
     )
     def test_bad_data_row_names_its_line(self, tmp_path, capsys, text, line):
         data = tmp_path / "d.csv"

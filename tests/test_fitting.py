@@ -33,6 +33,13 @@ class TestDataSet:
         with pytest.raises(ValueError, match="non-negative"):
             fitting.DataSet(x=[-0.01, 0.01], y=[1.0, 0.5], role="l_siox")
 
+    @pytest.mark.parametrize("column, value", [("x", np.nan), ("y", np.inf), ("sigma", np.nan)])
+    def test_non_finite_value_rejected(self, column, value):
+        columns = {"x": [0.0, 0.01, 0.02], "y": [1.0, 0.5, 0.25], "sigma": [0.1, 0.1, 0.1]}
+        columns[column][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            fitting.DataSet(role="l_siox", **columns)
+
 
 class TestRecoveryFromPredict:
     """Fits on noiseless ``predict`` data recover the chain parameters."""
@@ -74,3 +81,120 @@ class TestRecoveryFromPredict:
         result = fitting.fit_sio2_decay(fitting.DataSet(x=lengths, y=y, role="l_siox"))
         assert result.converged
         assert result.params["alpha_db_per_m"] == pytest.approx(alpha, rel=1e-6)
+
+
+def _decay_model(params, x):
+    amplitude, alpha = params
+    return amplitude * 10.0 ** (-2.0 * alpha * x / 10.0)
+
+
+def _gamma_alpha_model(params, x, fixed):
+    gamma, alpha = params
+    a = alpha * np.log(10.0) / 10.0
+    leff = -np.expm1(-a * x) / a
+    scale = fixed["pair_bandwidth_hz"] * fixed["pulse_fwhm_s"] * fixed["peak_power_w"] ** 2
+    return scale * (gamma * leff) ** 2 * np.exp(-2.0 * a * x)
+
+
+LENGTHS = np.linspace(0.6, 6.0, 8) * 1e-2  # 8 lengths on the wg-i chain
+
+
+def _wg_i_truth(model):
+    """(truth params, noiseless curve, fixed params, role) for one model on wg-i."""
+    chain, pump = WG_I
+    if model == "decay":
+        passive = chain.segments[chain.nonlinear_index + 1]
+        y = [_predict(chain, pump, "l_siox", x).mu_pair_out for x in LENGTHS]
+        amplitude = _predict(chain, pump, "l_siox", 0.0).mu_pair_out
+        return (amplitude, passive.loss_db_per_m), np.array(y), {}, "l_siox"
+    nonlinear = chain.segments[chain.nonlinear_index]
+    y = [_predict(chain, pump, "l_si", x).mu_pair_generated for x in LENGTHS]
+    rec = cm.evaluate(chain, pump)
+    fixed = {
+        "peak_power_w": rec.peak_power_w,
+        "pair_bandwidth_hz": rec.pair_bandwidth_hz,
+        "pulse_fwhm_s": pump.pulse_fwhm_s,
+    }
+    return (nonlinear.gamma_per_w_m, nonlinear.loss_db_per_m), np.array(y), fixed, "l_si"
+
+
+FITTERS = {"decay": fitting.fit_sio2_decay, "gamma_alpha": fitting.fit_gamma_alpha}
+
+
+class TestUnboundedErrors:
+    """Errors the data cannot bound are inf, with one note saying why."""
+
+    def test_two_point_decay(self):
+        result = fitting.fit_sio2_decay(fitting.DataSet(x=[0.0, 0.01], y=[1.0, 0.5], role="l_siox"))
+        assert result.stderr == {"amplitude": np.inf, "alpha_db_per_m": np.inf}
+        assert result.notes == ("exactly determined fit: no residual degrees of freedom",)
+
+    def test_three_point_poly(self):
+        result = fitting.fit_singles_poly(fitting.DataSet(x=[0.01, 0.02, 0.03], y=[1.0, 2.0, 4.0], role="pp"))
+        assert result.stderr == {"n0": np.inf, "n1_per_w": np.inf, "a2_per_w2": np.inf}
+        assert result.notes == ("exactly determined fit: no residual degrees of freedom",)
+
+    def test_zero_amplitude_decay(self):
+        # a zero amplitude leaves the loss column of the Jacobian zero
+        data = fitting.DataSet(x=[0.0, 0.01, 0.02], y=[0.0, 0.0, 0.0], role="l_siox")
+        result = fitting.fit_sio2_decay(data)
+        assert result.stderr["alpha_db_per_m"] == np.inf
+        assert "singular normal matrix: some parameter errors unbounded" in result.notes
+
+
+class TestStderrMatchesNumericalJacobian:
+    """The analytic Jacobians give the errors of a central-difference reference:
+    ``sqrt(diag((J^T W J)^-1))``, times rss/dof without sigma."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["sigma", "no-sigma"])
+    @pytest.mark.parametrize("model", sorted(FITTERS))
+    def test_stderr(self, model, weighted):
+        _, truth_y, fixed, role = _wg_i_truth(model)
+        rng = np.random.default_rng(5)
+        sigma = 0.05 * truth_y
+        y = truth_y + sigma * rng.standard_normal(truth_y.size)
+        data = fitting.DataSet(
+            x=LENGTHS, y=y, sigma=sigma if weighted else None, role=role, fixed_params=fixed
+        )
+        result = FITTERS[model](data)
+        names = list(result.params)
+        params = np.array([result.params[n] for n in names])
+
+        def curve(p):
+            return _decay_model(p, LENGTHS) if model == "decay" else _gamma_alpha_model(p, LENGTHS, fixed)
+
+        jac = np.empty((LENGTHS.size, params.size))
+        for i in range(params.size):
+            step = np.zeros_like(params)
+            step[i] = 1e-5 * params[i]
+            jac[:, i] = (curve(params + step) - curve(params - step)) / (2.0 * step[i])
+        cov = np.linalg.inv(jac.T @ (jac * data.weights[:, None]))
+        if not weighted:
+            cov *= result.rss / (LENGTHS.size - params.size)
+        for name, reference in zip(names, np.sqrt(np.diag(cov))):
+            assert result.stderr[name] == pytest.approx(reference, rel=1e-6, abs=0)
+
+
+class TestStderrCoverage:
+    """Seeded calibration check of the sigma-weighted errors on wg-i.
+
+    400 replicates per model, 8 lengths, 5% gaussian noise with matching
+    sigma.  For normal z, sd(z) over 400 replicates has a standard error of
+    about 1/sqrt(800) = 0.035, so |sd(z) - 1| < 0.12 is a 3.4 sigma bound: a
+    false-alarm rate of about 7e-4 per parameter, and about 97% power to
+    detect sd(z) = 1.2.  Curvature errors scaled by rss/dof even when sigma is
+    given read 1.22 to 1.24 here.
+    """
+
+    @pytest.mark.parametrize("model", sorted(FITTERS))
+    def test_sd_of_z_is_one(self, model):
+        truth, truth_y, fixed, role = _wg_i_truth(model)
+        rng = np.random.default_rng(20140916)
+        sigma = 0.05 * truth_y
+        z = []
+        for _ in range(400):
+            y = truth_y + sigma * rng.standard_normal(truth_y.size)
+            result = FITTERS[model](fitting.DataSet(x=LENGTHS, y=y, sigma=sigma, role=role, fixed_params=fixed))
+            z.append([(result.params[n] - t) / result.stderr[n] for n, t in zip(result.params, truth)])
+        sd = np.std(np.array(z), axis=0, ddof=1)
+        assert np.all(np.abs(sd - 1.0) < 0.12), sd
