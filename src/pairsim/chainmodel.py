@@ -11,8 +11,11 @@ and bench units (cm, mW, GHz, ...) belong to the configuration boundary only.
 ``evaluate`` is the single evaluation point of the chain: it computes the
 pump power at the source, the transmittances, the collection bandwidths and
 the pair and singles photon numbers once into a ``ChainEvaluation``.
-``predict``, ``expected_gate_statistics``, the Monte Carlo and the fitters'
-fixed parameters all read that record.
+``predict``, the Monte Carlo and the fitters' fixed parameters all read that
+record.  ``predict`` is the one analytic model of what two gated threshold
+detectors with dead time count (``expected_gate_statistics`` is another name
+for it); ``car_estimate`` keeps the paper's linearised CAR, which figures 3d
+and 5b plot.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ KIND_NONLINEAR = "nonlinear"
 KIND_PASSIVE = "passive"
 
 FILTER_SHAPES = ("rectangular", "gaussian")
-
-
-class InvalidProbabilityError(ValueError):
-    """A computed probability left [0, 1]; the operating point is out of range."""
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +301,10 @@ class ExperimentChain:
 class RatePrediction:
     """Closed-form rates for one chain and pump operating point.
 
-    Pair rates are per pulse; click and coincidence figures are per gate.
-    ``car`` is NaN when no accidental mechanism exists (nothing ever clicks).
+    Pair rates are per pulse; click and coincidence figures are per clock
+    gate, as a counting run measures them.  ``p_coincidence`` counts every
+    same-gate coincidence, accidental ones included, and
+    ``car = p_coincidence / p_accidental`` is NaN when nothing ever clicks.
     """
 
     peak_power_w: float
@@ -319,30 +320,6 @@ class RatePrediction:
     car: float
     duty_signal: float
     duty_idler: float
-
-
-@dataclass(frozen=True)
-class GateStatistics:
-    """Exact per-clock-gate expectations for Poisson pair statistics.
-
-    These are what an ideal counting run converges to, including threshold
-    (saturation) effects that the linearized rate formulas neglect.  Dark
-    counts are suppressed in dead gates, and the dead-time states of the two
-    detectors are treated as independent.
-    """
-
-    p_click_signal: float
-    p_click_idler: float
-    p_coincidence: float
-    p_accidental: float
-    duty_signal: float
-    duty_idler: float
-
-    @property
-    def car(self) -> float:
-        if self.p_accidental == 0.0:
-            return math.nan
-        return self.p_coincidence / self.p_accidental
 
 
 @dataclass(frozen=True)
@@ -554,10 +531,9 @@ def pair_rate_from_counts_multipair(
     ``mu * eta_s * eta_i = log1p((P_c - P_acc) / ((1 - P_s) * (1 - P_i)))``
     (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  The identity is
     exact for Poisson pair numbers with Poisson noise photons and dark counts
-    and without dead time: it inverts the pair term of
-    ``expected_gate_statistics``.  For ``mu * eta << 1`` it reduces to
-    ``pair_rate_from_counts``.  A negative result is returned with a warning,
-    as in the linear estimator.
+    and without dead time: it inverts the pair term of ``predict``.  For
+    ``mu * eta << 1`` it reduces to ``pair_rate_from_counts``.  A negative
+    result is returned with a warning, as in the linear estimator.
     """
     _check_count_inputs(
         (coincidence_rate_hz, accidental_rate_hz, singles_rate_signal_hz, singles_rate_idler_hz),
@@ -654,65 +630,18 @@ def singles_rate(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float
 
 
 def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
-    """Linearised rates for one operating point.
-
-    Per active gate a detector clicks with ``eta * QE * mu_channel + p_dark``;
-    that probability sets the dead-time duty, and the per-gate click
-    probabilities carry the duty in the total efficiency.  The coincidence
-    probability counts true pairs, the accidental one two independent clicks,
-    and ``car = 1 + p_true / p_acc`` since the accidental bed also sits under
-    the coincidence peak.  Raises InvalidProbabilityError when an active-gate
-    click probability exceeds 1.
-    """
-    rec = evaluate(chain, pump)
-    det_s, det_i = chain.detector_signal, chain.detector_idler
-    active_s = rec.eta_signal * det_s.quantum_efficiency * rec.mu_signal + det_s.dark_prob_per_gate
-    active_i = rec.eta_idler * det_i.quantum_efficiency * rec.mu_idler + det_i.dark_prob_per_gate
-    for name, p in (("signal", active_s), ("idler", active_i)):
-        if p > 1.0:
-            raise InvalidProbabilityError(f"{name} click probability {p:.4g} exceeds 1")
-    duty_s = gate_duty(active_s, det_s.dead_time_s, det_s.gate_rate_hz)
-    duty_i = gate_duty(active_i, det_i.dead_time_s, det_i.gate_rate_hz)
-    eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s
-    eta_i_total = rec.eta_idler * det_i.quantum_efficiency * duty_i
-    p_s = eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate
-    p_i = eta_i_total * rec.mu_idler + det_i.dark_prob_per_gate
-    p_true = eta_s_total * eta_i_total * rec.mu_pair
-    p_acc = p_s * p_i
-    return RatePrediction(
-        peak_power_w=rec.peak_power_w,
-        pair_bandwidth_hz=rec.pair_bandwidth_hz,
-        mu_pair_generated=rec.mu_pair,
-        mu_pair_out=rec.mu_pair * rec.eta_signal * rec.eta_idler,
-        mu_signal=rec.mu_signal,
-        mu_idler=rec.mu_idler,
-        p_click_signal=p_s,
-        p_click_idler=p_i,
-        p_coincidence=p_true,
-        p_accidental=p_acc,
-        car=1.0 + p_true / p_acc if p_acc > 0.0 else math.nan,
-        duty_signal=duty_s,
-        duty_idler=duty_i,
-    )
-
-
-def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
-    """``predict(chain, pump).car``; raises ValueError when a channel never clicks."""
-    car = predict(chain, pump).car
-    if math.isnan(car):
-        raise ValueError("CAR undefined: a channel never clicks")
-    return car
-
-
-def expected_gate_statistics(chain: ExperimentChain, pump: PumpConfig) -> GateStatistics:
     """Exact per-clock-gate click and coincidence expectations.
 
     For Poisson pair numbers the photon causes on the two detectors decompose
     into independent Poisson streams (pairs surviving both channels, pairs
     surviving one, and noise photons), which gives closed forms for the
-    threshold-detector click and same-gate coincidence probabilities.  These
-    are the quantities a long counting run estimates, and they are what the
-    stochastic simulator is validated against.
+    threshold-detector click and same-gate coincidence probabilities
+    (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  Dark counts are
+    suppressed in dead gates, and the dead-time states of the two detectors
+    are treated as independent.  These are the quantities a long counting run
+    estimates, and they are what the stochastic simulator is validated
+    against.  Defined at any pump power: the joint term is written so that its
+    exponent is never positive.
     """
     rec = evaluate(chain, pump)
     det_s, det_i = chain.detector_signal, chain.detector_idler
@@ -721,23 +650,63 @@ def expected_gate_statistics(chain: ExperimentChain, pump: PumpConfig) -> GateSt
     pd_s = det_s.dark_prob_per_gate
     pd_i = det_i.dark_prob_per_gate
 
-    q_s = math.exp(-eta_s_end * rec.mu_signal)  # no photon cause on the signal arm
-    q_i = math.exp(-eta_i_end * rec.mu_idler)
-    p_active_s = 1.0 - q_s * (1.0 - pd_s)
-    p_active_i = 1.0 - q_i * (1.0 - pd_i)
+    a_s = eta_s_end * rec.mu_signal  # mean photon causes on the signal arm
+    a_i = eta_i_end * rec.mu_idler
+    p_active_s = 1.0 - math.exp(-a_s) * (1.0 - pd_s)
+    p_active_i = 1.0 - math.exp(-a_i) * (1.0 - pd_i)
     duty_s = gate_duty(p_active_s, det_s.dead_time_s, det_s.gate_rate_hz)
     duty_i = gate_duty(p_active_i, det_i.dead_time_s, det_i.gate_rate_hz)
 
-    # pairs whose both photons reach the detectors couple the two arms
-    joint_excess = q_s * q_i * (1.0 - pd_s) * (1.0 - pd_i) * math.expm1(
-        rec.mu_pair * eta_s_end * eta_i_end
-    )
-    p_joint_active = p_active_s * p_active_i + joint_excess
-    return GateStatistics(
+    # pairs whose both photons reach the detectors couple the two arms; each
+    # such pair is also a cause on each arm, so c <= a_s + a_i
+    c = rec.mu_pair * eta_s_end * eta_i_end
+    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * math.exp(c - a_s - a_i) * (-math.expm1(-c))
+    p_accidental = duty_s * duty_i * p_active_s * p_active_i
+    p_coincidence = duty_s * duty_i * (p_active_s * p_active_i + joint_excess)
+    return RatePrediction(
+        peak_power_w=rec.peak_power_w,
+        pair_bandwidth_hz=rec.pair_bandwidth_hz,
+        mu_pair_generated=rec.mu_pair,
+        mu_pair_out=rec.mu_pair * rec.eta_signal * rec.eta_idler,
+        mu_signal=rec.mu_signal,
+        mu_idler=rec.mu_idler,
         p_click_signal=duty_s * p_active_s,
         p_click_idler=duty_i * p_active_i,
-        p_coincidence=duty_s * duty_i * p_joint_active,
-        p_accidental=duty_s * duty_i * p_active_s * p_active_i,
+        p_coincidence=p_coincidence,
+        p_accidental=p_accidental,
+        car=p_coincidence / p_accidental if p_accidental > 0.0 else math.nan,
         duty_signal=duty_s,
         duty_idler=duty_i,
     )
+
+
+# the same function under the name the counting checks use
+expected_gate_statistics = predict
+
+
+def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
+    """The paper's linearised CAR, ``1 + p_true / p_acc``, as figures 3d and 5b plot it.
+
+    Per active gate a detector clicks with ``eta * QE * mu_channel + p_dark``;
+    that probability sets the dead-time duty, and the per-gate click
+    probabilities carry the duty in the total efficiency.  ``p_true`` counts
+    pairs detected on both arms and ``p_acc`` two independent clicks.  This
+    neglects threshold saturation and the suppression of dark counts in dead
+    gates, so it differs from ``predict(...).car``.  Raises ValueError, from
+    ``gate_duty``, when an active-gate click probability exceeds 1, and when a
+    channel never clicks.
+    """
+    rec = evaluate(chain, pump)
+    det_s, det_i = chain.detector_signal, chain.detector_idler
+    active_s = rec.eta_signal * det_s.quantum_efficiency * rec.mu_signal + det_s.dark_prob_per_gate
+    active_i = rec.eta_idler * det_i.quantum_efficiency * rec.mu_idler + det_i.dark_prob_per_gate
+    duty_s = gate_duty(active_s, det_s.dead_time_s, det_s.gate_rate_hz)
+    duty_i = gate_duty(active_i, det_i.dead_time_s, det_i.gate_rate_hz)
+    eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s
+    eta_i_total = rec.eta_idler * det_i.quantum_efficiency * duty_i
+    p_acc = (eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate) * (
+        eta_i_total * rec.mu_idler + det_i.dark_prob_per_gate
+    )
+    if p_acc == 0.0:
+        raise ValueError("CAR undefined: a channel never clicks")
+    return 1.0 + eta_s_total * eta_i_total * rec.mu_pair / p_acc

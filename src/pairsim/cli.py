@@ -4,7 +4,8 @@ Subcommands: predict (closed-form rates), simulate (per-pulse counting run),
 sweep (grid over one physical variable, optionally with counting runs), fit
 (parameter recovery from CSV rate data), reproduce (built-in study curves).
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
+(a fit that does not converge, or a value the model cannot compute).
 Outputs are CSV with a '#'-prefixed metadata header, or JSON for single-shot
 results; both are bit-identical for identical (config, flags, seed, version).
 """
@@ -17,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -125,29 +126,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 # subcommands
 
 
-def _prediction_items(pred: cm.RatePrediction) -> list[tuple[str, float]]:
-    return [
-        ("peak_power_w", pred.peak_power_w),
-        ("pair_bandwidth_hz", pred.pair_bandwidth_hz),
-        ("mu_pair_generated", pred.mu_pair_generated),
-        ("mu_pair_out", pred.mu_pair_out),
-        ("mu_signal", pred.mu_signal),
-        ("mu_idler", pred.mu_idler),
-        ("p_click_signal", pred.p_click_signal),
-        ("p_click_idler", pred.p_click_idler),
-        ("p_coincidence", pred.p_coincidence),
-        ("p_accidental", pred.p_accidental),
-        ("car", pred.car),
-        ("duty_signal", pred.duty_signal),
-        ("duty_idler", pred.duty_idler),
-    ]
-
-
 def cmd_predict(args, parser) -> int:
     document = _load_document(args, parser)
     chain, pump = cfg.build_experiment(document)
     pred = cm.predict(chain, pump)
-    items = _prediction_items(pred)
+    items = [(f.name, getattr(pred, f.name)) for f in fields(pred)]
     for key, value in items:
         shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
@@ -565,9 +548,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except cm.InvalidProbabilityError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (cfg.ConfigError, fitting.DegenerateDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

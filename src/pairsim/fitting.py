@@ -109,9 +109,10 @@ def _profiled_search(shape, grid: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Least squares for ``y = amp * shape(theta)`` with ``amp`` profiled out.
 
     Scans ``grid``, then refines between the best point's neighbours with
-    bounded Brent.  Returns (theta, amp, rss, evaluations, converged), where
-    evaluations counts profile calls, converged is Brent's success flag, and
-    rss never exceeds the best grid value.
+    bounded Brent; below the first grid point the bracket reaches down to 0.
+    Returns (theta, amp, rss, evaluations, converged), where evaluations
+    counts profile calls, converged is Brent's success flag, and rss never
+    exceeds the best grid value.
     """
     from scipy import optimize  # deferred, so that importing pairsim loads no scipy
     evaluations = 0
@@ -123,7 +124,7 @@ def _profiled_search(shape, grid: np.ndarray, y: np.ndarray, w: np.ndarray):
 
     values = np.array([profile(t)[0] for t in grid])
     best = int(np.argmin(values))
-    lo = grid[best - 1] if best > 0 else grid[best] / 4.0
+    lo = grid[best - 1] if best > 0 else 0.0
     hi = grid[best + 1] if best < grid.size - 1 else grid[best] * 4.0
     res = optimize.minimize_scalar(
         lambda t: profile(t)[0], bounds=(lo, hi), method="bounded", options={"xatol": grid[best] * 1e-13}

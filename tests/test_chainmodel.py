@@ -4,10 +4,43 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsim import awg
 from pairsim import chainmodel as cm
+from pairsim import config as cfg
+from pairsim import montecarlo as mc
+from pairsim import presets
 from conftest import make_rate_chain
+
+WG_I = cfg.build_experiment(presets.get_preset("wg-i"))
+
+def threshold_oracle(mu, eta_s, eta_i, p_dark=0.0, dead_gates=0):
+    """(signal, idler, coincidence, accidental) per clock gate for a
+    ``make_rate_chain`` chain, by inclusion-exclusion over the no-click events.
+
+    Poisson pairs of mean mu reach each detector independently, so no signal
+    cause arrives with probability exp(-mu eta_s), and neither arm sees one
+    with exp(-mu (eta_s + eta_i - eta_s eta_i)).  A dark count fires an active
+    gate with p_dark; each arm is active a fraction 1 / (1 + p_active D).
+    """
+    q_s = (1.0 - p_dark) * math.exp(-mu * eta_s)
+    q_i = (1.0 - p_dark) * math.exp(-mu * eta_i)
+    q_si = (1.0 - p_dark) ** 2 * math.exp(-mu * (eta_s + eta_i - eta_s * eta_i))
+    duty_s = 1.0 / (1.0 + (1.0 - q_s) * dead_gates)
+    duty_i = 1.0 / (1.0 + (1.0 - q_i) * dead_gates)
+    return (
+        duty_s * (1.0 - q_s),
+        duty_i * (1.0 - q_i),
+        duty_s * duty_i * (1.0 - q_s - q_i + q_si),
+        duty_s * duty_i * (1.0 - q_s) * (1.0 - q_i),
+    )
+
+
+def gate_probabilities(pred: cm.RatePrediction) -> tuple[float, float, float, float]:
+    return (pred.p_click_signal, pred.p_click_idler, pred.p_coincidence, pred.p_accidental)
+
 
 # Expected values marked "oracle" below were frozen from an independent
 # 30-digit mpmath evaluation of the stated expressions.
@@ -239,24 +272,38 @@ class TestClickProbabilities:
         assert (pred.p_click_signal, pred.p_click_idler) == (0.0, 0.0)
 
     def test_dark_only(self):
-        chain, pump = make_rate_chain(0.0, dark_rate_hz=2.1e3)
+        # dark counts fire only in active gates: p = p_d / (1 + p_d D) with a
+        # 1000-gate dead time.  p_d = 2**-16 is exact in binary, so neither
+        # the model's 1 - (1 - p_d) nor threshold_oracle's sums carry rounding.
+        p_dark = 2.0**-16
+        chain, pump = make_rate_chain(0.0, dark_rate_hz=1e8 * p_dark, dead_time_us=10.0)
         pred = cm.predict(chain, pump)
-        p_s, p_i = pred.p_click_signal, pred.p_click_idler
-        assert p_s == pytest.approx(2.1e-5, rel=1e-12, abs=0.0)
-        assert p_i == pytest.approx(2.1e-5, rel=1e-12, abs=0.0)
+        expected = threshold_oracle(0.0, 1.0, 1.0, p_dark, dead_gates=1000)
+        assert gate_probabilities(pred) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert pred.p_click_signal == pytest.approx(p_dark / (1.0 + p_dark * 1000), rel=1e-12, abs=0.0)
+        assert pred.duty_signal == pytest.approx(1.0 / (1.0 + p_dark * 1000), rel=1e-12, abs=0.0)
 
     def test_linear_product(self):
+        # a threshold detector clicks with 1 - exp(-eta mu), which is the
+        # linear product eta mu to second order
         chain, pump = make_rate_chain(1e-3, eta_signal=0.05, eta_idler=0.05)
         p_s = cm.predict(chain, pump).p_click_signal
         mu_s, _ = cm.singles_rate(chain, pump)
-        assert p_s == pytest.approx(0.05 * mu_s, rel=1e-12, abs=0.0)
-        assert p_s == pytest.approx(5e-5, rel=1e-6)
+        assert p_s == pytest.approx(-math.expm1(-0.05 * mu_s), rel=1e-12, abs=0.0)
+        assert 0.0 < 0.05 * mu_s - p_s <= (0.05 * mu_s) ** 2 / 2.0
 
-    def test_probability_above_one_rejected(self):
+    def test_high_power_saturates_at_one(self):
+        # 40 times the power of a mu = 0.9 chain: mu = 1440 pairs per pulse,
+        # so both arms click in every gate
         chain, pump = make_rate_chain(0.9)
         big = replace(pump, average_power_w=pump.average_power_w * 40)
-        with pytest.raises(cm.InvalidProbabilityError):
-            cm.predict(chain, big)
+        pred = cm.predict(chain, big)
+        assert gate_probabilities(pred) == (1.0, 1.0, 1.0, 1.0)
+        assert pred.car == 1.0
+        # with 1e-3 efficient arms the same point is far from saturation
+        chain, _ = make_rate_chain(0.9, eta_signal=1e-3, eta_idler=1e-3)
+        expected = threshold_oracle(1440.0, 1e-3, 1e-3)
+        assert gate_probabilities(cm.predict(chain, big)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestCarEstimate:
@@ -338,7 +385,7 @@ class TestPairRateFromCounts:
             cm.pair_rate_from_counts(10.0, 1.0, 1e8, 0.0, 0.5)
 
 
-def _counts_from_statistics(stats: cm.GateStatistics, rep: float) -> tuple[float, ...]:
+def _counts_from_statistics(stats: cm.RatePrediction, rep: float) -> tuple[float, ...]:
     """Coincidence, accidental and singles rates in hertz for the estimators."""
     return tuple(
         p * rep
@@ -415,16 +462,49 @@ class TestPredict:
 
     def test_downstream_loss_scaling(self):
         # pairs need both photons (eta**2), detected singles need one (eta**1)
-        chain, pump = make_rate_chain(1e-3, eta_signal=0.5, eta_idler=0.5)
+        mu = 1e-3
+        chain, pump = make_rate_chain(mu, eta_signal=0.5, eta_idler=0.5)
         seg = cm.WaveguideSegment("passive", 0.02, 180.0)
         chain_lossy = replace(chain, segments=chain.segments + (seg,))
         eta = seg.transmittance
         base = cm.predict(chain, pump)
         lossy = cm.predict(chain_lossy, pump)
         assert lossy.mu_pair_out / base.mu_pair_out == pytest.approx(eta**2, rel=1e-12, abs=0.0)
-        assert lossy.p_click_signal / base.p_click_signal == pytest.approx(eta, rel=1e-12, abs=0.0)
-        assert lossy.p_click_idler / base.p_click_idler == pytest.approx(eta, rel=1e-12, abs=0.0)
+        # threshold_oracle's 1 - q_s - q_i + q_si cancels to a coincidence
+        # probability as small as 9e-6, losing up to about 1e-11 relative
+        for pred, eta_arm in ((base, 0.5), (lossy, 0.5 * eta)):
+            expected = threshold_oracle(mu, eta_arm, eta_arm)
+            assert gate_probabilities(pred) == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert lossy.mu_signal == base.mu_signal  # referred to the source output
+
+    @pytest.mark.parametrize("peak_w", [1e3, 1e9])
+    def test_defined_at_any_power(self, wg_i, peak_w):
+        pred = cm.predict(*mc.apply_sweep_value(*wg_i, "pp", peak_w))
+        assert all(math.isfinite(v) for v in vars(pred).values())
+        for p in gate_probabilities(pred) + (pred.duty_signal, pred.duty_idler):
+            assert 0.0 <= p <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        peak_w=st.floats(1e-4, 1e9),
+        dark_fraction=st.floats(0.0, 0.999),
+        dead_gates=st.integers(0, 5000),
+    )
+    def test_clicks_never_exceed_dead_time_ceiling(self, peak_w, dark_fraction, dead_gates):
+        # a detector that clicks in every active gate clicks once per D + 1
+        # gates; the bound allows the rounding of duty * p_active
+        chain, pump = mc.apply_sweep_value(*WG_I, "pp", peak_w)
+        detector = replace(
+            chain.detector_signal,
+            dark_rate_hz=dark_fraction * pump.rep_rate_hz,
+            dead_time_s=dead_gates / pump.rep_rate_hz,
+        )
+        chain = replace(chain, detector_signal=detector, detector_idler=detector)
+        assert chain.detector_signal.dead_gates == dead_gates
+        pred = cm.predict(chain, pump)
+        ceiling = 1.0 / (1.0 + dead_gates)
+        for p in (pred.p_click_signal, pred.p_click_idler):
+            assert 0.0 <= p <= ceiling * (1.0 + 4e-16)
 
     def test_car_undefined_reported_as_nan(self):
         chain, pump = make_rate_chain(0.0)
@@ -441,21 +521,21 @@ class TestPredict:
 
 class TestGateStatistics:
     def test_matches_linear_model_at_small_mu(self):
-        chain, pump = make_rate_chain(1e-4, eta_signal=0.1, eta_idler=0.1, dark_rate_hz=500.0)
+        # the linearised forms: eta mu + p_d per click, eta_s eta_i mu for
+        # the true coincidences above the accidental bed
+        mu, eta, p_dark = 1e-4, 0.1, 5e-6
+        chain, pump = make_rate_chain(mu, eta_signal=eta, eta_idler=eta, dark_rate_hz=500.0)
         stats = cm.expected_gate_statistics(chain, pump)
-        pred = cm.predict(chain, pump)
-        p_s, p_i = pred.p_click_signal, pred.p_click_idler
-        assert stats.p_click_signal == pytest.approx(p_s, rel=2e-3)
-        assert stats.p_click_idler == pytest.approx(p_i, rel=2e-3)
-        assert stats.p_coincidence - stats.p_accidental == pytest.approx(
-            pred.p_coincidence, rel=2e-3
-        )
+        assert stats.p_click_signal == pytest.approx(eta * mu + p_dark, rel=2e-3)
+        assert stats.p_click_idler == pytest.approx(eta * mu + p_dark, rel=2e-3)
+        assert stats.p_coincidence - stats.p_accidental == pytest.approx(eta * eta * mu, rel=2e-3)
 
     def test_saturation_below_linear(self):
         chain, pump = make_rate_chain(0.1, eta_signal=0.8, eta_idler=0.8)
         stats = cm.expected_gate_statistics(chain, pump)
-        p_s = cm.predict(chain, pump).p_click_signal
-        assert stats.p_click_signal < p_s  # threshold detector saturates
+        assert stats.p_click_signal < 0.8 * 0.1  # threshold detector saturates
+        expected = threshold_oracle(0.1, 0.8, 0.8)
+        assert gate_probabilities(stats) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_car_nan_without_accidentals(self):
         chain, pump = make_rate_chain(0.0)
@@ -517,10 +597,9 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="gate rate"):
             call(chain, bad)
 
-    @pytest.mark.parametrize(
-        "call", [cm.predict, cm.car_estimate, cm.expected_gate_statistics], ids=lambda f: f.__name__
-    )
+    @pytest.mark.parametrize("call", ["predict", "car_estimate", "expected_gate_statistics"])
     def test_one_awg_overlap_per_call(self, awg_chain, monkeypatch, call):
+        call = getattr(cm, call)
         calls = []
         original = awg.effective_pair_bandwidth
 

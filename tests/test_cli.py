@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from pairsim import chainmodel as cm
 from pairsim import cli
+from pairsim import config as cfg
+from pairsim import presets
 
 
 def _reproduce(tmp_path, figure: str):
@@ -142,14 +146,34 @@ class TestFitInput:
 
 
 class TestExitCodes:
-    def test_out_of_range_operating_point_is_a_numerical_failure(self, capsys):
-        # 100 W peak on wg-i drives the linearised click probability far above 1
+    def test_high_power_operating_point_exits_zero(self, tmp_path, capsys):
+        # 100 W and 200 W peak on wg-i saturate both detectors; the threshold
+        # model stays a probability there
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid"]
-        assert cli.main([*sweep, "100000:200000:2"]) == cli.EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        out = tmp_path / "sweep.json"
+        assert cli.main([*sweep, "100000:200000:2", "--out", str(out)]) == cli.EXIT_OK
+        table = json.loads(out.read_text())
+        assert len(table["rows"]) == 2
+        for row in table["rows"]:
+            cells = dict(zip(table["columns"], row))
+            for name in ("p_click_signal", "p_click_idler", "p_coincidence", "p_accidental"):
+                assert 0.0 <= cells[name] <= 1.0
         for bad in (["100000:200000"], ["1:2:0"], ["log:1:2:0", "--mc"]):
             assert cli.main([*sweep, *bad]) == cli.EXIT_CONFIG
             assert "bad grid spec" in capsys.readouterr().err
+
+
+class TestPredictOutput:
+    @pytest.mark.parametrize("preset", ["wg-i", "awg"])
+    def test_out_holds_the_record(self, tmp_path, capsys, preset):
+        out = tmp_path / "predict.json"
+        assert cli.main(["predict", "--preset", preset, "--out", str(out)]) == cli.EXIT_OK
+        pred = cm.predict(*cfg.build_experiment(presets.get_preset(preset)))
+        table = json.loads(out.read_text())
+        assert table["columns"] == [f.name for f in dataclasses.fields(pred)]
+        assert table["rows"] == [list(dataclasses.astuple(pred))]
+        printed = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == table["columns"]
 
 
 class TestCountingOptions:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsim import chainmodel as cm
@@ -49,6 +49,10 @@ class TestRecoveryFromPredict:
         gamma=st.floats(50.0, 400.0),
         alpha_db_per_cm=st.floats(0.5, 10.0),
     )
+    # losses of 0.01 to 0.2 dB/m, below the search grid's first point at 1 dB/m
+    @example(gamma=161.0, alpha_db_per_cm=1e-4)
+    @example(gamma=161.0, alpha_db_per_cm=1e-3)
+    @example(gamma=161.0, alpha_db_per_cm=2e-3)
     def test_gamma_alpha(self, gamma, alpha_db_per_cm):
         chain, pump = WG_I
         alpha = alpha_db_per_cm * 100.0

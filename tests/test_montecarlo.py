@@ -584,13 +584,30 @@ class TestPresetEquivalence:
     def test_wg_i_car_matches_estimate(self, wg_i):
         # 400M pulses give about 3,800 coincidences and 140 accidentals, so
         # the CAR has a standard error near 8.6%: a CAR 50% off is caught with
-        # 90% power.  The exact CAR is 4% above this linearised estimate,
-        # half a standard error, which this size cannot resolve.
+        # 90% power.
         chain, pump = wg_i
-        estimate = cm.car_estimate(chain, pump)
+        estimate = cm.predict(chain, pump).car
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=400_000_000, seed=19), threads=2)
         assert s.car is not None
         assert abs(s.car - estimate) < 4.5 * s.car_stderr
+
+    def test_wg_i_singles_under_dense_dark_counts(self, wg_i):
+        # 1 MHz dark counts are 0.01 per gate; with the 1000-gate dead time
+        # only the active 8% of gates can fire, for about 9.2e-4 clicks per
+        # gate.  Dead time makes the clicks nearly regular: 4M pulses give
+        # about 3,680 singles per arm with a renewal sd of 4.9 (0.13%), so a
+        # rate 0.8% off is caught with 90% power.  Each 1M-gate block starts
+        # with both detectors active, which adds about 0.42 clicks per block,
+        # 0.35 sd here.
+        chain, pump = mc.apply_sweep_value(*wg_i, "dark", 1e6)
+        pred = cm.predict(chain, pump)
+        n = 4_000_000
+        s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=29))
+        for arm in ("signal", "idler"):
+            p_click = getattr(pred, f"p_click_{arm}")
+            sigma = renewal_sigma(n, p_click, getattr(pred, f"duty_{arm}"))
+            z = z_score(getattr(s, f"singles_{arm}"), n * p_click, sigma**2)
+            assert abs(z) < 4.5, (arm, z)
 
 
 class TestThermalPresets:
