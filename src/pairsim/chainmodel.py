@@ -180,36 +180,24 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Gated threshold (non-photon-number-resolving) single-photon detector."""
+    """Gated threshold (non-photon-number-resolving) single-photon detector.
+
+    The detector is read once per pump pulse, so both figures count pump
+    gates: the probability that a dark count fires an active gate, and the
+    number of gates disabled after each click.
+    """
 
     quantum_efficiency: float
-    gate_rate_hz: float
-    gate_width_s: float
-    dark_rate_hz: float = 0.0
-    dead_time_s: float = 0.0
+    dark_prob_per_gate: float = 0.0
+    dead_gates: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in [0, 1]")
-        if self.gate_rate_hz <= 0:
-            raise ValueError("gate_rate_hz must be positive")
-        if self.gate_width_s <= 0:
-            raise ValueError("gate_width_s must be positive")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be non-negative")
-        if self.dead_time_s < 0:
-            raise ValueError("dead_time_s must be non-negative")
         if not 0.0 <= self.dark_prob_per_gate < 1.0:
-            raise ValueError("dark probability per gate d / gate_rate must be in [0, 1)")
-
-    @property
-    def dark_prob_per_gate(self) -> float:
-        return self.dark_rate_hz / self.gate_rate_hz
-
-    @property
-    def dead_gates(self) -> int:
-        """Dead time expressed as a whole number of gates."""
-        return round(self.dead_time_s * self.gate_rate_hz)
+            raise ValueError("dark_prob_per_gate (dark rate / pump rate) must be in [0, 1)")
+        if self.dead_gates < 0:
+            raise ValueError("dead_gates must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -471,19 +459,18 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
     return pair_bw, single_s, single_i
 
 
-def gate_duty(p_click: float, dead_time_s: float, gate_rate_hz: float) -> float:
+def gate_duty(p_click: float, dead_gates: int) -> float:
     """Steady-state fraction of gates that are active, given a dead time.
 
-    Every click disables the next D = round(dead_time * gate_rate) gates, so
-    the dead fraction is the per-clock-gate click rate (the supplied active
-    click probability scaled by the duty itself) times D.  The balance
+    Every click disables the next D = ``dead_gates`` gates, so the dead
+    fraction is the per-clock-gate click rate (the supplied active click
+    probability scaled by the duty itself) times D.  The balance
     ``duty = 1 - duty * p_click * D`` has the closed-form fixed point below.
     """
     if not 0.0 <= p_click <= 1.0:
         raise ValueError("p_click must be a probability")
-    if dead_time_s < 0 or gate_rate_hz <= 0:
-        raise ValueError("dead_time_s must be >= 0 and gate_rate_hz > 0")
-    dead_gates = round(dead_time_s * gate_rate_hz)
+    if dead_gates < 0:
+        raise ValueError("dead_gates must be non-negative")
     return 1.0 / (1.0 + p_click * dead_gates)
 
 
@@ -579,23 +566,12 @@ def _warn_negative_pair_rate() -> None:
     )
 
 
-def _check_gate_alignment(chain: ExperimentChain, pump: PumpConfig) -> None:
-    for name, det in (("signal", chain.detector_signal), ("idler", chain.detector_idler)):
-        if not math.isclose(det.gate_rate_hz, pump.rep_rate_hz, rel_tol=1e-9):
-            raise ValueError(
-                f"{name} detector gate rate {det.gate_rate_hz} Hz must match the "
-                f"pump repetition rate {pump.rep_rate_hz} Hz (one gate per pulse)"
-            )
-
-
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
     """Evaluate the chain once at one operating point.
 
     The only place where the pump power at the source, the transmittances and
-    the collection bandwidths are computed.  Raises ValueError when a
-    detector gate rate differs from the pump repetition rate.
+    the collection bandwidths are computed.
     """
-    _check_gate_alignment(chain, pump)
     p_eff = pump_peak_power_at_source(chain, pump)
     pair_bw, bw_s, bw_i = collection_bandwidths(chain, pump)
     eta_s, eta_i = chain_transmittances(chain)
@@ -654,8 +630,8 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
     a_i = eta_i_end * rec.mu_idler
     p_active_s = 1.0 - math.exp(-a_s) * (1.0 - pd_s)
     p_active_i = 1.0 - math.exp(-a_i) * (1.0 - pd_i)
-    duty_s = gate_duty(p_active_s, det_s.dead_time_s, det_s.gate_rate_hz)
-    duty_i = gate_duty(p_active_i, det_i.dead_time_s, det_i.gate_rate_hz)
+    duty_s = gate_duty(p_active_s, det_s.dead_gates)
+    duty_i = gate_duty(p_active_i, det_i.dead_gates)
 
     # pairs whose both photons reach the detectors couple the two arms; each
     # such pair is also a cause on each arm, so c <= a_s + a_i
@@ -700,8 +676,8 @@ def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
     det_s, det_i = chain.detector_signal, chain.detector_idler
     active_s = rec.eta_signal * det_s.quantum_efficiency * rec.mu_signal + det_s.dark_prob_per_gate
     active_i = rec.eta_idler * det_i.quantum_efficiency * rec.mu_idler + det_i.dark_prob_per_gate
-    duty_s = gate_duty(active_s, det_s.dead_time_s, det_s.gate_rate_hz)
-    duty_i = gate_duty(active_i, det_i.dead_time_s, det_i.gate_rate_hz)
+    duty_s = gate_duty(active_s, det_s.dead_gates)
+    duty_i = gate_duty(active_i, det_i.dead_gates)
     eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s
     eta_i_total = rec.eta_idler * det_i.quantum_efficiency * duty_i
     p_acc = (eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate) * (

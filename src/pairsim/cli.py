@@ -167,6 +167,7 @@ def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]
 def _trial_from_args(args, parser) -> montecarlo.TrialConfig:
     for flag, value in (
         ("--pulses", args.pulses),
+        ("--threads", args.threads),
         ("--accidental-offset", args.accidental_offset),
         ("--thermal-modes", args.thermal_modes),
     ):
@@ -205,6 +206,12 @@ def cmd_sweep(args, parser) -> int:
     grid_user = _parse_grid(args.grid)
     grid_si = grid_user * _GRID_UNITS[args.var]
     label = _GRID_LABELS[args.var]
+    points = []
+    for user, si in zip(grid_user, grid_si):
+        try:
+            points.append(montecarlo.apply_sweep_value(chain, pump, args.var, float(si)))
+        except ValueError as exc:
+            raise cfg.ConfigError(f"--var {args.var} at --grid value {user:g}: {exc}") from exc
 
     pred_cols = [
         "mu_pair_generated",
@@ -234,9 +241,8 @@ def cmd_sweep(args, parser) -> int:
         ]
 
     rows = []
-    for index, value in enumerate(grid_si):
-        chain_v, pump_v = montecarlo.apply_sweep_value(chain, pump, args.var, float(value))
-        pred = cm.predict(chain_v, pump_v)
+    for index, point in enumerate(points):
+        pred = cm.predict(*point)
         row: list = [float(grid_user[index])] + [
             getattr(pred, name) for name in pred_cols
         ]

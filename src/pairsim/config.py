@@ -3,13 +3,15 @@
 Every numeric key carries its unit in the name (``length_cm``,
 ``rep_rate_mhz``, ...); unknown keys are rejected outright.  All values are
 converted to SI on load, so the rest of the package never sees bench units.
+The pump is the only clock: each detector is read once per pulse, so its dark
+rate and dead time are converted to pump gates here, at the pump's
+repetition rate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import jsonschema
@@ -47,11 +49,9 @@ _FILTER_SCHEMA = {
 _DETECTOR_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "required": ["qe", "gate_rate_mhz", "gate_width_ns"],
+    "required": ["qe"],
     "properties": {
         "qe": {"type": "number", "minimum": 0, "maximum": 1},
-        "gate_rate_mhz": {"type": "number", "exclusiveMinimum": 0},
-        "gate_width_ns": {"type": "number", "exclusiveMinimum": 0},
         "dark_rate_khz": {"type": "number", "minimum": 0},
         "dead_time_us": {"type": "number", "minimum": 0},
     },
@@ -205,13 +205,11 @@ def _build_filter(entry: dict) -> FilterSpec:
     )
 
 
-def _build_detector(entry: dict) -> DetectorConfig:
+def _build_detector(entry: dict, rep_rate_hz: float) -> DetectorConfig:
     return DetectorConfig(
         quantum_efficiency=entry["qe"],
-        gate_rate_hz=entry["gate_rate_mhz"] * 1e6,
-        gate_width_s=entry["gate_width_ns"] * 1e-9,
-        dark_rate_hz=entry.get("dark_rate_khz", 0.0) * 1e3,
-        dead_time_s=entry.get("dead_time_us", 0.0) * 1e-6,
+        dark_prob_per_gate=entry.get("dark_rate_khz", 0.0) * 1e3 / rep_rate_hz,
+        dead_gates=round(entry.get("dead_time_us", 0.0) * 1e-6 * rep_rate_hz),
     )
 
 
@@ -228,10 +226,6 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
     """Validate a configuration document and build the domain objects."""
     validate_config(document)
     p = document["pump"]
-    for arm in ("signal", "idler"):
-        gate_rate = document["detectors"][arm]["gate_rate_mhz"]
-        if not math.isclose(gate_rate, p["rep_rate_mhz"], rel_tol=1e-9):
-            raise ConfigError(f"detectors.{arm}.gate_rate_mhz {gate_rate} != pump.rep_rate_mhz")
     rep_rate = p["rep_rate_mhz"] * 1e6
     fwhm = p["fwhm_ps"] * 1e-12
     if "average_power_mw" in p:
@@ -281,8 +275,8 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
             coupling_loss_per_facet_db=document["coupling_loss_db"],
             segments=segments,
             demux=demux,
-            detector_signal=_build_detector(document["detectors"]["signal"]),
-            detector_idler=_build_detector(document["detectors"]["idler"]),
+            detector_signal=_build_detector(document["detectors"]["signal"], rep_rate),
+            detector_idler=_build_detector(document["detectors"]["idler"], rep_rate),
             post_filters_signal=tuple(_build_filter(f) for f in post.get("signal", [])),
             post_filters_idler=tuple(_build_filter(f) for f in post.get("idler", [])),
             noise_signal=_build_noise(noise.get("signal")),

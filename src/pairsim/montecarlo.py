@@ -413,14 +413,10 @@ def apply_sweep_value(
         spec = replace(chain.demux.spec, insertion_loss_db=value)
         return replace(chain, demux=replace(chain.demux, spec=spec)), pump
     if variable == "dark":
-        return (
-            replace(
-                chain,
-                detector_signal=replace(chain.detector_signal, dark_rate_hz=value),
-                detector_idler=replace(chain.detector_idler, dark_rate_hz=value),
-            ),
-            pump,
-        )
+        p_dark = value / pump.rep_rate_hz
+        signal = replace(chain.detector_signal, dark_prob_per_gate=p_dark)
+        idler = replace(chain.detector_idler, dark_prob_per_gate=p_dark)
+        return replace(chain, detector_signal=signal, detector_idler=idler), pump
     raise ValueError(f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
 
 

@@ -21,16 +21,12 @@ import copy
 
 _DETECTOR_WG = {
     "qe": 0.21,
-    "gate_rate_mhz": 100.0,
-    "gate_width_ns": 1.0,
     "dark_rate_khz": 2.1,
     "dead_time_us": 10.0,
 }
 
 _DETECTOR_AWG = {
     "qe": 0.24,
-    "gate_rate_mhz": 100.0,
-    "gate_width_ns": 1.0,
     "dark_rate_khz": 5.1,
     "dead_time_us": 10.0,
 }

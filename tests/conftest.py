@@ -41,10 +41,8 @@ def make_rate_chain(
     )
     detector = lambda eta: cm.DetectorConfig(  # noqa: E731
         quantum_efficiency=eta,
-        gate_rate_hz=rep,
-        gate_width_s=1e-9,
-        dark_rate_hz=dark_rate_hz,
-        dead_time_s=dead_time_us * 1e-6,
+        dark_prob_per_gate=dark_rate_hz / rep,
+        dead_gates=round(dead_time_us * 1e-6 * rep),
     )
     noise = cm.NoiseCoefficients(offset_photons=n0, slope_per_watt=n1_per_w)
     chain = cm.ExperimentChain(

@@ -158,9 +158,22 @@ class TestExitCodes:
             cells = dict(zip(table["columns"], row))
             for name in ("p_click_signal", "p_click_idler", "p_coincidence", "p_accidental"):
                 assert 0.0 <= cells[name] <= 1.0
-        for bad in (["100000:200000"], ["1:2:0"], ["log:1:2:0", "--mc"]):
-            assert cli.main([*sweep, *bad]) == cli.EXIT_CONFIG
-            assert "bad grid spec" in capsys.readouterr().err
+        # each input names the flag to mend; a sweep value the chain cannot
+        # take is caught before any point is computed or simulated
+        for bad, named in (
+            ([*sweep, "100000:200000"], "bad grid spec"),
+            ([*sweep, "1:2:0"], "bad grid spec"),
+            ([*sweep, "log:1:2:0", "--mc"], "bad grid spec"),
+            (["sweep", "--preset", "wg-i", "--var", "awg_loss", "--grid", "0:1:2"], "--var awg_loss"),
+            (["sweep", "--preset", "awg", "--var", "l_siox", "--grid", "0:1:2"], "--var l_siox"),
+            ([*sweep, "0:1:3"], "--grid value 0:"),
+            (["sweep", "--preset", "wg-i", "--var", "l_si", "--grid=-1:1:3"], "--grid value -1:"),
+            (["sweep", "--preset", "awg", "--var", "awg_loss", "--grid=-1:1:3"], "--grid value -1:"),
+            (["sweep", "--preset", "wg-i", "--var", "dark", "--grid", "0:1e9:3"], "--grid value 5e+08:"),
+            (["sweep", "--preset", "wg-i", "--var", "dark", "--grid", "0:1e9:3", "--mc"], "--grid"),
+        ):
+            assert cli.main(bad) == cli.EXIT_CONFIG
+            assert named in capsys.readouterr().err
 
 
 class TestPredictOutput:
@@ -182,6 +195,7 @@ class TestCountingOptions:
         [
             (["--accidental-offset", "0"], "--accidental-offset"),
             (["--pair-statistics", "thermal", "--thermal-modes", "0"], "--thermal-modes"),
+            (["--threads", "0"], "--threads"),
         ],
     )
     def test_bad_counting_option_is_a_usage_error(self, capsys, flags, named):

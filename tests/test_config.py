@@ -2,13 +2,17 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
+from pairsim import montecarlo as mc
 from pairsim import presets
 
 DOCUMENTS = {name: presets.get_preset(name) for name in ("wg-i", "awg")}
@@ -76,20 +80,34 @@ def tmp_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("config")
 
 
-class TestGateRate:
-    @pytest.mark.parametrize("arm", ["signal", "idler"])
-    def test_mismatch_is_a_config_error_naming_the_key(self, arm, tmp_dir):
-        document = copy.deepcopy(DOCUMENTS["wg-i"])
-        document["detectors"][arm]["gate_rate_mhz"] = 50.0
-        with pytest.raises(cfg.ConfigError, match=rf"detectors\.{arm}\.gate_rate_mhz"):
-            cfg.build_experiment(document)
-        code, err = _cli_predict(tmp_dir, document)
-        assert code == cli.EXIT_CONFIG
-        assert f"detectors.{arm}.gate_rate_mhz" in err
+FROZEN_PREDICTIONS = json.loads(Path(__file__).with_name("frozen_predictions.json").read_text())
 
-    def test_matching_rate_builds(self):
-        chain, pump = cfg.build_experiment(DOCUMENTS["wg-i"])
-        assert chain.detector_signal.gate_rate_hz == pump.rep_rate_hz
+
+def frozen_cases() -> dict:
+    """(chain, pump) of every case in ``frozen_predictions.json``."""
+    cases = {name: cfg.build_experiment(presets.get_preset(name)) for name in presets.preset_names()}
+    cases["wg-i, dark 1e5 Hz"] = mc.apply_sweep_value(*cases["wg-i"], "dark", 1e5)
+    document = presets.get_preset("wg-i")
+    for arm in ("signal", "idler"):
+        document["detectors"][arm]["dead_time_us"] = 0.01  # one gate at 100 MHz
+    cases["wg-i, 1-gate dead time"] = cfg.build_experiment(document)
+    return cases
+
+
+class TestFrozenPredictions:
+    """The repr of every ``RatePrediction`` field, frozen from the model as it
+    stood before detectors were stated in pump gates.  The conversion at the
+    config boundary must keep every number bit-identical, so the file is not
+    regenerated by a change that claims the same output."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return frozen_cases()
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_PREDICTIONS))
+    def test_every_field_is_bit_identical(self, cases, case):
+        pred = cm.predict(*cases[case])
+        assert {f.name: repr(getattr(pred, f.name)) for f in fields(pred)} == FROZEN_PREDICTIONS[case]
 
 
 class TestSchema:
@@ -102,6 +120,11 @@ class TestSchema:
         where=st.sampled_from(OBJECT_PATHS),
         key=st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=16),
     )
+    # detector keys of older config files: the pump is the only clock
+    @example(where=("wg-i", ("detectors", "signal")), key="gate_rate_mhz")
+    @example(where=("wg-i", ("detectors", "idler")), key="gate_rate_mhz")
+    @example(where=("awg", ("detectors", "signal")), key="gate_width_ns")
+    @example(where=("awg", ("detectors", "idler")), key="gate_width_ns")
     def test_unknown_key_exits_2_naming_it(self, tmp_dir, where, key):
         name, path = where
         document = copy.deepcopy(DOCUMENTS[name])

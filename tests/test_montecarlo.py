@@ -46,8 +46,8 @@ def renewal_sigma(n: int, p_click: float, duty: float) -> float:
 def without_dead_time(chain: cm.ExperimentChain) -> cm.ExperimentChain:
     return replace(
         chain,
-        detector_signal=replace(chain.detector_signal, dead_time_s=0.0),
-        detector_idler=replace(chain.detector_idler, dead_time_s=0.0),
+        detector_signal=replace(chain.detector_signal, dead_gates=0),
+        detector_idler=replace(chain.detector_idler, dead_gates=0),
     )
 
 
@@ -290,7 +290,7 @@ class TestDeadTime:
         p, dead_gates, n = 0.01, 1000, 48_000_000
         chain, pump = make_rate_chain(0.0, dark_rate_hz=1e6, dead_time_us=10.0)
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=51), threads=2)
-        expected = cm.gate_duty(p, 10e-6, 1e8)
+        expected = cm.gate_duty(p, dead_gates)
         # Each renewal cycle is a geometric run of active gates (mean 1/p,
         # variance (1 - p) / p**2) ending in a click, then D dead gates, so a
         # cycle lasts L = 1/p + D gates and n gates hold n / L cycles.  The
