@@ -167,29 +167,6 @@ def passband_overlap(first, second, lo: float, hi: float) -> float:
     return total
 
 
-def pair_transmittance(
-    spec: AwgSpec,
-    signal_channel: int,
-    idler_channel: int,
-    pump_frequency_hz: float,
-    generation_band_hz: float | None = None,
-) -> float:
-    """Joint collection probability for an anti-correlated photon pair.
-
-    The joint spectrum is taken as perfectly anti-correlated and flat over the
-    generation band, so the result is
-
-        (1 / band) * integral T_s(nu) * T_i(2*nu_p - nu) d nu
-
-    that is ``peak_s * peak_i * effective_pair_bandwidth / band``.
-    """
-    _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
-    overlap = effective_pair_bandwidth(
-        spec, signal_channel, idler_channel, pump_frequency_hz, generation_band_hz
-    )
-    return spec.peak_transmittance**2 * overlap / band
-
-
 def effective_pair_bandwidth(
     spec: AwgSpec,
     signal_channel: int,

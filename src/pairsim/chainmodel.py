@@ -357,13 +357,6 @@ def pair_generation_rate_at_power(
     return bandwidth_hz * pulse_fwhm_s * amplitude**2 * segment.transmittance**2
 
 
-def pair_generation_rate(pump: PumpConfig, segment: WaveguideSegment, bandwidth_hz: float) -> float:
-    """Pair rate for a pump train, using the pump peak power directly."""
-    return pair_generation_rate_at_power(
-        segment, bandwidth_hz, pump.pulse_fwhm_s, peak_power(pump)
-    )
-
-
 def pump_peak_power_at_source(chain: ExperimentChain, pump: PumpConfig) -> float:
     """Pump peak power at the nonlinear segment input.
 
@@ -474,35 +467,6 @@ def gate_duty(p_click: float, dead_gates: int) -> float:
     return 1.0 / (1.0 + p_click * dead_gates)
 
 
-def pair_rate_from_counts(
-    coincidence_rate_hz: float,
-    accidental_rate_hz: float,
-    rep_rate_hz: float,
-    eta_total_signal: float,
-    eta_total_idler: float,
-) -> float:
-    """Pairs per pulse inferred from raw counting rates.
-
-    ``(D_c - D_ca) / (R * eta_s * eta_i)`` with per-channel total
-    efficiencies.  A negative result (accidentals exceeding coincidences) is
-    returned as-is with a warning rather than clamped, so callers can see
-    non-physical inputs.
-
-    This is the small-mu linearisation, valid for ``mu * eta << 1``.  Under
-    multi-pair emission a threshold detector clicks once for several photons,
-    so the estimate saturates; use ``pair_rate_from_counts_multipair`` there.
-    """
-    _check_count_inputs(
-        (coincidence_rate_hz, accidental_rate_hz), rep_rate_hz, eta_total_signal, eta_total_idler
-    )
-    mu = (coincidence_rate_hz - accidental_rate_hz) / (
-        rep_rate_hz * eta_total_signal * eta_total_idler
-    )
-    if mu < 0:
-        _warn_negative_pair_rate()
-    return mu
-
-
 def pair_rate_from_counts_multipair(
     coincidence_rate_hz: float,
     accidental_rate_hz: float,
@@ -519,15 +483,19 @@ def pair_rate_from_counts_multipair(
     (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  The identity is
     exact for Poisson pair numbers with Poisson noise photons and dark counts
     and without dead time: it inverts the pair term of ``predict``.  For
-    ``mu * eta << 1`` it reduces to ``pair_rate_from_counts``.  A negative
-    result is returned with a warning, as in the linear estimator.
+    ``mu * eta << 1`` it reduces to the linear ``(P_c - P_acc) / (eta_s *
+    eta_i)``.  A negative result (accidentals exceeding coincidences) is
+    returned as-is with a warning rather than clamped, so callers can see
+    non-physical inputs.
     """
-    _check_count_inputs(
-        (coincidence_rate_hz, accidental_rate_hz, singles_rate_signal_hz, singles_rate_idler_hz),
-        rep_rate_hz,
-        eta_total_signal,
-        eta_total_idler,
-    )
+    rates_hz = (coincidence_rate_hz, accidental_rate_hz, singles_rate_signal_hz, singles_rate_idler_hz)
+    if any(rate < 0 for rate in rates_hz):
+        raise ValueError("count rates must be non-negative")
+    if rep_rate_hz <= 0:
+        raise ValueError("rep_rate_hz must be positive")
+    for name, eta in (("eta_total_signal", eta_total_signal), ("eta_total_idler", eta_total_idler)):
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"{name} must be in (0, 1]")
     p_s = singles_rate_signal_hz / rep_rate_hz
     p_i = singles_rate_idler_hz / rep_rate_hz
     for name, p in (("signal", p_s), ("idler", p_i)):
@@ -541,29 +509,13 @@ def pair_rate_from_counts_multipair(
         )
     mu = math.log1p(ratio) / (eta_total_signal * eta_total_idler)
     if mu < 0:
-        _warn_negative_pair_rate()
+        warnings.warn(
+            "accidental rate exceeds coincidence rate; returning a non-physical "
+            "negative pair rate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return mu
-
-
-def _check_count_inputs(
-    rates_hz: tuple[float, ...], rep_rate_hz: float, eta_total_signal: float, eta_total_idler: float
-) -> None:
-    if any(rate < 0 for rate in rates_hz):
-        raise ValueError("count rates must be non-negative")
-    if rep_rate_hz <= 0:
-        raise ValueError("rep_rate_hz must be positive")
-    for name, eta in (("eta_total_signal", eta_total_signal), ("eta_total_idler", eta_total_idler)):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"{name} must be in (0, 1]")
-
-
-def _warn_negative_pair_rate() -> None:
-    warnings.warn(
-        "accidental rate exceeds coincidence rate; returning a non-physical "
-        "negative pair rate",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:

@@ -203,6 +203,7 @@ def cmd_simulate(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     document = _load_document(args, parser)
     chain, pump = cfg.build_experiment(document)
+    trial = _trial_from_args(args, parser)  # checked even when nothing is simulated
     grid_user = _parse_grid(args.grid)
     grid_si = grid_user * _GRID_UNITS[args.var]
     label = _GRID_LABELS[args.var]
@@ -227,7 +228,6 @@ def cmd_sweep(args, parser) -> int:
     columns = [label] + pred_cols
     mc_results: list[montecarlo.CountSummary] | None = None
     if args.mc:
-        trial = _trial_from_args(args, parser)
         mc_results = [
             s for _, s in montecarlo.sweep(chain, pump, args.var, grid_si, trial, threads=args.threads)
         ]

@@ -195,6 +195,38 @@ def load_file(path: str | Path) -> dict:
     return document
 
 
+def _built(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a domain ValueError reported under the document key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _build_pump(entry: dict) -> PumpConfig:
+    rep_rate = entry["rep_rate_mhz"] * 1e6
+    fwhm = entry["fwhm_ps"] * 1e-12
+    if "average_power_mw" in entry:
+        average_w = entry["average_power_mw"] * 1e-3
+    else:
+        average_w = entry["peak_power_mw"] * 1e-3 * rep_rate * fwhm
+    return PumpConfig(
+        wavelength_m=entry["wavelength_nm"] * 1e-9,
+        rep_rate_hz=rep_rate,
+        pulse_fwhm_s=fwhm,
+        average_power_w=average_w,
+    )
+
+
+def _build_segment(entry: dict) -> WaveguideSegment:
+    return WaveguideSegment(
+        kind=entry["kind"],
+        length_m=entry["length_cm"] * 1e-2,
+        loss_db_per_m=entry.get("loss_db_per_cm", 0.0) * 1e2,
+        gamma_per_w_m=entry.get("gamma_per_w_m", 0.0),
+    )
+
+
 def _build_filter(entry: dict) -> FilterSpec:
     center = entry.get("center_wavelength_nm")
     return FilterSpec(
@@ -202,6 +234,29 @@ def _build_filter(entry: dict) -> FilterSpec:
         insertion_loss_db=entry.get("insertion_loss_db", 0.0),
         shape=entry.get("shape", "rectangular"),
         center_frequency_hz=cm.C_VACUUM / (center * 1e-9) if center else None,
+    )
+
+
+def _build_demux(entry: dict, pump_frequency_hz: float) -> FilterDemux | AwgDemux:
+    if "filters" in entry:
+        f = entry["filters"]
+        return FilterDemux(signal=_build_filter(f["signal"]), idler=_build_filter(f["idler"]))
+    a = entry["awg"]
+    spec = AwgSpec(
+        channel_count=a["channels"],
+        channel_spacing_hz=a["spacing_ghz"] * 1e9,
+        passband_3db_hz=a["passband_ghz"] * 1e9,
+        insertion_loss_db=a["insertion_loss_db"],
+        center_frequency_hz=pump_frequency_hz,
+        passband_shape=a.get("passband_shape", "gaussian"),
+        crosstalk_floor=a.get("crosstalk_floor", 0.0),
+    )
+    band = a.get("generation_band_ghz")
+    return AwgDemux(
+        spec=spec,
+        signal_channel=a["signal_channel"],
+        idler_channel=a["idler_channel"],
+        generation_band_hz=band * 1e9 if band else None,
     )
 
 
@@ -223,65 +278,35 @@ def _build_noise(entry: dict | None) -> NoiseCoefficients:
 
 
 def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
-    """Validate a configuration document and build the domain objects."""
+    """Validate a configuration document and build the domain objects.
+
+    A physical check that fails names the document key being built, as
+    ``pump``, ``segments/<i>``, ``demux``, ``detectors/<arm>``,
+    ``post_filters/<arm>/<i>`` or ``noise/<arm>``, and ``<root>`` for the
+    checks across the whole chain.
+    """
     validate_config(document)
-    p = document["pump"]
-    rep_rate = p["rep_rate_mhz"] * 1e6
-    fwhm = p["fwhm_ps"] * 1e-12
-    if "average_power_mw" in p:
-        average_w = p["average_power_mw"] * 1e-3
-    else:
-        average_w = p["peak_power_mw"] * 1e-3 * rep_rate * fwhm
-    try:
-        pump = PumpConfig(
-            wavelength_m=p["wavelength_nm"] * 1e-9,
-            rep_rate_hz=rep_rate,
-            pulse_fwhm_s=fwhm,
-            average_power_w=average_w,
+    pump = _built("pump", _build_pump, document["pump"])
+    post = document.get("post_filters", {})
+    noise = document.get("noise", {})
+    arms = {}
+    for arm in ("signal", "idler"):
+        detector = document["detectors"][arm]
+        arms[f"detector_{arm}"] = _built(f"detectors/{arm}", _build_detector, detector, pump.rep_rate_hz)
+        arms[f"post_filters_{arm}"] = tuple(
+            _built(f"post_filters/{arm}/{i}", _build_filter, entry)
+            for i, entry in enumerate(post.get(arm, []))
         )
-        segments = tuple(
-            WaveguideSegment(
-                kind=s["kind"],
-                length_m=s["length_cm"] * 1e-2,
-                loss_db_per_m=s.get("loss_db_per_cm", 0.0) * 1e2,
-                gamma_per_w_m=s.get("gamma_per_w_m", 0.0),
-            )
-            for s in document["segments"]
-        )
-        if "filters" in document["demux"]:
-            f = document["demux"]["filters"]
-            demux = FilterDemux(signal=_build_filter(f["signal"]), idler=_build_filter(f["idler"]))
-        else:
-            a = document["demux"]["awg"]
-            spec = AwgSpec(
-                channel_count=a["channels"],
-                channel_spacing_hz=a["spacing_ghz"] * 1e9,
-                passband_3db_hz=a["passband_ghz"] * 1e9,
-                insertion_loss_db=a["insertion_loss_db"],
-                center_frequency_hz=pump.frequency_hz,
-                passband_shape=a.get("passband_shape", "gaussian"),
-                crosstalk_floor=a.get("crosstalk_floor", 0.0),
-            )
-            band = a.get("generation_band_ghz")
-            demux = AwgDemux(
-                spec=spec,
-                signal_channel=a["signal_channel"],
-                idler_channel=a["idler_channel"],
-                generation_band_hz=band * 1e9 if band else None,
-            )
-        post = document.get("post_filters", {})
-        noise = document.get("noise", {})
-        chain = ExperimentChain(
-            coupling_loss_per_facet_db=document["coupling_loss_db"],
-            segments=segments,
-            demux=demux,
-            detector_signal=_build_detector(document["detectors"]["signal"], rep_rate),
-            detector_idler=_build_detector(document["detectors"]["idler"], rep_rate),
-            post_filters_signal=tuple(_build_filter(f) for f in post.get("signal", [])),
-            post_filters_idler=tuple(_build_filter(f) for f in post.get("idler", [])),
-            noise_signal=_build_noise(noise.get("signal")),
-            noise_idler=_build_noise(noise.get("idler")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        arms[f"noise_{arm}"] = _built(f"noise/{arm}", _build_noise, noise.get(arm))
+    segments = tuple(
+        _built(f"segments/{i}", _build_segment, entry) for i, entry in enumerate(document["segments"])
+    )
+    chain = _built(
+        "<root>",
+        ExperimentChain,
+        coupling_loss_per_facet_db=document["coupling_loss_db"],
+        segments=segments,
+        demux=_built("demux", _build_demux, document["demux"], pump.frequency_hz),
+        **arms,
+    )
     return chain, pump

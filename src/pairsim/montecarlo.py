@@ -10,25 +10,30 @@ Every chain, filter or AWG, is sampled by one thinned sampler that reads
 the chain record of ``chainmodel.evaluate`` and the detectors alone.  A
 pair reaches the signal detector, the idler detector, both or neither
 independently of the other pairs, so the pairs of a pulse that reach at
-least one detector keep the pair law at a thinned mean: Poisson stays
+least one detector keep the pair law at a thinned mean x: Poisson stays
 Poisson, and a negative binomial stays negative binomial with the same
-number of modes.  Only those pairs are drawn.  The pulses holding at least
-one are a Bernoulli stream, drawn as geometric gaps between them; each gets
-a zero-truncated number of them, and one uniform per pulse decides whether
-they fire the signal detector alone, the idler alone or both.  Noise
-photons and dark counts are further Bernoulli streams per arm, merged with
-the pair-photon fires into one sorted list of fire indices.  The work per
-block therefore scales with the number of events, not with the number of
-pulses.
+number of modes.  Threshold detectors see only whether a pair arrived, so
+the sampler needs only the law's probability of no pair, P0(x) = exp(-x) or
+(1 + x/m)**-m for m thermal modes; pair numbers are never drawn.  The pulses
+where some pair reaches a detector are a Bernoulli stream of probability
+1 - P0(seen), drawn as geometric gaps between them, and one uniform per such
+pulse decides from P0 at the per-arm means whether it fires the signal
+detector alone, the idler alone or both.  Noise photons and dark counts are
+further Bernoulli streams per arm, merged with the pair-photon fires into
+one sorted list of fire indices.  The work per block therefore scales with
+the number of events, not with the number of pulses.
 
 Pulses are processed in fixed-size blocks, each with its own counter-based
 random stream derived from (seed, block index).  The block decomposition
 never depends on the worker count, so results are bit-identical for any
 number of threads.  Dead time is applied to a block's fire indices at once,
 by pointer doubling over each fire's next allowed fire, and resets at block
-boundaries; blocks are much longer than any realistic dead time, which keeps
-the boundary effect far below statistical resolution.  ``RNG_STREAM`` names
-this sampling scheme; counts for a given seed change only with it.
+boundaries.  Each block therefore starts with both detectors active, which
+biases the clicks up: by renewal theory 0.42 clicks per block per arm at
+1 MHz dark counts with a 1000-gate dead time (seen at a mean z of +2.8 over
+three 400M-pulse runs), and 0.18 per block, 3e-4 relative, on the wg-i
+preset.  ROADMAP item 1 carries the fix.  ``RNG_STREAM`` names this sampling
+scheme; counts for a given seed change only with it.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
 
 _BLOCK_SIZE = 1_000_000
 
-RNG_STREAM = "philox-sparse-v2"
+RNG_STREAM = "philox-sparse-v3"
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -176,43 +181,15 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     return positions[: np.searchsorted(positions, n)]
 
 
-def _zero_truncated_poisson(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """``size`` Poisson(lam) counts conditioned on being at least 1.
+def _no_pair_exponent(mean: float, trial: TrialConfig) -> float:
+    """L(mean) = -log P0(mean): the pair law's probability of no pair at a thinned mean.
 
-    The first arrival of a rate-lam process on [0, 1], given that one
-    arrives, is drawn by inversion at T = -log1p(U * expm1(-lam)) / lam;
-    the rest are Poisson(lam * (1 - T)).  Once expm1(-lam) rounds to -1,
-    lam * (1 - T) can round a hair below 0, hence the clip.
+    A thinned Poisson law stays Poisson, P0 = exp(-mean); a negative binomial
+    of m thermal modes stays one, P0 = (1 + mean / m)**-m.
     """
-    rest = lam + np.log1p(rng.random(size) * math.expm1(-lam))  # lam * (1 - T)
-    return 1 + rng.poisson(np.maximum(rest, 0.0))
-
-
-def _occupied_pulses(
-    rng: np.random.Generator, mean: float, size: int, trial: TrialConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the pulses of a block holding at least one pair, and their pair numbers.
-
-    ``mean`` is the thinned mean: the pairs per pulse that reach a detector,
-    which follow the pair law of ``trial`` at that mean.  Poisson pairs are
-    a Poisson(mean) count per pulse.  Thermal pairs with m modes are
-    negative binomial, which is compound Poisson: a Poisson(lam) number of
-    log-series(q) clusters with lam = m * log1p(mean / m) and
-    q = mean / (m + mean).  Either way a pulse is occupied with probability
-    -expm1(-lam) and holds a zero-truncated Poisson(lam) number of clusters.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    if mean <= 0.0:
-        return empty, empty
-    thermal = trial.pair_statistics == "thermal"
-    m = trial.thermal_modes
-    lam = m * math.log1p(mean / m) if thermal else mean
-    positions = _bernoulli_positions(rng, -math.expm1(-lam), size)
-    pairs = _zero_truncated_poisson(rng, lam, positions.size)
-    if thermal and positions.size:
-        clusters = rng.logseries(mean / (m + mean), int(pairs.sum()))
-        pairs = np.add.reduceat(clusters, np.cumsum(pairs) - pairs)
-    return positions, pairs
+    if trial.pair_statistics == "thermal":
+        return trial.thermal_modes * math.log1p(mean / trial.thermal_modes)
+    return mean
 
 
 def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.ndarray, int]:
@@ -282,20 +259,25 @@ def _pair_fires(
     """Sorted gates of a block where a pair photon reaches the signal and the idler detector.
 
     ``rates`` are the mean numbers per pulse of pairs reaching any detector
-    (seen), the signal detector and both.  Each seen pair reaches the signal
-    alone, the idler alone or both independently of the others, so a pulse
-    with k of them fires the signal alone with probability
-    ((signal - both) / seen)**k, the idler alone with ((seen - signal) /
-    seen)**k and both otherwise; one uniform per pulse picks which.  Only
-    the two fire arrays outlive this call.
+    (seen), the signal detector and both.  A pulse is occupied, some pair
+    reaching a detector, with probability p = 1 - P0(seen).  It fires the
+    signal alone when no pair reaches the idler but one is seen, with
+    probability (P0(idler) - P0(seen)) / p, the idler alone likewise and both
+    otherwise; one uniform per occupied pulse picks which.
     """
     seen, signal, both = rates
-    occupied, pairs = _occupied_pulses(rng, seen, size, trial)
+    l_seen = _no_pair_exponent(seen, trial)
+    p = -math.expm1(-l_seen)
+    occupied = _bernoulli_positions(rng, p, size)
     if not occupied.size:
         return occupied, occupied
+    l_signal = _no_pair_exponent(signal, trial)
+    l_idler = _no_pair_exponent(seen - signal + both, trial)
+    # P0(x) - P0(seen) as -exp(-L(x)) * expm1(L(x) - L(seen)): the exponent is
+    # never positive, so no term overflows however many pairs are seen
+    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_seen) / p
+    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_seen) / p
     u = rng.random(occupied.size)
-    signal_alone = ((signal - both) / seen) ** pairs
-    idler_alone = ((seen - signal) / seen) ** pairs
     fires_signal = occupied[(u < signal_alone) | (u >= signal_alone + idler_alone)]
     return fires_signal, occupied[u >= signal_alone]
 

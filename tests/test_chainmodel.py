@@ -130,46 +130,41 @@ class TestPairGenerationRate:
         self.segment = cm.WaveguideSegment("nonlinear", 0.0137, 200.0, 161.0)
         self.pump = cm.PumpConfig(1551.1e-9, 1e8, 200e-12, 0.74e-3)
 
+    @staticmethod
+    def rate(pump, segment):
+        """Pairs per pulse in a 0.12 THz band at the pump's peak power."""
+        peak = cm.peak_power(pump)
+        return cm.pair_generation_rate_at_power(segment, 0.12e12, pump.pulse_fwhm_s, peak)
+
     def test_zero_gamma(self):
         seg = cm.WaveguideSegment("nonlinear", 0.0137, 200.0, 0.0)
-        assert cm.pair_generation_rate(self.pump, seg, 0.12e12) == 0.0
+        assert self.rate(self.pump, seg) == 0.0
 
     def test_reference_point(self):
         # oracle: full fitted parameter set at 37 mW peak
-        value = cm.pair_generation_rate(self.pump, self.segment, 0.12e12)
+        value = self.rate(self.pump, self.segment)
         assert value == pytest.approx(0.0248923461322535, rel=1e-12, abs=0.0)
 
     def test_quadratic_in_power(self):
         double = replace(self.pump, average_power_w=2 * self.pump.average_power_w)
-        ratio = cm.pair_generation_rate(double, self.segment, 0.12e12) / cm.pair_generation_rate(
-            self.pump, self.segment, 0.12e12
-        )
+        ratio = self.rate(double, self.segment) / self.rate(self.pump, self.segment)
         assert ratio == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_quadratic_in_gamma(self):
         seg2 = replace(self.segment, gamma_per_w_m=2 * self.segment.gamma_per_w_m)
-        ratio = cm.pair_generation_rate(self.pump, seg2, 0.12e12) / cm.pair_generation_rate(
-            self.pump, self.segment, 0.12e12
-        )
+        ratio = self.rate(self.pump, seg2) / self.rate(self.pump, self.segment)
         assert ratio == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_passive_segment_rejected(self):
         with pytest.raises(ValueError):
-            cm.pair_generation_rate(
-                self.pump, cm.WaveguideSegment("passive", 0.01, 100.0), 0.12e12
-            )
+            self.rate(self.pump, cm.WaveguideSegment("passive", 0.01, 100.0))
 
     def test_length_optimum_analytic_and_numeric(self):
         # oracle: ln 2 / alpha_Np = 1.50514997831991 cm for 2.0 dB/cm
         optimum = cm.optimal_nonlinear_length(200.0)
         assert optimum == pytest.approx(0.0150514997831991, rel=1e-12, abs=0.0)
         grid = np.arange(0.005, 0.04, 1e-4)  # 0.01 cm steps
-        rates = [
-            cm.pair_generation_rate(
-                self.pump, replace(self.segment, length_m=float(l)), 0.12e12
-            )
-            for l in grid
-        ]
+        rates = [self.rate(self.pump, replace(self.segment, length_m=float(l))) for l in grid]
         assert abs(grid[int(np.argmax(rates))] - optimum) <= 1e-4 + 1e-12
 
 
@@ -219,7 +214,7 @@ class TestSinglesRate:
     def test_noise_free_limit(self):
         chain, pump = make_rate_chain(1e-2)
         mu_s, mu_i = cm.singles_rate(chain, pump)
-        mu_pair = cm.pair_generation_rate(pump, chain.nonlinear_segment, 0.12e12)
+        mu_pair = TestPairGenerationRate.rate(pump, chain.nonlinear_segment)
         assert mu_s == pytest.approx(mu_pair, rel=1e-12, abs=0.0)
         assert mu_i == pytest.approx(mu_pair, rel=1e-12, abs=0.0)
 
@@ -360,31 +355,33 @@ class TestCarEstimate:
 
 
 class TestPairRateFromCounts:
+    """The multi-pair estimator with no singles, where only the pair term counts."""
+
     def test_pure_accidentals(self):
-        assert cm.pair_rate_from_counts(10.0, 10.0, 1e8, 0.1, 0.1) == 0.0
+        assert cm.pair_rate_from_counts_multipair(10.0, 10.0, 0.0, 0.0, 1e8, 0.1, 0.1) == 0.0
 
     def test_reference(self):
-        value = cm.pair_rate_from_counts(100.0, 10.0, 1e8, 0.05, 0.05)
-        assert value == pytest.approx(3.6e-4, rel=1e-12, abs=0.0)
+        # oracle: log1p(90 / 1e8) / 0.05**2 from a 30-digit mpmath evaluation
+        value = cm.pair_rate_from_counts_multipair(100.0, 10.0, 0.0, 0.0, 1e8, 0.05, 0.05)
+        assert value == pytest.approx(3.59999838000097e-4, rel=1e-12, abs=0.0)
 
     def test_round_trip(self):
         mu = 3.3e-4
         eta_s, eta_i = 0.07, 0.04
         rep = 1e8
         accidental = 12.0
-        coincidence = mu * rep * eta_s * eta_i + accidental
-        assert cm.pair_rate_from_counts(coincidence, accidental, rep, eta_s, eta_i) == (
-            pytest.approx(mu, rel=1e-12, abs=0.0)
-        )
+        coincidence = rep * math.expm1(mu * eta_s * eta_i) + accidental
+        value = cm.pair_rate_from_counts_multipair(coincidence, accidental, 0.0, 0.0, rep, eta_s, eta_i)
+        assert value == pytest.approx(mu, rel=1e-12, abs=0.0)
 
     def test_negative_flagged_not_clamped(self):
         with pytest.warns(RuntimeWarning, match="non-physical"):
-            value = cm.pair_rate_from_counts(5.0, 10.0, 1e8, 0.05, 0.05)
+            value = cm.pair_rate_from_counts_multipair(5.0, 10.0, 0.0, 0.0, 1e8, 0.05, 0.05)
         assert value < 0.0
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(ValueError):
-            cm.pair_rate_from_counts(10.0, 1.0, 1e8, 0.0, 0.5)
+            cm.pair_rate_from_counts_multipair(10.0, 1.0, 0.0, 0.0, 1e8, 0.0, 0.5)
 
 
 def _counts_from_statistics(stats: cm.RatePrediction, rep: float) -> tuple[float, ...]:
@@ -416,7 +413,7 @@ class TestPairRateFromCountsMultipair:
         c, a, s, i = _counts_from_statistics(stats, pump.rep_rate_hz)
         rep = pump.rep_rate_hz
         exact = cm.pair_rate_from_counts_multipair(c, a, s, i, rep, eta, eta)
-        linear = cm.pair_rate_from_counts(c, a, rep, eta, eta)
+        linear = (c - a) / (rep * eta * eta)
         # the two differ by first-order terms in P_s, P_i and mu * eta_s * eta_i
         first_order = s / rep + i / rep + mu * eta * eta
         assert first_order < 1e-4

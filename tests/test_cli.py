@@ -189,18 +189,26 @@ class TestPredictOutput:
         assert printed == table["columns"]
 
 
+SIMULATE = ["simulate", "--preset", "wg-i", "--pulses", "1000"]
+
+
 class TestCountingOptions:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--accidental-offset", "0"], "--accidental-offset"),
-            (["--pair-statistics", "thermal", "--thermal-modes", "0"], "--thermal-modes"),
-            (["--threads", "0"], "--threads"),
+            ([*SIMULATE, "--accidental-offset", "0"], "--accidental-offset"),
+            ([*SIMULATE, "--pair-statistics", "thermal", "--thermal-modes", "0"], "--thermal-modes"),
+            ([*SIMULATE, "--threads", "0"], "--threads"),
+            # an analytic sweep draws nothing, but its counting options are still checked
+            (
+                ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--threads", "0", "--pulses", "0"],
+                "--pulses",
+            ),
         ],
     )
     def test_bad_counting_option_is_a_usage_error(self, capsys, flags, named):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--preset", "wg-i", "--pulses", "1000", *flags])
+            cli.main(flags)
         assert exc.value.code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
 
@@ -208,10 +216,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v2"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v3"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v2"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v3"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]

@@ -150,3 +150,22 @@ class TestSchema:
         code, err = _cli_predict(tmp_dir, document)
         assert code == cli.EXIT_CONFIG
         assert repr(bare) in err
+
+    @pytest.mark.parametrize(
+        "path, key, value, named",
+        [
+            (("detectors", "idler"), "dark_rate_khz", 1e5, "detectors/idler: dark_prob_per_gate"),
+            (("pump",), "fwhm_ps", 20000.0, "pump: duty cycle"),
+        ],
+        ids=["dark-rate-at-the-pump-rate", "duty-cycle-above-one"],
+    )
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_dir, path, key, value, named):
+        # the schema passes these values; the physical check of the domain
+        # object built from them fails, and names the key being built
+        document = copy.deepcopy(DOCUMENTS["wg-i"])
+        _at(document, path)[key] = value
+        with pytest.raises(cfg.ConfigError, match=named):
+            cfg.build_experiment(document)
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert named in err
