@@ -12,10 +12,13 @@ erf difference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .elementwise import db_to_linear, holds
 
 _LN2 = math.log(2.0)
 
@@ -52,7 +55,7 @@ class AwgSpec:
                 "passband_3db_hz must be smaller than channel_spacing_hz "
                 f"({self.passband_3db_hz} >= {self.channel_spacing_hz})"
             )
-        if self.insertion_loss_db < 0:
+        if not holds(self.insertion_loss_db >= 0):
             raise ValueError("insertion_loss_db must be non-negative")
         if self.center_frequency_hz <= 0:
             raise ValueError("center_frequency_hz must be positive")
@@ -63,7 +66,7 @@ class AwgSpec:
 
     @property
     def peak_transmittance(self) -> float:
-        return 10.0 ** (-self.insertion_loss_db / 10.0)
+        return db_to_linear(self.insertion_loss_db)
 
     @property
     def default_generation_band_hz(self) -> float:
@@ -126,6 +129,10 @@ def _gaussian_integral(center: float, rate: float, lo: float, hi: float) -> floa
     return 0.5 * math.sqrt(math.pi / rate) * diff
 
 
+# cached: a few microseconds each, and a run of single-value calls on one
+# chain (a Monte Carlo sweep over pump power) reads the same passbands at
+# every point
+@functools.lru_cache(maxsize=256)
 def passband_overlap(first, second, lo: float, hi: float) -> float:
     """``integral f_1(x) * f_2(x) dx`` over [lo, hi] of two unit-peak passbands, exactly.
 

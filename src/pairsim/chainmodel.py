@@ -16,11 +16,22 @@ record.  ``predict`` is the one analytic model of what two gated threshold
 detectors with dead time count (``expected_gate_statistics`` is another name
 for it); ``car_estimate`` keeps the paper's linearised CAR, which figures 3d
 and 5b plot.
+
+One swept field may hold a 1-D float array in place of a float: a segment
+length, the pump's average power, the AWG insertion loss or the detectors'
+dark probability (see ``montecarlo.apply_sweep_value``).  Every check of
+that field then holds for each element, and ``evaluate``, ``predict`` and
+``car_estimate`` return arrays over the grid, equal bit for bit to the
+calls at each single value.  Sums, products and quotients use the plain
+operators, which round as Python's do; every power, exponential and branch
+on a swept quantity goes through a function made by
+``elementwise.elementwise``, which calls the same ``math`` function on each
+element, because numpy's vectorised ``exp``, ``power`` and ``expm1`` differ
+from it in the last bit on a few percent of inputs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +39,7 @@ from typing import Union
 
 from . import awg as awg_mod
 from .awg import AwgSpec
+from .elementwise import db_to_linear, elementwise, exp, expm1, holds, power
 
 C_VACUUM = 299_792_458.0  # m/s
 
@@ -44,11 +56,6 @@ FILTER_SHAPES = ("rectangular", "gaussian")
 # unit helpers
 
 
-def db_to_linear(loss_db: float) -> float:
-    """Power transmittance for a loss stated in dB: ``10**(-loss_db / 10)``."""
-    return 10.0 ** (-loss_db / 10.0)
-
-
 def db_to_neper(loss_db: float) -> float:
     """Natural (base-e) attenuation coefficient for a dB-scale one: ``loss * ln(10) / 10``."""
     return loss_db * _LN10 / 10.0
@@ -63,13 +70,19 @@ def effective_length(loss_db_per_m: float, length_m: float) -> float:
     """
     if loss_db_per_m < 0:
         raise ValueError("loss must be non-negative")
-    if length_m < 0:
+    if not holds(length_m >= 0):
         raise ValueError("length must be non-negative")
-    a = db_to_neper(loss_db_per_m)
+    return _effective_length(db_to_neper(loss_db_per_m), length_m)
+
+
+def _effective_length_at(a: float, length_m: float) -> float:
     x = a * length_m
     if x < 1e-6:
         return length_m - a * length_m**2 / 2.0
     return (1.0 - math.exp(-x)) / a
+
+
+_effective_length = elementwise(_effective_length_at, 2)
 
 
 def optimal_nonlinear_length(loss_db_per_m: float) -> float:
@@ -95,7 +108,7 @@ class WaveguideSegment:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_NONLINEAR, KIND_PASSIVE):
             raise ValueError(f"kind must be '{KIND_NONLINEAR}' or '{KIND_PASSIVE}'")
-        if self.length_m < 0:
+        if not holds(self.length_m >= 0):
             raise ValueError("length_m must be non-negative")
         if self.loss_db_per_m < 0:
             raise ValueError("loss_db_per_m must be non-negative")
@@ -125,7 +138,7 @@ class PumpConfig:
 
     def __post_init__(self) -> None:
         for name in ("wavelength_m", "rep_rate_hz", "pulse_fwhm_s", "average_power_w"):
-            if getattr(self, name) <= 0:
+            if not holds(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be strictly positive")
         if self.rep_rate_hz * self.pulse_fwhm_s > 1.0 + 1e-12:
             raise ValueError("duty cycle rep_rate * fwhm must not exceed 1")
@@ -194,7 +207,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in [0, 1]")
-        if not 0.0 <= self.dark_prob_per_gate < 1.0:
+        if not holds((0.0 <= self.dark_prob_per_gate) & (self.dark_prob_per_gate < 1.0)):
             raise ValueError("dark_prob_per_gate (dark rate / pump rate) must be in [0, 1)")
         if self.dead_gates < 0:
             raise ValueError("dead_gates must be non-negative")
@@ -249,7 +262,10 @@ Demux = Union[FilterDemux, AwgDemux]
 
 @dataclass(frozen=True)
 class ExperimentChain:
-    """Ordered component chain from the coupling facet to the two detectors."""
+    """Ordered component chain from the coupling facet to the two detectors.
+
+    ``nonlinear_index`` is the position of the one nonlinear segment.
+    """
 
     coupling_loss_per_facet_db: float
     segments: tuple[WaveguideSegment, ...]
@@ -264,13 +280,11 @@ class ExperimentChain:
     def __post_init__(self) -> None:
         if self.coupling_loss_per_facet_db < 0:
             raise ValueError("coupling_loss_per_facet_db must be non-negative")
-        n_nonlinear = sum(1 for s in self.segments if s.kind == KIND_NONLINEAR)
-        if n_nonlinear != 1:
-            raise ValueError(f"chain must contain exactly one nonlinear segment, got {n_nonlinear}")
-
-    @property
-    def nonlinear_index(self) -> int:
-        return next(i for i, s in enumerate(self.segments) if s.kind == KIND_NONLINEAR)
+        nonlinear = [i for i, s in enumerate(self.segments) if s.kind == KIND_NONLINEAR]
+        if len(nonlinear) != 1:
+            raise ValueError(f"chain must contain exactly one nonlinear segment, got {len(nonlinear)}")
+        # found once, as a plain attribute: evaluate reads it on every call
+        object.__setattr__(self, "nonlinear_index", nonlinear[0])
 
     @property
     def nonlinear_segment(self) -> WaveguideSegment:
@@ -293,6 +307,7 @@ class RatePrediction:
     gate, as a counting run measures them.  ``p_coincidence`` counts every
     same-gate coincidence, accidental ones included, and
     ``car = p_coincidence / p_accidental`` is NaN when nothing ever clicks.
+    Over a grid, the fields the swept value enters are arrays.
     """
 
     peak_power_w: float
@@ -317,7 +332,8 @@ class ChainEvaluation:
     Built by ``evaluate``.  Photon numbers are per pulse at the
     nonlinear-segment output; the noise terms are ``n0 + n1 * P`` at the pump
     peak power at the source.  Detector figures (quantum efficiency, dark
-    probability, dead gates) stay on the chain's ``DetectorConfig``.
+    probability, dead gates) stay on the chain's ``DetectorConfig``.  For a
+    chain swept over a grid, the fields the swept value enters are arrays.
     """
 
     peak_power_w: float  # pump peak power at the nonlinear segment input
@@ -354,7 +370,7 @@ def pair_generation_rate_at_power(
     if segment.kind != KIND_NONLINEAR:
         raise ValueError("pair generation requires a nonlinear segment")
     amplitude = segment.gamma_per_w_m * peak_power_w * segment.effective_length_m
-    return bandwidth_hz * pulse_fwhm_s * amplitude**2 * segment.transmittance**2
+    return bandwidth_hz * pulse_fwhm_s * power(amplitude, 2) * power(segment.transmittance, 2)
 
 
 def pump_peak_power_at_source(chain: ExperimentChain, pump: PumpConfig) -> float:
@@ -386,8 +402,10 @@ def chain_transmittances(chain: ExperimentChain) -> tuple[float, float]:
     eta_common = db_to_linear(chain.coupling_loss_per_facet_db)
     eta_common *= downstream_passive_transmittance(chain)
     if isinstance(chain.demux, AwgDemux):
-        eta_s = eta_common * chain.demux.spec.peak_transmittance
-        eta_i = eta_common * chain.demux.spec.peak_transmittance
+        peak = chain.demux.spec.peak_transmittance
+        # two objects, not one: over a grid they are arrays, which the post
+        # filters below scale in place
+        eta_s, eta_i = eta_common * peak, eta_common * peak
     else:
         eta_s = eta_common * chain.demux.signal.peak_transmittance
         eta_i = eta_common * chain.demux.idler.peak_transmittance
@@ -396,20 +414,6 @@ def chain_transmittances(chain: ExperimentChain) -> tuple[float, float]:
     for f in chain.post_filters_idler:
         eta_i *= f.peak_transmittance
     return eta_s, eta_i
-
-
-@functools.lru_cache(maxsize=64)
-def _awg_single_bandwidths(d: AwgDemux, pump_frequency_hz: float) -> tuple[float, float]:
-    """Signal and idler channel shapes integrated over the generation band.
-
-    Two exact overlaps of about 4 us each, which uncached slowed the AWG
-    figures by a fifth; sweeps and figures evaluate one demux at many pump
-    powers, so the cache hits.
-    """
-    return tuple(
-        awg_mod.effective_single_bandwidth(d.spec, ch, pump_frequency_hz, d.generation_band_hz)
-        for ch in (d.signal_channel, d.idler_channel)
-    )
 
 
 def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float, float]:
@@ -427,7 +431,10 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
         pair_bw = awg_mod.effective_pair_bandwidth(
             d.spec, d.signal_channel, d.idler_channel, pump.frequency_hz, d.generation_band_hz
         )
-        single_s, single_i = _awg_single_bandwidths(d, pump.frequency_hz)
+        single_s, single_i = (
+            awg_mod.effective_single_bandwidth(d.spec, ch, pump.frequency_hz, d.generation_band_hz)
+            for ch in (d.signal_channel, d.idler_channel)
+        )
     else:
         sig, idl = chain.demux.signal, chain.demux.idler
         # offset: where the mirrored idler passband center lands from the signal one
@@ -460,7 +467,7 @@ def gate_duty(p_click: float, dead_gates: int) -> float:
     probability scaled by the duty itself) times D.  The balance
     ``duty = 1 - duty * p_click * D`` has the closed-form fixed point below.
     """
-    if not 0.0 <= p_click <= 1.0:
+    if not holds((0.0 <= p_click) & (p_click <= 1.0)):
         raise ValueError("p_click must be a probability")
     if dead_gates < 0:
         raise ValueError("dead_gates must be non-negative")
@@ -519,10 +526,13 @@ def pair_rate_from_counts_multipair(
 
 
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
-    """Evaluate the chain once at one operating point.
+    """Evaluate the chain once at one operating point, or at every point of a grid.
 
     The only place where the pump power at the source, the transmittances and
-    the collection bandwidths are computed.
+    the collection bandwidths are computed.  When one swept field of the
+    chain or pump is a 1-D array, the fields that depend on it are arrays
+    over the grid and the others stay floats; each element equals the record
+    of a call at that single value.
     """
     p_eff = pump_peak_power_at_source(chain, pump)
     pair_bw, bw_s, bw_i = collection_bandwidths(chain, pump)
@@ -580,15 +590,15 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
 
     a_s = eta_s_end * rec.mu_signal  # mean photon causes on the signal arm
     a_i = eta_i_end * rec.mu_idler
-    p_active_s = 1.0 - math.exp(-a_s) * (1.0 - pd_s)
-    p_active_i = 1.0 - math.exp(-a_i) * (1.0 - pd_i)
+    p_active_s = 1.0 - exp(-a_s) * (1.0 - pd_s)
+    p_active_i = 1.0 - exp(-a_i) * (1.0 - pd_i)
     duty_s = gate_duty(p_active_s, det_s.dead_gates)
     duty_i = gate_duty(p_active_i, det_i.dead_gates)
 
     # pairs whose both photons reach the detectors couple the two arms; each
     # such pair is also a cause on each arm, so c <= a_s + a_i
     c = rec.mu_pair * eta_s_end * eta_i_end
-    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * math.exp(c - a_s - a_i) * (-math.expm1(-c))
+    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * exp(c - a_s - a_i) * (-expm1(-c))
     p_accidental = duty_s * duty_i * p_active_s * p_active_i
     p_coincidence = duty_s * duty_i * (p_active_s * p_active_i + joint_excess)
     return RatePrediction(
@@ -602,10 +612,17 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
         p_click_idler=duty_i * p_active_i,
         p_coincidence=p_coincidence,
         p_accidental=p_accidental,
-        car=p_coincidence / p_accidental if p_accidental > 0.0 else math.nan,
+        car=_ratio_or_nan(p_coincidence, p_accidental),
         duty_signal=duty_s,
         duty_idler=duty_i,
     )
+
+
+def _ratio_or_nan_at(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator > 0.0 else math.nan
+
+
+_ratio_or_nan = elementwise(_ratio_or_nan_at, 2)
 
 
 # the same function under the name the counting checks use
@@ -622,7 +639,7 @@ def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
     neglects threshold saturation and the suppression of dark counts in dead
     gates, so it differs from ``predict(...).car``.  Raises ValueError, from
     ``gate_duty``, when an active-gate click probability exceeds 1, and when a
-    channel never clicks.
+    channel never clicks; over a grid, when either holds at any element.
     """
     rec = evaluate(chain, pump)
     det_s, det_i = chain.detector_signal, chain.detector_idler
@@ -635,6 +652,6 @@ def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
     p_acc = (eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate) * (
         eta_i_total * rec.mu_idler + det_i.dark_prob_per_gate
     )
-    if p_acc == 0.0:
+    if not holds(p_acc != 0.0):
         raise ValueError("CAR undefined: a channel never clicks")
     return 1.0 + eta_s_total * eta_i_total * rec.mu_pair / p_acc

@@ -27,6 +27,7 @@ from . import __version__
 from . import chainmodel as cm
 from . import config as cfg
 from . import fitting, montecarlo, presets
+from .elementwise import power
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,6 +166,8 @@ def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]
 
 
 def _trial_from_args(args, parser) -> montecarlo.TrialConfig:
+    if args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     for flag, value in (
         ("--pulses", args.pulses),
         ("--threads", args.threads),
@@ -206,13 +209,16 @@ def cmd_sweep(args, parser) -> int:
     trial = _trial_from_args(args, parser)  # checked even when nothing is simulated
     grid_user = _parse_grid(args.grid)
     grid_si = grid_user * _GRID_UNITS[args.var]
-    label = _GRID_LABELS[args.var]
-    points = []
-    for user, si in zip(grid_user, grid_si):
-        try:
-            points.append(montecarlo.apply_sweep_value(chain, pump, args.var, float(si)))
-        except ValueError as exc:
-            raise cfg.ConfigError(f"--var {args.var} at --grid value {user:g}: {exc}") from exc
+    try:
+        swept = montecarlo.apply_sweep_value(chain, pump, args.var, grid_si)
+    except ValueError:
+        # name the first grid value the chain cannot take
+        for user, si in zip(grid_user, grid_si):
+            try:
+                montecarlo.apply_sweep_value(chain, pump, args.var, float(si))
+            except ValueError as exc:
+                raise cfg.ConfigError(f"--var {args.var} at --grid value {user:g}: {exc}") from exc
+        raise
 
     pred_cols = [
         "mu_pair_generated",
@@ -225,7 +231,7 @@ def cmd_sweep(args, parser) -> int:
         "p_accidental",
         "car",
     ]
-    columns = [label] + pred_cols
+    columns = [_GRID_LABELS[args.var]] + pred_cols
     mc_results: list[montecarlo.CountSummary] | None = None
     if args.mc:
         mc_results = [
@@ -240,14 +246,10 @@ def cmd_sweep(args, parser) -> int:
             "mc_car_stderr",
         ]
 
-    rows = []
-    for index, point in enumerate(points):
-        pred = cm.predict(*point)
-        row: list = [float(grid_user[index])] + [
-            getattr(pred, name) for name in pred_cols
-        ]
-        if mc_results is not None:
-            s = mc_results[index]
+    pred = cm.predict(*swept)
+    rows = _stack_columns([grid_user] + [getattr(pred, name) for name in pred_cols])
+    if mc_results is not None:
+        for row, s in zip(rows, mc_results):
             row += [
                 s.singles_signal,
                 s.singles_idler,
@@ -256,7 +258,6 @@ def cmd_sweep(args, parser) -> int:
                 math.nan if s.car is None else s.car,
                 math.nan if s.car_stderr is None else s.car_stderr,
             ]
-        rows.append(row)
 
     meta = _base_metadata("sweep", document, seed=args.seed if args.mc else None)
     if args.mc:
@@ -369,21 +370,21 @@ def cmd_fit(args, parser) -> int:
 # built-in study curves
 
 
-def _pair_rate_past_passive(chain, pump) -> list[float]:
+def _pair_rate_past_passive(chain, pump) -> list:
     rec = cm.evaluate(chain, pump)
-    return [rec.mu_pair * rec.downstream_transmittance**2]
+    return [rec.mu_pair * power(rec.downstream_transmittance, 2)]
 
 
-def _pair_rate_past_demux(chain, pump) -> list[float]:
-    return [cm.evaluate(chain, pump).mu_pair * chain.demux.spec.peak_transmittance**2]
+def _pair_rate_past_demux(chain, pump) -> list:
+    return [cm.evaluate(chain, pump).mu_pair * power(chain.demux.spec.peak_transmittance, 2)]
 
 
-def _singles(chain, pump) -> list[float]:
+def _singles(chain, pump) -> list:
     rec = cm.evaluate(chain, pump)
     return [rec.mu_signal, rec.mu_idler]
 
 
-def _car(chain, pump) -> list[float]:
+def _car(chain, pump) -> list:
     return [cm.car_estimate(chain, pump)]
 
 
@@ -392,16 +393,17 @@ class _Figure:
     """A built-in curve: a grid over one sweep variable on one or more chains.
 
     Each chain is a preset, optionally with one sweep value applied.
-    ``values`` maps one operating point of one chain to its cells; the row is
-    the grid value (in the units of ``_GRID_UNITS``) and then the cells of
-    each chain in order.  The metadata names the first chain's preset.
+    ``values`` maps one chain, swept over the whole grid, to its columns
+    (arrays, or floats where the variable does not enter); the row is the
+    grid value (in the units of ``_GRID_UNITS``) and then the cells of each
+    chain in order.  The metadata names the first chain's preset.
     """
 
     chains: tuple[tuple[str, tuple[str, float] | None], ...]
     variable: str
     grid: np.ndarray
     columns: tuple[str, ...]
-    values: Callable[[cm.ExperimentChain, cm.PumpConfig], list[float]]
+    values: Callable[[cm.ExperimentChain, cm.PumpConfig], list]
 
 
 _FIGURES = {
@@ -451,25 +453,25 @@ _FIGURES = {
 FIGURES = tuple(_FIGURES)
 
 
+def _stack_columns(columns: list) -> list[list[float]]:
+    """Rows of float cells from columns that are grid arrays or single floats."""
+    return np.column_stack(np.broadcast_arrays(*columns)).tolist()
+
+
 def _figure_table(name: str) -> ResultTable:
     figure = _FIGURES[name]
-    built = []
+    documents = {preset: presets.get_preset(preset) for preset, _ in figure.chains}
+    built = {preset: cfg.build_experiment(document) for preset, document in documents.items()}
+    grid_si = figure.grid * _GRID_UNITS[figure.variable]
+    columns = [figure.grid]
     for preset, override in figure.chains:
-        chain, pump = cfg.build_experiment(presets.get_preset(preset))
+        chain, pump = built[preset]
         if override is not None:
             chain, pump = montecarlo.apply_sweep_value(chain, pump, *override)
-        built.append((chain, pump))
-    unit = _GRID_UNITS[figure.variable]
-    rows = []
-    for value in figure.grid:
-        row = [float(value)]
-        for chain, pump in built:
-            point = montecarlo.apply_sweep_value(chain, pump, figure.variable, value * unit)
-            row += figure.values(*point)
-        rows.append(row)
-    meta = _base_metadata("reproduce", presets.get_preset(figure.chains[0][0]))
+        columns += figure.values(*montecarlo.apply_sweep_value(chain, pump, figure.variable, grid_si))
+    meta = _base_metadata("reproduce", documents[figure.chains[0][0]])
     meta["figure"] = name
-    return ResultTable([_GRID_LABELS[figure.variable], *figure.columns], rows, meta)
+    return ResultTable([_GRID_LABELS[figure.variable], *figure.columns], _stack_columns(columns), meta)
 
 
 def cmd_reproduce(args, parser) -> int:

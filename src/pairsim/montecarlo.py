@@ -366,12 +366,16 @@ def simulate(
 
 
 def apply_sweep_value(
-    chain: ExperimentChain, pump: PumpConfig, variable: str, value: float
+    chain: ExperimentChain, pump: PumpConfig, variable: str, value: float | np.ndarray
 ) -> tuple[ExperimentChain, PumpConfig]:
     """Return (chain, pump) with one physical variable replaced.
 
     Values are SI: meters for lengths, watts for the peak power, dB for the
-    demux insertion loss, hertz for the dark rate.
+    demux insertion loss, hertz for the dark rate.  ``value`` may be a 1-D
+    float array: the replaced field then holds the whole grid, every element
+    is checked as a single value would be, and ``chainmodel.evaluate``,
+    ``predict`` and ``car_estimate`` return arrays over it, equal to the
+    single-value calls element by element.
     """
     if variable == "l_si":
         idx = chain.nonlinear_index

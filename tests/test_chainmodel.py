@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -595,3 +595,121 @@ class TestEvaluate:
         monkeypatch.setattr(awg, "effective_pair_bandwidth", counting)
         call(*awg_chain)
         assert len(calls) == 1
+
+
+GRID_CHAINS = {name: cfg.build_experiment(presets.get_preset(name)) for name in ("wg-i", "awg")}
+RATE = GRID_CHAINS["wg-i"][1].rep_rate_hz  # both presets pump at 100 MHz
+
+# SI values each sweep variable can take; the l_si values reach the series
+# branch of effective_length (a * L < 1e-6 below 2.2e-8 m at 2 dB/cm)
+GRID_VALUES = {
+    "l_si": st.one_of(st.floats(0.0, 3e-8), st.floats(0.0, 0.1)),
+    "l_siox": st.floats(0.0, 0.1),
+    "pp": st.floats(1e-6, 1e6),
+    "awg_loss": st.floats(0.0, 40.0),
+    "dark": st.floats(0.0, 0.999 * RATE),
+}
+# and values it cannot take
+BAD_GRID_VALUES = {
+    "l_si": st.floats(-1.0, -1e-300),
+    "l_siox": st.floats(-1.0, -1e-300),
+    "pp": st.floats(-1e3, 0.0),
+    "awg_loss": st.floats(-40.0, -1e-300),
+    "dark": st.one_of(st.floats(-1e3, -1e-300), st.floats(RATE, 10 * RATE)),
+}
+# dense random grids over the same ranges, from a drawn seed: a numpy square
+# in place of the scalar one differs on about 1 element in 1000
+DENSE_GRIDS = {
+    "l_si": lambda rng, n: np.concatenate([rng.uniform(0.0, 3e-8, n // 10), rng.uniform(0.0, 0.1, n)]),
+    "l_siox": lambda rng, n: rng.uniform(0.0, 0.1, n),
+    "pp": lambda rng, n: 10.0 ** rng.uniform(-4.0, 4.0, n),
+    "awg_loss": lambda rng, n: rng.uniform(0.0, 40.0, n),
+    "dark": lambda rng, n: rng.uniform(0.0, 0.999, n) * RATE,
+}
+GRID_CALLS = (cm.evaluate, cm.predict, cm.car_estimate)
+
+
+def with_detectors(chain, dark_prob, dead_gates):
+    detector = replace(chain.detector_signal, dark_prob_per_gate=dark_prob, dead_gates=dead_gates)
+    return replace(chain, detector_signal=detector, detector_idler=detector)
+
+
+def fields_of(result) -> dict:
+    """A call's result as field -> value; ``car_estimate`` returns a bare float."""
+    if isinstance(result, (cm.ChainEvaluation, cm.RatePrediction)):
+        return {f.name: getattr(result, f.name) for f in fields(result)}
+    return {"value": result}
+
+
+class TestGridCalls:
+    """One call over a grid equals the single-value calls bit for bit.
+
+    numpy's own ``**2`` differs from the scalar square on about 0.1% of
+    inputs, which a byte comparison of the six figures (1,300 rows) can
+    miss, so each example adds a dense random grid to the drawn values:
+    about 6,000 elements per variable over a run.  A numpy function that
+    changes the single-value path as well (``np.exp`` of a float runs the
+    same vectorised kernel) keeps the two equal; the frozen figures and
+    predictions catch that."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        preset=st.sampled_from(sorted(GRID_CHAINS)),
+        variable=st.sampled_from(mc.SWEEP_VARIABLES),
+        dark_prob=st.floats(1e-7, 1e-2),
+        dead_gates=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_call_equals_scalar_calls(self, data, preset, variable, dark_prob, dead_gates, seed):
+        chain, pump = GRID_CHAINS[preset]
+        chain = with_detectors(chain, dark_prob, dead_gates)
+        values = data.draw(st.lists(GRID_VALUES[variable], max_size=12))
+        values += DENSE_GRIDS[variable](np.random.default_rng(seed), 300).tolist()
+        grid = np.array(values)
+        try:
+            points = [mc.apply_sweep_value(chain, pump, variable, v) for v in values]
+        except ValueError:  # l_siox on awg, awg_loss on wg-i
+            with pytest.raises(ValueError):
+                mc.apply_sweep_value(chain, pump, variable, grid)
+            return
+        swept = mc.apply_sweep_value(chain, pump, variable, grid)
+        for call in GRID_CALLS:
+            try:
+                singles = [fields_of(call(*point)) for point in points]
+            except ValueError:  # car_estimate where a linearised click probability passes 1
+                with pytest.raises(ValueError):
+                    call(*swept)
+                continue
+            for name, column in fields_of(call(*swept)).items():
+                column = np.broadcast_to(column, grid.shape)
+                for k, single in enumerate(singles):
+                    expected = single[name]
+                    assert isinstance(expected, float)
+                    if math.isnan(expected):
+                        assert math.isnan(column[k]), (call.__name__, name, values[k])
+                    else:
+                        assert column[k] == expected, (call.__name__, name, values[k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        preset=st.sampled_from(sorted(GRID_CHAINS)),
+        variable=st.sampled_from(mc.SWEEP_VARIABLES),
+    )
+    def test_grid_with_a_value_the_chain_cannot_take_raises(self, data, preset, variable):
+        chain, pump = GRID_CHAINS[preset]
+        values = data.draw(st.lists(GRID_VALUES[variable], min_size=0, max_size=8))
+        bad = data.draw(BAD_GRID_VALUES[variable])
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+        with pytest.raises(ValueError):
+            mc.apply_sweep_value(chain, pump, variable, bad)
+        with pytest.raises(ValueError):
+            mc.apply_sweep_value(chain, pump, variable, np.array(values))
+
+    def test_both_branches_of_effective_length(self):
+        lengths = np.array([0.0, 1e-9, 2e-8, 3e-8, 1e-3, 0.0137, 10.0])
+        a_l = cm.db_to_neper(200.0) * lengths
+        assert (a_l < 1e-6).any() and (a_l >= 1e-6).any()
+        grid = cm.effective_length(200.0, lengths)
+        assert grid.tolist() == [cm.effective_length(200.0, float(v)) for v in lengths]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -37,6 +38,42 @@ class TestReproduceCsv:
             assert len(row) == len(header)
             for cell in row:
                 float(cell)  # raises on np.float64(...) text
+
+
+class TestFrozenFigures:
+    """sha256 of the CSV text of every figure and of one analytic sweep per
+    variable, frozen from the per-point loop that evaluated one grid value at
+    a time.  The grid-at-once path must keep every byte, so these digests are
+    not regenerated by a change that claims the same output."""
+
+    FIGURES = {
+        "3a": "6b428587804678cb4d3550bbe6a7bd4cd640c73d9ad3de6d8ae49a593289f36b",
+        "3b": "65be5d69c2d764707283b6431a300a89deebbb7956087f9d8a330409affe58a6",
+        "3c": "0d80c69bcb7472834e48d3115549e296a1ca1a1c0ed9336589224c8098104c94",
+        "3d": "b2b9a0d38cd5cb77e873f7038d672921f2dcafcee06c559aa26dbd99fbfa6768",
+        "5a": "ccc6f97524538533b0390008a1afc958ac86263ec38475bda2ce861e55be4e0a",
+        "5b": "7d8cdc7d51b3bf8697731c82b4b2c63fcc45634e865608e8922651a61de706cf",
+    }
+    # the l_si grid starts at 1e-8 cm, inside the series branch of effective_length
+    SWEEPS = {
+        ("wg-i", "pp", "log:0.01:1000000:17"): "f5a198a19842a0ec0c0f71b9f49ba6eff262a8cf61a562159dc13294ab30188e",
+        ("wg-i", "dark", "0:1000000:9"): "444cee88bc2136f2e18818eea49b8e794b91e9cce5938000f5f7e0798a89dd1e",
+        ("wg-i", "l_si", "log:1e-08:6:19"): "ad82521ea58b37ac68b4a99259920c5e414352bb5c17a9aafab5a4790c961fd0",
+        ("wg-i", "l_siox", "0:6:13"): "d79a709abc0c77aa622151788460bbcdca4308012ff396e0e815b0604a907633",
+        ("awg", "awg_loss", "0:10:11"): "7620006b69366d8b793a49f5fbd3e3190111dc3c95624565a8509ef5db62a2d4",
+    }
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_figure_csv_is_unchanged(self, tmp_path, figure):
+        digest = hashlib.sha256(_reproduce(tmp_path, figure).read_bytes()).hexdigest()
+        assert digest == self.FIGURES[figure]
+
+    @pytest.mark.parametrize("preset, var, grid", sorted(SWEEPS), ids=lambda v: str(v))
+    def test_sweep_csv_is_unchanged(self, tmp_path, preset, var, grid):
+        out = tmp_path / "sweep.csv"
+        command = ["sweep", "--preset", preset, "--var", var, "--grid", grid, "--out", str(out)]
+        assert cli.main(command) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEPS[preset, var, grid]
 
 
 class TestReproduceFitRoundTrip:
@@ -204,6 +241,9 @@ class TestCountingOptions:
                 ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--threads", "0", "--pulses", "0"],
                 "--pulses",
             ),
+            # a negative seed, which the random stream cannot take, with and without draws
+            ([*SIMULATE, "--seed", "-1"], "--seed"),
+            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--seed", "-1"], "--seed"),
         ],
     )
     def test_bad_counting_option_is_a_usage_error(self, capsys, flags, named):
