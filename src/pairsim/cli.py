@@ -96,6 +96,8 @@ def _write_output(args, table: ResultTable) -> None:
 
 
 def _load_document(args, parser: argparse.ArgumentParser) -> dict:
+    if getattr(args, "preset", None) and getattr(args, "config", None):
+        parser.error("give a configuration file or --preset, not both")
     if getattr(args, "preset", None):
         try:
             return presets.get_preset(args.preset)

@@ -1,4 +1,4 @@
-"""Experiment configuration files: strict JSON schema and domain-object builders.
+"""Experiment configuration files: the readers and builders of domain objects.
 
 Every numeric key carries its unit in the name (``length_cm``,
 ``rep_rate_mhz``, ...); unknown keys are rejected outright.  All values are
@@ -6,15 +6,21 @@ converted to SI on load, so the rest of the package never sees bench units.
 The pump is the only clock: each detector is read once per pulse, so its dark
 rate and dead time are converted to pump gates here, at the pump's
 repetition rate.
+
+Each check lives in one place.  The builders here check structure and type
+as they read: each object's keys (``_fields``) and each number (``_number``).
+The domain types of ``chainmodel`` and ``awg`` check every range; where a
+unit conversion would hide a value from them, the builder passes on one they
+reject.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
-
-import jsonschema
 
 from . import chainmodel as cm
 from .awg import AwgSpec
@@ -29,151 +35,17 @@ from .chainmodel import (
     WaveguideSegment,
 )
 
+_ARMS = ("signal", "idler")
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
 
 class ConfigError(ValueError):
     """The configuration document is structurally or physically invalid."""
 
 
-_FILTER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["bandwidth_ghz"],
-    "properties": {
-        "bandwidth_ghz": {"type": "number", "exclusiveMinimum": 0},
-        "insertion_loss_db": {"type": "number", "minimum": 0},
-        "shape": {"enum": ["rectangular", "gaussian"]},
-        "center_wavelength_nm": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_DETECTOR_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["qe"],
-    "properties": {
-        "qe": {"type": "number", "minimum": 0, "maximum": 1},
-        "dark_rate_khz": {"type": "number", "minimum": 0},
-        "dead_time_us": {"type": "number", "minimum": 0},
-    },
-}
-
-_NOISE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "n0": {"type": "number", "minimum": 0},
-        "n1_per_w": {"type": "number", "minimum": 0},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["pump", "coupling_loss_db", "segments", "demux", "detectors"],
-    "properties": {
-        "description": {"type": "string"},
-        "pump": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["wavelength_nm", "rep_rate_mhz", "fwhm_ps"],
-            "oneOf": [
-                {"required": ["average_power_mw"]},
-                {"required": ["peak_power_mw"]},
-            ],
-            "properties": {
-                "wavelength_nm": {"type": "number", "exclusiveMinimum": 0},
-                "rep_rate_mhz": {"type": "number", "exclusiveMinimum": 0},
-                "fwhm_ps": {"type": "number", "exclusiveMinimum": 0},
-                "average_power_mw": {"type": "number", "exclusiveMinimum": 0},
-                "peak_power_mw": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "coupling_loss_db": {"type": "number", "minimum": 0},
-        "segments": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["kind", "length_cm"],
-                "properties": {
-                    "kind": {"enum": ["nonlinear", "passive"]},
-                    "length_cm": {"type": "number", "minimum": 0},
-                    "loss_db_per_cm": {"type": "number", "minimum": 0},
-                    "gamma_per_w_m": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "demux": {
-            "type": "object",
-            "additionalProperties": False,
-            "oneOf": [{"required": ["filters"]}, {"required": ["awg"]}],
-            "properties": {
-                "filters": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["signal", "idler"],
-                    "properties": {"signal": _FILTER_SCHEMA, "idler": _FILTER_SCHEMA},
-                },
-                "awg": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": [
-                        "channels",
-                        "spacing_ghz",
-                        "passband_ghz",
-                        "insertion_loss_db",
-                        "signal_channel",
-                        "idler_channel",
-                    ],
-                    "properties": {
-                        "channels": {"type": "integer", "minimum": 2},
-                        "spacing_ghz": {"type": "number", "exclusiveMinimum": 0},
-                        "passband_ghz": {"type": "number", "exclusiveMinimum": 0},
-                        "insertion_loss_db": {"type": "number", "minimum": 0},
-                        "signal_channel": {"type": "integer"},
-                        "idler_channel": {"type": "integer"},
-                        "passband_shape": {"enum": ["rectangular", "gaussian"]},
-                        "generation_band_ghz": {"type": "number", "exclusiveMinimum": 0},
-                        "crosstalk_floor": {"type": "number", "minimum": 0},
-                    },
-                },
-            },
-        },
-        "post_filters": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "signal": {"type": "array", "items": _FILTER_SCHEMA},
-                "idler": {"type": "array", "items": _FILTER_SCHEMA},
-            },
-        },
-        "detectors": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["signal", "idler"],
-            "properties": {"signal": _DETECTOR_SCHEMA, "idler": _DETECTOR_SCHEMA},
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"signal": _NOISE_SCHEMA, "idler": _NOISE_SCHEMA},
-        },
-    },
-}
-
-
 def validate_config(document: dict) -> None:
-    """Schema-validate a configuration dict; raise ConfigError listing problems."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = []
-        for err in errors[:10]:
-            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            lines.append(f"{where}: {err.message}")
-        raise ConfigError("invalid configuration:\n" + "\n".join(lines))
+    """Raise ConfigError naming the first problem of a document: it is built, and the result discarded."""
+    build_experiment(document)
 
 
 def config_hash(document: dict) -> str:
@@ -196,117 +68,179 @@ def load_file(path: str | Path) -> dict:
 
 
 def _built(key: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a domain ValueError reported under the document key."""
+    """``build(*args, **kwargs)``, with a ValueError reported under the document key."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _build_pump(entry: dict) -> PumpConfig:
-    rep_rate = entry["rep_rate_mhz"] * 1e6
-    fwhm = entry["fwhm_ps"] * 1e-12
+def _typed(value, kind: type):
+    """``value``, checked to be of the JSON type ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _fields(entry, required=(), optional=(), one_of=()) -> dict:
+    """``entry``, checked to be an object with every required key, exactly one of
+    the ``one_of`` keys if any, and no other key.  An unknown key is named
+    before a missing one, so a key renamed without its unit is the one named."""
+    for key in _typed(entry, dict):
+        if key not in required and key not in optional and key not in one_of:
+            raise ValueError(f"unknown key {key!r}")
+    for key in required:
+        if key not in entry:
+            raise ValueError(f"missing key {key!r}")
+    if one_of and sum(key in entry for key in one_of) != 1:
+        raise ValueError(f"give exactly one of {' and '.join(map(repr, one_of))}")
+    return entry
+
+
+def _number(entry: dict, key: str, default=None, integral: bool = False):
+    """``entry[key]``, or ``default`` when the key is absent, checked to be a
+    finite int or float that is not a bool; with ``integral``, a whole number
+    (16 or 16.0)."""
+    value = entry.get(key, default)
+    # the comparison is false for NaN, for +-Infinity and for an int no float can hold
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    if integral and value != int(value):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _build_pump(entry) -> PumpConfig:
+    _fields(entry, ("wavelength_nm", "rep_rate_mhz", "fwhm_ps"), one_of=("average_power_mw", "peak_power_mw"))
+    rep_rate = _number(entry, "rep_rate_mhz") * 1e6
+    fwhm = _number(entry, "fwhm_ps") * 1e-12
     if "average_power_mw" in entry:
-        average_w = entry["average_power_mw"] * 1e-3
+        average_w = _number(entry, "average_power_mw") * 1e-3
     else:
-        average_w = entry["peak_power_mw"] * 1e-3 * rep_rate * fwhm
+        average_w = _number(entry, "peak_power_mw") * 1e-3 * rep_rate * fwhm
     return PumpConfig(
-        wavelength_m=entry["wavelength_nm"] * 1e-9,
+        wavelength_m=_number(entry, "wavelength_nm") * 1e-9,
         rep_rate_hz=rep_rate,
         pulse_fwhm_s=fwhm,
         average_power_w=average_w,
     )
 
 
-def _build_segment(entry: dict) -> WaveguideSegment:
+def _build_segment(entry) -> WaveguideSegment:
+    _fields(entry, ("kind", "length_cm"), ("loss_db_per_cm", "gamma_per_w_m"))
     return WaveguideSegment(
         kind=entry["kind"],
-        length_m=entry["length_cm"] * 1e-2,
-        loss_db_per_m=entry.get("loss_db_per_cm", 0.0) * 1e2,
-        gamma_per_w_m=entry.get("gamma_per_w_m", 0.0),
+        length_m=_number(entry, "length_cm") * 1e-2,
+        loss_db_per_m=_number(entry, "loss_db_per_cm", 0.0) * 1e2,
+        gamma_per_w_m=_number(entry, "gamma_per_w_m", 0.0),
     )
 
 
-def _build_filter(entry: dict) -> FilterSpec:
-    center = entry.get("center_wavelength_nm")
+def _build_filter(entry) -> FilterSpec:
+    _fields(entry, ("bandwidth_ghz",), ("insertion_loss_db", "shape", "center_wavelength_nm"))
+    center_hz = None
+    if "center_wavelength_nm" in entry:
+        center_m = _number(entry, "center_wavelength_nm") * 1e-9
+        # a zero wavelength has no frequency: 0 Hz is passed on for FilterSpec to reject
+        center_hz = cm.C_VACUUM / center_m if center_m else 0.0
     return FilterSpec(
-        bandwidth_3db_hz=entry["bandwidth_ghz"] * 1e9,
-        insertion_loss_db=entry.get("insertion_loss_db", 0.0),
+        bandwidth_3db_hz=_number(entry, "bandwidth_ghz") * 1e9,
+        insertion_loss_db=_number(entry, "insertion_loss_db", 0.0),
         shape=entry.get("shape", "rectangular"),
-        center_frequency_hz=cm.C_VACUUM / (center * 1e-9) if center else None,
+        center_frequency_hz=center_hz,
     )
 
 
-def _build_demux(entry: dict, pump_frequency_hz: float) -> FilterDemux | AwgDemux:
-    if "filters" in entry:
-        f = entry["filters"]
-        return FilterDemux(signal=_build_filter(f["signal"]), idler=_build_filter(f["idler"]))
-    a = entry["awg"]
+def _build_awg(entry, pump_frequency_hz: float) -> AwgDemux:
+    _fields(
+        entry,
+        ("channels", "spacing_ghz", "passband_ghz", "insertion_loss_db", "signal_channel", "idler_channel"),
+        ("passband_shape", "generation_band_ghz", "crosstalk_floor"),
+    )
     spec = AwgSpec(
-        channel_count=a["channels"],
-        channel_spacing_hz=a["spacing_ghz"] * 1e9,
-        passband_3db_hz=a["passband_ghz"] * 1e9,
-        insertion_loss_db=a["insertion_loss_db"],
+        channel_count=_number(entry, "channels", integral=True),
+        channel_spacing_hz=_number(entry, "spacing_ghz") * 1e9,
+        passband_3db_hz=_number(entry, "passband_ghz") * 1e9,
+        insertion_loss_db=_number(entry, "insertion_loss_db"),
         center_frequency_hz=pump_frequency_hz,
-        passband_shape=a.get("passband_shape", "gaussian"),
-        crosstalk_floor=a.get("crosstalk_floor", 0.0),
+        passband_shape=entry.get("passband_shape", "gaussian"),
+        crosstalk_floor=_number(entry, "crosstalk_floor", 0.0),
     )
-    band = a.get("generation_band_ghz")
+    band = _number(entry, "generation_band_ghz") * 1e9 if "generation_band_ghz" in entry else None
     return AwgDemux(
         spec=spec,
-        signal_channel=a["signal_channel"],
-        idler_channel=a["idler_channel"],
-        generation_band_hz=band * 1e9 if band else None,
+        signal_channel=_number(entry, "signal_channel", integral=True),
+        idler_channel=_number(entry, "idler_channel", integral=True),
+        generation_band_hz=band,
     )
 
 
-def _build_detector(entry: dict, rep_rate_hz: float) -> DetectorConfig:
+def _build_demux(entry, pump_frequency_hz: float) -> FilterDemux | AwgDemux:
+    _built("demux", _fields, entry, one_of=("filters", "awg"))
+    if "awg" in entry:
+        return _built("demux/awg", _build_awg, entry["awg"], pump_frequency_hz)
+    filters = _built("demux/filters", _fields, entry["filters"], _ARMS)
+    return FilterDemux(**{arm: _built(f"demux/filters/{arm}", _build_filter, filters[arm]) for arm in _ARMS})
+
+
+def _build_detector(entry, rep_rate_hz: float) -> DetectorConfig:
+    _fields(entry, ("qe",), ("dark_rate_khz", "dead_time_us"))
+    dead_gates = _number(entry, "dead_time_us", 0.0) * 1e-6 * rep_rate_hz
     return DetectorConfig(
-        quantum_efficiency=entry["qe"],
-        dark_prob_per_gate=entry.get("dark_rate_khz", 0.0) * 1e3 / rep_rate_hz,
-        dead_gates=round(entry.get("dead_time_us", 0.0) * 1e-6 * rep_rate_hz),
+        quantum_efficiency=_number(entry, "qe"),
+        dark_prob_per_gate=_number(entry, "dark_rate_khz", 0.0) * 1e3 / rep_rate_hz,
+        # a negative dead time stays negative, however short, for DetectorConfig to reject
+        dead_gates=round(dead_gates) if dead_gates >= 0 else math.floor(dead_gates),
     )
 
 
-def _build_noise(entry: dict | None) -> NoiseCoefficients:
-    if not entry:
-        return NoiseCoefficients()
+def _build_noise(entry) -> NoiseCoefficients:
+    _fields(entry, optional=("n0", "n1_per_w"))
     return NoiseCoefficients(
-        offset_photons=entry.get("n0", 0.0),
-        slope_per_watt=entry.get("n1_per_w", 0.0),
+        offset_photons=_number(entry, "n0", 0.0),
+        slope_per_watt=_number(entry, "n1_per_w", 0.0),
     )
 
 
 def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
-    """Validate a configuration document and build the domain objects.
+    """Check a configuration document and build the domain objects.
 
-    A physical check that fails names the document key being built, as
-    ``pump``, ``segments/<i>``, ``demux``, ``detectors/<arm>``,
-    ``post_filters/<arm>/<i>`` or ``noise/<arm>``, and ``<root>`` for the
-    checks across the whole chain.
+    The first problem found raises ConfigError, prefixed with the path of the
+    object being built: ``<root>``, ``pump``, ``segments/<i>``, ``demux``,
+    ``demux/filters/<arm>``, ``demux/awg``, ``post_filters/<arm>/<i>``,
+    ``detectors/<arm>`` or ``noise/<arm>``.  The checks across the whole
+    chain are reported under ``<root>``.
     """
-    validate_config(document)
+    _built(
+        "<root>",
+        _fields,
+        document,
+        ("pump", "coupling_loss_db", "segments", "demux", "detectors"),
+        ("description", "post_filters", "noise"),
+    )
+    _built("description", _typed, document.get("description", ""), str)
     pump = _built("pump", _build_pump, document["pump"])
-    post = document.get("post_filters", {})
-    noise = document.get("noise", {})
+    detectors = _built("detectors", _fields, document["detectors"], _ARMS)
+    post = _built("post_filters", _fields, document.get("post_filters", {}), optional=_ARMS)
+    noise = _built("noise", _fields, document.get("noise", {}), optional=_ARMS)
     arms = {}
-    for arm in ("signal", "idler"):
-        detector = document["detectors"][arm]
-        arms[f"detector_{arm}"] = _built(f"detectors/{arm}", _build_detector, detector, pump.rep_rate_hz)
+    for arm in _ARMS:
+        arms[f"detector_{arm}"] = _built(f"detectors/{arm}", _build_detector, detectors[arm], pump.rep_rate_hz)
         arms[f"post_filters_{arm}"] = tuple(
             _built(f"post_filters/{arm}/{i}", _build_filter, entry)
-            for i, entry in enumerate(post.get(arm, []))
+            for i, entry in enumerate(_built(f"post_filters/{arm}", _typed, post.get(arm, []), list))
         )
-        arms[f"noise_{arm}"] = _built(f"noise/{arm}", _build_noise, noise.get(arm))
+        arms[f"noise_{arm}"] = _built(f"noise/{arm}", _build_noise, noise.get(arm, {}))
     segments = tuple(
-        _built(f"segments/{i}", _build_segment, entry) for i, entry in enumerate(document["segments"])
+        _built(f"segments/{i}", _build_segment, entry)
+        for i, entry in enumerate(_built("segments", _typed, document["segments"], list))
     )
     chain = _built(
         "<root>",
         ExperimentChain,
-        coupling_loss_per_facet_db=document["coupling_loss_db"],
+        coupling_loss_per_facet_db=_built("<root>", _number, document, "coupling_loss_db"),
         segments=segments,
-        demux=_built("demux", _build_demux, document["demux"], pump.frequency_hz),
+        demux=_build_demux(document["demux"], pump.frequency_hz),
         **arms,
     )
     return chain, pump

@@ -226,6 +226,30 @@ class TestPredictOutput:
         assert printed == table["columns"]
 
 
+class TestConfigSource:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["predict"],
+            ["simulate", "--pulses", "1000"],
+            ["sweep", "--var", "pp", "--grid", "1:2:2"],
+            ["fit", "DATA", "--model", "poly", "--config"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_config_file_with_preset_is_a_usage_error(self, tmp_path, capsys, command):
+        # the file would otherwise be ignored without a word
+        config = tmp_path / "awg.json"
+        config.write_text(json.dumps(presets.get_preset("awg")))
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n2,3\n3,5\n")
+        argv = [str(data) if arg == "DATA" else arg for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, str(config), "--preset", "wg-i"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "not both" in capsys.readouterr().err
+
+
 SIMULATE = ["simulate", "--preset", "wg-i", "--pulses", "1000"]
 
 
@@ -267,8 +291,9 @@ class TestCountingOptions:
 
 class TestImport:
     def test_import_loads_no_scipy(self):
-        # scipy is imported only inside the fitter that uses it
-        code = "import sys, pairsim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        # scipy is imported only inside the fitter that uses it, and the
+        # configuration builders check each key without jsonschema
+        code = "import sys, pairsim; print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')])"
         src = Path(cli.__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,18 +23,6 @@ DOCUMENTS = {name: presets.get_preset(name) for name in ("wg-i", "awg")}
 _UNIT_TOKENS = {"db", "per", "cm", "m", "w", "mw", "mhz", "ghz", "khz", "nm", "ps", "us", "ns"}
 
 
-def _schema_property_names(schema) -> set[str]:
-    names = set()
-    if isinstance(schema, dict):
-        names |= set(schema.get("properties", {}))
-        for value in schema.values():
-            names |= _schema_property_names(value)
-    elif isinstance(schema, list):
-        for value in schema:
-            names |= _schema_property_names(value)
-    return names
-
-
 def _object_paths(node, path=()):
     """Paths of every JSON object in a document, the root included."""
     if isinstance(node, dict):
@@ -44,14 +34,26 @@ def _object_paths(node, path=()):
             yield from _object_paths(value, (*path, index))
 
 
+def _bare(key: str) -> str:
+    """The key without its unit tokens: ``rep_rate`` for ``rep_rate_mhz``."""
+    return "_".join(t for t in key.split("_") if t not in _UNIT_TOKENS)
+
+
 def _unit_keys(node):
     """(object path, key, key without its unit tokens) for every unit-bearing key."""
     for object_path in _object_paths(node):
         target = _at(node, object_path)
         for key, value in target.items():
-            bare = "_".join(t for t in key.split("_") if t not in _UNIT_TOKENS)
-            if isinstance(value, (int, float)) and bare != key:
-                yield object_path, key, bare
+            if isinstance(value, (int, float)) and _bare(key) != key:
+                yield object_path, key, _bare(key)
+
+
+def _leaves(node):
+    """(object path, key, value) for every value that is neither an object nor a list."""
+    for object_path in _object_paths(node):
+        for key, value in _at(node, object_path).items():
+            if not isinstance(value, (dict, list)):
+                yield object_path, key, value
 
 
 def _at(document, path):
@@ -70,9 +72,48 @@ def _cli_predict(tmp_dir, document) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-KNOWN_KEYS = _schema_property_names(cfg.CONFIG_SCHEMA)
+# every key a configuration document may hold, at any depth
+KNOWN_KEYS = {
+    "description", "pump", "coupling_loss_db", "segments", "demux", "post_filters", "detectors", "noise",
+    "wavelength_nm", "rep_rate_mhz", "fwhm_ps", "average_power_mw", "peak_power_mw",
+    "kind", "length_cm", "loss_db_per_cm", "gamma_per_w_m",
+    "filters", "awg", "signal", "idler",
+    "bandwidth_ghz", "insertion_loss_db", "shape", "center_wavelength_nm",
+    "channels", "spacing_ghz", "passband_ghz", "signal_channel", "idler_channel",
+    "passband_shape", "generation_band_ghz", "crosstalk_floor",
+    "qe", "dark_rate_khz", "dead_time_us", "n0", "n1_per_w",
+}
 OBJECT_PATHS = [(name, path) for name, doc in DOCUMENTS.items() for path in _object_paths(doc)]
 UNIT_KEYS = [(name, *entry) for name, doc in DOCUMENTS.items() for entry in _unit_keys(doc)]
+# every leaf of the presets, and the optional keys they leave out at a value a document may hold
+LEAVES = [(name, *entry) for name, doc in DOCUMENTS.items() for entry in _leaves(doc)] + [
+    ("wg-i", ("demux", "filters", "signal"), "center_wavelength_nm", 1546.4),
+    ("awg", ("demux", "awg"), "generation_band_ghz", 1600.0),
+    ("awg", ("demux", "awg"), "crosstalk_floor", 1e-3),
+]
+# the channel keys are signed offsets from the centre port; every other number is bounded at 0 or above
+SIGNED_KEYS = {"signal_channel", "idler_channel"}
+
+
+def _bad_leaf_cases():
+    """(preset, object path, key, bad value, text the error must hold) for every leaf.
+
+    A value of the wrong type, or a non-finite number, names its key.  A value
+    below the key's bound names the object holding it, ``segments/0`` or
+    ``detectors/idler``; a key of the root object by its name without units.
+    """
+    for name, path, key, good in LEAVES:
+        where = "/".join(map(str, path))
+        bad = {"true": True, "null": None, "list": [good]}
+        if key != "description":
+            bad["string"] = "x"  # the other string keys take one of a few names
+        if not isinstance(good, str):
+            bad |= {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+        cases = [(label, value, key) for label, value in bad.items()]
+        if not isinstance(good, str) and key not in SIGNED_KEYS:
+            cases += [("negative", -1.0, where or _bare(key)), ("-1e-12", -1e-12, where or _bare(key))]
+        for label, value, named in cases:
+            yield pytest.param(name, path, key, value, named, id=f"{name}:{where}/{key}={label}")
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +201,9 @@ class TestSchema:
         ids=["dark-rate-at-the-pump-rate", "duty-cycle-above-one"],
     )
     def test_out_of_range_value_exits_2_naming_its_key(self, tmp_dir, path, key, value, named):
-        # the schema passes these values; the physical check of the domain
-        # object built from them fails, and names the key being built
+        # each value is a number within its key's own bound; the physical
+        # check of the domain object built from it fails, and names the key
+        # being built
         document = copy.deepcopy(DOCUMENTS["wg-i"])
         _at(document, path)[key] = value
         with pytest.raises(cfg.ConfigError, match=named):
@@ -169,3 +211,56 @@ class TestSchema:
         code, err = _cli_predict(tmp_dir, document)
         assert code == cli.EXIT_CONFIG
         assert named in err
+
+    @pytest.mark.parametrize("name, path, key, value, named", list(_bad_leaf_cases()))
+    def test_bad_leaf_exits_2_naming_it(self, tmp_dir, name, path, key, value, named):
+        document = copy.deepcopy(DOCUMENTS[name])
+        _at(document, path)[key] = value
+        with pytest.raises(cfg.ConfigError, match=re.escape(named)):
+            cfg.validate_config(document)
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "name, path, key, value, named",
+        [
+            ("wg-i", (), "pump", [], "pump"),
+            ("wg-i", (), "segments", {}, "segments"),
+            ("wg-i", (), "segments", [], "segment"),
+            ("wg-i", (), "detectors", None, "detectors"),
+            ("wg-i", ("detectors",), "signal", "x", "detectors/signal"),
+            ("wg-i", ("noise",), "idler", None, "noise/idler"),
+            ("awg", ("post_filters",), "signal", None, "post_filters/signal"),
+            ("awg", ("post_filters",), "idler", [3.0], "post_filters/idler/0"),
+            ("wg-i", ("demux",), "filters", [], "demux/filters"),
+            ("wg-i", ("demux",), "awg", DOCUMENTS["awg"]["demux"]["awg"], "demux"),
+            ("wg-i", ("pump",), "average_power_mw", 10.0, "pump"),
+            ("awg", ("demux", "awg"), "channels", 16.5, "channels"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_bad_structure_exits_2_naming_it(self, tmp_dir, name, path, key, value, named):
+        # an object, a list or an integer of the wrong kind, and two keys of
+        # which exactly one must be given
+        document = copy.deepcopy(DOCUMENTS[name])
+        _at(document, path)[key] = value
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert named in err
+
+    @pytest.mark.parametrize("path, key", [(("pump",), "peak_power_mw"), (("demux",), "filters")])
+    def test_neither_of_two_keys_exits_2(self, tmp_dir, path, key):
+        document = copy.deepcopy(DOCUMENTS["wg-i"])
+        del _at(document, path)[key]
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert "/".join(path) in err
+
+    def test_whole_float_channels_build_the_same_chain(self):
+        # a JSON integer may be written 16.0; the channel offsets are signed
+        document = copy.deepcopy(DOCUMENTS["awg"])
+        document["demux"]["awg"] |= {"channels": 16.0, "signal_channel": 3.0, "idler_channel": -3.0}
+        built = cfg.build_experiment(document)
+        assert built == cfg.build_experiment(DOCUMENTS["awg"])
+        assert cm.predict(*built) == cm.predict(*cfg.build_experiment(DOCUMENTS["awg"]))
