@@ -9,9 +9,11 @@ repetition rate.
 
 Each check lives in one place.  The builders here check structure and type
 as they read: each object's keys (``_fields``) and each number (``_number``).
-The domain types of ``chainmodel`` and ``awg`` check every range; where a
-unit conversion would hide a value from them, the builder passes on one they
-reject.
+The domain types of ``chainmodel`` and ``awg`` check every range.  The
+builders pass on finite SI values only (``_si``): a number that overflows in
+SI units is named by its key, and where a unit conversion would hide a value
+from the range checks, a negative one that underflows to zero, the builder
+passes on one they reject.
 """
 
 from __future__ import annotations
@@ -110,16 +112,28 @@ def _number(entry: dict, key: str, default=None, integral: bool = False):
     return value
 
 
+def _si(entry: dict, key: str, to_si, default=None) -> float:
+    """``to_si`` of the number ``entry[key]`` (see ``_number``), checked to be a
+    finite SI value.  A negative number that the conversion takes to zero
+    stays negative, as the negative float nearest zero, for a range check to
+    reject."""
+    value = _number(entry, key, default)
+    si = to_si(value)
+    if not math.isfinite(si):
+        raise ValueError(f"{key!r} = {value!r} overflows in SI units")
+    return si if si or value >= 0 else -math.ulp(0.0)
+
+
 def _build_pump(entry) -> PumpConfig:
     _fields(entry, ("wavelength_nm", "rep_rate_mhz", "fwhm_ps"), one_of=("average_power_mw", "peak_power_mw"))
-    rep_rate = _number(entry, "rep_rate_mhz") * 1e6
-    fwhm = _number(entry, "fwhm_ps") * 1e-12
+    rep_rate = _si(entry, "rep_rate_mhz", lambda mhz: mhz * 1e6)
+    fwhm = _si(entry, "fwhm_ps", lambda ps: ps * 1e-12)
     if "average_power_mw" in entry:
-        average_w = _number(entry, "average_power_mw") * 1e-3
+        average_w = _si(entry, "average_power_mw", lambda mw: mw * 1e-3)
     else:
-        average_w = _number(entry, "peak_power_mw") * 1e-3 * rep_rate * fwhm
+        average_w = _si(entry, "peak_power_mw", lambda mw: mw * 1e-3 * rep_rate * fwhm)
     return PumpConfig(
-        wavelength_m=_number(entry, "wavelength_nm") * 1e-9,
+        wavelength_m=_si(entry, "wavelength_nm", lambda nm: nm * 1e-9),
         rep_rate_hz=rep_rate,
         pulse_fwhm_s=fwhm,
         average_power_w=average_w,
@@ -130,8 +144,8 @@ def _build_segment(entry) -> WaveguideSegment:
     _fields(entry, ("kind", "length_cm"), ("loss_db_per_cm", "gamma_per_w_m"))
     return WaveguideSegment(
         kind=entry["kind"],
-        length_m=_number(entry, "length_cm") * 1e-2,
-        loss_db_per_m=_number(entry, "loss_db_per_cm", 0.0) * 1e2,
+        length_m=_si(entry, "length_cm", lambda length: length * 1e-2),
+        loss_db_per_m=_si(entry, "loss_db_per_cm", lambda db_per_cm: db_per_cm * 1e2, 0.0),
         gamma_per_w_m=_number(entry, "gamma_per_w_m", 0.0),
     )
 
@@ -140,11 +154,12 @@ def _build_filter(entry) -> FilterSpec:
     _fields(entry, ("bandwidth_ghz",), ("insertion_loss_db", "shape", "center_wavelength_nm"))
     center_hz = None
     if "center_wavelength_nm" in entry:
-        center_m = _number(entry, "center_wavelength_nm") * 1e-9
         # a zero wavelength has no frequency: 0 Hz is passed on for FilterSpec to reject
-        center_hz = cm.C_VACUUM / center_m if center_m else 0.0
+        center_hz = _si(
+            entry, "center_wavelength_nm", lambda nm: cm.C_VACUUM / (nm * 1e-9) if nm * 1e-9 else 0.0
+        )
     return FilterSpec(
-        bandwidth_3db_hz=_number(entry, "bandwidth_ghz") * 1e9,
+        bandwidth_3db_hz=_si(entry, "bandwidth_ghz", lambda ghz: ghz * 1e9),
         insertion_loss_db=_number(entry, "insertion_loss_db", 0.0),
         shape=entry.get("shape", "rectangular"),
         center_frequency_hz=center_hz,
@@ -159,14 +174,14 @@ def _build_awg(entry, pump_frequency_hz: float) -> AwgDemux:
     )
     spec = AwgSpec(
         channel_count=_number(entry, "channels", integral=True),
-        channel_spacing_hz=_number(entry, "spacing_ghz") * 1e9,
-        passband_3db_hz=_number(entry, "passband_ghz") * 1e9,
+        channel_spacing_hz=_si(entry, "spacing_ghz", lambda ghz: ghz * 1e9),
+        passband_3db_hz=_si(entry, "passband_ghz", lambda ghz: ghz * 1e9),
         insertion_loss_db=_number(entry, "insertion_loss_db"),
         center_frequency_hz=pump_frequency_hz,
         passband_shape=entry.get("passband_shape", "gaussian"),
         crosstalk_floor=_number(entry, "crosstalk_floor", 0.0),
     )
-    band = _number(entry, "generation_band_ghz") * 1e9 if "generation_band_ghz" in entry else None
+    band = _si(entry, "generation_band_ghz", lambda ghz: ghz * 1e9) if "generation_band_ghz" in entry else None
     return AwgDemux(
         spec=spec,
         signal_channel=_number(entry, "signal_channel", integral=True),
@@ -185,10 +200,10 @@ def _build_demux(entry, pump_frequency_hz: float) -> FilterDemux | AwgDemux:
 
 def _build_detector(entry, rep_rate_hz: float) -> DetectorConfig:
     _fields(entry, ("qe",), ("dark_rate_khz", "dead_time_us"))
-    dead_gates = _number(entry, "dead_time_us", 0.0) * 1e-6 * rep_rate_hz
+    dead_gates = _si(entry, "dead_time_us", lambda us: us * 1e-6 * rep_rate_hz, 0.0)
     return DetectorConfig(
         quantum_efficiency=_number(entry, "qe"),
-        dark_prob_per_gate=_number(entry, "dark_rate_khz", 0.0) * 1e3 / rep_rate_hz,
+        dark_prob_per_gate=_si(entry, "dark_rate_khz", lambda khz: khz * 1e3 / rep_rate_hz, 0.0),
         # a negative dead time stays negative, however short, for DetectorConfig to reject
         dead_gates=round(dead_gates) if dead_gates >= 0 else math.floor(dead_gates),
     )

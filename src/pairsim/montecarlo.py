@@ -8,20 +8,21 @@ time-interval analyzer would, independently of the closed-form rate model.
 
 Every chain, filter or AWG, is sampled by one thinned sampler that reads
 the chain record of ``chainmodel.evaluate`` and the detectors alone.  A
-pair reaches the signal detector, the idler detector, both or neither
-independently of the other pairs, so the pairs of a pulse that reach at
-least one detector keep the pair law at a thinned mean x: Poisson stays
-Poisson, and a negative binomial stays negative binomial with the same
-number of modes.  Threshold detectors see only whether a pair arrived, so
-the sampler needs only the law's probability of no pair, P0(x) = exp(-x) or
-(1 + x/m)**-m for m thermal modes; pair numbers are never drawn.  The pulses
-where some pair reaches a detector are a Bernoulli stream of probability
-1 - P0(seen), drawn as geometric gaps between them, and one uniform per such
-pulse decides from P0 at the per-arm means whether it fires the signal
-detector alone, the idler alone or both.  Noise photons and dark counts are
-further Bernoulli streams per arm, merged with the pair-photon fires into
-one sorted list of fire indices.  The work per block therefore scales with
-the number of events, not with the number of pulses.
+threshold detector cannot tell a pair photon from a noise photon or a dark
+count, so the sampler draws only whether each gate fires it.  A pair
+reaches the signal detector, the idler detector, both or neither
+independently of the other pairs, so the pairs that reach a detector keep
+the pair law at a thinned mean x: Poisson stays Poisson, and a negative
+binomial stays one with the same number of modes; its probability of no
+pair is P0(x) = exp(-x) or (1 + x/m)**-m for m thermal modes.  Noise
+photons and dark counts are independent of the pairs, so a gate fires
+neither detector, or not a given one, with probability P0 times each arm's
+chance of no noise photon and no dark count.  The gates where some
+detector fires are one Bernoulli stream per block, drawn as geometric gaps
+between them, and one uniform per such gate picks the signal detector
+alone, the idler alone or both, so each arm's fires come out sorted and
+unique.  The work per block therefore scales with the number of fires, not
+with the number of pulses.
 
 Pulses are processed in fixed-size blocks, each with its own counter-based
 random stream derived from (seed, block index).  The block decomposition
@@ -50,7 +51,7 @@ from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
 
 _BLOCK_SIZE = 1_000_000
 
-RNG_STREAM = "philox-sparse-v3"
+RNG_STREAM = "philox-sparse-v4"
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -215,71 +216,30 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     return accepted, n - int(np.minimum(dead_gates, n - 1 - accepted).sum())
 
 
-def _count_block(
-    rng: np.random.Generator,
-    n: int,
-    pair_fires: tuple[np.ndarray, np.ndarray],
-    p_noise: tuple[float, float],
-    chain: ExperimentChain,
-    trial: TrialConfig,
-) -> np.ndarray:
-    """Add noise and dark fires, apply dead time and count the block.
-
-    ``pair_fires`` are the sorted gates where a pair photon reaches each
-    arm's detector (repeats allowed); ``p_noise`` is each arm's per-gate
-    probability that another photon fires it.
-    """
-    arms = []
-    detectors = (chain.detector_signal, chain.detector_idler)
-    for fires, p, detector in zip(pair_fires, p_noise, detectors):
-        dead_gates = detector.dead_gates if trial.dead_time_enabled else 0
-        noise = _bernoulli_positions(rng, p, n)
-        dark = _bernoulli_positions(rng, detector.dark_prob_per_gate, n)
-        fires = np.concatenate((fires, noise, dark))
-        # each stream is sorted, so the stable sort (a run-merging timsort) is a merge
-        fires.sort(kind="stable")
-        first = np.ones(fires.size, dtype=bool)
-        first[1:] = fires[1:] != fires[:-1]
-        arms.append(_apply_dead_time(fires[first], n, dead_gates))
-    (clicks_s, active_s), (clicks_i, active_i) = arms
-    off = trial.accidental_offset
-    n_acc = max(n - off, 0)
-    # a signal click at gate g and an idler click at g + off, for g < n - off
-    early_s = clicks_s[: np.searchsorted(clicks_s, n_acc)]
-    late_i = clicks_i[np.searchsorted(clicks_i, off) :] - off
-    coincidences = np.intersect1d(clicks_s, clicks_i, assume_unique=True).size
-    accidentals = np.intersect1d(early_s, late_i, assume_unique=True).size
-    counts = (clicks_s.size, clicks_i.size, coincidences, accidentals, active_s, active_i, n_acc)
-    return np.array(counts, dtype=np.int64)
-
-
-def _pair_fires(
-    rng: np.random.Generator, rates: tuple[float, float, float], size: int, trial: TrialConfig
+def _gate_fires(
+    rng: np.random.Generator, quiet: tuple[float, float, float], size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted gates of a block where a pair photon reaches the signal and the idler detector.
+    """Sorted, unique gates of a block where the signal and the idler detector fire.
 
-    ``rates`` are the mean numbers per pulse of pairs reaching any detector
-    (seen), the signal detector and both.  A pulse is occupied, some pair
-    reaching a detector, with probability p = 1 - P0(seen).  It fires the
-    signal alone when no pair reaches the idler but one is seen, with
-    probability (P0(idler) - P0(seen)) / p, the idler alone likewise and both
-    otherwise; one uniform per occupied pulse picks which.
+    ``quiet`` holds the exponents -log P that a gate fires neither detector,
+    not the signal and not the idler.  A gate fires some detector with
+    probability p = 1 - exp(-quiet[0]).  Given that, it fires the signal
+    alone with probability (P(idler quiet) - P(neither fires)) / p, the idler
+    alone likewise and both otherwise; one uniform per firing gate picks
+    which.
     """
-    seen, signal, both = rates
-    l_seen = _no_pair_exponent(seen, trial)
-    p = -math.expm1(-l_seen)
-    occupied = _bernoulli_positions(rng, p, size)
-    if not occupied.size:
-        return occupied, occupied
-    l_signal = _no_pair_exponent(signal, trial)
-    l_idler = _no_pair_exponent(seen - signal + both, trial)
-    # P0(x) - P0(seen) as -exp(-L(x)) * expm1(L(x) - L(seen)): the exponent is
-    # never positive, so no term overflows however many pairs are seen
-    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_seen) / p
-    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_seen) / p
-    u = rng.random(occupied.size)
-    fires_signal = occupied[(u < signal_alone) | (u >= signal_alone + idler_alone)]
-    return fires_signal, occupied[u >= signal_alone]
+    l_none, l_signal, l_idler = quiet
+    p = -math.expm1(-l_none)
+    fired = _bernoulli_positions(rng, p, size)
+    if not fired.size:
+        return fired, fired
+    # P(x quiet) - P(neither) as -exp(-L(x)) * expm1(L(x) - L(none)): the
+    # exponent is never positive, so no term overflows however likely a fire
+    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none) / p
+    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none) / p
+    u = rng.random(fired.size)
+    fires_signal = fired[(u < signal_alone) | (u >= signal_alone + idler_alone)]
+    return fires_signal, fired[u >= signal_alone]
 
 
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
@@ -300,13 +260,20 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         bw_s, bw_i = rec.single_bandwidth_signal_hz, rec.single_bandwidth_idler_hz
     signal, idler = density * eta_s * bw_s, density * eta_i * bw_i
     both = density * eta_s * eta_i * pair_bw
-    rates = (signal + idler - both, signal, both)
     extra_s = density * max(rec.single_bandwidth_signal_hz - bw_s, 0.0)
     extra_i = density * max(rec.single_bandwidth_idler_hz - bw_i, 0.0)
-    p_noise = (
-        -math.expm1(-(rec.noise_signal + extra_s) * eta_s),
-        -math.expm1(-(rec.noise_idler + extra_i) * eta_i),
+    # each arm's no-fire exponent from its other causes: noise photons, the
+    # photons beyond the pair bandwidth and dark counts
+    other_s = (rec.noise_signal + extra_s) * eta_s - math.log1p(-chain.detector_signal.dark_prob_per_gate)
+    other_i = (rec.noise_idler + extra_i) * eta_i - math.log1p(-chain.detector_idler.dark_prob_per_gate)
+    quiet = (
+        _no_pair_exponent(signal + idler - both, trial) + other_s + other_i,
+        _no_pair_exponent(signal, trial) + other_s,
+        _no_pair_exponent(idler, trial) + other_i,
     )
+    detectors = (chain.detector_signal, chain.detector_idler)
+    dead_gates = [detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors]
+    off = trial.accidental_offset
     mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
     if mu_check > 1.0:
         warnings.warn(
@@ -318,8 +285,18 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
 
     def count(block: tuple[int, int]) -> np.ndarray:
         block_index, size = block
-        rng = _block_rng(trial.seed, block_index)
-        return _count_block(rng, size, _pair_fires(rng, rates, size, trial), p_noise, chain, trial)
+        fires = _gate_fires(_block_rng(trial.seed, block_index), quiet, size)
+        (clicks_s, active_s), (clicks_i, active_i) = (
+            _apply_dead_time(arm, size, dead) for arm, dead in zip(fires, dead_gates)
+        )
+        n_acc = max(size - off, 0)
+        # a signal click at gate g and an idler click at g + off, for g < size - off
+        early_s = clicks_s[: np.searchsorted(clicks_s, n_acc)]
+        late_i = clicks_i[np.searchsorted(clicks_i, off) :] - off
+        coincidences = np.intersect1d(clicks_s, clicks_i, assume_unique=True).size
+        accidentals = np.intersect1d(early_s, late_i, assume_unique=True).size
+        counts = (clicks_s.size, clicks_i.size, coincidences, accidentals, active_s, active_i, n_acc)
+        return np.array(counts, dtype=np.int64)
 
     return count
 

@@ -280,10 +280,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v3"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v4"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v3"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "philox-sparse-v4"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]

@@ -101,6 +101,8 @@ def _bad_leaf_cases():
     A value of the wrong type, or a non-finite number, names its key.  A value
     below the key's bound names the object holding it, ``segments/0`` or
     ``detectors/idler``; a key of the root object by its name without units.
+    That holds for -1e-320 too, which the conversions of a wavelength, a dark
+    rate and a dead time to SI units take to -0.0.
     """
     for name, path, key, good in LEAVES:
         where = "/".join(map(str, path))
@@ -111,7 +113,8 @@ def _bad_leaf_cases():
             bad |= {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
         cases = [(label, value, key) for label, value in bad.items()]
         if not isinstance(good, str) and key not in SIGNED_KEYS:
-            cases += [("negative", -1.0, where or _bare(key)), ("-1e-12", -1e-12, where or _bare(key))]
+            below = {"negative": -1.0, "-1e-12": -1e-12, "-1e-320": -1e-320}
+            cases += [(label, value, where or _bare(key)) for label, value in below.items()]
         for label, value, named in cases:
             yield pytest.param(name, path, key, value, named, id=f"{name}:{where}/{key}={label}")
 
@@ -193,18 +196,33 @@ class TestSchema:
         assert repr(bare) in err
 
     @pytest.mark.parametrize(
-        "path, key, value, named",
+        "name, path, key, value, named",
         [
-            (("detectors", "idler"), "dark_rate_khz", 1e5, "detectors/idler: dark_prob_per_gate"),
-            (("pump",), "fwhm_ps", 20000.0, "pump: duty cycle"),
+            ("wg-i", ("detectors", "idler"), "dark_rate_khz", 1e5, "detectors/idler: dark_prob_per_gate"),
+            ("wg-i", ("pump",), "fwhm_ps", 20000.0, "pump: duty cycle"),
+            ("wg-i", ("pump",), "peak_power_mw", 1e308, "pump: 'peak_power_mw'"),
+            ("wg-i", ("demux", "filters", "signal"), "bandwidth_ghz", 1e300, "demux/filters/signal: 'bandwidth_ghz'"),
+            ("awg", ("demux", "awg"), "spacing_ghz", 1e308, "demux/awg: 'spacing_ghz'"),
+            ("wg-i", ("detectors", "idler"), "dead_time_us", 1e308, "detectors/idler: 'dead_time_us'"),
+            ("wg-i", ("demux", "filters", "idler"), "center_wavelength_nm", 1e-310, "center_wavelength_nm"),
         ],
-        ids=["dark-rate-at-the-pump-rate", "duty-cycle-above-one"],
+        ids=[
+            "dark-rate-at-the-pump-rate",
+            "duty-cycle-above-one",
+            "peak-power-overflows",
+            "filter-bandwidth-overflows",
+            "awg-spacing-overflows",
+            "dead-time-overflows",
+            "center-frequency-overflows",
+        ],
     )
-    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_dir, path, key, value, named):
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_dir, name, path, key, value, named):
         # each value is a number within its key's own bound; the physical
         # check of the domain object built from it fails, and names the key
-        # being built
-        document = copy.deepcopy(DOCUMENTS["wg-i"])
+        # being built.  The last five are finite numbers whose SI value is
+        # not: an infinite peak power, bandwidth, channel spacing, dead time
+        # in gates or center frequency; each is named by its key
+        document = copy.deepcopy(DOCUMENTS[name])
         _at(document, path)[key] = value
         with pytest.raises(cfg.ConfigError, match=named):
             cfg.build_experiment(document)

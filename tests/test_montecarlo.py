@@ -359,6 +359,17 @@ class TestSparseSampling:
         assert abs(z_score(first_half, count / 2, count / 4)) < 4.5
 
 
+def _pair_quiet(rates, trial, other=(0.0, 0.0)):
+    """The no-fire exponents of ``_gate_fires`` for pairs at ``rates`` (seen,
+    signal, both) and each arm's exponent of no other cause ``other``."""
+    seen, signal, both = rates
+    return (
+        mc._no_pair_exponent(seen, trial) + other[0] + other[1],
+        mc._no_pair_exponent(signal, trial) + other[0],
+        mc._no_pair_exponent(seen - signal + both, trial) + other[1],
+    )
+
+
 class TestJointDraw:
     @pytest.mark.parametrize("statistics, modes", [("poisson", 24), ("thermal", 1), ("thermal", 3)])
     def test_fires_follow_the_pair_law(self, statistics, modes):
@@ -373,7 +384,7 @@ class TestJointDraw:
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes)
         size = 2_000_000
         rng = np.random.default_rng(4)
-        fires_s, fires_i = mc._pair_fires(rng, (seen, signal, both), size, trial)
+        fires_s, fires_i = mc._gate_fires(rng, _pair_quiet((seen, signal, both), trial), size)
         assert np.all(np.diff(fires_s) > 0) and np.all(np.diff(fires_i) > 0)
 
         def g(z):
@@ -397,12 +408,15 @@ class TestJointDraw:
         # are drawn pulse by pulse, and each pair goes to the signal detector
         # alone, the idler alone, both or neither, so that 2.0 pairs per pulse
         # reach a detector, 1.2 the signal and 0.5 both, as in the test above.
-        # The sampler draws the thinned law directly.  Each no-fire frequency
-        # (0.13 to 0.46) is compared between the two 2M-pulse samples by a
-        # two-sample z-test, which catches a frequency 0.6% to 1.5% off with
-        # 90% power.
+        # Each pulse also holds Poisson noise photons at 0.2 (signal) and 0.1
+        # (idler) per pulse and a dark count with probability 0.1 and 0.05.
+        # The sampler draws the fires from one no-fire law.  Each no-fire
+        # frequency (0.086 to 0.37) is compared between the two 2M-pulse
+        # samples by a two-sample z-test, which catches a frequency 0.75% to
+        # 1.9% off with 90% power.
         generated, seen, signal, both = 2.5, 2.0, 1.2, 0.5
         idler = seen - signal + both
+        noise, dark = (0.2, 0.1), (0.1, 0.05)
         size = 2_000_000
         oracle = np.random.default_rng(8)
         if statistics == "poisson":
@@ -411,13 +425,18 @@ class TestJointDraw:
             pairs = oracle.negative_binomial(modes, modes / (modes + generated), size)
         fates = [signal - both, idler - both, both, generated - seen]
         signal_only, idler_only, both_arms, _ = oracle.multinomial(pairs, np.divide(fates, generated)).T
+        others = [(oracle.poisson(n, size) > 0) | (oracle.random(size) < d) for n, d in zip(noise, dark)]
+        fired_s = (signal_only + both_arms > 0) | others[0]
+        fired_i = (idler_only + both_arms > 0) | others[1]
         quiet_oracle = (
-            np.count_nonzero(signal_only + both_arms == 0),
-            np.count_nonzero(idler_only + both_arms == 0),
-            np.count_nonzero(signal_only + idler_only + both_arms == 0),
+            size - np.count_nonzero(fired_s),
+            size - np.count_nonzero(fired_i),
+            size - np.count_nonzero(fired_s | fired_i),
         )
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes)
-        fires_s, fires_i = mc._pair_fires(np.random.default_rng(4), (seen, signal, both), size, trial)
+        other = [n - math.log1p(-d) for n, d in zip(noise, dark)]
+        quiet = _pair_quiet((seen, signal, both), trial, other)
+        fires_s, fires_i = mc._gate_fires(np.random.default_rng(4), quiet, size)
         fired = np.zeros(size, dtype=bool)
         fired[fires_s] = fired[fires_i] = True
         quiet_sampler = (size - fires_s.size, size - fires_i.size, size - np.count_nonzero(fired))
@@ -428,15 +447,23 @@ class TestJointDraw:
 
     @pytest.mark.parametrize("statistics", ["poisson", "thermal"])
     @pytest.mark.parametrize(
-        "rates, size",
+        "rates, dark, size",
         # every pulse saturated, where exp(L(seen) - L(idler)) = exp(800)
-        # overflows, and about ten occupied pulses in 1e13
-        [((1000.0, 800.0, 0.0), 100_000), ((1e-12, 6e-13, 2e-13), 10**13)],
-        ids=["mean-1000", "mean-1e-12"],
+        # overflows; about ten firing pulses in 1e13; and a dark count in
+        # 99.9% of the gates of each arm, so that nearly every gate fires both
+        [
+            ((1000.0, 800.0, 0.0), 0.0, 100_000),
+            ((1e-12, 6e-13, 2e-13), 0.0, 10**13),
+            ((2.0, 1.2, 0.5), 0.999, 100_000),
+        ],
+        ids=["mean-1000", "mean-1e-12", "dark-0.999"],
     )
-    def test_extreme_means_give_sorted_unique_fires(self, statistics, rates, size):
+    def test_extreme_means_give_sorted_unique_fires(self, statistics, rates, dark, size):
+        # the fires of each arm strictly increase: no gate is counted twice
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=1)
-        for fires in mc._pair_fires(np.random.default_rng(6), rates, size, trial):
+        other = -math.log1p(-dark)
+        quiet = _pair_quiet(rates, trial, (other, other))
+        for fires in mc._gate_fires(np.random.default_rng(6), quiet, size):
             assert np.all(np.diff(fires) > 0)
             assert fires.size == 0 or (fires[0] >= 0 and fires[-1] < size)
 
@@ -749,13 +776,13 @@ class TestGoldenCounts:
     where about 3% of gates click and the dead-time filter does real work.
     """
 
-    RNG_STREAM = "philox-sparse-v3"
+    RNG_STREAM = "philox-sparse-v4"
     GOLDEN = {
         # (preset, pair statistics, seed, dead time us, peak power W) -> counts
-        ("wg-i", "poisson", 11, None, None): (188, 179, 0, 0, 112000, 121000, 299999),
-        ("wg-i", "thermal", 12, None, None): (170, 178, 4, 1, 130908, 122035, 299999),
-        ("awg", "poisson", 13, None, None): (80, 85, 0, 0, 220987, 215355, 299999),
-        ("wg-i", "poisson", 14, 0.01, 0.2): (10169, 10038, 763, 320, 289831, 289962, 299999),
+        ("wg-i", "poisson", 11, None, None): (183, 181, 3, 0, 117000, 119268, 299999),
+        ("wg-i", "thermal", 12, None, None): (185, 172, 3, 0, 115822, 128000, 299999),
+        ("awg", "poisson", 13, None, None): (93, 82, 0, 0, 207000, 218648, 299999),
+        ("wg-i", "poisson", 14, 0.01, 0.2): (10155, 10077, 780, 286, 289845, 289923, 299999),
     }
 
     @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
