@@ -8,12 +8,14 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 (a fit that does not converge, or a value the model cannot compute).
 Outputs are CSV with a '#'-prefixed metadata header, or JSON for single-shot
 results; both are bit-identical for identical (config, flags, seed, version).
+``main`` builds one parser per process and may be called repeatedly in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -62,10 +64,30 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json_text(self) -> str:
-        return json.dumps(
-            {"metadata": self.metadata, "columns": self.columns, "rows": self.rows},
-            indent=2,
+        """The text of ``json.dumps({"metadata", "columns", "rows"}, indent=2)``,
+        byte for byte, from json's C encoder, which json uses only without
+        ``indent``: each container is encoded with its line break and indent
+        as the item separator, and its brackets are laid out around it.
+        Metadata values and cells are scalars."""
+        rows = "[]"
+        if self.rows:
+            # a real line break never occurs inside an encoded string, so each
+            # "],<break>[" ends one row and starts the next; an empty row
+            # comes out as "[<break>]" and is written "[]"
+            text = json.dumps(self.rows, separators=(",\n      ", ": "))[2:-2]
+            text = text.replace("],\n      [", "\n    ],\n    [\n      ")
+            rows = f"[\n    [\n      {text}\n    ]\n  ]".replace("[\n      \n    ]", "[]")
+        return (
+            f'{{\n  "metadata": {_json_block(self.metadata)},'
+            f'\n  "columns": {_json_block(self.columns)},\n  "rows": {rows}\n}}'
         )
+
+
+def _json_block(value: dict | list) -> str:
+    """A container of scalars as ``json.dumps(..., indent=2)`` writes it one
+    level deep."""
+    text = json.dumps(value, separators=(",\n    ", ": "))
+    return text[0] + "\n    " + text[1:-1] + "\n  " + text[-1] if value else text
 
 
 def _format_cell(value) -> str:
@@ -74,12 +96,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _base_metadata(command: str, document: dict, seed: int | None = None) -> dict[str, str]:
+def _base_metadata(command: str, config_hash: str, seed: int | None = None) -> dict[str, str]:
     meta = {
         "tool": "pairsim",
         "version": __version__,
         "command": command,
-        "config_hash": cfg.config_hash(document),
+        "config_hash": config_hash,
     }
     if seed is not None:
         meta["seed"] = str(seed)
@@ -140,7 +162,7 @@ def cmd_predict(args, parser) -> int:
     table = ResultTable(
         columns=[k for k, _ in items],
         rows=[[v for _, v in items]],
-        metadata=_base_metadata("predict", document),
+        metadata=_base_metadata("predict", cfg.config_hash(document)),
     )
     if args.out:
         _write_output(args, table)
@@ -197,7 +219,7 @@ def cmd_simulate(args, parser) -> int:
     for key, value in items:
         shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
-    meta = _base_metadata("simulate", document, seed=trial.seed)
+    meta = _base_metadata("simulate", cfg.config_hash(document), seed=trial.seed)
     meta["rng_stream"] = montecarlo.RNG_STREAM
     table = ResultTable(columns=[k for k, _ in items], rows=[[v for _, v in items]], metadata=meta)
     if args.out:
@@ -261,7 +283,7 @@ def cmd_sweep(args, parser) -> int:
                 math.nan if s.car_stderr is None else s.car_stderr,
             ]
 
-    meta = _base_metadata("sweep", document, seed=args.seed if args.mc else None)
+    meta = _base_metadata("sweep", cfg.config_hash(document), seed=args.seed if args.mc else None)
     if args.mc:
         meta["rng_stream"] = montecarlo.RNG_STREAM
     meta["variable"] = args.var
@@ -460,18 +482,24 @@ def _stack_columns(columns: list) -> list[list[float]]:
     return np.column_stack(np.broadcast_arrays(*columns)).tolist()
 
 
+@functools.cache
+def _built_preset(name: str) -> tuple[str, cm.ExperimentChain, cm.PumpConfig]:
+    """A built-in preset's config hash, chain and pump, built once per process:
+    the presets are constants and the chain and pump records are frozen."""
+    document = presets.get_preset(name)
+    return (cfg.config_hash(document), *cfg.build_experiment(document))
+
+
 def _figure_table(name: str) -> ResultTable:
     figure = _FIGURES[name]
-    documents = {preset: presets.get_preset(preset) for preset, _ in figure.chains}
-    built = {preset: cfg.build_experiment(document) for preset, document in documents.items()}
     grid_si = figure.grid * _GRID_UNITS[figure.variable]
     columns = [figure.grid]
     for preset, override in figure.chains:
-        chain, pump = built[preset]
+        _, chain, pump = _built_preset(preset)
         if override is not None:
             chain, pump = montecarlo.apply_sweep_value(chain, pump, *override)
         columns += figure.values(*montecarlo.apply_sweep_value(chain, pump, figure.variable, grid_si))
-    meta = _base_metadata("reproduce", documents[figure.chains[0][0]])
+    meta = _base_metadata("reproduce", _built_preset(figure.chains[0][0])[0])
     meta["figure"] = name
     return ResultTable([_GRID_LABELS[figure.variable], *figure.columns], _stack_columns(columns), meta)
 
@@ -553,11 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, _parser)
     except (cfg.ConfigError, fitting.DegenerateDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -40,6 +40,7 @@ scheme; counts for a given seed change only with it.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -314,7 +315,8 @@ def simulate(
     """Run a full counting experiment pulse by pulse.
 
     Deterministic given (chain, pump, trial): the same inputs always produce
-    the same CountSummary, regardless of ``threads``.
+    the same CountSummary, regardless of ``threads``, which caps the worker
+    threads; no more start than there are blocks or cores.
     """
     count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
@@ -323,8 +325,12 @@ def simulate(
         for bi in range((n + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     ]
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Executor.map submits every block at once, and the pool starts a thread
+    # per submit while none is idle: more workers than blocks or cores only
+    # start idle threads, and the blocks never depend on the worker count
+    workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(count, blocks))
     else:
         parts = [count(b) for b in blocks]

@@ -2,12 +2,16 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairsim import chainmodel as cm
 from pairsim import cli
@@ -63,6 +67,32 @@ class TestFrozenFigures:
         ("awg", "awg_loss", "0:10:11"): "7620006b69366d8b793a49f5fbd3e3190111dc3c95624565a8509ef5db62a2d4",
     }
 
+    # sha256 of the ``--out x.json`` text, frozen from the writer that called
+    # ``json.dumps(..., indent=2)``; the simulate row has NaN for ``car`` and
+    # ``car_stderr`` (no accidental is counted), and so do some ``mc_car`` cells
+    JSON = {
+        **{
+            ("reproduce", "--figure", figure): digest
+            for figure, digest in {
+                "3a": "35f8ea75a012af377fb2171f2436a523c29a1830f6ec762c4c7db3305b3f0a4e",
+                "3b": "7c0797e093669c9168a46c8a8b48bb97e4a5f23945825ff417dbb37b0639c929",
+                "3c": "fd0fdeacb812b210cee8713a964d5e928143d65b15af355004fd171786197ab2",
+                "3d": "1569da916a90aff0a4a858c1a4774f46d5269532075e3edcbb90a5ad9f0a260b",
+                "5a": "57f3641fcea003b2f2d5104cce77d7f895085925ebaf93c5ef230bc1fcace7df",
+                "5b": "b25c7cc31b6177491499eab1925a2918c6ef0a5347fee5d26cb1b0f65f3617c3",
+            }.items()
+        },
+        ("predict", "--preset", "wg-i"): "4b831a8453653cb2d63d521261e5ca0f6bee61972a3eae4592b3ac70f5f71cb7",
+        ("predict", "--preset", "awg"): "f2b3c367a5c2cdc4cb301d6c2e00b3d839dbc06dd842157b22220beb67cf9e2d",
+        (
+            "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11",
+        ): "f6097cee689f2f738d0fdef3b956127cb5ea8387e0ae6290a70453d625f02c02",
+        (
+            "sweep", "--preset", "wg-i", "--var", "pp", "--grid", "log:1:60:4",
+            "--mc", "--pulses", "200000", "--seed", "5",
+        ): "2b0b13ca3f642bb00d983ad8341c191604e3918d3e17f0ff5dbfbae7d5c7b8af",
+    }
+
     @pytest.mark.parametrize("figure", sorted(FIGURES))
     def test_figure_csv_is_unchanged(self, tmp_path, figure):
         digest = hashlib.sha256(_reproduce(tmp_path, figure).read_bytes()).hexdigest()
@@ -74,6 +104,78 @@ class TestFrozenFigures:
         command = ["sweep", "--preset", preset, "--var", var, "--grid", grid, "--out", str(out)]
         assert cli.main(command) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEPS[preset, var, grid]
+
+    @pytest.mark.parametrize("command", sorted(JSON), ids=" ".join)
+    def test_json_is_unchanged(self, tmp_path, command):
+        out = tmp_path / "out.json"
+        assert cli.main([*command, "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.JSON[command]
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t/éµ光\u2028\x00'), st.characters()), max_size=8)
+_CELL = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(math.nan)]),
+    st.integers(),
+)
+
+
+class TestJsonWriter:
+    """The table's JSON text is what ``json.dumps(..., indent=2)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metadata=st.dictionaries(_TEXT, _TEXT, max_size=4),
+        columns=st.lists(_TEXT, max_size=4),
+        rows=st.lists(st.lists(_CELL, max_size=5), max_size=5),
+    )
+    @example(metadata={"a": 'q"\\\n'}, columns=["x"], rows=[[np.float64(-0.0)]])
+    @example(metadata={}, columns=[], rows=[])
+    @example(metadata={"k": "v"}, columns=["x", "y"], rows=[[], [1, math.nan], []])
+    def test_text_equals_indented_dumps(self, metadata, columns, rows):
+        table = cli.ResultTable(columns=columns, rows=rows, metadata=metadata)
+        expected = json.dumps({"metadata": metadata, "columns": columns, "rows": rows}, indent=2)
+        assert table.to_json_text() == expected
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and keeps no state between calls."""
+
+    def test_one_parser_for_many_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        out = tmp_path / "out.csv"
+        for figure in ("3a", "3c", "3a"):
+            assert cli.main(["reproduce", "--figure", figure, "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["predict", "--preset", "wg-i"]) == cli.EXIT_OK
+        assert len(built) == 1
+
+    def test_calls_leave_no_options_behind(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "wg-i", "--var", "nope", "--grid", "1:2:2"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        out = tmp_path / "sweep.json"
+        sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
+        assert cli.main([*sweep, "--mc", "--pulses", "1000", "--seed", "3"]) == cli.EXIT_OK
+        assert "mc_car" in json.loads(out.read_text())["columns"]
+        assert cli.main(sweep) == cli.EXIT_OK
+        table = json.loads(out.read_text())
+        assert [c for c in table["columns"] if c.startswith("mc_")] == []
+        assert "seed" not in table["metadata"]
+
+    def test_the_model_runs_on_every_call(self, tmp_path, monkeypatch):
+        out = tmp_path / "3a.csv"
+        command = ["reproduce", "--figure", "3a", "--out", str(out)]
+        assert cli.main(command) == cli.EXIT_OK  # builds the parser and the preset
+        calls = []
+        evaluate = cm.evaluate
+        monkeypatch.setattr(cm, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        assert cli.main(command) == cli.EXIT_OK
+        assert cli.main(command) == cli.EXIT_OK
+        assert len(calls) == 2
 
 
 class TestReproduceFitRoundTrip:
@@ -289,17 +391,24 @@ class TestCountingOptions:
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on these sources."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
 class TestImport:
+    def test_import_builds_no_parser(self):
+        assert _fresh_python("import pairsim.cli as cli; print(cli._parser)") == "None"
+
     def test_import_loads_no_scipy(self):
         # scipy is imported only inside the fitter that uses it, and the
         # configuration builders check each key without jsonschema
         code = "import sys, pairsim; print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')])"
-        src = Path(cli.__file__).resolve().parents[1]
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        assert _fresh_python(code) == "[]"

@@ -138,6 +138,37 @@ class TestTrivialAndDeterminism:
             chain, pump, trial, threads=4
         )
 
+    @pytest.mark.parametrize(
+        "cpus, threads, workers",
+        [(64, 100_000, 5), (2, 100_000, 2), (None, 100_000, 1), (64, 3, 3), (64, 1, 1)],
+    )
+    def test_pool_is_capped_at_blocks_and_cores(self, monkeypatch, cpus, threads, workers):
+        # a serial stand-in for the pool records the worker count; no thread starts
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(mc, "_BLOCK_SIZE", 1000)
+        chain, pump = make_rate_chain(5e-3, 0.3, 0.3, dark_rate_hz=2e3, dead_time_us=0.05)
+        trial = mc.TrialConfig(n_pulses=4_500, seed=7)  # five blocks, the last one short
+        serial = mc.simulate(chain, pump, trial)
+        assert pools == []
+        assert mc.simulate(chain, pump, trial, threads=threads) == serial
+        assert pools == ([workers] if workers > 1 else [])
+
     def test_spectral_path_deterministic(self, awg_chain):
         chain, pump = awg_chain
         trial = mc.TrialConfig(n_pulses=1_500_000, seed=11)
