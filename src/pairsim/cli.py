@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -59,8 +60,14 @@ class ResultTable:
             buf.write(f"# {key} = {value}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(v) for v in row])
+        if not _numeric_rows(self.rows):
+            writer.writerows([_format_cell(v) for v in row] for row in self.rows)
+        elif self.rows:
+            # json's C encoder writes every number as _format_cell does, by
+            # float.__repr__ or int's str, but NaN and +-inf by their JSON
+            # names; a number needs no quotes
+            text = json.dumps(self.rows, separators=(",", ":"))[2:-2].replace("],[", "\n")
+            buf.write(text.replace("NaN", "nan").replace("Infinity", "inf") + "\n")
         return buf.getvalue()
 
     def to_json_text(self) -> str:
@@ -88,6 +95,14 @@ def _json_block(value: dict | list) -> str:
     level deep."""
     text = json.dumps(value, separators=(",\n    ", ": "))
     return text[0] + "\n    " + text[1:-1] + "\n  " + text[-1] if value else text
+
+
+def _numeric_rows(rows: list) -> bool:
+    """Whether every row is a list or tuple of floats and ints alone (no bool)."""
+    if not {list, tuple}.issuperset(map(type, rows)):
+        return False
+    cell_types = set(map(type, itertools.chain.from_iterable(rows)))
+    return all(t is int or issubclass(t, float) for t in cell_types)
 
 
 def _format_cell(value) -> str:

@@ -24,17 +24,31 @@ alone, the idler alone or both, so each arm's fires come out sorted and
 unique.  The work per block therefore scales with the number of fires, not
 with the number of pulses.
 
-Pulses are processed in fixed-size blocks, each with its own counter-based
-random stream derived from (seed, block index).  The block decomposition
-never depends on the worker count, so results are bit-identical for any
-number of threads.  Dead time is applied to a block's fire indices at once,
-by pointer doubling over each fire's next allowed fire, and resets at block
-boundaries.  Each block therefore starts with both detectors active, which
-biases the clicks up: by renewal theory 0.42 clicks per block per arm at
-1 MHz dark counts with a 1000-gate dead time (seen at a mean z of +2.8 over
-three 400M-pulse runs), and 0.18 per block, 3e-4 relative, on the wg-i
-preset.  ROADMAP item 1 carries the fix.  ``RNG_STREAM`` names this sampling
-scheme; counts for a given seed change only with it.
+A run is cut into blocks, each with its own counter-based random stream
+derived from (seed, block index).  A gate fires some detector with
+probability p, one minus the chance above that it fires neither, and a
+block holds 2**16 / p gates, about 2**16 expected fires, clamped to
+2**20 .. 2**28 gates (``_MIN_BLOCK``, ``_BLOCK_SIZE``): a sparse run pays
+the fixed cost of a block rarely, and a dense one keeps its arrays small.
+The cut depends on the config and the number of pulses only, never on the
+worker count, so results are bit-identical for any number of threads.
+
+The blocks still count as one continuous stream.  Dead time is applied to a
+block's fires at once, by pointer doubling over each fire's next allowed
+fire, from the block's first fire.  Every pass accepts a fire that comes
+more than D gates after the fire before it, so from the later of the two
+arms' first such fires (the block's edge) the clicks are the block's own.
+The caller then takes the blocks in order, carries each arm's dead window
+across the block boundary and reruns the pass from the carry on the fires
+before the edge.  The signal clicks of the last ``accidental_offset``
+gates are carried too, so every gate but the last ``accidental_offset``
+opens one accidental window, and a run of n gates has
+n - D * clicks <= active gates <= n - D * clicks + D.
+
+``RNG_STREAM`` names this sampling scheme; counts for a given seed change
+only with it.  The v5 stream brought the block sizing and the carries, the
+geometric gaps drawn as 1 + floor(E * scale) from one standard exponential
+E each, and coincidences counted from one stable sort of two click arrays.
 """
 
 from __future__ import annotations
@@ -44,15 +58,20 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chainmodel as cm
 from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
 
-_BLOCK_SIZE = 1_000_000
+# a block holds about _FIRES_PER_BLOCK expected fires, and _MIN_BLOCK to
+# _BLOCK_SIZE gates
+_FIRES_PER_BLOCK = 2**16
+_MIN_BLOCK = 2**20
+_BLOCK_SIZE = 2**28
 
-RNG_STREAM = "philox-sparse-v4"
+RNG_STREAM = "philox-sparse-v5"
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -166,20 +185,28 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     """Sorted indices of the successes among n independent Bernoulli(p) trials.
 
     Drawn as geometric gaps between successes, so the work is proportional
-    to the number of successes, not to n.
+    to the number of successes, not to n.  A gap is 1 + floor(E * scale)
+    with E standard exponential and scale = -1 / log(1 - p): it exceeds k
+    with probability exp(-k / scale) = (1 - p)**k, the geometric law, for
+    one exponential draw and one product per gap at any p.
     """
-    if p <= 0.0 or n <= 0:
+    # at p up to 1e-300, where E * scale may overflow, none is drawn: 2**63
+    # trials would see a success with a chance under 1e-281
+    if p <= 1e-300 or n <= 0:
         return np.empty(0, dtype=np.int64)
+    scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
     mean = n * p
     chunk = int(mean + 6.0 * math.sqrt(mean) + 16.0)
     parts, last = [], -1
     while last < n:
         # a gap past n + 1 lands beyond the block from any start, so clipping
         # it changes nothing kept and keeps the cumulative sum from overflowing
-        positions = last + np.cumsum(np.minimum(rng.geometric(p, chunk), n + 1))
+        gaps = np.minimum(rng.standard_exponential(chunk) * scale, n).astype(np.int64)
+        gaps += 1
+        positions = last + np.cumsum(gaps)
         parts.append(positions)
         last = int(positions[-1])
-    positions = np.concatenate(parts)
+    positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return positions[: np.searchsorted(positions, n)]
 
 
@@ -208,13 +235,49 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
     # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
     # the next 2**L.
-    jump = np.append(np.searchsorted(fires, fires + (dead_gates + 1)), k)
+    jump = np.concatenate((np.searchsorted(fires, fires + (dead_gates + 1)), [k]))
     path = np.zeros(1, dtype=np.intp)
     while path[-1] < k:
         path = np.concatenate((path, jump[path]))
         jump = jump[jump]
     accepted = fires[path[path < k]]
-    return accepted, n - int(np.minimum(dead_gates, n - 1 - accepted).sum())
+    return accepted, n - _dead_gates(accepted, n, dead_gates)
+
+
+def _dead_gates(clicks: np.ndarray, n: int, dead_gates: int) -> int:
+    """Gates of [0, n) the clicks leave dead: each the next dead_gates, cut at n.
+
+    Accepted clicks lie more than dead_gates apart, so only the window of the
+    last one can reach past n.
+    """
+    if not clicks.size:
+        return 0
+    return dead_gates * clicks.size - max(int(clicks[-1]) + dead_gates + 1 - n, 0)
+
+
+def _first_free_fire(fires: np.ndarray, n: int, dead_gates: int) -> int:
+    """The gate of the first fire more than dead_gates gates after the fire before it, else n.
+
+    The first fire counts as one when it comes at gate dead_gates or later.
+    Any dead-time pass accepts such a fire, whatever it accepted before and
+    from any carry of at most dead_gates dead gates into the block.
+    """
+    free = np.diff(fires, prepend=-1) > dead_gates
+    first = int(free.argmax()) if free.size else 0
+    return int(fires[first]) if free.size and free[first] else n
+
+
+def _matches(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of values two sorted arrays of unique gates share.
+
+    One stable sort of the two runs merges them; every value held twice is
+    then a pair of equal neighbours.
+    """
+    if not (a.size and b.size):
+        return 0
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    return int(np.count_nonzero(merged[1:] == merged[:-1]))
 
 
 def _gate_fires(
@@ -243,9 +306,37 @@ def _gate_fires(
     return fires_signal, fired[u >= signal_alone]
 
 
+def _block_gates(p_fire: float) -> int:
+    """Gates per block: about ``_FIRES_PER_BLOCK`` fires expected, clamped to
+    ``_MIN_BLOCK`` .. ``_BLOCK_SIZE``."""
+    if p_fire <= 0.0:
+        return _BLOCK_SIZE
+    return int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE))
+
+
+class _Block(NamedTuple):
+    """What one block's worker hands the caller that joins the run.
+
+    The clicks from gate ``edge`` on are final whatever the blocks before
+    left: ``counts`` holds their singles, coincidences, accidentals and dead
+    gates.  The caller also gets each arm's fires before the edge (the head),
+    the idler clicks of [edge, edge + offset), the signal clicks of the last
+    ``offset`` gates from the edge on, and each arm's last click from the edge
+    on (-1 if none).
+    """
+
+    size: int
+    counts: np.ndarray
+    heads: tuple[np.ndarray, np.ndarray]
+    idler_window: np.ndarray
+    signal_end: np.ndarray
+    last: tuple[int, int]
+
+
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
     """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
 
+    Returns the gates per block, each arm's dead gates and the counter.
     Efficiencies are end to end (optical transmittance times quantum
     efficiency).  Every photon an AWG channel passes belongs to a pair spread
     over the generation band, so its arms collect pairs over their single
@@ -273,7 +364,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         _no_pair_exponent(idler, trial) + other_i,
     )
     detectors = (chain.detector_signal, chain.detector_idler)
-    dead_gates = [detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors]
+    dead_gates = tuple(detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors)
     off = trial.accidental_offset
     mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
     if mu_check > 1.0:
@@ -284,22 +375,77 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             stacklevel=3,
         )
 
-    def count(block: tuple[int, int]) -> np.ndarray:
+    def count(block: tuple[int, int]) -> _Block:
         block_index, size = block
         fires = _gate_fires(_block_rng(trial.seed, block_index), quiet, size)
-        (clicks_s, active_s), (clicks_i, active_i) = (
-            _apply_dead_time(arm, size, dead) for arm, dead in zip(fires, dead_gates)
+        clicks = tuple(_apply_dead_time(arm, size, dead)[0] for arm, dead in zip(fires, dead_gates))
+        # the run starts with both detectors active, so the first block has no head
+        edge = 0
+        if block_index:
+            edge = max(_first_free_fire(arm, size, dead) for arm, dead in zip(fires, dead_gates))
+        tail_s, tail_i = (arm[np.searchsorted(arm, edge) :] for arm in clicks)
+        counts = (
+            tail_s.size,
+            tail_i.size,
+            _matches(tail_s, tail_i),
+            # a signal click at g and an idler click at g + off, both from the edge on
+            _matches(tail_s + off, tail_i),
+            _dead_gates(tail_s, size, dead_gates[0]),
+            _dead_gates(tail_i, size, dead_gates[1]),
         )
-        n_acc = max(size - off, 0)
-        # a signal click at gate g and an idler click at g + off, for g < size - off
-        early_s = clicks_s[: np.searchsorted(clicks_s, n_acc)]
-        late_i = clicks_i[np.searchsorted(clicks_i, off) :] - off
-        coincidences = np.intersect1d(clicks_s, clicks_i, assume_unique=True).size
-        accidentals = np.intersect1d(early_s, late_i, assume_unique=True).size
-        counts = (clicks_s.size, clicks_i.size, coincidences, accidentals, active_s, active_i, n_acc)
-        return np.array(counts, dtype=np.int64)
+        return _Block(
+            size=size,
+            counts=np.array(counts, dtype=np.int64),
+            heads=tuple(arm[: np.searchsorted(arm, edge)] for arm in fires),
+            idler_window=tail_i[: np.searchsorted(tail_i, edge + off)],
+            signal_end=tail_s[np.searchsorted(tail_s, size - off) :],
+            last=(int(tail_s[-1]) if tail_s.size else -1, int(tail_i[-1]) if tail_i.size else -1),
+        )
 
-    return count
+    return _block_gates(-math.expm1(-quiet[0])), dead_gates, count
+
+
+def _join(blocks, dead_gates: tuple[int, int], off: int) -> np.ndarray:
+    """Totals of the blocks of one run, taken in order as one continuous stream.
+
+    Each arm carries its dead window and the signal clicks of the last
+    ``off`` gates carry their accidental windows into the blocks after.  The
+    carry changes only a block's head, the fires before its edge, so the
+    dead-time pass runs on the head from the carry.  Returns singles,
+    coincidences, accidentals and dead gates as ``_Block.counts`` orders them.
+    """
+    totals = np.zeros(6, dtype=np.int64)
+    dead_until = [-1, -1]  # the last dead gate of each arm, counted from the run start
+    pending = np.empty(0, dtype=np.int64)  # signal clicks whose window may open in a later block
+    start = 0
+    for block in blocks:
+        size = block.size
+        totals += block.counts
+        heads = []
+        for arm in (0, 1):
+            fires, dead = block.heads[arm], dead_gates[arm]
+            carry = dead_until[arm] - start + 1
+            if carry > 0:
+                totals[4 + arm] += min(carry, size)
+                fires = fires[np.searchsorted(fires, carry) :]
+            clicks = _apply_dead_time(fires, size, dead)[0] if fires.size else fires
+            totals[arm] += clicks.size
+            totals[4 + arm] += _dead_gates(clicks, size, dead)
+            last = block.last[arm] if block.last[arm] >= 0 else (int(clicks[-1]) if clicks.size else -1)
+            if last >= 0:
+                dead_until[arm] = start + last + dead
+            heads.append(clicks)
+        head_s, head_i = heads
+        totals[2] += _matches(head_s, head_i)
+        # most blocks of a sparse run have no head and nothing to carry
+        if head_s.size or pending.size:
+            signal = np.concatenate((pending - start, head_s))
+            totals[3] += _matches(signal + off, np.concatenate((head_i, block.idler_window)))
+        if head_s.size or pending.size or block.signal_end.size:
+            pending = np.concatenate((pending, head_s + start, block.signal_end + start))
+            pending = pending[np.searchsorted(pending, start + size - off) :]
+        start += size
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +464,9 @@ def simulate(
     the same CountSummary, regardless of ``threads``, which caps the worker
     threads; no more start than there are blocks or cores.
     """
-    count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
+    block_gates, dead_gates, count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
-    blocks = [
-        (bi, min(_BLOCK_SIZE, n - bi * _BLOCK_SIZE))
-        for bi in range((n + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
-    ]
+    blocks = [(bi, min(block_gates, n - bi * block_gates)) for bi in range(-(-n // block_gates))]
 
     # Executor.map submits every block at once, and the pool starts a thread
     # per submit while none is idle: more workers than blocks or cores only
@@ -331,10 +474,9 @@ def simulate(
     workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, blocks))
+            totals = _join(pool.map(count, blocks), dead_gates, trial.accidental_offset)
     else:
-        parts = [count(b) for b in blocks]
-    totals = np.sum(parts, axis=0)
+        totals = _join(map(count, blocks), dead_gates, trial.accidental_offset)
     return CountSummary(
         n_pulses=n,
         gate_rate_hz=pump.rep_rate_hz,
@@ -342,9 +484,9 @@ def simulate(
         singles_idler=int(totals[1]),
         coincidences=int(totals[2]),
         accidentals=int(totals[3]),
-        active_gates_signal=int(totals[4]),
-        active_gates_idler=int(totals[5]),
-        accidental_pairs=int(totals[6]),
+        active_gates_signal=n - int(totals[4]),
+        active_gates_idler=n - int(totals[5]),
+        accidental_pairs=max(n - trial.accidental_offset, 0),
     )
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,11 +139,8 @@ class TestTrivialAndDeterminism:
             chain, pump, trial, threads=4
         )
 
-    @pytest.mark.parametrize(
-        "cpus, threads, workers",
-        [(64, 100_000, 5), (2, 100_000, 2), (None, 100_000, 1), (64, 3, 3), (64, 1, 1)],
-    )
-    def test_pool_is_capped_at_blocks_and_cores(self, monkeypatch, cpus, threads, workers):
+    @staticmethod
+    def _record_pools(monkeypatch, cpus):
         # a serial stand-in for the pool records the worker count; no thread starts
         pools = []
 
@@ -161,13 +159,32 @@ class TestTrivialAndDeterminism:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(mc, "_BLOCK_SIZE", 1000)
+        return pools
+
+    @pytest.mark.parametrize(
+        "cpus, threads, workers",
+        [(64, 100_000, 5), (2, 100_000, 2), (None, 100_000, 1), (64, 3, 3), (64, 1, 1)],
+    )
+    def test_pool_is_capped_at_blocks_and_cores(self, monkeypatch, cpus, threads, workers):
+        pools = self._record_pools(monkeypatch, cpus)
+        # 2.6e-3 fires per gate: a target of one fire per block leaves the
+        # smallest block, 1000 gates
+        monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", 1)
+        monkeypatch.setattr(mc, "_MIN_BLOCK", 1000)
         chain, pump = make_rate_chain(5e-3, 0.3, 0.3, dark_rate_hz=2e3, dead_time_us=0.05)
         trial = mc.TrialConfig(n_pulses=4_500, seed=7)  # five blocks, the last one short
         serial = mc.simulate(chain, pump, trial)
         assert pools == []
         assert mc.simulate(chain, pump, trial, threads=threads) == serial
         assert pools == ([workers] if workers > 1 else [])
+
+    def test_one_block_starts_no_pool(self, monkeypatch, wg_i):
+        # 2M wg-i pulses hold about 5,700 fires, a tenth of a block: one block,
+        # whatever the threads
+        pools = self._record_pools(monkeypatch, 64)
+        trial = mc.TrialConfig(n_pulses=2_000_000, seed=7)
+        assert mc.simulate(*wg_i, trial, threads=2) == mc.simulate(*wg_i, trial)
+        assert pools == []
 
     def test_spectral_path_deterministic(self, awg_chain):
         chain, pump = awg_chain
@@ -328,11 +345,7 @@ class TestDeadTime:
         # measured duty is a ratio estimator; the delta method gives its sd
         #   sigma = (1 - d) * sqrt(1 - p) / p / (sqrt(n / L) * L),
         # which is 2.1% of d at 2M gates but 0.43% at 48M, so the 4.5 sigma
-        # bound below stays inside 2% relative.  Dead time resets at the
-        # 1M-gate block boundaries, and the fresh start of each block biases
-        # the duty by about +0.045% relative (measured +0.04% to +0.05% on
-        # one 40M-gate array run whole against the same array in 1M blocks),
-        # about 0.1 sigma here.
+        # bound below stays inside 2% relative.
         cycle = 1.0 / p + dead_gates
         sigma = (1.0 - expected) * math.sqrt(1.0 - p) / p / (math.sqrt(n / cycle) * cycle)
         assert 4.5 * sigma / expected <= 0.02
@@ -631,14 +644,13 @@ class TestPresetEquivalence:
         # (wg-vi, awg) off, the accidentals (14-70) when 70% to 160% off.  The
         # closed form treats the two dead-time states as independent, which
         # puts the coincidences about 2.3% low on wg-i (ROADMAP item 2): about
-        # 1 sigma here.  The reset of the dead time at each 1M-gate block
-        # start adds well under 1 sigma to the active gates.
+        # 1 sigma here.
         chain, pump = cfg.build_experiment(presets.get_preset(name))
         stats = cm.expected_gate_statistics(chain, pump)
         n = 200_000_000
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=17), threads=2)
         assert s.n_pulses == n and s.gate_rate_hz == pump.rep_rate_hz
-        assert s.accidental_pairs == n - n // mc._BLOCK_SIZE
+        assert s.accidental_pairs == n - 1
         z = {
             "coincidences": poisson_z(s.coincidences, n * stats.p_coincidence),
             "accidentals": poisson_z(s.accidentals, s.accidental_pairs * stats.p_accidental),
@@ -668,9 +680,7 @@ class TestPresetEquivalence:
         # only the active 8% of gates can fire, for about 9.2e-4 clicks per
         # gate.  Dead time makes the clicks nearly regular: 4M pulses give
         # about 3,680 singles per arm with a renewal sd of 4.9 (0.13%), so a
-        # rate 0.8% off is caught with 90% power.  Each 1M-gate block starts
-        # with both detectors active, which adds about 0.42 clicks per block,
-        # 0.35 sd here.
+        # rate 0.8% off is caught with 90% power.
         chain, pump = mc.apply_sweep_value(*wg_i, "dark", 1e6)
         pred = cm.predict(chain, pump)
         n = 4_000_000
@@ -708,7 +718,7 @@ class TestThermalPresets:
         )
         s = mc.simulate(chain, pump, trial, threads=2)
         assert (s.active_gates_signal, s.active_gates_idler) == (n, n)
-        assert s.accidental_pairs == n - n // mc._BLOCK_SIZE
+        assert s.accidental_pairs == n - 1
         z = count_zscores(s, pgf_gate_probabilities(chain, pump, modes=1))
         assert max(abs(v) for v in z.values()) < 4.5, z
 
@@ -803,19 +813,27 @@ class TestGoldenCounts:
 
     Frozen from 300k-pulse runs of the preset chains under the random stream
     named by ``RNG_STREAM``; a new stream gets a new name and new goldens.
-    The last point is wg-i at 200 mW peak with a one-gate detector dead time,
-    where about 3% of gates click and the dead-time filter does real work.
+    The last two points are wg-i at 200 mW and 1 W peak with a one-gate
+    detector dead time, where about 3% and 37% of gates click and the
+    dead-time filter does real work.  Each run is one block, and below a
+    fire probability of 1/3 the gaps of the v5 stream are those numpy's
+    ``geometric`` draws by inversion, so the first four counts are those of
+    the v4 stream; the 1 W point, where a gate fires with probability 0.81,
+    is not.
     """
 
-    RNG_STREAM = "philox-sparse-v4"
+    RNG_STREAM = "philox-sparse-v5"
     GOLDEN = {
         # (preset, pair statistics, seed, dead time us, peak power W) -> counts
         ("wg-i", "poisson", 11, None, None): (183, 181, 3, 0, 117000, 119268, 299999),
         ("wg-i", "thermal", 12, None, None): (185, 172, 3, 0, 115822, 128000, 299999),
         ("awg", "poisson", 13, None, None): (93, 82, 0, 0, 207000, 218648, 299999),
         ("wg-i", "poisson", 14, 0.01, 0.2): (10155, 10077, 780, 286, 289845, 289923, 299999),
+        ("wg-i", "poisson", 15, 0.01, 1.0): (109804, 110017, 41731, 39517, 190196, 189983, 299999),
     }
 
+    # the 1 W point holds 18 pairs per pulse, past the model's range
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
     def test_counts_are_frozen(self, key):
         name, statistics, seed, dead_us, peak_w = key
@@ -839,3 +857,90 @@ class TestGoldenCounts:
         )
         assert mc.RNG_STREAM == self.RNG_STREAM
         assert counts == self.GOLDEN[key]
+
+
+class TestBlockEdges:
+    """A run of many blocks counts as one continuous stream.
+
+    The fires-per-block target and the smallest block are patched down, so
+    that short runs span hundreds of blocks, some shorter than the dead time
+    and than the accidental offset.  The fires each block draws are recorded
+    and joined into one array per arm; one dead-time pass over it and a
+    direct count of the clicks it accepts must give every count of the run.
+    """
+
+    CASES = {
+        # 0.31 fires per gate with a one-gate dead time: 667 blocks of 3 gates
+        "dense-1-gate": ((0.5, 0.5, 0.5, 0.0, 0.01), 1.0, 2_000),
+        # 0.035 fires per gate with a 1000-gate dead time: 878 blocks of 57 gates
+        "sparse-1000-gate": ((0.02, 0.5, 0.5, 1e6, 10.0), 2.0, 50_000),
+    }
+
+    def _run(self, monkeypatch, case, offset, threads):
+        rates, fires_per_block, n = self.CASES[case]
+        monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", fires_per_block)
+        monkeypatch.setattr(mc, "_MIN_BLOCK", 1)
+        chain, pump = make_rate_chain(*rates)
+        trial = mc.TrialConfig(n_pulses=n, seed=9, accidental_offset=offset)
+        drawn = []
+        gate_fires = mc._gate_fires
+
+        def recording(rng, quiet, size):
+            fires = gate_fires(rng, quiet, size)
+            drawn.append((fires, size))
+            return fires
+
+        monkeypatch.setattr(mc, "_gate_fires", recording)
+        return mc.simulate(chain, pump, trial, threads=threads), drawn, chain
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts_equal_one_pass_over_the_whole_run(self, monkeypatch, case):
+        _, drawn, chain = self._run(monkeypatch, case, 1, threads=1)
+        sizes, dead = [size for _, size in drawn], chain.detector_signal.dead_gates
+        # the 1000-gate dead time outlasts many blocks
+        assert len(sizes) >= 50 and (dead == 1 or max(sizes) < dead / 10)
+        # the offsets: the next gate, two on, and one longer than any block
+        for offset in (1, 2, max(sizes) + 3):
+            s, drawn, _ = self._run(monkeypatch, case, offset, threads=1)
+            starts = np.cumsum([0] + [size for _, size in drawn])
+            assert starts[-1] == s.n_pulses
+            clicks = []
+            for arm in (0, 1):
+                fires = np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])
+                arm_clicks, active = mc._apply_dead_time(fires, s.n_pulses, dead)
+                clicks.append(arm_clicks)
+                assert (getattr(s, ("singles_signal", "singles_idler")[arm]), active) == (
+                    arm_clicks.size,
+                    getattr(s, ("active_gates_signal", "active_gates_idler")[arm]),
+                )
+            signal, idler = clicks
+            assert s.coincidences == np.intersect1d(signal, idler).size
+            assert s.accidentals == np.intersect1d(signal + offset, idler).size
+            assert s.accidental_pairs == s.n_pulses - offset
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_thread_count_irrelevant(self, monkeypatch, case):
+        counts = [self._run(monkeypatch, case, 2, threads)[0] for threads in (1, 2, 4)]
+        assert counts[0] == counts[1] == counts[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        mu=st.one_of(st.just(0.0), st.floats(1e-4, 0.9)),
+        dead_us=st.sampled_from([0.0, 0.01, 0.05, 1.0, 10.0]),
+        fires_per_block=st.floats(2.0, 100.0),
+        offset=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identities_hold_for_any_block_count(self, n, mu, dead_us, fires_per_block, offset, seed):
+        # every click but the last leaves exactly D dead gates, the last one
+        # at most D, and every gate but the last ``offset`` opens a window
+        chain, pump = make_rate_chain(mu, 0.5, 0.5, dark_rate_hz=1e5, dead_time_us=dead_us)
+        trial = mc.TrialConfig(n_pulses=n, seed=seed, accidental_offset=offset)
+        with mock.patch.object(mc, "_FIRES_PER_BLOCK", fires_per_block), mock.patch.object(mc, "_MIN_BLOCK", 1):
+            s = mc.simulate(chain, pump, trial)
+        dead = chain.detector_signal.dead_gates
+        for clicks, active in ((s.singles_signal, s.active_gates_signal), (s.singles_idler, s.active_gates_idler)):
+            low = n - dead * clicks
+            assert low <= active <= low + dead
+        assert s.accidental_pairs == max(n - offset, 0)
