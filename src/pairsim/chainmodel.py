@@ -9,13 +9,13 @@ All quantities are SI internally (meters, watts, hertz, seconds).  dB values
 and bench units (cm, mW, GHz, ...) belong to the configuration boundary only.
 
 ``evaluate`` is the single evaluation point of the chain: it computes the
-pump power at the source, the transmittances, the collection bandwidths and
-the pair and singles photon numbers once into a ``ChainEvaluation``.
-``predict``, the Monte Carlo and the fitters' fixed parameters all read that
-record.  ``predict`` is the one analytic model of what two gated threshold
-detectors with dead time count (``expected_gate_statistics`` is another name
-for it); ``car_estimate`` keeps the paper's linearised CAR, which figures 3d
-and 5b plot.
+pump power at the source, the transmittances, the collection bandwidths, the
+pair and singles photon numbers and the photons each detector sees once into
+a ``ChainEvaluation``.  ``predict``, ``car_estimate``, the Monte Carlo and the
+fitters' fixed parameters all read that record.  ``predict`` is the one
+analytic model of what two gated threshold detectors with dead time count
+(``expected_gate_statistics`` is another name for it); ``car_estimate`` keeps
+the paper's linearised CAR, which figures 3d and 5b plot.
 
 One swept field may hold a 1-D float array in place of a float: a segment
 length, the pump's average power, the AWG insertion loss or the detectors'
@@ -83,13 +83,6 @@ def _effective_length_at(a: float, length_m: float) -> float:
 
 
 _effective_length = elementwise(_effective_length_at, 2)
-
-
-def optimal_nonlinear_length(loss_db_per_m: float) -> float:
-    """Length maximizing the pair rate at fixed loss: ``ln 2 / a`` (a in nepers)."""
-    if loss_db_per_m <= 0:
-        raise ValueError("loss must be positive for a finite optimum")
-    return _LN2 / db_to_neper(loss_db_per_m)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +322,16 @@ class RatePrediction:
 class ChainEvaluation:
     """Derived SI quantities of one chain at one pump operating point.
 
-    Built by ``evaluate``.  Photon numbers are per pulse at the
+    Built by ``evaluate``.  Photon numbers ``mu_*`` are per pulse at the
     nonlinear-segment output; the noise terms are ``n0 + n1 * P`` at the pump
-    peak power at the source.  Detector figures (quantum efficiency, dark
-    probability, dead gates) stay on the chain's ``DetectorConfig``.  For a
-    chain swept over a grid, the fields the swept value enters are arrays.
+    peak power at the source.  The last five fields are what each detector
+    sees: mean photons per gate taken end to end, through the optical
+    transmittance and the quantum efficiency.  Of the photons that reach an
+    arm, those that follow the pair law are every pair photon an AWG channel
+    collects, and behind filters those inside the pair bandwidth; the rest
+    arrive without a partner, as noise.  The dark probability and the dead
+    gates stay on the chain's ``DetectorConfig``.  For a chain swept over a
+    grid, the fields the swept value enters are arrays.
     """
 
     peak_power_w: float  # pump peak power at the nonlinear segment input
@@ -349,6 +347,11 @@ class ChainEvaluation:
     mu_idler: float
     noise_signal: float
     noise_idler: float
+    detected_signal: float  # photons of any cause reaching the signal detector
+    detected_idler: float
+    detected_pairs: float  # pairs with a photon reaching each detector
+    pair_law_signal: float  # of detected_signal, the photons following the pair law
+    pair_law_idler: float
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +531,11 @@ def pair_rate_from_counts_multipair(
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
     """Evaluate the chain once at one operating point, or at every point of a grid.
 
-    The only place where the pump power at the source, the transmittances and
-    the collection bandwidths are computed.  When one swept field of the
-    chain or pump is a 1-D array, the fields that depend on it are arrays
-    over the grid and the others stay floats; each element equals the record
-    of a call at that single value.
+    The only place where the pump power at the source, the transmittances,
+    the collection bandwidths and the photons each detector sees are
+    computed.  When one swept field of the chain or pump is a 1-D array, the
+    fields that depend on it are arrays over the grid and the others stay
+    floats; each element equals the record of a call at that single value.
     """
     p_eff = pump_peak_power_at_source(chain, pump)
     pair_bw, bw_s, bw_i = collection_bandwidths(chain, pump)
@@ -540,6 +543,15 @@ def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
     density = pair_generation_rate_at_power(chain.nonlinear_segment, 1.0, pump.pulse_fwhm_s, p_eff)
     noise_s = chain.noise_signal.at_peak_power(p_eff)
     noise_i = chain.noise_idler.at_peak_power(p_eff)
+    mu_pair, mu_s, mu_i = density * pair_bw, density * bw_s + noise_s, density * bw_i + noise_i
+    end_s = eta_s * chain.detector_signal.quantum_efficiency
+    end_i = eta_i * chain.detector_idler.quantum_efficiency
+    # an AWG channel collects pairs spread over the generation band, so every
+    # pair photon it passes keeps the pair law; behind filters the photons
+    # beyond the pair bandwidth arrive without a partner
+    law_s = law_i = mu_pair
+    if isinstance(chain.demux, AwgDemux):
+        law_s, law_i = density * bw_s, density * bw_i
     return ChainEvaluation(
         peak_power_w=p_eff,
         downstream_transmittance=downstream_passive_transmittance(chain),
@@ -549,11 +561,16 @@ def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
         single_bandwidth_signal_hz=bw_s,
         single_bandwidth_idler_hz=bw_i,
         pair_density_per_hz=density,
-        mu_pair=density * pair_bw,
-        mu_signal=density * bw_s + noise_s,
-        mu_idler=density * bw_i + noise_i,
+        mu_pair=mu_pair,
+        mu_signal=mu_s,
+        mu_idler=mu_i,
         noise_signal=noise_s,
         noise_idler=noise_i,
+        detected_signal=end_s * mu_s,
+        detected_idler=end_i * mu_i,
+        detected_pairs=mu_pair * end_s * end_i,
+        pair_law_signal=end_s * law_s,
+        pair_law_idler=end_i * law_i,
     )
 
 
@@ -574,7 +591,9 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
     into independent Poisson streams (pairs surviving both channels, pairs
     surviving one, and noise photons), which gives closed forms for the
     threshold-detector click and same-gate coincidence probabilities
-    (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  Dark counts are
+    (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  The mean causes per
+    arm and the pairs reaching both arms are read from ``evaluate``'s record;
+    each arm stays quiet with ``exp(-a) * (1 - p_dark)``.  Dark counts are
     suppressed in dead gates, and the dead-time states of the two detectors
     are treated as independent.  These are the quantities a long counting run
     estimates, and they are what the stochastic simulator is validated
@@ -583,13 +602,10 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
     """
     rec = evaluate(chain, pump)
     det_s, det_i = chain.detector_signal, chain.detector_idler
-    eta_s_end = rec.eta_signal * det_s.quantum_efficiency
-    eta_i_end = rec.eta_idler * det_i.quantum_efficiency
     pd_s = det_s.dark_prob_per_gate
     pd_i = det_i.dark_prob_per_gate
 
-    a_s = eta_s_end * rec.mu_signal  # mean photon causes on the signal arm
-    a_i = eta_i_end * rec.mu_idler
+    a_s, a_i = rec.detected_signal, rec.detected_idler  # mean photon causes per arm
     p_active_s = 1.0 - exp(-a_s) * (1.0 - pd_s)
     p_active_i = 1.0 - exp(-a_i) * (1.0 - pd_i)
     duty_s = gate_duty(p_active_s, det_s.dead_gates)
@@ -597,7 +613,7 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
 
     # pairs whose both photons reach the detectors couple the two arms; each
     # such pair is also a cause on each arm, so c <= a_s + a_i
-    c = rec.mu_pair * eta_s_end * eta_i_end
+    c = rec.detected_pairs
     joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * exp(c - a_s - a_i) * (-expm1(-c))
     p_accidental = duty_s * duty_i * p_active_s * p_active_i
     p_coincidence = duty_s * duty_i * (p_active_s * p_active_i + joint_excess)
@@ -643,8 +659,8 @@ def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
     """
     rec = evaluate(chain, pump)
     det_s, det_i = chain.detector_signal, chain.detector_idler
-    active_s = rec.eta_signal * det_s.quantum_efficiency * rec.mu_signal + det_s.dark_prob_per_gate
-    active_i = rec.eta_idler * det_i.quantum_efficiency * rec.mu_idler + det_i.dark_prob_per_gate
+    active_s = rec.detected_signal + det_s.dark_prob_per_gate
+    active_i = rec.detected_idler + det_i.dark_prob_per_gate
     duty_s = gate_duty(active_s, det_s.dead_gates)
     duty_i = gate_duty(active_i, det_i.dead_gates)
     eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s

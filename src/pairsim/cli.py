@@ -146,19 +146,26 @@ def _load_document(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid syntax: ``start:stop:count`` (linear) or ``log:start:stop:count``."""
+    """Grid syntax: ``start:stop:count`` (linear) or ``log:start:stop:count``,
+    with finite endpoints."""
     parts = spec.split(":")
+    log = parts[0] == "log"
     try:
-        if parts[0] == "log":
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if start <= 0 or stop <= 0:
-                raise ValueError("log grids need positive endpoints")
-        else:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if len(parts) != log + 3:
+            raise ValueError("expected start:stop:count after an optional log:")
+        start, stop, count = float(parts[log]), float(parts[log + 1]), int(parts[log + 2])
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("endpoints must be finite")
+        if log and (start <= 0 or stop <= 0):
+            raise ValueError("log grids need positive endpoints")
         if count < 1:
             raise ValueError("count must be >= 1")
-        return (np.geomspace if parts[0] == "log" else np.linspace)(start, stop, count)
-    except (IndexError, ValueError) as exc:
+        with np.errstate(all="ignore"):
+            grid = (np.geomspace if log else np.linspace)(start, stop, count)
+        if not np.isfinite(grid).all():
+            raise ValueError("grid values overflow")
+        return grid
+    except ValueError as exc:
         raise cfg.ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
@@ -166,22 +173,21 @@ def _parse_grid(spec: str) -> np.ndarray:
 # subcommands
 
 
-def cmd_predict(args, parser) -> int:
-    document = _load_document(args, parser)
-    chain, pump = cfg.build_experiment(document)
-    pred = cm.predict(chain, pump)
-    items = [(f.name, getattr(pred, f.name)) for f in fields(pred)]
+def _report(args, items: list[tuple[str, object]], metadata: dict[str, str]) -> int:
+    """Print each ``key = value`` and, on ``--out``, write the items as a one-row table."""
     for key, value in items:
         shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
-    table = ResultTable(
-        columns=[k for k, _ in items],
-        rows=[[v for _, v in items]],
-        metadata=_base_metadata("predict", cfg.config_hash(document)),
-    )
     if args.out:
-        _write_output(args, table)
+        _write_output(args, ResultTable([k for k, _ in items], [[v for _, v in items]], metadata))
     return EXIT_OK
+
+
+def cmd_predict(args, parser) -> int:
+    document = _load_document(args, parser)
+    pred = cm.predict(*cfg.build_experiment(document))
+    items = [(f.name, getattr(pred, f.name)) for f in fields(pred)]
+    return _report(args, items, _base_metadata("predict", cfg.config_hash(document)))
 
 
 def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]:
@@ -230,16 +236,13 @@ def cmd_simulate(args, parser) -> int:
     chain, pump = cfg.build_experiment(document)
     trial = _trial_from_args(args, parser)
     summary = montecarlo.simulate(chain, pump, trial, threads=args.threads)
-    items = _summary_items(summary)
-    for key, value in items:
-        shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
-        print(f"{key} = {shown}")
     meta = _base_metadata("simulate", cfg.config_hash(document), seed=trial.seed)
     meta["rng_stream"] = montecarlo.RNG_STREAM
-    table = ResultTable(columns=[k for k, _ in items], rows=[[v for _, v in items]], metadata=meta)
-    if args.out:
-        _write_output(args, table)
-    return EXIT_OK
+    return _report(args, _summary_items(summary), meta)
+
+
+# the counting-run items of _summary_items a sweep row adds, each as mc_<name>
+_SWEEP_MC_CELLS = ("singles_signal", "singles_idler", "coincidences", "accidentals", "car", "car_stderr")
 
 
 def cmd_sweep(args, parser) -> int:
@@ -276,27 +279,14 @@ def cmd_sweep(args, parser) -> int:
         mc_results = [
             s for _, s in montecarlo.sweep(chain, pump, args.var, grid_si, trial, threads=args.threads)
         ]
-        columns += [
-            "mc_singles_signal",
-            "mc_singles_idler",
-            "mc_coincidences",
-            "mc_accidentals",
-            "mc_car",
-            "mc_car_stderr",
-        ]
+        columns += [f"mc_{name}" for name in _SWEEP_MC_CELLS]
 
     pred = cm.predict(*swept)
     rows = _stack_columns([grid_user] + [getattr(pred, name) for name in pred_cols])
     if mc_results is not None:
         for row, s in zip(rows, mc_results):
-            row += [
-                s.singles_signal,
-                s.singles_idler,
-                s.coincidences,
-                s.accidentals,
-                math.nan if s.car is None else s.car,
-                math.nan if s.car_stderr is None else s.car_stderr,
-            ]
+            items = dict(_summary_items(s))
+            row += [items[name] for name in _SWEEP_MC_CELLS]
 
     meta = _base_metadata("sweep", cfg.config_hash(document), seed=args.seed if args.mc else None)
     if args.mc:

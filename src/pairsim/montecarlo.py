@@ -7,22 +7,24 @@ singles, same-gate coincidences and offset-gate accidentals exactly as a
 time-interval analyzer would, independently of the closed-form rate model.
 
 Every chain, filter or AWG, is sampled by one thinned sampler that reads
-the chain record of ``chainmodel.evaluate`` and the detectors alone.  A
-threshold detector cannot tell a pair photon from a noise photon or a dark
-count, so the sampler draws only whether each gate fires it.  A pair
+the chain record of ``chainmodel.evaluate`` and the detectors' dark
+probability and dead gates alone.  The record gives the mean photons a that
+reach each detector, end to end, and the x of them that follow the pair
+law.  A threshold detector cannot tell a pair photon from a noise photon or
+a dark count, so the sampler draws only whether each gate fires it.  A pair
 reaches the signal detector, the idler detector, both or neither
 independently of the other pairs, so the pairs that reach a detector keep
 the pair law at a thinned mean x: Poisson stays Poisson, and a negative
 binomial stays one with the same number of modes; its probability of no
-pair is P0(x) = exp(-x) or (1 + x/m)**-m for m thermal modes.  Noise
-photons and dark counts are independent of the pairs, so a gate fires
-neither detector, or not a given one, with probability P0 times each arm's
-chance of no noise photon and no dark count.  The gates where some
-detector fires are one Bernoulli stream per block, drawn as geometric gaps
-between them, and one uniform per such gate picks the signal detector
-alone, the idler alone or both, so each arm's fires come out sorted and
-unique.  The work per block therefore scales with the number of fires, not
-with the number of pulses.
+pair is P0(x) = exp(-x) or (1 + x/m)**-m for m thermal modes.  The other
+a - x photons and the dark counts are independent of the pairs, so a gate
+leaves an arm quiet with probability P0(x) exp(-(a - x)) (1 - p_dark), and
+leaves both quiet by the same law over the photons that reach either arm.
+The gates where some detector fires are one Bernoulli stream per block,
+drawn as geometric gaps between them, and one uniform per such gate picks
+the signal detector alone, the idler alone or both, so each arm's fires
+come out sorted and unique.  The work per block therefore scales with the
+number of fires, not with the number of pulses.
 
 A run is cut into blocks, each with its own counter-based random stream
 derived from (seed, block index).  A gate fires some detector with
@@ -211,14 +213,15 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
 
 
 def _no_pair_exponent(mean: float, trial: TrialConfig) -> float:
-    """L(mean) = -log P0(mean): the pair law's probability of no pair at a thinned mean.
+    """L(mean) - mean, with L(mean) = -log P0(mean) the pair law's exponent of no pair.
 
-    A thinned Poisson law stays Poisson, P0 = exp(-mean); a negative binomial
-    of m thermal modes stays one, P0 = (1 + mean / m)**-m.
+    A thinned Poisson law stays Poisson, P0 = exp(-mean), so the excess over
+    Poisson is exactly 0.0; a negative binomial of m thermal modes stays one,
+    P0 = (1 + mean / m)**-m.
     """
     if trial.pair_statistics == "thermal":
-        return trial.thermal_modes * math.log1p(mean / trial.thermal_modes)
-    return mean
+        return trial.thermal_modes * math.log1p(mean / trial.thermal_modes) - mean
+    return 0.0
 
 
 def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.ndarray, int]:
@@ -336,37 +339,26 @@ class _Block(NamedTuple):
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
     """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
 
-    Returns the gates per block, each arm's dead gates and the counter.
-    Efficiencies are end to end (optical transmittance times quantum
-    efficiency).  Every photon an AWG channel passes belongs to a pair spread
-    over the generation band, so its arms collect pairs over their single
-    bandwidths; behind filters pairs are collected over the pair bandwidth
-    and the photons beyond it arrive without a partner, as noise.  Warns
-    when a pulse holds more than one pair or noise photon on average.
+    Returns the gates per block, each arm's dead gates and the counter.  The
+    record gives the mean photons a reaching each detector and the x of them
+    that follow the pair law; the others are Poisson.  So a gate leaves an
+    arm quiet with the exponent a + (L(x) - x) - log(1 - p_dark), and leaves
+    both quiet with the same over the photons that reach either arm.  Warns
+    when a pulse holds more than one pair or unpaired photon on average.
     """
-    eta_s = rec.eta_signal * chain.detector_signal.quantum_efficiency
-    eta_i = rec.eta_idler * chain.detector_idler.quantum_efficiency
-    density, pair_bw = rec.pair_density_per_hz, rec.pair_bandwidth_hz
-    bw_s = bw_i = pair_bw
-    if isinstance(chain.demux, AwgDemux):
-        bw_s, bw_i = rec.single_bandwidth_signal_hz, rec.single_bandwidth_idler_hz
-    signal, idler = density * eta_s * bw_s, density * eta_i * bw_i
-    both = density * eta_s * eta_i * pair_bw
-    extra_s = density * max(rec.single_bandwidth_signal_hz - bw_s, 0.0)
-    extra_i = density * max(rec.single_bandwidth_idler_hz - bw_i, 0.0)
-    # each arm's no-fire exponent from its other causes: noise photons, the
-    # photons beyond the pair bandwidth and dark counts
-    other_s = (rec.noise_signal + extra_s) * eta_s - math.log1p(-chain.detector_signal.dark_prob_per_gate)
-    other_i = (rec.noise_idler + extra_i) * eta_i - math.log1p(-chain.detector_idler.dark_prob_per_gate)
-    quiet = (
-        _no_pair_exponent(signal + idler - both, trial) + other_s + other_i,
-        _no_pair_exponent(signal, trial) + other_s,
-        _no_pair_exponent(idler, trial) + other_i,
-    )
     detectors = (chain.detector_signal, chain.detector_idler)
+    dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
+    seen = rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs
+    quiet = (
+        rec.detected_signal + rec.detected_idler - rec.detected_pairs
+        + _no_pair_exponent(seen, trial) + dark_s + dark_i,
+        rec.detected_signal + _no_pair_exponent(rec.pair_law_signal, trial) + dark_s,
+        rec.detected_idler + _no_pair_exponent(rec.pair_law_idler, trial) + dark_i,
+    )
     dead_gates = tuple(detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors)
     off = trial.accidental_offset
-    mu_check = rec.mu_pair + max(rec.noise_signal * eta_s, rec.noise_idler * eta_i)
+    unpaired = max(rec.detected_signal - rec.pair_law_signal, rec.detected_idler - rec.pair_law_idler)
+    mu_check = rec.mu_pair + unpaired
     if mu_check > 1.0:
         warnings.warn(
             f"per-pulse mean {mu_check:.3g} exceeds 1; multi-photon pile-up will be "

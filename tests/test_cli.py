@@ -345,6 +345,13 @@ class TestExitCodes:
             ([*sweep, "100000:200000"], "bad grid spec"),
             ([*sweep, "1:2:0"], "bad grid spec"),
             ([*sweep, "log:1:2:0", "--mc"], "bad grid spec"),
+            # a non-finite endpoint, and a linear grid whose step overflows
+            ([*sweep, "log:1:1e400:2"], "bad grid spec 'log:1:1e400:2'"),
+            ([*sweep, "1:inf:3"], "bad grid spec '1:inf:3'"),
+            ([*sweep, "nan:1:2", "--mc"], "bad grid spec 'nan:1:2'"),
+            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid=-1e308:1e308:3"], "bad grid spec"),
+            ([*sweep, "1:2:3:4"], "bad grid spec '1:2:3:4'"),
+            ([*sweep, "log:1:2"], "bad grid spec 'log:1:2'"),
             (["sweep", "--preset", "wg-i", "--var", "awg_loss", "--grid", "0:1:2"], "--var awg_loss"),
             (["sweep", "--preset", "awg", "--var", "l_siox", "--grid", "0:1:2"], "--var l_siox"),
             ([*sweep, "0:1:3"], "--grid value 0:"),

@@ -405,12 +405,14 @@ class TestSparseSampling:
 
 def _pair_quiet(rates, trial, other=(0.0, 0.0)):
     """The no-fire exponents of ``_gate_fires`` for pairs at ``rates`` (seen,
-    signal, both) and each arm's exponent of no other cause ``other``."""
+    signal, both) and each arm's exponent of no other cause ``other``: the
+    pair law's exponent of no pair is the mean plus its excess over Poisson."""
     seen, signal, both = rates
+    idler = seen - signal + both
     return (
-        mc._no_pair_exponent(seen, trial) + other[0] + other[1],
-        mc._no_pair_exponent(signal, trial) + other[0],
-        mc._no_pair_exponent(seen - signal + both, trial) + other[1],
+        seen + mc._no_pair_exponent(seen, trial) + other[0] + other[1],
+        signal + mc._no_pair_exponent(signal, trial) + other[0],
+        idler + mc._no_pair_exponent(idler, trial) + other[1],
     )
 
 
@@ -690,6 +692,36 @@ class TestPresetEquivalence:
             sigma = renewal_sigma(n, p_click, getattr(pred, f"duty_{arm}"))
             z = z_score(getattr(s, f"singles_{arm}"), n * p_click, sigma**2)
             assert abs(z) < 4.5, (arm, z)
+
+
+class TestSamplerGateLaw:
+    """The per-gate law the sampler draws from, against the generating-function oracle."""
+
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("name", presets.preset_names())
+    def test_fire_probabilities_match_pgf(self, monkeypatch, name):
+        # The three exponents _block_sampler hands to _gate_fires give the
+        # chance that a gate fires the signal detector, the idler and either;
+        # pgf_gate_probabilities gives the same three without the sampler's
+        # arithmetic.  At 10 mW, 100 mW and 1 W peak, for Poisson pairs and
+        # one and 24 thermal modes, a gate fires with probability 1e-4 to 1,
+        # where the oracle's 1 - q loses at most a few 1e-12 relative.  No
+        # gate is drawn.
+        base = cfg.build_experiment(presets.get_preset(name))
+        captured = []
+        none = np.empty(0, dtype=np.int64)
+        monkeypatch.setattr(mc, "_gate_fires", lambda rng, quiet, size: captured.append(quiet) or (none, none))
+        for peak_w in (0.01, 0.1, 1.0):
+            chain, pump = mc.apply_sweep_value(*base, "pp", peak_w)
+            for modes in (None, 1, 24):
+                statistics = "poisson" if modes is None else "thermal"
+                trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes or 24)
+                mc.simulate(chain, pump, trial)
+                l_none, l_signal, l_idler = captured.pop()
+                p_s, p_i, p_c, _ = pgf_gate_probabilities(chain, pump, modes)
+                sampler = [-math.expm1(-l_signal), -math.expm1(-l_idler), -math.expm1(-l_none)]
+                oracle = [p_s, p_i, p_s + p_i - p_c]
+                assert sampler == pytest.approx(oracle, rel=1e-9, abs=0.0), (peak_w, statistics, modes)
 
 
 class TestThermalPresets:
