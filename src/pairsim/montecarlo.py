@@ -36,16 +36,18 @@ The cut depends on the config and the number of pulses only, never on the
 worker count, so results are bit-identical for any number of threads.
 
 The blocks still count as one continuous stream.  Dead time is applied to a
-block's fires at once, by pointer doubling over each fire's next allowed
-fire, from the block's first fire.  Every pass accepts a fire that comes
-more than D gates after the fire before it, so from the later of the two
-arms' first such fires (the block's edge) the clicks are the block's own.
-The caller then takes the blocks in order, carries each arm's dead window
-across the block boundary and reruns the pass from the carry on the fires
-before the edge.  The signal clicks of the last ``accidental_offset``
-gates are carried too, so every gate but the last ``accidental_offset``
-opens one accidental window, and a run of n gates has
-n - D * clicks <= active gates <= n - D * clicks + D.
+block's fires at once, from the block's first fire.  At one dead gate a
+window holds at most the very next gate's fire, so each run of fires at
+consecutive gates keeps its 1st, 3rd, 5th, ... fire, found in one pass;
+longer dead times take pointer doubling over each fire's next allowed
+fire.  Every pass accepts a fire that comes more than D gates after the
+fire before it, so from the later of the two arms' first such fires (the
+block's edge) the clicks are the block's own.  The caller then takes the
+blocks in order, carries each arm's dead window across the block boundary
+and reruns the pass from the carry on the fires before the edge.  The
+signal clicks of the last ``accidental_offset`` gates are carried too, so
+every gate but the last ``accidental_offset`` opens one accidental window,
+and a run of n gates has n - D * clicks <= active gates <= n - D * clicks + D.
 
 ``RNG_STREAM`` names this sampling scheme; counts for a given seed change
 only with it.  The v5 stream brought the block sizing and the carries, the
@@ -230,9 +232,27 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     ``fires`` are the sorted gate indices in [0, n) where a detector fires.
     Returns the accepted click indices and the number of active gates in the
     block.  A click at gate g deactivates gates g+1 .. g+dead_gates.
+
+    At one dead gate the pass has a closed form.  Fires sit at distinct
+    gates, so a click's window holds at most one fire, the one at the very
+    next gate.  The fires therefore split into runs at consecutive gates.  A
+    fire more than one gate after the fire before it starts a run and is
+    always accepted, since any earlier click's window has closed; within a
+    run each accepted fire kills the next and the one after is free again,
+    so the run keeps its 1st, 3rd, 5th, ... fire.  Longer dead times go
+    through pointer doubling.
     """
     if dead_gates <= 0:
         return fires, n
+    if dead_gates == 1:
+        index = np.arange(fires.size)
+        # head: the index of the first fire of each fire's run; the accepted
+        # fires lie an even number of fires past it, and index ^ head has the
+        # parity of index - head
+        head = index * (np.diff(fires, prepend=-2) > 1)
+        np.maximum.accumulate(head, out=head)
+        accepted = fires[((index ^ head) & 1) == 0]
+        return accepted, n - _dead_gates(accepted, n, dead_gates)
     k = fires.size
     # jump[i] is the first fire past the dead window of fire i (sentinel k maps
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
@@ -508,7 +528,10 @@ def apply_sweep_value(
                 return replace(chain, segments=tuple(segments)), pump
         raise ValueError("chain has no passive segment after the nonlinear one")
     if variable == "pp":
-        avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
+        with np.errstate(over="ignore", invalid="ignore"):
+            avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
+        if not np.all(np.isfinite(avg)):
+            raise ValueError("average power (peak power * rep_rate * fwhm) is not finite")
         return chain, replace(pump, average_power_w=avg)
     if variable == "awg_loss":
         if not isinstance(chain.demux, AwgDemux):

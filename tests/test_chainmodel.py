@@ -624,7 +624,8 @@ GRID_VALUES = {
 BAD_GRID_VALUES = {
     "l_si": st.floats(-1.0, -1e-300),
     "l_siox": st.floats(-1.0, -1e-300),
-    "pp": st.floats(-1e3, 0.0),
+    # and finite peak powers whose average power overflows at 100 MHz
+    "pp": st.one_of(st.floats(-1e3, 0.0), st.floats(1e301, 1e308)),
     "awg_loss": st.floats(-40.0, -1e-300),
     "dark": st.one_of(st.floats(-1e3, -1e-300), st.floats(RATE, 10 * RATE)),
 }

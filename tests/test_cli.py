@@ -352,6 +352,8 @@ class TestExitCodes:
             (["sweep", "--preset", "wg-i", "--var", "pp", "--grid=-1e308:1e308:3"], "bad grid spec"),
             ([*sweep, "1:2:3:4"], "bad grid spec '1:2:3:4'"),
             ([*sweep, "log:1:2"], "bad grid spec 'log:1:2'"),
+            # finite grid values whose average power overflows
+            ([*sweep, "log:1e-300:1e308:3"], "--grid value 1e+308:"),
             (["sweep", "--preset", "wg-i", "--var", "awg_loss", "--grid", "0:1:2"], "--var awg_loss"),
             (["sweep", "--preset", "awg", "--var", "l_siox", "--grid", "0:1:2"], "--var l_siox"),
             ([*sweep, "0:1:3"], "--grid value 0:"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -287,11 +288,15 @@ def fires_and_dead_time(draw):
     n = draw(st.integers(1, 3000))
     density = draw(st.floats(0.0, 1.0))
     fire = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < density
-    return fire, draw(st.integers(0, n + 5))
+    # short dead times, one gate above all, come up as often as long ones
+    return fire, draw(st.one_of(st.integers(0, 3), st.integers(0, n + 5)))
 
 
 _LAST_ONLY = np.zeros(1000, dtype=bool)
 _LAST_ONLY[-1] = True
+# runs of 1 to 6 fires at consecutive gates, one quiet gate apart, then a
+# fire at the last gate
+_RUNS = np.array([c == "1" for c in "10110111011110111110111111001"])
 
 
 class TestDeadTime:
@@ -301,6 +306,10 @@ class TestDeadTime:
     @example(case=(np.ones(1000, dtype=bool), 3))
     @example(case=(_LAST_ONLY, 3))
     @example(case=(np.random.default_rng(0).random(1000) < 0.3, 0))
+    @example(case=(np.ones(1000, dtype=bool), 1))
+    @example(case=(np.ones(999, dtype=bool), 1))
+    @example(case=(_RUNS, 1))
+    @example(case=(_LAST_ONLY, 1))
     def test_filter_matches_per_gate_reference(self, case):
         fire, dead_gates = case
         fires = np.flatnonzero(fire)
@@ -627,6 +636,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             mc.apply_sweep_value(chain, pump, "loss", 0.0)
 
+    def test_overflowing_peak_power_raises_without_a_warning(self):
+        # 1e308 W peak at 100 MHz overflows the average power
+        chain, pump = make_rate_chain(1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (1e308, np.float64(1e308), np.array([1.0, 1e308])):
+                with pytest.raises(ValueError, match="average power"):
+                    mc.apply_sweep_value(chain, pump, "pp", value)
+
 
 class TestPresetEquivalence:
     """Counting runs agree with the closed form on every preset, field by field.
@@ -897,8 +915,9 @@ class TestBlockEdges:
     The fires-per-block target and the smallest block are patched down, so
     that short runs span hundreds of blocks, some shorter than the dead time
     and than the accidental offset.  The fires each block draws are recorded
-    and joined into one array per arm; one dead-time pass over it and a
-    direct count of the clicks it accepts must give every count of the run.
+    and joined into one gate mask per arm; the per-gate reference filter over
+    it and a direct count of the clicks it accepts must give every count of
+    the run.
     """
 
     CASES = {
@@ -938,8 +957,10 @@ class TestBlockEdges:
             assert starts[-1] == s.n_pulses
             clicks = []
             for arm in (0, 1):
-                fires = np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])
-                arm_clicks, active = mc._apply_dead_time(fires, s.n_pulses, dead)
+                fire = np.zeros(s.n_pulses, dtype=bool)
+                fire[np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])] = True
+                arm_mask, active = reference_dead_time(fire, dead)
+                arm_clicks = np.flatnonzero(arm_mask)
                 clicks.append(arm_clicks)
                 assert (getattr(s, ("singles_signal", "singles_idler")[arm]), active) == (
                     arm_clicks.size,
