@@ -205,9 +205,12 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     while last < n:
         # a gap past n + 1 lands beyond the block from any start, so clipping
         # it changes nothing kept and keeps the cumulative sum from overflowing
-        gaps = np.minimum(rng.standard_exponential(chunk) * scale, n).astype(np.int64)
-        gaps += 1
-        positions = last + np.cumsum(gaps)
+        gaps = rng.standard_exponential(chunk)
+        gaps *= scale
+        positions = np.minimum(gaps, n, out=gaps).astype(np.int64)
+        positions += 1
+        np.cumsum(positions, out=positions)
+        positions += last
         parts.append(positions)
         last = int(positions[-1])
     positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -245,13 +248,15 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     if dead_gates <= 0:
         return fires, n
     if dead_gates == 1:
-        index = np.arange(fires.size)
         # head: the index of the first fire of each fire's run; the accepted
         # fires lie an even number of fires past it, and index ^ head has the
-        # parity of index - head
-        head = index * (np.diff(fires, prepend=-2) > 1)
+        # parity of index - head.  A block holds fewer than 2**31 gates.
+        head = np.arange(fires.size, dtype=np.int32)
+        head[1:] *= np.diff(fires) > 1
         np.maximum.accumulate(head, out=head)
-        accepted = fires[((index ^ head) & 1) == 0]
+        head ^= np.arange(fires.size, dtype=np.int32)
+        head &= 1
+        accepted = fires.compress(head == 0)
         return accepted, n - _dead_gates(accepted, n, dead_gates)
     k = fires.size
     # jump[i] is the first fire past the dead window of fire i (sentinel k maps
@@ -293,11 +298,19 @@ def _first_free_fire(fires: np.ndarray, n: int, dead_gates: int) -> int:
 def _matches(a: np.ndarray, b: np.ndarray) -> int:
     """Number of values two sorted arrays of unique gates share.
 
-    One stable sort of the two runs merges them; every value held twice is
-    then a pair of equal neighbours.
+    Where the gates are dense, at least one per 8 gates they span, a flag
+    per gate marks those of ``a`` and is read at those of ``b``, in no more
+    memory than the merge takes.  Otherwise one stable sort of the two runs
+    merges them; every value held twice is then a pair of equal neighbours.
     """
     if not (a.size and b.size):
         return 0
+    low = min(a[0], b[0])
+    span = max(a[-1], b[-1]) + 1 - low
+    if span <= 8 * (a.size + b.size):
+        seen = np.zeros(span, dtype=bool)
+        seen[a - low] = True
+        return int(np.count_nonzero(seen[b - low]))
     merged = np.concatenate((a, b))
     merged.sort(kind="stable")
     return int(np.count_nonzero(merged[1:] == merged[:-1]))
@@ -325,8 +338,12 @@ def _gate_fires(
     signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none) / p
     idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none) / p
     u = rng.random(fired.size)
-    fires_signal = fired[(u < signal_alone) | (u >= signal_alone + idler_alone)]
-    return fires_signal, fired[u >= signal_alone]
+    idler = u >= signal_alone
+    # the signal fires unless the idler fires alone
+    signal = u < signal_alone + idler_alone
+    signal &= idler
+    np.logical_not(signal, out=signal)
+    return fired.compress(signal), fired.compress(idler)
 
 
 def _block_gates(p_fire: float) -> int:
@@ -359,7 +376,9 @@ class _Block(NamedTuple):
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
     """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
 
-    Returns the gates per block, each arm's dead gates and the counter.  The
+    Returns the gates per block, each arm's dead gates, the accidental offset
+    and the counter.  An offset of n_pulses or more opens no window, so it is
+    cut to n_pulses, which keeps every shifted gate inside int64.  The
     record gives the mean photons a reaching each detector and the x of them
     that follow the pair law; the others are Poisson.  So a gate leaves an
     arm quiet with the exponent a + (L(x) - x) - log(1 - p_dark), and leaves
@@ -376,7 +395,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         rec.detected_idler + _no_pair_exponent(rec.pair_law_idler, trial) + dark_i,
     )
     dead_gates = tuple(detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors)
-    off = trial.accidental_offset
+    off = min(trial.accidental_offset, trial.n_pulses)
     unpaired = max(rec.detected_signal - rec.pair_law_signal, rec.detected_idler - rec.pair_law_idler)
     mu_check = rec.mu_pair + unpaired
     if mu_check > 1.0:
@@ -414,7 +433,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             last=(int(tail_s[-1]) if tail_s.size else -1, int(tail_i[-1]) if tail_i.size else -1),
         )
 
-    return _block_gates(-math.expm1(-quiet[0])), dead_gates, count
+    return _block_gates(-math.expm1(-quiet[0])), dead_gates, off, count
 
 
 def _join(blocks, dead_gates: tuple[int, int], off: int) -> np.ndarray:
@@ -476,7 +495,7 @@ def simulate(
     the same CountSummary, regardless of ``threads``, which caps the worker
     threads; no more start than there are blocks or cores.
     """
-    block_gates, dead_gates, count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
+    block_gates, dead_gates, off, count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
     blocks = [(bi, min(block_gates, n - bi * block_gates)) for bi in range(-(-n // block_gates))]
 
@@ -486,9 +505,9 @@ def simulate(
     workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = _join(pool.map(count, blocks), dead_gates, trial.accidental_offset)
+            totals = _join(pool.map(count, blocks), dead_gates, off)
     else:
-        totals = _join(map(count, blocks), dead_gates, trial.accidental_offset)
+        totals = _join(map(count, blocks), dead_gates, off)
     return CountSummary(
         n_pulses=n,
         gate_rate_hz=pump.rep_rate_hz,

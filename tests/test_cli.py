@@ -365,6 +365,14 @@ class TestExitCodes:
             assert cli.main(bad) == cli.EXIT_CONFIG
             assert named in capsys.readouterr().err
 
+    def test_offset_past_int64_exits_zero(self, capsys):
+        # 2**63 does not fit an int64 gate; an offset of n or more opens no window
+        offset = ["--accidental-offset", str(2**63), "--seed", "1"]
+        assert cli.main(["simulate", "--preset", "wg-i", "--pulses", "1000", *offset]) == cli.EXIT_OK
+        assert "accidentals = 0" in capsys.readouterr().out
+        sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "0.01:0.02:2", "--mc", "--pulses", "1000"]
+        assert cli.main([*sweep, *offset]) == cli.EXIT_OK
+
 
 class TestPredictOutput:
     @pytest.mark.parametrize("preset", ["wg-i", "awg"])

@@ -376,7 +376,79 @@ class TestDeadTime:
             assert abs(z_score(measured, expected, sigma**2)) < 4.5
 
 
+def reference_bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """``mc._bernoulli_positions`` as first written, one new array per step."""
+    if p <= 1e-300 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
+    mean = n * p
+    chunk = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    parts, last = [], -1
+    while last < n:
+        gaps = np.minimum(rng.standard_exponential(chunk) * scale, n).astype(np.int64)
+        gaps += 1
+        positions = last + np.cumsum(gaps)
+        parts.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return positions[: np.searchsorted(positions, n)]
+
+
+def reference_gate_fires(rng: np.random.Generator, quiet, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``mc._gate_fires`` as first written, splitting the arms by boolean-mask indexing."""
+    l_none, l_signal, l_idler = quiet
+    p = -math.expm1(-l_none)
+    fired = reference_bernoulli_positions(rng, p, size)
+    if not fired.size:
+        return fired, fired
+    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none) / p
+    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none) / p
+    u = rng.random(fired.size)
+    return fired[(u < signal_alone) | (u >= signal_alone + idler_alone)], fired[u >= signal_alone]
+
+
 class TestSparseSampling:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(1e-6, 1.0, exclude_max=True),
+        n=st.integers(0, 200_000),
+        shares=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=1e-6, n=200_000, shares=(0.5, 0.5), seed=0)
+    @example(p=0.81, n=200_000, shares=(0.6, 0.6), seed=1)
+    @example(p=1.0 - 2**-53, n=5_000, shares=(1.0, 0.0), seed=2)
+    def test_helpers_match_their_first_arithmetic(self, p, n, shares, seed):
+        # the same gates, in the same dtype, as the references draw from the
+        # same stream; each arm's quiet exponent is a share of the exponent of
+        # neither firing
+        positions = mc._bernoulli_positions(np.random.default_rng(seed), p, n)
+        expected = reference_bernoulli_positions(np.random.default_rng(seed), p, n)
+        assert positions.dtype == expected.dtype and np.array_equal(positions, expected)
+        l_none = -math.log1p(-p)
+        quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
+        arms = mc._gate_fires(np.random.default_rng(seed), quiet, n)
+        for arm, reference in zip(arms, reference_gate_fires(np.random.default_rng(seed), quiet, n)):
+            assert arm.dtype == reference.dtype and np.array_equal(arm, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        densities=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        shift=st.integers(-6000, 6000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # dense gates, read from flags, and sparse ones, merged by a sort; gates
+    # below 0 as the carried signal clicks of a block's head hold them
+    @example(n=5000, densities=(0.4, 0.4), shift=-2500, seed=0)
+    @example(n=5000, densities=(0.002, 0.01), shift=0, seed=1)
+    @example(n=5000, densities=(1.0, 1.0), shift=4999, seed=2)
+    def test_matches_count_shared_gates(self, n, densities, shift, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (np.flatnonzero(rng.random(n) < density) for density in densities)
+        for a_gates in (a, a + shift):
+            assert mc._matches(a_gates, b) == np.intersect1d(a_gates, b).size
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(0, 5000),
@@ -542,6 +614,20 @@ class TestAccidentalOffset:
         assert totals[1] > 3000
         z = (totals[1] - totals[2]) / math.sqrt(totals[1] + totals[2])
         assert abs(z) < 4.5
+
+    def test_offset_of_the_run_or_more_opens_no_window(self, monkeypatch):
+        # 2**63 does not fit an int64 gate; over 2,000 gates in blocks of a
+        # few gates the signal clicks of every block stay pending to the end
+        monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", 2.0)
+        monkeypatch.setattr(mc, "_MIN_BLOCK", 1)
+        chain, pump = make_rate_chain(0.5, 0.5, 0.5, dead_time_us=0.01)
+        n = 2_000
+        trials = [mc.TrialConfig(n_pulses=n, seed=3, accidental_offset=off) for off in (1, n, 2**63)]
+        runs = [mc.simulate(chain, pump, trial) for trial in trials]
+        assert runs[0].accidentals > 0
+        assert runs[1] == runs[2]
+        assert runs[2].accidentals == runs[2].accidental_pairs == 0
+        assert replace(runs[0], accidentals=0, accidental_pairs=0) == runs[2]
 
 
 class TestThermalStatistics:
@@ -861,32 +947,41 @@ class TestPostFilterClamp:
 class TestGoldenCounts:
     """Counts pinned bit for bit: a refactor of the rate parameters must not move them.
 
-    Frozen from 300k-pulse runs of the preset chains under the random stream
-    named by ``RNG_STREAM``; a new stream gets a new name and new goldens.
-    The last two points are wg-i at 200 mW and 1 W peak with a one-gate
-    detector dead time, where about 3% and 37% of gates click and the
-    dead-time filter does real work.  Each run is one block, and below a
-    fire probability of 1/3 the gaps of the v5 stream are those numpy's
+    Frozen from runs of the preset chains under the random stream named by
+    ``RNG_STREAM``; a new stream gets a new name and new goldens.  The first
+    five are 300k-pulse runs of one block.  Two of them are wg-i at 200 mW
+    and 1 W peak with a one-gate detector dead time, where about 3% and 37%
+    of gates click and the dead-time filter does real work.  Below a fire
+    probability of 1/3 the gaps of the v5 stream are those numpy's
     ``geometric`` draws by inversion, so the first four counts are those of
     the v4 stream; the 1 W point, where a gate fires with probability 0.81,
-    is not.
+    is not.  The last two are 3M pulses at 1 W, three blocks of 2**20
+    gates joined across their edges, at a one-gate dead time (the closed
+    form) and a two-gate one (pointer doubling under dense fires); two
+    threads must count them alike.
     """
 
     RNG_STREAM = "philox-sparse-v5"
     GOLDEN = {
-        # (preset, pair statistics, seed, dead time us, peak power W) -> counts
-        ("wg-i", "poisson", 11, None, None): (183, 181, 3, 0, 117000, 119268, 299999),
-        ("wg-i", "thermal", 12, None, None): (185, 172, 3, 0, 115822, 128000, 299999),
-        ("awg", "poisson", 13, None, None): (93, 82, 0, 0, 207000, 218648, 299999),
-        ("wg-i", "poisson", 14, 0.01, 0.2): (10155, 10077, 780, 286, 289845, 289923, 299999),
-        ("wg-i", "poisson", 15, 0.01, 1.0): (109804, 110017, 41731, 39517, 190196, 189983, 299999),
+        # (preset, pair statistics, seed, dead time us, peak power W, pulses) -> counts
+        ("wg-i", "poisson", 11, None, None, 300_000): (183, 181, 3, 0, 117000, 119268, 299999),
+        ("wg-i", "thermal", 12, None, None, 300_000): (185, 172, 3, 0, 115822, 128000, 299999),
+        ("awg", "poisson", 13, None, None, 300_000): (93, 82, 0, 0, 207000, 218648, 299999),
+        ("wg-i", "poisson", 14, 0.01, 0.2, 300_000): (10155, 10077, 780, 286, 289845, 289923, 299999),
+        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109804, 110017, 41731, 39517, 190196, 189983, 299999),
+        ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
+            1099292, 1099517, 415065, 396608, 1900708, 1900483, 2999999
+        ),
+        ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
+            804304, 804440, 224067, 212693, 1391392, 1391122, 2999999
+        ),
     }
 
     # the 1 W point holds 18 pairs per pulse, past the model's range
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
     def test_counts_are_frozen(self, key):
-        name, statistics, seed, dead_us, peak_w = key
+        name, statistics, seed, dead_us, peak_w, pulses = key
         document = presets.get_preset(name)
         if dead_us is not None:
             for arm in ("signal", "idler"):
@@ -894,7 +989,7 @@ class TestGoldenCounts:
         chain, pump = cfg.build_experiment(document)
         if peak_w is not None:
             chain, pump = mc.apply_sweep_value(chain, pump, "pp", peak_w)
-        trial = mc.TrialConfig(n_pulses=300_000, seed=seed, pair_statistics=statistics)
+        trial = mc.TrialConfig(n_pulses=pulses, seed=seed, pair_statistics=statistics)
         s = mc.simulate(chain, pump, trial)
         counts = (
             s.singles_signal,
@@ -907,6 +1002,8 @@ class TestGoldenCounts:
         )
         assert mc.RNG_STREAM == self.RNG_STREAM
         assert counts == self.GOLDEN[key]
+        if pulses > mc._MIN_BLOCK:
+            assert mc.simulate(chain, pump, trial, threads=2) == s
 
 
 class TestBlockEdges:
