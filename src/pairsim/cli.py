@@ -274,23 +274,17 @@ def cmd_sweep(args, parser) -> int:
         "car",
     ]
     columns = [_GRID_LABELS[args.var]] + pred_cols
-    mc_results: list[montecarlo.CountSummary] | None = None
-    if args.mc:
-        mc_results = [
-            s for _, s in montecarlo.sweep(chain, pump, args.var, grid_si, trial, threads=args.threads)
-        ]
-        columns += [f"mc_{name}" for name in _SWEEP_MC_CELLS]
-
     pred = cm.predict(*swept)
     rows = _stack_columns([grid_user] + [getattr(pred, name) for name in pred_cols])
-    if mc_results is not None:
-        for row, s in zip(rows, mc_results):
-            items = dict(_summary_items(s))
-            row += [items[name] for name in _SWEEP_MC_CELLS]
 
     meta = _base_metadata("sweep", cfg.config_hash(document), seed=args.seed if args.mc else None)
     if args.mc:
+        columns += [f"mc_{name}" for name in _SWEEP_MC_CELLS]
         meta["rng_stream"] = montecarlo.RNG_STREAM
+        runs = montecarlo.sweep(chain, pump, args.var, grid_si, trial, threads=args.threads)
+        for row, (_, s) in zip(rows, runs):
+            items = dict(_summary_items(s))
+            row += [items[name] for name in _SWEEP_MC_CELLS]
     meta["variable"] = args.var
     meta["grid"] = args.grid
     table = ResultTable(columns=columns, rows=rows, metadata=meta)
@@ -531,9 +525,15 @@ def _add_mc_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--accidental-offset", type=int, default=1, help="accidental gate offset")
     sub.add_argument("--no-dead-time", action="store_true", help="disable detector dead time")
     sub.add_argument(
-        "--pair-statistics", choices=montecarlo.PAIR_STATISTICS, default="poisson"
+        "--pair-statistics", choices=montecarlo.PAIR_STATISTICS, default="poisson",
+        help="pair-number law per pulse; thermal spreads it over --thermal-modes modes, by "
+        "default 24, the wg presets' 120 GHz pair bandwidth times their 200 ps pulse length",
     )
-    sub.add_argument("--thermal-modes", type=int, default=24)
+    sub.add_argument(
+        "--thermal-modes", type=int, default=24,
+        help="thermal modes; 24 is the wg presets' 120 GHz pair bandwidth times their 200 ps "
+        "pulse length (the product is 12.04 on awg)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

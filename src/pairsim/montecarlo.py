@@ -46,8 +46,9 @@ block's edge) the clicks are the block's own.  The caller then takes the
 blocks in order, carries each arm's dead window across the block boundary
 and reruns the pass from the carry on the fires before the edge.  The
 signal clicks of the last ``accidental_offset`` gates are carried too, so
-every gate but the last ``accidental_offset`` opens one accidental window,
-and a run of n gates has n - D * clicks <= active gates <= n - D * clicks + D.
+every gate but the last ``accidental_offset`` opens one accidental window.
+Accepted clicks lie more than D gates apart, so a run of n gates whose last
+click is at gate l has n - D * clicks + max(l + D + 1 - n, 0) active gates.
 
 ``RNG_STREAM`` names this sampling scheme; counts for a given seed change
 only with it.  The v5 stream brought the block sizing and the carries, the
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -88,9 +90,9 @@ class TrialConfig:
 
     ``accidental_offset`` is the gate separation used for the accidental
     (side-peak) coincidence window.  ``thermal_modes`` only matters for the
-    multimode-thermal pair-number option; the default of 24 matches a
-    time-bandwidth product of order twenty where thermal statistics are
-    already close to Poisson.
+    multimode-thermal pair-number option; the default of 24 is the wg
+    presets' 120 GHz pair bandwidth times their 200 ps pulse length (12.04
+    on ``awg``), where thermal statistics are already close to Poisson.
     """
 
     n_pulses: int
@@ -180,11 +182,6 @@ def derive_seed(master_seed: int, index: int) -> int:
 # per-block machinery
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # Philox is counter-based: streams keyed by (seed, block) never overlap.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), block_index])))
-
-
 def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """Sorted indices of the successes among n independent Bernoulli(p) trials.
 
@@ -229,12 +226,11 @@ def _no_pair_exponent(mean: float, trial: TrialConfig) -> float:
     return 0.0
 
 
-def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.ndarray, int]:
+def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     """Suppress fires landing in the dead window after an accepted click.
 
-    ``fires`` are the sorted gate indices in [0, n) where a detector fires.
-    Returns the accepted click indices and the number of active gates in the
-    block.  A click at gate g deactivates gates g+1 .. g+dead_gates.
+    ``fires`` are the sorted gate indices where a detector fires.  Returns the
+    accepted clicks; a click at gate g deactivates gates g+1 .. g+dead_gates.
 
     At one dead gate the pass has a closed form.  Fires sit at distinct
     gates, so a click's window holds at most one fire, the one at the very
@@ -246,7 +242,7 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     through pointer doubling.
     """
     if dead_gates <= 0:
-        return fires, n
+        return fires
     if dead_gates == 1:
         # head: the index of the first fire of each fire's run; the accepted
         # fires lie an even number of fires past it, and index ^ head has the
@@ -256,8 +252,7 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
         np.maximum.accumulate(head, out=head)
         head ^= np.arange(fires.size, dtype=np.int32)
         head &= 1
-        accepted = fires.compress(head == 0)
-        return accepted, n - _dead_gates(accepted, n, dead_gates)
+        return fires.compress(head == 0)
     k = fires.size
     # jump[i] is the first fire past the dead window of fire i (sentinel k maps
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
@@ -268,19 +263,17 @@ def _apply_dead_time(fires: np.ndarray, n: int, dead_gates: int) -> tuple[np.nda
     while path[-1] < k:
         path = np.concatenate((path, jump[path]))
         jump = jump[jump]
-    accepted = fires[path[path < k]]
-    return accepted, n - _dead_gates(accepted, n, dead_gates)
+    return fires[path[path < k]]
 
 
-def _dead_gates(clicks: np.ndarray, n: int, dead_gates: int) -> int:
-    """Gates of [0, n) the clicks leave dead: each the next dead_gates, cut at n.
+def _dead_gates(clicks: int, dead_until: int, n: int, dead_gates: int) -> int:
+    """Gates of [0, n) left dead by ``clicks`` accepted clicks; the last dead gate is dead_until.
 
-    Accepted clicks lie more than dead_gates apart, so only the window of the
-    last one can reach past n.
+    Accepted clicks lie more than dead_gates apart, so each kills its next
+    dead_gates gates, and only the last one's window, up to dead_until (-1
+    without clicks), can reach past n.
     """
-    if not clicks.size:
-        return 0
-    return dead_gates * clicks.size - max(int(clicks[-1]) + dead_gates + 1 - n, 0)
+    return dead_gates * clicks - max(dead_until + 1 - n, 0)
 
 
 def _first_free_fire(fires: np.ndarray, n: int, dead_gates: int) -> int:
@@ -346,23 +339,15 @@ def _gate_fires(
     return fired.compress(signal), fired.compress(idler)
 
 
-def _block_gates(p_fire: float) -> int:
-    """Gates per block: about ``_FIRES_PER_BLOCK`` fires expected, clamped to
-    ``_MIN_BLOCK`` .. ``_BLOCK_SIZE``."""
-    if p_fire <= 0.0:
-        return _BLOCK_SIZE
-    return int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE))
-
-
 class _Block(NamedTuple):
     """What one block's worker hands the caller that joins the run.
 
     The clicks from gate ``edge`` on are final whatever the blocks before
-    left: ``counts`` holds their singles, coincidences, accidentals and dead
-    gates.  The caller also gets each arm's fires before the edge (the head),
-    the idler clicks of [edge, edge + offset), the signal clicks of the last
-    ``offset`` gates from the edge on, and each arm's last click from the edge
-    on (-1 if none).
+    left: ``counts`` holds their singles, coincidences and accidentals.  The
+    caller also gets each arm's fires before the edge (the head), the idler
+    clicks of [edge, edge + offset), the signal clicks of the last ``offset``
+    gates from the edge on, and each arm's last click from the edge on (-1 if
+    none).
     """
 
     size: int
@@ -377,13 +362,14 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
 
     Returns the gates per block, each arm's dead gates, the accidental offset
-    and the counter.  An offset of n_pulses or more opens no window, so it is
-    cut to n_pulses, which keeps every shifted gate inside int64.  The
-    record gives the mean photons a reaching each detector and the x of them
-    that follow the pair law; the others are Poisson.  So a gate leaves an
-    arm quiet with the exponent a + (L(x) - x) - log(1 - p_dark), and leaves
-    both quiet with the same over the photons that reach either arm.  Warns
-    when a pulse holds more than one pair or unpaired photon on average.
+    and the counter.  An offset of n_pulses or more opens no window, and as
+    many dead gates leave all gates after a click dead, so both are cut to
+    n_pulses, which keeps every shifted gate inside int64.  The record gives
+    the mean photons a reaching each detector and the x of them that follow
+    the pair law; the others are Poisson.  So a gate leaves an arm quiet with
+    the exponent a + (L(x) - x) - log(1 - p_dark), and leaves both quiet with
+    the same over the photons that reach either arm.  Warns when a pulse
+    holds more than one pair or unpaired photon on average.
     """
     detectors = (chain.detector_signal, chain.detector_idler)
     dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
@@ -394,7 +380,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         rec.detected_signal + _no_pair_exponent(rec.pair_law_signal, trial) + dark_s,
         rec.detected_idler + _no_pair_exponent(rec.pair_law_idler, trial) + dark_i,
     )
-    dead_gates = tuple(detector.dead_gates if trial.dead_time_enabled else 0 for detector in detectors)
+    dead_gates = tuple(min(d.dead_gates, trial.n_pulses) if trial.dead_time_enabled else 0 for d in detectors)
     off = min(trial.accidental_offset, trial.n_pulses)
     unpaired = max(rec.detected_signal - rec.pair_law_signal, rec.detected_idler - rec.pair_law_idler)
     mu_check = rec.mu_pair + unpaired
@@ -408,46 +394,49 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
 
     def count(block: tuple[int, int]) -> _Block:
         block_index, size = block
-        fires = _gate_fires(_block_rng(trial.seed, block_index), quiet, size)
-        clicks = tuple(_apply_dead_time(arm, size, dead)[0] for arm, dead in zip(fires, dead_gates))
+        # Philox is counter-based: streams keyed by (seed, block) never overlap
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(trial.seed), block_index])))
+        fires = _gate_fires(rng, quiet, size)
+        clicks = tuple(_apply_dead_time(arm, dead) for arm, dead in zip(fires, dead_gates))
         # the run starts with both detectors active, so the first block has no head
-        edge = 0
-        if block_index:
-            edge = max(_first_free_fire(arm, size, dead) for arm, dead in zip(fires, dead_gates))
+        edge = max(map(_first_free_fire, fires, (size, size), dead_gates)) if block_index else 0
         tail_s, tail_i = (arm[np.searchsorted(arm, edge) :] for arm in clicks)
+        cut = np.searchsorted(tail_s, size - off)
         counts = (
             tail_s.size,
             tail_i.size,
             _matches(tail_s, tail_i),
-            # a signal click at g and an idler click at g + off, both from the edge on
-            _matches(tail_s + off, tail_i),
-            _dead_gates(tail_s, size, dead_gates[0]),
-            _dead_gates(tail_i, size, dead_gates[1]),
+            # a signal click at g and an idler click at g + off, both from the edge on;
+            # the signal clicks from size - off on open their windows in later blocks
+            _matches(tail_s[:cut] + off, tail_i),
         )
         return _Block(
             size=size,
             counts=np.array(counts, dtype=np.int64),
             heads=tuple(arm[: np.searchsorted(arm, edge)] for arm in fires),
             idler_window=tail_i[: np.searchsorted(tail_i, edge + off)],
-            signal_end=tail_s[np.searchsorted(tail_s, size - off) :],
+            signal_end=tail_s[cut:],
             last=(int(tail_s[-1]) if tail_s.size else -1, int(tail_i[-1]) if tail_i.size else -1),
         )
 
-    return _block_gates(-math.expm1(-quiet[0])), dead_gates, off, count
+    p_fire = -math.expm1(-quiet[0])
+    gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
+    return gates, dead_gates, off, count
 
 
-def _join(blocks, dead_gates: tuple[int, int], off: int) -> np.ndarray:
-    """Totals of the blocks of one run, taken in order as one continuous stream.
+def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """Totals of the blocks of a run of n gates, taken in order as one continuous stream.
 
     Each arm carries its dead window and the signal clicks of the last
     ``off`` gates carry their accidental windows into the blocks after.  The
     carry changes only a block's head, the fires before its edge, so the
     dead-time pass runs on the head from the carry.  Returns singles,
-    coincidences, accidentals and dead gates as ``_Block.counts`` orders them.
+    coincidences and accidentals as ``_Block.counts`` orders them, and each
+    arm's last dead gate (-1 if it never clicked).
     """
-    totals = np.zeros(6, dtype=np.int64)
+    totals = np.zeros(4, dtype=np.int64)
     dead_until = [-1, -1]  # the last dead gate of each arm, counted from the run start
-    pending = np.empty(0, dtype=np.int64)  # signal clicks whose window may open in a later block
+    pending: deque[np.ndarray] = deque()  # sorted signal clicks whose windows open before n
     start = 0
     for block in blocks:
         size = block.size
@@ -457,26 +446,33 @@ def _join(blocks, dead_gates: tuple[int, int], off: int) -> np.ndarray:
             fires, dead = block.heads[arm], dead_gates[arm]
             carry = dead_until[arm] - start + 1
             if carry > 0:
-                totals[4 + arm] += min(carry, size)
                 fires = fires[np.searchsorted(fires, carry) :]
-            clicks = _apply_dead_time(fires, size, dead)[0] if fires.size else fires
+            clicks = _apply_dead_time(fires, dead) if fires.size else fires
             totals[arm] += clicks.size
-            totals[4 + arm] += _dead_gates(clicks, size, dead)
             last = block.last[arm] if block.last[arm] >= 0 else (int(clicks[-1]) if clicks.size else -1)
             if last >= 0:
                 dead_until[arm] = start + last + dead
             heads.append(clicks)
         head_s, head_i = heads
         totals[2] += _matches(head_s, head_i)
-        # most blocks of a sparse run have no head and nothing to carry
-        if head_s.size or pending.size:
-            signal = np.concatenate((pending - start, head_s))
-            totals[3] += _matches(signal + off, np.concatenate((head_i, block.idler_window)))
-        if head_s.size or pending.size or block.signal_end.size:
-            pending = np.concatenate((pending, head_s + start, block.signal_end + start))
-            pending = pending[np.searchsorted(pending, start + size - off) :]
+        # the head's signal clicks join the queue, and the clicks whose windows
+        # open in this block leave it; most blocks of a sparse run have neither
+        if head_s.size or block.signal_end.size:
+            later = np.concatenate((head_s, block.signal_end)) + start
+            later = later[: np.searchsorted(later, n - off)]
+            if later.size:
+                pending.append(later)
+        due = []
+        while pending and pending[0][0] < start + size - off:
+            chunk = pending.popleft()
+            split = np.searchsorted(chunk, start + size - off)
+            due.append(chunk[:split] + (off - start))
+            if split < chunk.size:
+                pending.appendleft(chunk[split:])
+        if due:
+            totals[3] += _matches(np.concatenate(due), np.concatenate((head_i, block.idler_window)))
         start += size
-    return totals
+    return totals, dead_until
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +501,10 @@ def simulate(
     workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = _join(pool.map(count, blocks), dead_gates, off)
+            totals, dead_until = _join(pool.map(count, blocks), dead_gates, off, n)
     else:
-        totals = _join(map(count, blocks), dead_gates, off)
+        totals, dead_until = _join(map(count, blocks), dead_gates, off, n)
+    active = [n - _dead_gates(int(totals[arm]), dead_until[arm], n, dead_gates[arm]) for arm in (0, 1)]
     return CountSummary(
         n_pulses=n,
         gate_rate_hz=pump.rep_rate_hz,
@@ -515,8 +512,8 @@ def simulate(
         singles_idler=int(totals[1]),
         coincidences=int(totals[2]),
         accidentals=int(totals[3]),
-        active_gates_signal=n - int(totals[4]),
-        active_gates_idler=n - int(totals[5]),
+        active_gates_signal=active[0],
+        active_gates_idler=active[1],
         accidental_pairs=max(n - trial.accidental_offset, 0),
     )
 

@@ -373,6 +373,25 @@ class TestExitCodes:
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "0.01:0.02:2", "--mc", "--pulses", "1000"]
         assert cli.main([*sweep, *offset]) == cli.EXIT_OK
 
+    def test_dead_time_past_int64_exits_zero(self, tmp_path):
+        # 1e20 us is 1e22 gates at 100 MHz, past int64; a dead time of n gates
+        # or more leaves every gate after a click dead, so it counts as 30 us,
+        # exactly the 3,000 gates of the run
+        rows = []
+        for dead_us in (1e20, 30.0):
+            document = presets.get_preset("wg-i")
+            for arm in ("signal", "idler"):
+                document["detectors"][arm]["dead_time_us"] = dead_us
+            path, out = tmp_path / "chain.json", tmp_path / "sim.json"
+            path.write_text(json.dumps(document))
+            simulate = ["simulate", str(path), "--pulses", "3000", "--seed", "1", "--out", str(out)]
+            assert cli.main(simulate) == cli.EXIT_OK
+            rows.append(json.loads(out.read_text())["rows"])
+            sweep = ["sweep", str(path), "--var", "pp", "--grid", "1:2:2", "--mc", "--pulses", "3000"]
+            assert cli.main(sweep) == cli.EXIT_OK
+        assert rows[0] == rows[1]
+        assert cfg.build_experiment(document)[0].detector_signal.dead_gates == 3000
+
 
 class TestPredictOutput:
     @pytest.mark.parametrize("preset", ["wg-i", "awg"])
