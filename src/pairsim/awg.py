@@ -108,11 +108,11 @@ def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
     return value
 
 
-def _band_edges(spec: AwgSpec, pump_frequency_hz: float, generation_band_hz: float | None):
+def _generation_band(spec: AwgSpec, generation_band_hz: float | None) -> float:
     band = generation_band_hz if generation_band_hz is not None else spec.default_generation_band_hz
     if band <= 0:
         raise ValueError("generation band must be positive")
-    return pump_frequency_hz - band / 2.0, pump_frequency_hz + band / 2.0, band
+    return band
 
 
 def _gaussian_integral(center: float, rate: float, lo: float, hi: float) -> float:
@@ -189,7 +189,7 @@ def effective_pair_bandwidth(
     ``nu_p - (nu_i - nu_p)``).  For mirrored rectangular passbands this
     equals the 3-dB width itself.
     """
-    _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
+    band = _generation_band(spec, generation_band_hz)
     shape = (spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
     signal = (channel_center(spec, signal_channel) - pump_frequency_hz, *shape)
     idler = (pump_frequency_hz - channel_center(spec, idler_channel), *shape)
@@ -210,7 +210,7 @@ def effective_single_bandwidth(
     give the 3-dB width and gaussian ones ``(w/2) * sqrt(pi / ln 2)``; a floor
     adds about ``floor * band``.
     """
-    _, _, band = _band_edges(spec, pump_frequency_hz, generation_band_hz)
+    band = _generation_band(spec, generation_band_hz)
     detuning = channel_center(spec, channel) - pump_frequency_hz
     gaussian = spec.passband_shape == "gaussian"
     passband = (detuning, spec.passband_3db_hz / 2.0, gaussian, spec.crosstalk_floor)

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -210,7 +210,14 @@ def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]
     ]
 
 
-def _trial_from_args(args, parser) -> montecarlo.TrialConfig:
+def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig, montecarlo.TrialConfig]:
+    """The document, chain, pump and trial of ``simulate`` or ``sweep``.
+
+    ``--no-dead-time`` zeroes both detectors' dead gates on the chain, so
+    that ``predict`` and the counting run read one chain.
+    """
+    document = _load_document(args, parser)
+    chain, pump = cfg.build_experiment(document)
     if args.seed < 0:
         parser.error("--seed must be a non-negative integer")
     for flag, value in (
@@ -221,20 +228,21 @@ def _trial_from_args(args, parser) -> montecarlo.TrialConfig:
     ):
         if value < 1:
             parser.error(f"{flag} must be a positive integer")
-    return montecarlo.TrialConfig(
+    if args.no_dead_time:
+        signal, idler = (replace(d, dead_gates=0) for d in (chain.detector_signal, chain.detector_idler))
+        chain = replace(chain, detector_signal=signal, detector_idler=idler)
+    trial = montecarlo.TrialConfig(
         n_pulses=args.pulses,
         seed=args.seed,
         accidental_offset=args.accidental_offset,
-        dead_time_enabled=not args.no_dead_time,
         pair_statistics=args.pair_statistics,
         thermal_modes=args.thermal_modes,
     )
+    return document, chain, pump, trial
 
 
 def cmd_simulate(args, parser) -> int:
-    document = _load_document(args, parser)
-    chain, pump = cfg.build_experiment(document)
-    trial = _trial_from_args(args, parser)
+    document, chain, pump, trial = _counting_run(args, parser)
     summary = montecarlo.simulate(chain, pump, trial, threads=args.threads)
     meta = _base_metadata("simulate", cfg.config_hash(document), seed=trial.seed)
     meta["rng_stream"] = montecarlo.RNG_STREAM
@@ -246,9 +254,7 @@ _SWEEP_MC_CELLS = ("singles_signal", "singles_idler", "coincidences", "accidenta
 
 
 def cmd_sweep(args, parser) -> int:
-    document = _load_document(args, parser)
-    chain, pump = cfg.build_experiment(document)
-    trial = _trial_from_args(args, parser)  # checked even when nothing is simulated
+    document, chain, pump, trial = _counting_run(args, parser)  # checked even when nothing is simulated
     grid_user = _parse_grid(args.grid)
     grid_si = grid_user * _GRID_UNITS[args.var]
     try:
@@ -523,11 +529,12 @@ def _add_mc_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master random seed")
     sub.add_argument("--threads", type=int, default=1, help="worker threads")
     sub.add_argument("--accidental-offset", type=int, default=1, help="accidental gate offset")
-    sub.add_argument("--no-dead-time", action="store_true", help="disable detector dead time")
+    sub.add_argument(
+        "--no-dead-time", action="store_true", help="zero both detectors' dead time, in the predictions and the counts"
+    )
     sub.add_argument(
         "--pair-statistics", choices=montecarlo.PAIR_STATISTICS, default="poisson",
-        help="pair-number law per pulse; thermal spreads it over --thermal-modes modes, by "
-        "default 24, the wg presets' 120 GHz pair bandwidth times their 200 ps pulse length",
+        help="pair-number law per pulse; thermal spreads it over --thermal-modes modes",
     )
     sub.add_argument(
         "--thermal-modes", type=int, default=24,

@@ -35,20 +35,23 @@ the fixed cost of a block rarely, and a dense one keeps its arrays small.
 The cut depends on the config and the number of pulses only, never on the
 worker count, so results are bit-identical for any number of threads.
 
-The blocks still count as one continuous stream.  Dead time is applied to a
-block's fires at once, from the block's first fire.  At one dead gate a
-window holds at most the very next gate's fire, so each run of fires at
-consecutive gates keeps its 1st, 3rd, 5th, ... fire, found in one pass;
-longer dead times take pointer doubling over each fire's next allowed
-fire.  Every pass accepts a fire that comes more than D gates after the
-fire before it, so from the later of the two arms' first such fires (the
-block's edge) the clicks are the block's own.  The caller then takes the
-blocks in order, carries each arm's dead window across the block boundary
-and reruns the pass from the carry on the fires before the edge.  The
-signal clicks of the last ``accidental_offset`` gates are carried too, so
-every gate but the last ``accidental_offset`` opens one accidental window.
-Accepted clicks lie more than D gates apart, so a run of n gates whose last
-click is at gate l has n - D * clicks + max(l + D + 1 - n, 0) active gates.
+The blocks still count as one continuous stream.  A block's worker draws
+its fires and applies dead time to them at once, from the block's first
+fire.  At one dead gate a window holds at most the very next gate's fire,
+so each run of fires at consecutive gates keeps its 1st, 3rd, 5th, ...
+fire, found in one pass; longer dead times take pointer doubling over each
+fire's next allowed fire.  Every pass accepts a fire that comes more than D
+gates after the fire before it, so from the later of the two arms' first
+such fires (the block's edge) the clicks are final whatever the blocks
+before left.  The worker hands back those clicks, the tail, and each arm's
+fires before the edge, the head; it counts nothing.  The join takes the
+blocks in order, carries each arm's dead window across the block boundary,
+reruns the pass from the carry on the head, and counts the singles,
+coincidences and accidentals of head and tail alike.  Signal clicks whose
+accidental window opens in a later block wait for it in a queue, so every
+gate but the last ``accidental_offset`` opens one window.  Accepted clicks
+lie more than D gates apart, so a run of n gates whose last click is at
+gate l has n - D * clicks + max(l + D + 1 - n, 0) active gates.
 
 ``RNG_STREAM`` names this sampling scheme; counts for a given seed change
 only with it.  The v5 stream brought the block sizing and the carries, the
@@ -64,7 +67,6 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -339,37 +341,20 @@ def _gate_fires(
     return fired.compress(signal), fired.compress(idler)
 
 
-class _Block(NamedTuple):
-    """What one block's worker hands the caller that joins the run.
-
-    The clicks from gate ``edge`` on are final whatever the blocks before
-    left: ``counts`` holds their singles, coincidences and accidentals.  The
-    caller also gets each arm's fires before the edge (the head), the idler
-    clicks of [edge, edge + offset), the signal clicks of the last ``offset``
-    gates from the edge on, and each arm's last click from the edge on (-1 if
-    none).
-    """
-
-    size: int
-    counts: np.ndarray
-    heads: tuple[np.ndarray, np.ndarray]
-    idler_window: np.ndarray
-    signal_end: np.ndarray
-    last: tuple[int, int]
-
-
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
-    """The counter of one block ``(block_index, size)``, read from the record and detectors alone.
+    """The worker of one block ``(block_index, size)``, read from the record and detectors alone.
 
     Returns the gates per block, each arm's dead gates, the accidental offset
-    and the counter.  An offset of n_pulses or more opens no window, and as
-    many dead gates leave all gates after a click dead, so both are cut to
-    n_pulses, which keeps every shifted gate inside int64.  The record gives
-    the mean photons a reaching each detector and the x of them that follow
-    the pair law; the others are Poisson.  So a gate leaves an arm quiet with
-    the exponent a + (L(x) - x) - log(1 - p_dark), and leaves both quiet with
-    the same over the photons that reach either arm.  Warns when a pulse
-    holds more than one pair or unpaired photon on average.
+    and the worker, which returns the block's size, each arm's fires before
+    the block's edge and its clicks from the edge on.  An offset of n_pulses
+    or more opens no window, and as many dead gates leave all gates after a
+    click dead, so both are cut to n_pulses, which keeps every shifted gate
+    inside int64.  The record gives the mean photons a reaching each
+    detector and the x of them that follow the pair law; the others are
+    Poisson.  So a gate leaves an arm quiet with the exponent
+    a + (L(x) - x) - log(1 - p_dark), and leaves both quiet with the same
+    over the photons that reach either arm.  Warns when a pulse holds more
+    than one pair or unpaired photon on average.
     """
     detectors = (chain.detector_signal, chain.detector_idler)
     dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
@@ -392,85 +377,61 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             stacklevel=3,
         )
 
-    def count(block: tuple[int, int]) -> _Block:
+    def draw(block: tuple[int, int]):
         block_index, size = block
         # Philox is counter-based: streams keyed by (seed, block) never overlap
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(trial.seed), block_index])))
         fires = _gate_fires(rng, quiet, size)
-        clicks = tuple(_apply_dead_time(arm, dead) for arm, dead in zip(fires, dead_gates))
         # the run starts with both detectors active, so the first block has no head
         edge = max(map(_first_free_fire, fires, (size, size), dead_gates)) if block_index else 0
-        tail_s, tail_i = (arm[np.searchsorted(arm, edge) :] for arm in clicks)
-        cut = np.searchsorted(tail_s, size - off)
-        counts = (
-            tail_s.size,
-            tail_i.size,
-            _matches(tail_s, tail_i),
-            # a signal click at g and an idler click at g + off, both from the edge on;
-            # the signal clicks from size - off on open their windows in later blocks
-            _matches(tail_s[:cut] + off, tail_i),
-        )
-        return _Block(
-            size=size,
-            counts=np.array(counts, dtype=np.int64),
-            heads=tuple(arm[: np.searchsorted(arm, edge)] for arm in fires),
-            idler_window=tail_i[: np.searchsorted(tail_i, edge + off)],
-            signal_end=tail_s[cut:],
-            last=(int(tail_s[-1]) if tail_s.size else -1, int(tail_i[-1]) if tail_i.size else -1),
-        )
+        heads = tuple(arm[: arm.searchsorted(edge)] for arm in fires)
+        tails = tuple(arm[arm.searchsorted(edge) :] for arm in map(_apply_dead_time, fires, dead_gates))
+        return size, heads, tails
 
     p_fire = -math.expm1(-quiet[0])
     gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
-    return gates, dead_gates, off, count
+    return gates, dead_gates, off, draw
 
 
 def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.ndarray, list[int]]:
-    """Totals of the blocks of a run of n gates, taken in order as one continuous stream.
-
-    Each arm carries its dead window and the signal clicks of the last
-    ``off`` gates carry their accidental windows into the blocks after.  The
-    carry changes only a block's head, the fires before its edge, so the
-    dead-time pass runs on the head from the carry.  Returns singles,
-    coincidences and accidentals as ``_Block.counts`` orders them, and each
-    arm's last dead gate (-1 if it never clicked).
-    """
+    """Singles, coincidences, accidentals and each arm's last dead gate of a run of n gates in blocks."""
     totals = np.zeros(4, dtype=np.int64)
     dead_until = [-1, -1]  # the last dead gate of each arm, counted from the run start
-    pending: deque[np.ndarray] = deque()  # sorted signal clicks whose windows open before n
+    pending: deque[np.ndarray] = deque()  # sorted signal clicks whose windows open in later blocks
     start = 0
-    for block in blocks:
-        size = block.size
-        totals += block.counts
-        heads = []
-        for arm in (0, 1):
-            fires, dead = block.heads[arm], dead_gates[arm]
+    for size, heads, tails in blocks:
+        clicks = []
+        for arm, (fires, tail, dead) in enumerate(zip(heads, tails, dead_gates)):
             carry = dead_until[arm] - start + 1
             if carry > 0:
-                fires = fires[np.searchsorted(fires, carry) :]
-            clicks = _apply_dead_time(fires, dead) if fires.size else fires
-            totals[arm] += clicks.size
-            last = block.last[arm] if block.last[arm] >= 0 else (int(clicks[-1]) if clicks.size else -1)
-            if last >= 0:
-                dead_until[arm] = start + last + dead
-            heads.append(clicks)
-        head_s, head_i = heads
-        totals[2] += _matches(head_s, head_i)
-        # the head's signal clicks join the queue, and the clicks whose windows
-        # open in this block leave it; most blocks of a sparse run have neither
-        if head_s.size or block.signal_end.size:
-            later = np.concatenate((head_s, block.signal_end)) + start
-            later = later[: np.searchsorted(later, n - off)]
-            if later.size:
-                pending.append(later)
+                fires = fires[fires.searchsorted(carry) :]
+            head = _apply_dead_time(fires, dead) if fires.size else fires
+            last = tail if tail.size else head
+            if last.size:
+                dead_until[arm] = start + int(last[-1]) + dead
+            totals[arm] += head.size + tail.size
+            clicks.append((head, tail))
+        (head_s, tail_s), (head_i, tail_i) = clicks
+        totals[2] += _matches(head_s, head_i) + _matches(tail_s, tail_i)
+        # a signal click at g opens the window of the idler click at g + off;
+        # due holds the windows that open in this block, in block gates
         due = []
         while pending and pending[0][0] < start + size - off:
             chunk = pending.popleft()
-            split = np.searchsorted(chunk, start + size - off)
+            split = chunk.searchsorted(start + size - off)
             due.append(chunk[:split] + (off - start))
             if split < chunk.size:
                 pending.appendleft(chunk[split:])
-        if due:
-            totals[3] += _matches(np.concatenate(due), np.concatenate((head_i, block.idler_window)))
+        for signal in (head_s, tail_s):
+            split = signal.searchsorted(size - off)
+            due.append(signal[:split] + off)
+            later = signal[split : signal.searchsorted(n - off - start)]
+            if later.size:
+                pending.append(later + start)
+        due = np.concatenate(due)
+        # the head's idler clicks come before the tail's
+        split = due.searchsorted(tail_i[0] if tail_i.size else size)
+        totals[3] += _matches(due[:split], head_i) + _matches(due[split:], tail_i)
         start += size
     return totals, dead_until
 
@@ -491,7 +452,7 @@ def simulate(
     the same CountSummary, regardless of ``threads``, which caps the worker
     threads; no more start than there are blocks or cores.
     """
-    block_gates, dead_gates, off, count = _block_sampler(chain, cm.evaluate(chain, pump), trial)
+    block_gates, dead_gates, off, draw = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
     blocks = [(bi, min(block_gates, n - bi * block_gates)) for bi in range(-(-n // block_gates))]
 
@@ -501,9 +462,9 @@ def simulate(
     workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals, dead_until = _join(pool.map(count, blocks), dead_gates, off, n)
+            totals, dead_until = _join(pool.map(draw, blocks), dead_gates, off, n)
     else:
-        totals, dead_until = _join(map(count, blocks), dead_gates, off, n)
+        totals, dead_until = _join(map(draw, blocks), dead_gates, off, n)
     active = [n - _dead_gates(int(totals[arm]), dead_until[arm], n, dead_gates[arm]) for arm in (0, 1)]
     return CountSummary(
         n_pulses=n,

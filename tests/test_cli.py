@@ -95,6 +95,11 @@ class TestFrozenFigures:
             "sweep", "--preset", "wg-i", "--var", "pp", "--grid", "log:1:60:4",
             "--mc", "--pulses", "200000", "--seed", "5",
         ): "a4d65a654fb0c255330cba7f0594798e38f8669c262c5627cfbcab304196ae63",
+        # the counting run without dead time, frozen while --no-dead-time was
+        # a trial option and not a change to the chain
+        (
+            "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11", "--no-dead-time",
+        ): "94dd883a50b306550fc172c5d98e34773dd57cd440a8dc619dcee91b56deda93",
     }
 
     @pytest.mark.parametrize("figure", sorted(FIGURES))
@@ -455,6 +460,25 @@ class TestCountingOptions:
             cli.main(flags)
         assert exc.value.code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    def test_no_dead_time_reaches_the_predictions(self, tmp_path):
+        # at 300 mW the 1000-gate dead time cuts the predicted clicks about
+        # 77-fold; without it the sweep predicts and counts as the same
+        # document with no dead time does
+        document = presets.get_preset("wg-i")
+        for arm in document["detectors"].values():
+            arm["dead_time_us"] = 0.0
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(document))
+        rows = []
+        for source in (["--preset", "wg-i", "--no-dead-time"], [str(free)]):
+            out = tmp_path / "sweep.json"
+            grid = ["--var", "pp", "--grid", "300:300:1", "--mc", "--pulses", "20000", "--seed", "3"]
+            with pytest.warns(RuntimeWarning, match="per-pulse mean"):
+                assert cli.main(["sweep", *source, *grid, "--out", str(out)]) == cli.EXIT_OK
+            rows.append(json.loads(out.read_text())["rows"])
+        assert rows[0] == rows[1]
+        assert rows[0][0][5] > 0.07
 
     def test_counting_output_names_its_random_stream(self, tmp_path):
         out = tmp_path / "sim.json"

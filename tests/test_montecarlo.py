@@ -1008,6 +1008,35 @@ class TestGoldenCounts:
             assert mc.simulate(chain, pump, trial, threads=2) == s
 
 
+def recording_gate_fires(drawn: list):
+    """``mc._gate_fires`` that appends each block's fires and size to ``drawn``."""
+    gate_fires = mc._gate_fires
+
+    def recording(rng, quiet, size):
+        fires = gate_fires(rng, quiet, size)
+        drawn.append((fires, size))
+        return fires
+
+    return recording
+
+
+def assert_one_pass(s: mc.CountSummary, drawn: list, dead: tuple[int, int], offset: int) -> None:
+    """Every count of ``s`` equals one per-gate pass over the fires its blocks drew, in order."""
+    starts = np.cumsum([0] + [size for _, size in drawn])
+    assert starts[-1] == s.n_pulses
+    clicks = []
+    for arm, name in enumerate(("signal", "idler")):
+        fire = np.zeros(s.n_pulses, dtype=bool)
+        fire[np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])] = True
+        arm_mask, active = reference_dead_time(fire, dead[arm])
+        clicks.append(np.flatnonzero(arm_mask))
+        assert (getattr(s, f"singles_{name}"), getattr(s, f"active_gates_{name}")) == (clicks[arm].size, active)
+    signal, idler = clicks
+    assert s.coincidences == np.intersect1d(signal, idler).size
+    assert s.accidentals == np.intersect1d(signal + offset, idler).size
+    assert s.accidental_pairs == max(s.n_pulses - offset, 0)
+
+
 class TestBlockEdges:
     """A run of many blocks counts as one continuous stream.
 
@@ -1036,14 +1065,7 @@ class TestBlockEdges:
         chain, pump = make_rate_chain(*rates)
         trial = mc.TrialConfig(n_pulses=n, seed=9, accidental_offset=offset)
         drawn = []
-        gate_fires = mc._gate_fires
-
-        def recording(rng, quiet, size):
-            fires = gate_fires(rng, quiet, size)
-            drawn.append((fires, size))
-            return fires
-
-        monkeypatch.setattr(mc, "_gate_fires", recording)
+        monkeypatch.setattr(mc, "_gate_fires", recording_gate_fires(drawn))
         return mc.simulate(chain, pump, trial, threads=threads), drawn, chain
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -1055,23 +1077,7 @@ class TestBlockEdges:
         # the offsets: the next gate, two on, and one longer than any block
         for offset in (1, 2, max(sizes) + 3):
             s, drawn, _ = self._run(monkeypatch, case, offset, threads=1)
-            starts = np.cumsum([0] + [size for _, size in drawn])
-            assert starts[-1] == s.n_pulses
-            clicks = []
-            for arm in (0, 1):
-                fire = np.zeros(s.n_pulses, dtype=bool)
-                fire[np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])] = True
-                arm_mask, active = reference_dead_time(fire, dead)
-                arm_clicks = np.flatnonzero(arm_mask)
-                clicks.append(arm_clicks)
-                assert (getattr(s, ("singles_signal", "singles_idler")[arm]), active) == (
-                    arm_clicks.size,
-                    getattr(s, ("active_gates_signal", "active_gates_idler")[arm]),
-                )
-            signal, idler = clicks
-            assert s.coincidences == np.intersect1d(signal, idler).size
-            assert s.accidentals == np.intersect1d(signal + offset, idler).size
-            assert s.accidental_pairs == s.n_pulses - offset
+            assert_one_pass(s, drawn, (dead, dead), offset)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_thread_count_irrelevant(self, monkeypatch, case):
@@ -1087,15 +1093,16 @@ class TestBlockEdges:
         offset=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_identities_hold_for_any_block_count(self, n, mu, dead_us, fires_per_block, offset, seed):
-        # every click but the last leaves exactly D dead gates, the last one
-        # at most D, and every gate but the last ``offset`` opens a window
+    # a head idler click closes the window of a signal click in the block before
+    @example(n=12, mu=0.5, dead_us=0.01, fires_per_block=2.0, offset=1, seed=4)
+    def test_counts_equal_one_pass_for_any_block_count(self, n, mu, dead_us, fires_per_block, offset, seed):
         chain, pump = make_rate_chain(mu, 0.5, 0.5, dark_rate_hz=1e5, dead_time_us=dead_us)
         trial = mc.TrialConfig(n_pulses=n, seed=seed, accidental_offset=offset)
-        with mock.patch.object(mc, "_FIRES_PER_BLOCK", fires_per_block), mock.patch.object(mc, "_MIN_BLOCK", 1):
+        drawn = []
+        with (
+            mock.patch.object(mc, "_FIRES_PER_BLOCK", fires_per_block),
+            mock.patch.object(mc, "_MIN_BLOCK", 1),
+            mock.patch.object(mc, "_gate_fires", recording_gate_fires(drawn)),
+        ):
             s = mc.simulate(chain, pump, trial)
-        dead = chain.detector_signal.dead_gates
-        for clicks, active in ((s.singles_signal, s.active_gates_signal), (s.singles_idler, s.active_gates_idler)):
-            low = n - dead * clicks
-            assert low <= active <= low + dead
-        assert s.accidental_pairs == max(n - offset, 0)
+        assert_one_pass(s, drawn, (chain.detector_signal.dead_gates, chain.detector_idler.dead_gates), offset)
