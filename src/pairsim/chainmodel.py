@@ -23,23 +23,24 @@ dark probability (see ``montecarlo.apply_sweep_value``).  Every check of
 that field then holds for each element, and ``evaluate``, ``predict`` and
 ``car_estimate`` return arrays over the grid, equal bit for bit to the
 calls at each single value.  Sums, products and quotients use the plain
-operators, which round as Python's do; every power, exponential and branch
-on a swept quantity goes through a function made by
+operators, which round as Python's do; every power, exponential, logarithm
+and branch on a swept quantity goes through a function made by
 ``elementwise.elementwise``, which calls the same ``math`` function on each
-element, because numpy's vectorised ``exp``, ``power`` and ``expm1`` differ
-from it in the last bit on a few percent of inputs.
+element, because numpy's vectorised ``exp``, ``power``, ``expm1`` and
+``log1p`` differ from it in the last bit on a few percent of inputs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
 
 from . import awg as awg_mod
 from .awg import AwgSpec
-from .elementwise import db_to_linear, elementwise, exp, expm1, holds, power
+from .elementwise import db_to_linear, elementwise, exp, expm1, holds, log1p, power
 
 C_VACUUM = 299_792_458.0  # m/s
 
@@ -477,6 +478,20 @@ def gate_duty(p_click: float, dead_gates: int) -> float:
     return 1.0 / (1.0 + p_click * dead_gates)
 
 
+def no_pair_excess(x: float, thermal_modes: int | None = None) -> float:
+    """L(x) - x, where L(x) = -log P0(x) is the pair law's exponent of no pair at mean x.
+
+    Poisson pairs (``thermal_modes=None``): P0 = exp(-x), excess exactly 0.0.
+    m thermal modes: P0 = (1 + x/m)**-m (Avenhaus et al., PRL 101, 053601
+    (2008)).  Raises ValueError for m below 1 or not a finite float.
+    """
+    if thermal_modes is None:
+        return 0.0
+    if not 1 <= thermal_modes <= sys.float_info.max:
+        raise ValueError("thermal modes must be a finite number of at least 1")
+    return thermal_modes * log1p(x / thermal_modes) - x
+
+
 def pair_rate_from_counts_multipair(
     coincidence_rate_hz: float,
     accidental_rate_hz: float,
@@ -584,20 +599,17 @@ def singles_rate(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float
     return rec.mu_signal, rec.mu_idler
 
 
-def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
+def predict(chain: ExperimentChain, pump: PumpConfig, thermal_modes: int | None = None) -> RatePrediction:
     """Exact per-clock-gate click and coincidence expectations.
 
-    For Poisson pair numbers the photon causes on the two detectors decompose
-    into independent Poisson streams (pairs surviving both channels, pairs
-    surviving one, and noise photons), which gives closed forms for the
-    threshold-detector click and same-gate coincidence probabilities
-    (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  The mean causes per
-    arm and the pairs reaching both arms are read from ``evaluate``'s record;
-    each arm stays quiet with ``exp(-a) * (1 - p_dark)``.  Dark counts are
-    suppressed in dead gates, and the dead-time states of the two detectors
-    are treated as independent.  These are the quantities a long counting run
-    estimates, and they are what the stochastic simulator is validated
-    against.  Defined at any pump power: the joint term is written so that its
+    Pairs follow the law of ``no_pair_excess``, Poisson or ``thermal_modes``
+    modes, as ``montecarlo.TrialConfig`` sets it.  Pairs reaching a detector
+    keep it at a thinned mean x, so with the mean causes a of ``evaluate``'s
+    record an arm stays quiet with ``exp(-(a + L(x) - x)) * (1 - p_dark)``,
+    and both arms likewise (for Poisson pairs, Takesue and Shimizu, Opt.
+    Commun. 283, 276 (2010)).  Exact for both laws without dead time; dead
+    gates suppress dark counts, and the two detectors' dead-time states are
+    treated as independent.  Defined at any pump power: the joint term's
     exponent is never positive.
     """
     rec = evaluate(chain, pump)
@@ -606,15 +618,17 @@ def predict(chain: ExperimentChain, pump: PumpConfig) -> RatePrediction:
     pd_i = det_i.dark_prob_per_gate
 
     a_s, a_i = rec.detected_signal, rec.detected_idler  # mean photon causes per arm
-    p_active_s = 1.0 - exp(-a_s) * (1.0 - pd_s)
-    p_active_i = 1.0 - exp(-a_i) * (1.0 - pd_i)
+    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
+    ex_s, ex_i, ex_si = (no_pair_excess(x, thermal_modes) for x in means)
+    p_active_s = 1.0 - exp(-(a_s + ex_s)) * (1.0 - pd_s)
+    p_active_i = 1.0 - exp(-(a_i + ex_i)) * (1.0 - pd_i)
     duty_s = gate_duty(p_active_s, det_s.dead_gates)
     duty_i = gate_duty(p_active_i, det_i.dead_gates)
 
     # pairs whose both photons reach the detectors couple the two arms; each
     # such pair is also a cause on each arm, so c <= a_s + a_i
     c = rec.detected_pairs
-    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * exp(c - a_s - a_i) * (-expm1(-c))
+    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * exp(c - a_s - a_i - ex_si) * (-expm1(-(c + ex_s + ex_i - ex_si)))
     p_accidental = duty_s * duty_i * p_active_s * p_active_i
     p_coincidence = duty_s * duty_i * (p_active_s * p_active_i + joint_excess)
     return RatePrediction(

@@ -224,10 +224,13 @@ def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig
         ("--pulses", args.pulses),
         ("--threads", args.threads),
         ("--accidental-offset", args.accidental_offset),
-        ("--thermal-modes", args.thermal_modes),
     ):
         if value < 1:
             parser.error(f"{flag} must be a positive integer")
+    try:
+        cm.no_pair_excess(0.0, args.thermal_modes)
+    except ValueError as exc:
+        parser.error(f"--thermal-modes: {exc}")
     if args.no_dead_time:
         signal, idler = (replace(d, dead_gates=0) for d in (chain.detector_signal, chain.detector_idler))
         chain = replace(chain, detector_signal=signal, detector_idler=idler)
@@ -280,7 +283,7 @@ def cmd_sweep(args, parser) -> int:
         "car",
     ]
     columns = [_GRID_LABELS[args.var]] + pred_cols
-    pred = cm.predict(*swept)
+    pred = cm.predict(*swept, thermal_modes=trial.pair_modes)
     rows = _stack_columns([grid_user] + [getattr(pred, name) for name in pred_cols])
 
     meta = _base_metadata("sweep", cfg.config_hash(document), seed=args.seed if args.mc else None)
@@ -534,7 +537,8 @@ def _add_mc_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--pair-statistics", choices=montecarlo.PAIR_STATISTICS, default="poisson",
-        help="pair-number law per pulse; thermal spreads it over --thermal-modes modes",
+        help="pair-number law per pulse; thermal spreads it over --thermal-modes modes.  Sweep "
+        "predictions follow it; the predict subcommand stays Poisson",
     )
     sub.add_argument(
         "--thermal-modes", type=int, default=24,

@@ -4,12 +4,12 @@ A sweep or a figure evaluates the chain once with one field (a length, the
 pump power, the demux loss or the dark probability) held as an array.
 numpy's +, -, * and / round exactly as Python's float operators do, so the
 plain operators give the same bits per element.  Its transcendental
-functions do not: on x86-64 numpy's SIMD ``exp``, ``power`` and ``expm1``
-differ from the C library's in the last bit on a few percent of inputs, and
-even ``arr**2`` (computed as ``x * x``) differs from ``float**2`` (the C
-library's ``pow``) on about 0.1% of them.  Every power, exponential and
-branch on a swept quantity therefore goes through a function made by
-``elementwise``, which calls the same scalar function on each element.
+functions do not: on x86-64 numpy's SIMD ``exp``, ``power``, ``expm1``
+and ``log1p`` differ from the C library's in the last bit on a few percent
+of inputs, and even ``arr**2`` (computed as ``x * x``) differs from
+``float**2`` (the C library's ``pow``) on about 0.1% of them.  So every
+power, exponential and branch on a swept quantity goes through a function
+made by ``elementwise``, calling the same scalar function on each element.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def elementwise(f, nin: int):
 
 exp = elementwise(math.exp, 1)
 expm1 = elementwise(math.expm1, 1)
+log1p = elementwise(math.log1p, 1)
 power = elementwise(pow, 2)
 
 

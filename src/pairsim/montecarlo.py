@@ -16,7 +16,7 @@ reaches the signal detector, the idler detector, both or neither
 independently of the other pairs, so the pairs that reach a detector keep
 the pair law at a thinned mean x: Poisson stays Poisson, and a negative
 binomial stays one with the same number of modes; its probability of no
-pair is P0(x) = exp(-x) or (1 + x/m)**-m for m thermal modes.  The other
+pair P0(x) is given by ``chainmodel.no_pair_excess``.  The other
 a - x photons and the dark counts are independent of the pairs, so a gate
 leaves an arm quiet with probability P0(x) exp(-(a - x)) (1 - p_dark), and
 leaves both quiet by the same law over the photons that reach either arm.
@@ -91,10 +91,9 @@ class TrialConfig:
     """Counting-run parameters.
 
     ``accidental_offset`` is the gate separation used for the accidental
-    (side-peak) coincidence window.  ``thermal_modes`` only matters for the
-    multimode-thermal pair-number option; the default of 24 is the wg
-    presets' 120 GHz pair bandwidth times their 200 ps pulse length (12.04
-    on ``awg``), where thermal statistics are already close to Poisson.
+    (side-peak) coincidence window.  ``thermal_modes`` matters only for
+    thermal pairs (``pair_modes``); its default of 24 is the wg presets'
+    120 GHz pair bandwidth times their 200 ps pulse length.
     """
 
     n_pulses: int
@@ -111,8 +110,12 @@ class TrialConfig:
             raise ValueError("accidental_offset must be >= 1")
         if self.pair_statistics not in PAIR_STATISTICS:
             raise ValueError(f"pair_statistics must be one of {PAIR_STATISTICS}")
-        if self.thermal_modes < 1:
-            raise ValueError("thermal_modes must be >= 1")
+        cm.no_pair_excess(0.0, self.thermal_modes)  # raises ValueError for a mode number the law cannot take
+
+    @property
+    def pair_modes(self) -> int | None:
+        """The pair law as ``chainmodel.no_pair_excess`` and ``predict`` take it: None for Poisson pairs."""
+        return self.thermal_modes if self.pair_statistics == "thermal" else None
 
 
 @dataclass(frozen=True)
@@ -214,18 +217,6 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
         last = int(positions[-1])
     positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return positions[: np.searchsorted(positions, n)]
-
-
-def _no_pair_exponent(mean: float, trial: TrialConfig) -> float:
-    """L(mean) - mean, with L(mean) = -log P0(mean) the pair law's exponent of no pair.
-
-    A thinned Poisson law stays Poisson, P0 = exp(-mean), so the excess over
-    Poisson is exactly 0.0; a negative binomial of m thermal modes stays one,
-    P0 = (1 + mean / m)**-m.
-    """
-    if trial.pair_statistics == "thermal":
-        return trial.thermal_modes * math.log1p(mean / trial.thermal_modes) - mean
-    return 0.0
 
 
 def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
@@ -358,12 +349,12 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     """
     detectors = (chain.detector_signal, chain.detector_idler)
     dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
-    seen = rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs
+    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
+    ex_s, ex_i, ex_si = (cm.no_pair_excess(x, trial.pair_modes) for x in means)
     quiet = (
-        rec.detected_signal + rec.detected_idler - rec.detected_pairs
-        + _no_pair_exponent(seen, trial) + dark_s + dark_i,
-        rec.detected_signal + _no_pair_exponent(rec.pair_law_signal, trial) + dark_s,
-        rec.detected_idler + _no_pair_exponent(rec.pair_law_idler, trial) + dark_i,
+        rec.detected_signal + rec.detected_idler - rec.detected_pairs + ex_si + dark_s + dark_i,
+        rec.detected_signal + ex_s + dark_s,
+        rec.detected_idler + ex_i + dark_i,
     )
     dead_gates = tuple(min(d.dead_gates, trial.n_pulses) if trial.dead_time_enabled else 0 for d in detectors)
     off = min(trial.accidental_offset, trial.n_pulses)

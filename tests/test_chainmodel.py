@@ -475,9 +475,10 @@ class TestPredict:
             assert gate_probabilities(pred) == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert lossy.mu_signal == base.mu_signal  # referred to the source output
 
+    @pytest.mark.parametrize("modes", [None, 1])
     @pytest.mark.parametrize("peak_w", [1e3, 1e9])
-    def test_defined_at_any_power(self, wg_i, peak_w):
-        pred = cm.predict(*mc.apply_sweep_value(*wg_i, "pp", peak_w))
+    def test_defined_at_any_power(self, wg_i, peak_w, modes):
+        pred = cm.predict(*mc.apply_sweep_value(*wg_i, "pp", peak_w), thermal_modes=modes)
         assert all(math.isfinite(v) for v in vars(pred).values())
         for p in gate_probabilities(pred) + (pred.duty_signal, pred.duty_idler):
             assert 0.0 <= p <= 1.0
@@ -506,6 +507,23 @@ class TestPredict:
         pred = cm.predict(chain, pump)
         assert math.isnan(pred.car)
         assert pred.p_accidental == 0.0
+
+
+class TestNoPairExcess:
+    def test_poisson_excess_is_zero_and_thermal_tends_to_it(self):
+        assert cm.no_pair_excess(2.5) == 0.0
+        assert cm.no_pair_excess(2.5, 1) == math.log1p(2.5) - 2.5
+        # (1 + x/m)**-m tends to exp(-x) as the modes grow
+        excess = [abs(cm.no_pair_excess(2.5, m)) for m in (1, 24, 10**6, 1e300)]
+        assert excess == sorted(excess, reverse=True)
+        assert excess[-1] < 1e-12
+
+    @pytest.mark.parametrize(
+        "modes", [0, 0.5, -3, math.nan, math.inf, 10**400], ids=["0", "0.5", "-3", "nan", "inf", "10**400"]
+    )
+    def test_mode_numbers_the_law_cannot_take_raise(self, modes):
+        with pytest.raises(ValueError, match="thermal modes"):
+            cm.no_pair_excess(1.0, modes)
 
 
 class TestGateStatistics:
@@ -672,8 +690,10 @@ class TestGridCalls:
         dark_prob=st.floats(1e-7, 1e-2),
         dead_gates=st.integers(1, 3000),
         seed=st.integers(0, 2**32 - 1),
+        modes=st.one_of(st.none(), st.sampled_from([1, 24]), st.integers(1, 10**6)),
     )
-    def test_array_call_equals_scalar_calls(self, data, preset, variable, dark_prob, dead_gates, seed):
+    def test_array_call_equals_scalar_calls(self, data, preset, variable, dark_prob, dead_gates, seed, modes):
+        # predict also takes the pair law: Poisson or a drawn number of thermal modes
         chain, pump = GRID_CHAINS[preset]
         chain = with_detectors(chain, dark_prob, dead_gates)
         values = data.draw(st.lists(GRID_VALUES[variable], max_size=12))
@@ -687,13 +707,14 @@ class TestGridCalls:
             return
         swept = mc.apply_sweep_value(chain, pump, variable, grid)
         for call in GRID_CALLS:
+            law = {"thermal_modes": modes} if call is cm.predict else {}
             try:
-                singles = [fields_of(call(*point)) for point in points]
+                singles = [fields_of(call(*point, **law)) for point in points]
             except ValueError:  # car_estimate where a linearised click probability passes 1
                 with pytest.raises(ValueError):
                     call(*swept)
                 continue
-            for name, column in fields_of(call(*swept)).items():
+            for name, column in fields_of(call(*swept, **law)).items():
                 column = np.broadcast_to(column, grid.shape)
                 for k, single in enumerate(singles):
                     expected = single[name]

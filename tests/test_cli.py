@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
+from pairsim import montecarlo as mc
 from pairsim import presets
 
 
@@ -370,6 +371,14 @@ class TestExitCodes:
             assert cli.main(bad) == cli.EXIT_CONFIG
             assert named in capsys.readouterr().err
 
+    def test_thermal_modes_past_the_float_range_exits_two(self, capsys):
+        # 10**400 modes is no float, so the pair law cannot take it
+        thermal = [*SIMULATE, "--pair-statistics", "thermal", "--thermal-modes", str(10**400)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(thermal)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--thermal-modes" in capsys.readouterr().err
+
     def test_offset_past_int64_exits_zero(self, capsys):
         # 2**63 does not fit an int64 gate; an offset of n or more opens no window
         offset = ["--accidental-offset", str(2**63), "--seed", "1"]
@@ -479,6 +488,36 @@ class TestCountingOptions:
             rows.append(json.loads(out.read_text())["rows"])
         assert rows[0] == rows[1]
         assert rows[0][0][5] > 0.07
+
+    def test_pair_statistics_reach_the_predictions(self, tmp_path):
+        # one thermal mode on wg-i without dead time: the prediction columns
+        # are predict's for that law, and the counts stay the ones frozen
+        # below.  At 1 W the counted CAR is 1.382 (sd 0.003); the thermal
+        # prediction lies within 4.5 sd of it, and the Poisson one, 1.022,
+        # more than 100 sd away
+        out = tmp_path / "sweep.json"
+        grid = ["--var", "pp", "--grid", "log:100:1000:2", "--mc", "--pulses", "2000000", "--seed", "1"]
+        thermal = ["--pair-statistics", "thermal", "--thermal-modes", "1", "--no-dead-time"]
+        with pytest.warns(RuntimeWarning, match="per-pulse mean"):
+            assert cli.main(["sweep", "--preset", "wg-i", *grid, *thermal, "--out", str(out)]) == cli.EXIT_OK
+        table = json.loads(out.read_text())
+        cells = {name: [row[k] for row in table["rows"]] for k, name in enumerate(table["columns"])}
+        document = presets.get_preset("wg-i")
+        for arm in document["detectors"].values():
+            arm["dead_time_us"] = 0.0
+        swept = mc.apply_sweep_value(*cfg.build_experiment(document), "pp", np.geomspace(100.0, 1000.0, 2) * 1e-3)
+        pred, poisson = cm.predict(*swept, thermal_modes=1), cm.predict(*swept)
+        for name in table["columns"][1:10]:
+            assert cells[name] == np.broadcast_to(getattr(pred, name), (2,)).tolist(), name
+        assert cells["mc_singles_signal"] == [18408, 929201]
+        assert cells["mc_singles_idler"] == [18332, 929926]
+        assert cells["mc_coincidences"] == [1042, 597466]
+        assert cells["mc_accidentals"] == [180, 432342]
+        assert cells["mc_car"] == [5.788888888888889, 1.381929120927414]
+        assert cells["mc_car_stderr"] == [0.46726225955494155, 0.0027592661154713636]
+        z = (cells["car"][1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
+        z_poisson = (poisson.car[1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
+        assert abs(z) < 4.5 and abs(z_poisson) > 100.0, (z, z_poisson)
 
     def test_counting_output_names_its_random_stream(self, tmp_path):
         out = tmp_path / "sim.json"

@@ -110,6 +110,12 @@ def pgf_gate_probabilities(chain, pump, modes: int | None = None) -> tuple[float
     return p_s, p_i, 1 - q_s - q_i + q_si, p_s * p_i
 
 
+def predicted_probabilities(chain, pump, modes: int | None = None) -> tuple[float, float, float, float]:
+    """(signal, idler, coincidence, accidental) per gate from ``predict`` with dead time off."""
+    pred = cm.predict(without_dead_time(chain), pump, thermal_modes=modes)
+    return pred.p_click_signal, pred.p_click_idler, pred.p_coincidence, pred.p_accidental
+
+
 def count_zscores(s: mc.CountSummary, p: tuple[float, float, float, float]) -> dict[str, float]:
     """z of every count of a run without dead time against per-gate probabilities."""
     n = s.n_pulses
@@ -493,9 +499,9 @@ def _pair_quiet(rates, trial, other=(0.0, 0.0)):
     seen, signal, both = rates
     idler = seen - signal + both
     return (
-        seen + mc._no_pair_exponent(seen, trial) + other[0] + other[1],
-        signal + mc._no_pair_exponent(signal, trial) + other[0],
-        idler + mc._no_pair_exponent(idler, trial) + other[1],
+        seen + cm.no_pair_excess(seen, trial.pair_modes) + other[0] + other[1],
+        signal + cm.no_pair_excess(signal, trial.pair_modes) + other[0],
+        idler + cm.no_pair_excess(idler, trial.pair_modes) + other[1],
     )
 
 
@@ -842,6 +848,20 @@ class TestThermalPresets:
         assert pgf_gate_probabilities(chain, pump) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("name", presets.preset_names())
+    def test_predict_matches_pgf(self, name):
+        # predict with thermal pairs is exact without dead time.  From 10 mW
+        # to 1 W peak and for 1, 24 and 256 modes a detector fires in 6e-5 to
+        # 0.58 of the gates; the oracle's 1 - q_s - q_i + q_si loses about
+        # 1e-9 relative where the coincidences are rarest.
+        base = cfg.build_experiment(presets.get_preset(name))
+        for peak_w in (0.01, 0.037, 0.1, 0.3, 1.0):
+            chain, pump = mc.apply_sweep_value(*base, "pp", peak_w)
+            for modes in (1, 24, 256):
+                expected = pgf_gate_probabilities(chain, pump, modes)
+                got = predicted_probabilities(chain, pump, modes)
+                assert got == pytest.approx(expected, rel=1e-8, abs=0.0), (peak_w, modes)
+
+    @pytest.mark.parametrize("name", presets.preset_names())
     def test_counts_match_pgf(self, name):
         # One thermal mode, the law furthest from Poisson, at the preset
         # point; 200M pulses.  With 70k-290k singles, 630-11,700
@@ -857,8 +877,9 @@ class TestThermalPresets:
         s = mc.simulate(chain, pump, trial, threads=2)
         assert (s.active_gates_signal, s.active_gates_idler) == (n, n)
         assert s.accidental_pairs == n - 1
-        z = count_zscores(s, pgf_gate_probabilities(chain, pump, modes=1))
-        assert max(abs(v) for v in z.values()) < 4.5, z
+        for p in (pgf_gate_probabilities(chain, pump, modes=1), predicted_probabilities(chain, pump, 1)):
+            z = count_zscores(s, p)
+            assert max(abs(v) for v in z.values()) < 4.5, z
 
     def test_high_power_separates_the_laws(self, wg_i):
         # At 300 mW wg-i makes 1.6 pairs per pulse, where one thermal mode and
@@ -874,8 +895,9 @@ class TestThermalPresets:
         )
         with pytest.warns(RuntimeWarning, match="exceeds 1"):
             s = mc.simulate(chain, pump, trial, threads=2)
-        z = count_zscores(s, pgf_gate_probabilities(chain, pump, modes=1))
-        assert max(abs(v) for v in z.values()) < 4.5, z
+        for p in (pgf_gate_probabilities(chain, pump, modes=1), predicted_probabilities(chain, pump, 1)):
+            z = count_zscores(s, p)
+            assert max(abs(v) for v in z.values()) < 4.5, z
         z_poisson = count_zscores(s, pgf_gate_probabilities(chain, pump))
         assert abs(z_poisson["coincidences"]) > 10.0, z_poisson
 
