@@ -227,6 +227,8 @@ def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig
     ):
         if value < 1:
             parser.error(f"{flag} must be a positive integer")
+    if args.pulses > montecarlo.MAX_PULSES:
+        parser.error("--pulses must be at most 2**62")
     try:
         cm.no_pair_excess(0.0, args.thermal_modes)
     except ValueError as exc:

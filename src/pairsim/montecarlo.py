@@ -36,22 +36,22 @@ The cut depends on the config and the number of pulses only, never on the
 worker count, so results are bit-identical for any number of threads.
 
 The blocks still count as one continuous stream.  A block's worker draws
-its fires and applies dead time to them at once, from the block's first
-fire.  At one dead gate a window holds at most the very next gate's fire,
-so each run of fires at consecutive gates keeps its 1st, 3rd, 5th, ...
-fire, found in one pass; longer dead times take pointer doubling over each
-fire's next allowed fire.  Every pass accepts a fire that comes more than D
-gates after the fire before it, so from the later of the two arms' first
-such fires (the block's edge) the clicks are final whatever the blocks
-before left.  The worker hands back those clicks, the tail, and each arm's
-fires before the edge, the head; it counts nothing.  The join takes the
-blocks in order, carries each arm's dead window across the block boundary,
-reruns the pass from the carry on the head, and counts the singles,
-coincidences and accidentals of head and tail alike.  Signal clicks whose
-accidental window opens in a later block wait for it in a queue, so every
-gate but the last ``accidental_offset`` opens one window.  Accepted clicks
-lie more than D gates apart, so a run of n gates whose last click is at
-gate l has n - D * clicks + max(l + D + 1 - n, 0) active gates.
+its fires and applies dead time to them at once, as if both detectors were
+live at the block's first gate.  At one dead gate a window holds at most
+the very next gate's fire, so each run of fires at consecutive gates keeps
+its 1st, 3rd, 5th, ... fire, found in one pass; longer dead times take
+pointer doubling over each fire's next allowed fire.  The worker hands back
+each arm's fires and clicks; it counts nothing.  The join takes the blocks
+in order and carries each arm's dead window across the block boundary.
+Where it reaches into a block, the fires under it are dropped, and the pass
+reruns on the fires up to the first one more than D gates after the fire
+before it: every pass accepts that one, so the worker's clicks hold from it
+on.  The join counts the singles, coincidences and accidentals of each
+block's clicks.  Signal clicks whose accidental window opens in a later
+block wait for it in a queue, so every gate but the last
+``accidental_offset`` opens one window.  Accepted clicks lie more than D
+gates apart, so a run of n gates whose last click is at gate l has
+n - D * clicks + max(l + D + 1 - n, 0) active gates.
 
 ``RNG_STREAM`` names this sampling scheme; counts for a given seed change
 only with it.  The v5 stream brought the block sizing and the carries, the
@@ -67,6 +67,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +81,8 @@ _MIN_BLOCK = 2**20
 _BLOCK_SIZE = 2**28
 
 RNG_STREAM = "philox-sparse-v5"
+
+MAX_PULSES = 2**62  # a gate plus a dead window or an accidental offset, each cut to the run, fits int64
 
 PAIR_STATISTICS = ("poisson", "thermal")
 
@@ -104,8 +107,10 @@ class TrialConfig:
     thermal_modes: int = 24
 
     def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
+        if not 1 <= self.n_pulses <= MAX_PULSES:
+            raise ValueError("n_pulses must be in [1, 2**62]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.accidental_offset < 1:
             raise ValueError("accidental_offset must be >= 1")
         if self.pair_statistics not in PAIR_STATISTICS:
@@ -269,18 +274,6 @@ def _dead_gates(clicks: int, dead_until: int, n: int, dead_gates: int) -> int:
     return dead_gates * clicks - max(dead_until + 1 - n, 0)
 
 
-def _first_free_fire(fires: np.ndarray, n: int, dead_gates: int) -> int:
-    """The gate of the first fire more than dead_gates gates after the fire before it, else n.
-
-    The first fire counts as one when it comes at gate dead_gates or later.
-    Any dead-time pass accepts such a fire, whatever it accepted before and
-    from any carry of at most dead_gates dead gates into the block.
-    """
-    free = np.diff(fires, prepend=-1) > dead_gates
-    first = int(free.argmax()) if free.size else 0
-    return int(fires[first]) if free.size and free[first] else n
-
-
 def _matches(a: np.ndarray, b: np.ndarray) -> int:
     """Number of values two sorted arrays of unique gates share.
 
@@ -336,8 +329,8 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     """The worker of one block ``(block_index, size)``, read from the record and detectors alone.
 
     Returns the gates per block, each arm's dead gates, the accidental offset
-    and the worker, which returns the block's size, each arm's fires before
-    the block's edge and its clicks from the edge on.  An offset of n_pulses
+    and the worker, which returns the block's size, each arm's sorted fires
+    and its clicks filtered as if the block started live.  An offset of n_pulses
     or more opens no window, and as many dead gates leave all gates after a
     click dead, so both are cut to n_pulses, which keeps every shifted gate
     inside int64.  The record gives the mean photons a reaching each
@@ -373,11 +366,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         # Philox is counter-based: streams keyed by (seed, block) never overlap
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(trial.seed), block_index])))
         fires = _gate_fires(rng, quiet, size)
-        # the run starts with both detectors active, so the first block has no head
-        edge = max(map(_first_free_fire, fires, (size, size), dead_gates)) if block_index else 0
-        heads = tuple(arm[: arm.searchsorted(edge)] for arm in fires)
-        tails = tuple(arm[arm.searchsorted(edge) :] for arm in map(_apply_dead_time, fires, dead_gates))
-        return size, heads, tails
+        return size, fires, tuple(map(_apply_dead_time, fires, dead_gates))
 
     p_fire = -math.expm1(-quiet[0])
     gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
@@ -385,25 +374,30 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
 
 
 def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.ndarray, list[int]]:
-    """Singles, coincidences, accidentals and each arm's last dead gate of a run of n gates in blocks."""
+    """Singles, coincidences, accidentals and each arm's last dead gate of a run of n gates in blocks.
+
+    Where a dead window carries into a block, its fires go and the pass reruns up
+    to the next fire more than D gates after the one before, which every pass
+    accepts: the worker's clicks, taken from a live start, hold from it on."""
     totals = np.zeros(4, dtype=np.int64)
     dead_until = [-1, -1]  # the last dead gate of each arm, counted from the run start
     pending: deque[np.ndarray] = deque()  # sorted signal clicks whose windows open in later blocks
     start = 0
-    for size, heads, tails in blocks:
+    for size, fires, worker_clicks in blocks:
         clicks = []
-        for arm, (fires, tail, dead) in enumerate(zip(heads, tails, dead_gates)):
-            carry = dead_until[arm] - start + 1
-            if carry > 0:
-                fires = fires[fires.searchsorted(carry) :]
-            head = _apply_dead_time(fires, dead) if fires.size else fires
-            last = tail if tail.size else head
-            if last.size:
-                dead_until[arm] = start + int(last[-1]) + dead
-            totals[arm] += head.size + tail.size
-            clicks.append((head, tail))
-        (head_s, tail_s), (head_i, tail_i) = clicks
-        totals[2] += _matches(head_s, head_i) + _matches(tail_s, tail_i)
+        for arm, (arm_fires, arm_clicks, dead) in enumerate(zip(fires, worker_clicks, dead_gates)):
+            drop = arm_fires.searchsorted(dead_until[arm] - start + 1)  # the fires in the carried window
+            if drop:
+                free = np.diff(arm_fires[drop - 1 :], append=size + dead) > dead
+                stop = drop + int(free.argmax())
+                kept = arm_clicks[arm_clicks.searchsorted(arm_fires[stop - 1], "right") :]
+                arm_clicks = np.concatenate((_apply_dead_time(arm_fires[drop:stop], dead), kept))
+            if arm_clicks.size:
+                dead_until[arm] = start + int(arm_clicks[-1]) + dead
+            totals[arm] += arm_clicks.size
+            clicks.append(arm_clicks)
+        signal, idler = clicks
+        totals[2] += _matches(signal, idler)
         # a signal click at g opens the window of the idler click at g + off;
         # due holds the windows that open in this block, in block gates
         due = []
@@ -413,18 +407,22 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
             due.append(chunk[:split] + (off - start))
             if split < chunk.size:
                 pending.appendleft(chunk[split:])
-        for signal in (head_s, tail_s):
-            split = signal.searchsorted(size - off)
-            due.append(signal[:split] + off)
-            later = signal[split : signal.searchsorted(n - off - start)]
-            if later.size:
-                pending.append(later + start)
-        due = np.concatenate(due)
-        # the head's idler clicks come before the tail's
-        split = due.searchsorted(tail_i[0] if tail_i.size else size)
-        totals[3] += _matches(due[:split], head_i) + _matches(due[split:], tail_i)
+        split = signal.searchsorted(size - off)
+        due.append(signal[:split] + off)
+        later = signal[split : signal.searchsorted(n - off - start)]
+        if later.size:
+            pending.append(later + start)
+        totals[3] += _matches(np.concatenate(due), idler)
         start += size
     return totals, dead_until
+
+
+def _ahead(pool: ThreadPoolExecutor, fn, items, depth: int):
+    """fn over an iterator of items on the pool, in order, with at most ``depth`` calls submitted and not yet taken."""
+    futures = deque(pool.submit(fn, item) for item in islice(items, depth))
+    while futures:
+        yield futures.popleft().result()
+        futures.extend(pool.submit(fn, item) for item in islice(items, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +443,14 @@ def simulate(
     """
     block_gates, dead_gates, off, draw = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     n = trial.n_pulses
-    blocks = [(bi, min(block_gates, n - bi * block_gates)) for bi in range(-(-n // block_gates))]
+    count = -(-n // block_gates)
+    blocks = ((bi, min(block_gates, n - bi * block_gates)) for bi in range(count))
 
-    # Executor.map submits every block at once, and the pool starts a thread
-    # per submit while none is idle: more workers than blocks or cores only
-    # start idle threads, and the blocks never depend on the worker count
-    workers = min(threads, len(blocks), os.cpu_count() or 1) if threads > 1 else 1
+    # more workers than blocks or cores would idle; the blocks never depend on the worker count
+    workers = min(threads, count, os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals, dead_until = _join(pool.map(draw, blocks), dead_gates, off, n)
+            totals, dead_until = _join(_ahead(pool, draw, blocks, 2 * workers), dead_gates, off, n)
     else:
         totals, dead_until = _join(map(draw, blocks), dead_gates, off, n)
     active = [n - _dead_gates(int(totals[arm]), dead_until[arm], n, dead_gates[arm]) for arm in (0, 1)]

@@ -459,6 +459,9 @@ class TestCountingOptions:
                 ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--threads", "0", "--pulses", "0"],
                 "--pulses",
             ),
+            # runs whose gates plus a dead window would pass int64
+            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(2**62 + 1)], "--pulses"),
+            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(10**400)], "--pulses"),
             # a negative seed, which the random stream cannot take, with and without draws
             ([*SIMULATE, "--seed", "-1"], "--seed"),
             (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--seed", "-1"], "--seed"),

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -161,8 +164,10 @@ class TestTrivialAndDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
@@ -192,6 +197,58 @@ class TestTrivialAndDeterminism:
         trial = mc.TrialConfig(n_pulses=2_000_000, seed=7)
         assert mc.simulate(*wg_i, trial, threads=2) == mc.simulate(*wg_i, trial)
         assert pools == []
+
+    def test_draws_run_at_most_two_per_worker_ahead_of_the_join(self, monkeypatch):
+        # 2,000 gates in blocks of a few gates: however many blocks the run
+        # holds, the pool holds at most 2 per worker submitted and not joined
+        monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", 2.0)
+        monkeypatch.setattr(mc, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        submitted, ahead = [], []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        def counting_join(blocks, *args, join=mc._join):
+            def taken():
+                for count, block in enumerate(blocks, 1):
+                    ahead.append(len(submitted) - count)
+                    yield block
+
+            return join(taken(), *args)
+
+        chain, pump = make_rate_chain(0.5, 0.5, 0.5, dead_time_us=0.01)
+        trial = mc.TrialConfig(n_pulses=2_000, seed=3)
+        serial = mc.simulate(chain, pump, trial)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc, "_join", counting_join)
+        assert mc.simulate(chain, pump, trial, threads=2) == serial
+        assert len(submitted) > 300 and max(ahead) <= 4
+
+    def test_blocks_are_listed_as_the_join_takes_them(self, monkeypatch):
+        # 200,000 blocks of one gate each, of which the join takes three:
+        # listing every block before the first draw holds some 18 MB
+        monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", 1e-9)
+        monkeypatch.setattr(mc, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(mc, "_join", lambda blocks, *args, join=mc._join: join(islice(blocks, 3), *args))
+        chain, pump = make_rate_chain(5e-3, 0.3, 0.3)
+        tracemalloc.start()
+        try:
+            mc.simulate(chain, pump, mc.TrialConfig(n_pulses=200_000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+
+    @pytest.mark.parametrize("field, value", [("n_pulses", 0), ("n_pulses", 2**62 + 1), ("seed", -1)])
+    def test_trial_names_the_value_it_cannot_take(self, field, value):
+        # a run of 2**62 gates keeps every fire plus a dead window or an
+        # offset, both cut to the run, inside int64; a seed is no entropy below 0
+        assert mc.TrialConfig(n_pulses=2**62, seed=0).n_pulses == 2**62
+        with pytest.raises(ValueError, match=field):
+            mc.TrialConfig(**{"n_pulses": 1_000, field: value})
 
     def test_spectral_path_deterministic(self, awg_chain):
         chain, pump = awg_chain
@@ -446,8 +503,8 @@ class TestSparseSampling:
         shift=st.integers(-6000, 6000),
         seed=st.integers(0, 2**32 - 1),
     )
-    # dense gates, read from flags, and sparse ones, merged by a sort; gates
-    # below 0 as the carried signal clicks of a block's head hold them
+    # dense gates, read from flags, and sparse ones, merged by a sort; either
+    # array shifted against the other, to gates below 0 too
     @example(n=5000, densities=(0.4, 0.4), shift=-2500, seed=0)
     @example(n=5000, densities=(0.002, 0.01), shift=0, seed=1)
     @example(n=5000, densities=(1.0, 1.0), shift=4999, seed=2)
@@ -1074,7 +1131,7 @@ class TestBlockEdges:
         # 0.31 fires per gate with a one-gate dead time: 667 blocks of 3 gates
         "dense-1-gate": ((0.5, 0.5, 0.5, 0.0, 0.01), 1.0, 2_000),
         # the same fires with a two-gate dead time: pointer doubling, not the
-        # closed form, on every block and on every head after a carry
+        # closed form, on every block and on every rerun after a carry
         "dense-2-gate": ((0.5, 0.5, 0.5, 0.0, 0.02), 1.0, 2_000),
         # 0.035 fires per gate with a 1000-gate dead time: 878 blocks of 57 gates
         "sparse-1000-gate": ((0.02, 0.5, 0.5, 1e6, 10.0), 2.0, 50_000),
@@ -1110,12 +1167,13 @@ class TestBlockEdges:
     @given(
         n=st.integers(1, 2000),
         mu=st.one_of(st.just(0.0), st.floats(1e-4, 0.9)),
-        dead_us=st.sampled_from([0.0, 0.01, 0.05, 1.0, 10.0]),
+        dead_us=st.sampled_from([0.0, 0.01, 0.02, 0.03, 0.05, 1.0, 10.0]),
         fires_per_block=st.floats(2.0, 100.0),
         offset=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    # a head idler click closes the window of a signal click in the block before
+    # an idler click the join reruns after a carry closes the window of a
+    # signal click in the block before
     @example(n=12, mu=0.5, dead_us=0.01, fires_per_block=2.0, offset=1, seed=4)
     def test_counts_equal_one_pass_for_any_block_count(self, n, mu, dead_us, fires_per_block, offset, seed):
         chain, pump = make_rate_chain(mu, 0.5, 0.5, dark_rate_hz=1e5, dead_time_us=dead_us)
