@@ -199,29 +199,35 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     to the number of successes, not to n.  A gap is 1 + floor(E * scale)
     with E standard exponential and scale = -1 / log(1 - p): it exceeds k
     with probability exp(-k / scale) = (1 - p)**k, the geometric law, for
-    one exponential draw and one product per gap at any p.
+    one exponential draw and one product per gap at any p.  The gaps are
+    floored, offset and summed in place in the float64 buffer of the
+    exponentials: every sum below n is an integer below 2**53, so exact (a
+    block holds at most 2**28 gates).  Only the kept positions are cast,
+    once: to int32 when n < 2**31, otherwise to int64.
     """
+    dtype = np.int32 if n < 2**31 else np.int64
     # at p up to 1e-300, where E * scale may overflow, none is drawn: 2**63
     # trials would see a success with a chance under 1e-281
     if p <= 1e-300 or n <= 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     scale = -1.0 / math.log1p(-p) if p < 1.0 else 0.0
     mean = n * p
     chunk = int(mean + 6.0 * math.sqrt(mean) + 16.0)
     parts, last = [], -1
     while last < n:
         # a gap past n + 1 lands beyond the block from any start, so clipping
-        # it changes nothing kept and keeps the cumulative sum from overflowing
-        gaps = rng.standard_exponential(chunk)
-        gaps *= scale
-        positions = np.minimum(gaps, n, out=gaps).astype(np.int64)
+        # it changes nothing kept and keeps every kept sum exact
+        positions = rng.standard_exponential(chunk)
+        positions *= scale
+        np.minimum(positions, n, out=positions)
+        np.floor(positions, out=positions)
         positions += 1
         np.cumsum(positions, out=positions)
         positions += last
         parts.append(positions)
         last = int(positions[-1])
     positions = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return positions[: np.searchsorted(positions, n)]
+    return positions[: positions.searchsorted(n)].astype(dtype)
 
 
 def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
@@ -256,7 +262,8 @@ def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
     # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
     # the next 2**L.
-    jump = np.concatenate((np.searchsorted(fires, fires + (dead_gates + 1)), [k]))
+    # in int64: a run-scale dead time does not fit the int32 gates of a block
+    jump = np.concatenate((np.searchsorted(fires, np.add(fires, dead_gates + 1, dtype=np.int64)), [k]))
     path = np.zeros(1, dtype=np.intp)
     while path[-1] < k:
         path = np.concatenate((path, jump[path]))
@@ -408,10 +415,11 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
             if split < chunk.size:
                 pending.appendleft(chunk[split:])
         split = signal.searchsorted(size - off)
-        due.append(signal[:split] + off)
+        # gates of a block are int32; the offset and the run start may not be
+        due.append(np.add(signal[:split], off, dtype=np.int64))
         later = signal[split : signal.searchsorted(n - off - start)]
         if later.size:
-            pending.append(later + start)
+            pending.append(np.add(later, start, dtype=np.int64))
         totals[3] += _matches(np.concatenate(due), idler)
         start += size
     return totals, dead_until

@@ -484,17 +484,17 @@ class TestSparseSampling:
     @example(p=0.81, n=200_000, shares=(0.6, 0.6), seed=1)
     @example(p=1.0 - 2**-53, n=5_000, shares=(1.0, 0.0), seed=2)
     def test_helpers_match_their_first_arithmetic(self, p, n, shares, seed):
-        # the same gates, in the same dtype, as the references draw from the
-        # same stream; each arm's quiet exponent is a share of the exponent of
-        # neither firing
+        # the same gates as the int64 references draw from the same stream,
+        # held in int32 below 2**31 gates; each arm's quiet exponent is a
+        # share of the exponent of neither firing
         positions = mc._bernoulli_positions(np.random.default_rng(seed), p, n)
         expected = reference_bernoulli_positions(np.random.default_rng(seed), p, n)
-        assert positions.dtype == expected.dtype and np.array_equal(positions, expected)
+        assert positions.dtype == np.int32 and np.array_equal(positions, expected)
         l_none = -math.log1p(-p)
         quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
         arms = mc._gate_fires(np.random.default_rng(seed), quiet, n)
         for arm, reference in zip(arms, reference_gate_fires(np.random.default_rng(seed), quiet, n)):
-            assert arm.dtype == reference.dtype and np.array_equal(arm, reference)
+            assert arm.dtype == np.int32 and np.array_equal(arm, reference)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -547,6 +547,69 @@ class TestSparseSampling:
         first_half = sum(int(np.searchsorted(b, n // 2)) for b in blocks)
         assert abs(z_score(count, trials * p, trials * p * (1 - p))) < 4.5
         assert abs(z_score(first_half, count / 2, count / 4)) < 4.5
+
+
+class TestInt32Gates:
+    """A block's gates are int32; a run-scale gate, dead window or offset is widened to int64."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2**33), seed=st.integers(0, 2**32 - 1))
+    @example(n=2**31 - 1, seed=0)
+    @example(n=2**31, seed=0)
+    @example(n=2**31 + 1, seed=0)
+    def test_positions_are_int32_below_2_31_gates(self, n, seed):
+        # about 64 successes however many trials
+        positions = mc._bernoulli_positions(np.random.default_rng(seed), min(64 / n, 1.0), n)
+        assert positions.dtype == (np.int32 if n < 2**31 else np.int64)
+        assert positions.size and np.all(np.diff(positions) > 0) and 0 <= positions[0] and positions[-1] < n
+        assert mc._bernoulli_positions(np.random.default_rng(seed), 0.0, n).dtype == positions.dtype
+
+    @pytest.mark.parametrize("dead_gates", [2**31, 2**40, 2**62])
+    def test_dead_window_past_int32_keeps_the_first_fire(self, dead_gates):
+        fires = np.array([3, 5, 2**28, 2**31 - 1], dtype=np.int32)
+        assert mc._apply_dead_time(fires, dead_gates).tolist() == [3]
+        assert mc._apply_dead_time(fires[:0], dead_gates).size == 0
+
+    def test_join_carries_a_window_past_2_31_gates(self):
+        # a signal click 50 gates into a block that starts past 2**31 opens
+        # the window of the idler click 120 gates on, in the next block
+        none = np.empty(0, dtype=np.int32)
+        at = np.array([50], dtype=np.int32), np.array([70], dtype=np.int32)
+        blocks = [(2**31 + 10, (none, none), (none, none)), (100, (at[0], none), (at[0], none)),
+                  (100, (none, at[1]), (none, at[1]))]
+        totals, dead_until = mc._join(iter(blocks), (0, 0), 120, 2**31 + 210)
+        assert totals.tolist() == [1, 1, 0, 1]
+        assert dead_until == [2**31 + 60, 2**31 + 180]
+
+    def test_run_past_2_31_gates(self, monkeypatch, awg_chain):
+        # some 20 blocks; each arm's dead window and the offset both outlast
+        # 2**31 gates, so the join carries them as int64 across every block
+        # edge.  The counts equal a pass over the fires of all blocks in run
+        # gates, and two threads count alike.
+        n, dead, offset = 2**31 + 2**20 + 7, 2**31 + 2**10, 2**31 + 5
+        chain, pump = awg_chain
+        detector = replace(chain.detector_signal, dead_gates=dead)
+        chain = replace(chain, detector_signal=detector, detector_idler=detector)
+        trial = mc.TrialConfig(n_pulses=n, seed=21, accidental_offset=offset)
+        drawn = []
+        with mock.patch.object(mc, "_gate_fires", recording_gate_fires(drawn)):
+            s = mc.simulate(chain, pump, trial)
+        assert s == mc.simulate(chain, pump, trial, threads=2)
+        assert s.accidental_pairs == n - offset == 2**20 + 2
+        starts = np.cumsum([0] + [size for _, size in drawn])
+        assert len(drawn) > 1 and starts[-1] == n
+        clicks = []
+        for arm in (0, 1):
+            fires = np.concatenate([f[arm] + start for (f, _), start in zip(drawn, starts)])
+            arm_clicks, i = [], 0
+            while i < fires.size:
+                arm_clicks.append(int(fires[i]))
+                i = int(fires.searchsorted(fires[i] + dead, "right"))
+            clicks.append(np.array(arm_clicks, dtype=np.int64))
+        signal, idler = clicks
+        assert (s.singles_signal, s.singles_idler) == (signal.size, idler.size)
+        assert s.coincidences == np.intersect1d(signal, idler).size
+        assert s.accidentals == np.intersect1d(signal + offset, idler).size
 
 
 def _pair_quiet(rates, trial, other=(0.0, 0.0)):
