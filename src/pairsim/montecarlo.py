@@ -26,14 +26,14 @@ the signal detector alone, the idler alone or both, so each arm's fires
 come out sorted and unique.  The work per block therefore scales with the
 number of fires, not with the number of pulses.
 
-A run is cut into blocks, each with its own counter-based random stream
-derived from (seed, block index).  A gate fires some detector with
-probability p, one minus the chance above that it fires neither, and a
-block holds 2**16 / p gates, about 2**16 expected fires, clamped to
-2**20 .. 2**28 gates (``_MIN_BLOCK``, ``_BLOCK_SIZE``): a sparse run pays
-the fixed cost of a block rarely, and a dense one keeps its arrays small.
-The cut depends on the config and the number of pulses only, never on the
-worker count, so results are bit-identical for any number of threads.
+A run is cut into blocks, each with its own random stream seeded from
+(seed, block index).  A gate fires some detector with probability p, one
+minus the chance above that it fires neither, and a block holds 2**16 / p
+gates, about 2**16 expected fires, clamped to 2**20 .. 2**28 gates
+(``_MIN_BLOCK``, ``_BLOCK_SIZE``): a sparse run pays the fixed cost of a
+block rarely, and a dense one keeps its arrays small.  The cut depends on
+the config and the number of pulses only, never on the worker count, so
+results are bit-identical for any number of threads.
 
 The blocks still count as one continuous stream.  A block's worker draws
 its fires and applies dead time to them at once, as if both detectors were
@@ -57,6 +57,8 @@ n - D * clicks + max(l + D + 1 - n, 0) active gates.
 only with it.  The v5 stream brought the block sizing and the carries, the
 geometric gaps drawn as 1 + floor(E * scale) from one standard exponential
 E each, and coincidences counted from one stable sort of two click arrays.
+The v6 stream changed only each block's bit generator, from Philox to the
+cheaper SFC64 (``_BIT_GENERATOR``); with Philox it counts as v5 did.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ _FIRES_PER_BLOCK = 2**16
 _MIN_BLOCK = 2**20
 _BLOCK_SIZE = 2**28
 
-RNG_STREAM = "philox-sparse-v5"
+RNG_STREAM = "sfc64-sparse-v6"
+# every block's bit generator, behind a call so that importing loads no numpy.random
+_BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
 
 MAX_PULSES = 2**62  # a gate plus a dead window or an accidental offset, each cut to the run, fits int64
 
@@ -200,10 +204,9 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     with E standard exponential and scale = -1 / log(1 - p): it exceeds k
     with probability exp(-k / scale) = (1 - p)**k, the geometric law, for
     one exponential draw and one product per gap at any p.  The gaps are
-    floored, offset and summed in place in the float64 buffer of the
-    exponentials: every sum below n is an integer below 2**53, so exact (a
-    block holds at most 2**28 gates).  Only the kept positions are cast,
-    once: to int32 when n < 2**31, otherwise to int64.
+    floored and summed in place in the float64 buffer of the exponentials,
+    exactly, since every kept sum is an integer below n <= 2**53.  Only the
+    kept positions are cast: to int32 when n < 2**31, otherwise to int64.
     """
     dtype = np.int32 if n < 2**31 else np.int64
     # at p up to 1e-300, where E * scale may overflow, none is drawn: 2**63
@@ -261,8 +264,7 @@ def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     # jump[i] is the first fire past the dead window of fire i (sentinel k maps
     # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
     # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
-    # the next 2**L.
-    # in int64: a run-scale dead time does not fit the int32 gates of a block
+    # the next 2**L.  Window ends are int64: a dead time may pass int32.
     jump = np.concatenate((np.searchsorted(fires, np.add(fires, dead_gates + 1, dtype=np.int64)), [k]))
     path = np.zeros(1, dtype=np.intp)
     while path[-1] < k:
@@ -370,8 +372,9 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
 
     def draw(block: tuple[int, int]):
         block_index, size = block
-        # Philox is counter-based: streams keyed by (seed, block) never overlap
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(trial.seed), block_index])))
+        # SFC64 steps a 64-bit counter from the same start in every stream, and
+        # its step is invertible: distinct keys do not meet within 2**64 draws
+        rng = np.random.Generator(_BIT_GENERATOR(np.random.SeedSequence([int(trial.seed), block_index])))
         fires = _gate_fires(rng, quiet, size)
         return size, fires, tuple(map(_apply_dead_time, fires, dead_gates))
 
@@ -388,7 +391,7 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
     accepts: the worker's clicks, taken from a live start, hold from it on."""
     totals = np.zeros(4, dtype=np.int64)
     dead_until = [-1, -1]  # the last dead gate of each arm, counted from the run start
-    pending: deque[np.ndarray] = deque()  # sorted signal clicks whose windows open in later blocks
+    pending: deque[np.ndarray] = deque()  # sorted int64 run gates of signal clicks whose windows open later
     start = 0
     for size, fires, worker_clicks in blocks:
         clicks = []
@@ -406,7 +409,7 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
         signal, idler = clicks
         totals[2] += _matches(signal, idler)
         # a signal click at g opens the window of the idler click at g + off;
-        # due holds the windows that open in this block, in block gates
+        # due holds the windows that open in this block, in int64 block gates
         due = []
         while pending and pending[0][0] < start + size - off:
             chunk = pending.popleft()
@@ -415,7 +418,6 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
             if split < chunk.size:
                 pending.appendleft(chunk[split:])
         split = signal.searchsorted(size - off)
-        # gates of a block are int32; the offset and the run start may not be
         due.append(np.add(signal[:split], off, dtype=np.int64))
         later = signal[split : signal.searchsorted(n - off - start)]
         if later.size:

@@ -1088,6 +1088,44 @@ class TestPostFilterClamp:
         assert shift / math.sqrt(n * p[0]) > 4.5 + 1.28
 
 
+class TestStreamLaw:
+    """The v6 stream draws the law of v5: either bit generator against ``predict``.
+
+    wg-i with a one-gate dead time at the six pump powers of the saturated
+    benchmark sweep, 50 mW to 1 W peak, where 0.003 to 0.37 of the gates
+    click.  Each generator runs that sweep, 250k pulses a point, under 20
+    master seeds, so every point sums 5M pulses drawn from 20 child seeds.
+    An arm's dead time depends on that arm's fires alone, so ``predict``'s
+    renewal singles and active gates are exact for each arm's marginal.
+    Each arm's summed singles and active gates are z-tested against them at
+    4.5 sigma; a singles bias of 0.18% at 1 W (5.1% at 50 mW) is caught with
+    90% power.
+    """
+
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.Philox], ids=["v6-sfc64", "v5-philox"])
+    def test_singles_and_active_gates_match_predict(self, monkeypatch, bit_generator):
+        monkeypatch.setattr(mc, "_BIT_GENERATOR", bit_generator)
+        document = presets.get_preset("wg-i")
+        for arm in ("signal", "idler"):
+            document["detectors"][arm]["dead_time_us"] = 0.01
+        chain, pump = cfg.build_experiment(document)
+        grid, pulses, seeds = np.geomspace(0.05, 1.0, 6), 250_000, 20
+        sweeps = [mc.sweep(chain, pump, "pp", grid, mc.TrialConfig(n_pulses=pulses, seed=seed)) for seed in range(seeds)]
+        n, z = pulses * seeds, {}
+        for point, peak_w in enumerate(grid):
+            pred = cm.predict(*mc.apply_sweep_value(chain, pump, "pp", peak_w))
+            runs = [sweep[point][1] for sweep in sweeps]
+            for arm in ("signal", "idler"):
+                p_click, duty = getattr(pred, f"p_click_{arm}"), getattr(pred, f"duty_{arm}")
+                sigma = renewal_sigma(n, p_click, duty)  # of the singles; one dead gate per click
+                singles = sum(getattr(s, f"singles_{arm}") for s in runs)
+                active = sum(getattr(s, f"active_gates_{arm}") for s in runs)
+                z[float(peak_w), arm, "singles"] = z_score(singles, n * p_click, sigma**2)
+                z[float(peak_w), arm, "active"] = z_score(active, n * duty, sigma**2)
+        assert max(abs(v) for v in z.values()) < 4.5, z
+
+
 class TestGoldenCounts:
     """Counts pinned bit for bit: a refactor of the rate parameters must not move them.
 
@@ -1095,19 +1133,35 @@ class TestGoldenCounts:
     ``RNG_STREAM``; a new stream gets a new name and new goldens.  The first
     five are 300k-pulse runs of one block.  Two of them are wg-i at 200 mW
     and 1 W peak with a one-gate detector dead time, where about 3% and 37%
-    of gates click and the dead-time filter does real work.  Below a fire
-    probability of 1/3 the gaps of the v5 stream are those numpy's
-    ``geometric`` draws by inversion, so the first four counts are those of
-    the v4 stream; the 1 W point, where a gate fires with probability 0.81,
-    is not.  The last two are 3M pulses at 1 W, three blocks of 2**20
-    gates joined across their edges, at a one-gate dead time (the closed
-    form) and a two-gate one (pointer doubling under dense fires); two
-    threads must count them alike.
+    of gates click and the dead-time filter does real work.  The last two
+    are 3M pulses at 1 W, three blocks of 2**20 gates joined across their
+    edges, at a one-gate dead time (the closed form) and a two-gate one
+    (pointer doubling under dense fires); two threads must count them alike.
+
+    ``GOLDEN_V5`` holds the same runs under ``philox-sparse-v5``, frozen
+    before v6.  The v6 stream changed only the bit generator of each block,
+    from Philox to SFC64, so with ``_BIT_GENERATOR`` set back to Philox the
+    v6 arithmetic must still count them bit for bit.
     """
 
-    RNG_STREAM = "philox-sparse-v5"
+    RNG_STREAM = "sfc64-sparse-v6"
     GOLDEN = {
         # (preset, pair statistics, seed, dead time us, peak power W, pulses) -> counts
+        ("wg-i", "poisson", 11, None, None, 300_000): (180, 178, 1, 0, 120358, 122000, 299999),
+        ("wg-i", "thermal", 12, None, None, 300_000): (165, 176, 4, 1, 135704, 124000, 299999),
+        ("awg", "poisson", 13, None, None, 300_000): (94, 101, 0, 0, 206000, 199000, 299999),
+        ("wg-i", "poisson", 14, 0.01, 0.2, 300_000): (10111, 10188, 766, 319, 289889, 289812, 299999),
+        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109757, 109743, 41323, 39549, 190243, 190258, 299999),
+        ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
+            1098990, 1098769, 416209, 394347, 1901010, 1901232, 2999999
+        ),
+        ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
+            804761, 804300, 223874, 213303, 1390478, 1391402, 2999999
+        ),
+    }
+    # below a fire probability of 1/3 the gaps of v5 are those numpy's
+    # ``geometric`` draws by inversion, so the first four are the v4 counts
+    GOLDEN_V5 = {
         ("wg-i", "poisson", 11, None, None, 300_000): (183, 181, 3, 0, 117000, 119268, 299999),
         ("wg-i", "thermal", 12, None, None, 300_000): (185, 172, 3, 0, 115822, 128000, 299999),
         ("awg", "poisson", 13, None, None, 300_000): (93, 82, 0, 0, 207000, 218648, 299999),
@@ -1121,10 +1175,8 @@ class TestGoldenCounts:
         ),
     }
 
-    # the 1 W point holds 18 pairs per pulse, past the model's range
-    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
-    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
-    def test_counts_are_frozen(self, key):
+    @staticmethod
+    def _counts(key) -> tuple[int, ...]:
         name, statistics, seed, dead_us, peak_w, pulses = key
         document = presets.get_preset(name)
         if dead_us is not None:
@@ -1135,7 +1187,9 @@ class TestGoldenCounts:
             chain, pump = mc.apply_sweep_value(chain, pump, "pp", peak_w)
         trial = mc.TrialConfig(n_pulses=pulses, seed=seed, pair_statistics=statistics)
         s = mc.simulate(chain, pump, trial)
-        counts = (
+        if pulses > mc._MIN_BLOCK:
+            assert mc.simulate(chain, pump, trial, threads=2) == s
+        return (
             s.singles_signal,
             s.singles_idler,
             s.coincidences,
@@ -1144,10 +1198,19 @@ class TestGoldenCounts:
             s.active_gates_idler,
             s.accidental_pairs,
         )
+
+    # the 1 W point holds 18 pairs per pulse, past the model's range
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
+    def test_counts_are_frozen(self, key):
         assert mc.RNG_STREAM == self.RNG_STREAM
-        assert counts == self.GOLDEN[key]
-        if pulses > mc._MIN_BLOCK:
-            assert mc.simulate(chain, pump, trial, threads=2) == s
+        assert self._counts(key) == self.GOLDEN[key]
+
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("key", list(GOLDEN_V5), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
+    def test_philox_blocks_count_the_v5_goldens(self, monkeypatch, key):
+        monkeypatch.setattr(mc, "_BIT_GENERATOR", np.random.Philox)
+        assert self._counts(key) == self.GOLDEN_V5[key]
 
 
 def recording_gate_fires(drawn: list):
