@@ -297,8 +297,8 @@ def _matches(a: np.ndarray, b: np.ndarray) -> int:
     span = max(a[-1], b[-1]) + 1 - low
     if span <= 8 * (a.size + b.size):
         seen = np.zeros(span, dtype=bool)
-        seen[a - low] = True
-        return int(np.count_nonzero(seen[b - low]))
+        seen[np.subtract(a, low, dtype=np.intp)] = True  # numpy indexes by int32 some 4x slower than by intp
+        return int(np.count_nonzero(seen[np.subtract(b, low, dtype=np.intp)]))
     merged = np.concatenate((a, b))
     merged.sort(kind="stable")
     return int(np.count_nonzero(merged[1:] == merged[:-1]))
