@@ -581,8 +581,8 @@ class TestInt32Gates:
         assert totals.tolist() == [1, 1, 0, 1]
         assert dead_until == [2**31 + 60, 2**31 + 180]
 
-    def test_run_past_2_31_gates(self, monkeypatch, awg_chain):
-        # some 20 blocks; each arm's dead window and the offset both outlast
+    def test_run_past_2_31_gates(self, awg_chain):
+        # 30 blocks; each arm's dead window and the offset both outlast
         # 2**31 gates, so the join carries them as int64 across every block
         # edge.  The counts equal a pass over the fires of all blocks in run
         # gates, and two threads count alike.
