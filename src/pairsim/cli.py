@@ -17,11 +17,10 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -36,36 +35,32 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_GRID_UNITS = {"l_si": 1e-2, "l_siox": 1e-2, "pp": 1e-3, "awg_loss": 1.0, "dark": 1.0}
-_GRID_LABELS = {
-    "l_si": "l_si_cm",
-    "l_siox": "l_siox_cm",
-    "pp": "pp_mw",
-    "awg_loss": "awg_loss_db",
-    "dark": "dark_rate_hz",
+# each sweep variable: SI per unit of its grid, figure and data-file values, and its column label
+_VARIABLES = {
+    "l_si": (1e-2, "l_si_cm"),
+    "l_siox": (1e-2, "l_siox_cm"),
+    "pp": (1e-3, "pp_mw"),
+    "awg_loss": (1.0, "awg_loss_db"),
+    "dark": (1.0, "dark_rate_hz"),
 }
 
 
 @dataclass
 class ResultTable:
-    """Column-labeled rows plus a provenance header."""
+    """Column-labeled rows of numbers plus a provenance header."""
 
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    rows: list[list[float]] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         for key, value in self.metadata.items():
             buf.write(f"# {key} = {value}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        if not _numeric_rows(self.rows):
-            writer.writerows([_format_cell(v) for v in row] for row in self.rows)
-        elif self.rows:
-            # json's C encoder writes every number as _format_cell does, by
-            # float.__repr__ or int's str, but NaN and +-inf by their JSON
-            # names; a number needs no quotes
+        csv.writer(buf, lineterminator="\n").writerow(self.columns)
+        if self.rows:
+            # json's C encoder writes every number by float.__repr__ or int's
+            # str, but NaN and +-inf by their JSON names; a number needs no quotes
             text = json.dumps(self.rows, separators=(",", ":"))[2:-2].replace("],[", "\n")
             buf.write(text.replace("NaN", "nan").replace("Infinity", "inf") + "\n")
         return buf.getvalue()
@@ -95,20 +90,6 @@ def _json_block(value: dict | list) -> str:
     level deep."""
     text = json.dumps(value, separators=(",\n    ", ": "))
     return text[0] + "\n    " + text[1:-1] + "\n  " + text[-1] if value else text
-
-
-def _numeric_rows(rows: list) -> bool:
-    """Whether every row is a list or tuple of floats and ints alone (no bool)."""
-    if not {list, tuple}.issuperset(map(type, rows)):
-        return False
-    cell_types = set(map(type, itertools.chain.from_iterable(rows)))
-    return all(t is int or issubclass(t, float) for t in cell_types)
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # numpy scalars repr as np.float64(...)
-    return str(value)
 
 
 def _base_metadata(command: str, config_hash: str, seed: int | None = None) -> dict[str, str]:
@@ -173,41 +154,35 @@ def _parse_grid(spec: str) -> np.ndarray:
 # subcommands
 
 
-def _report(args, items: list[tuple[str, object]], metadata: dict[str, str]) -> int:
-    """Print each ``key = value`` and, on ``--out``, write the items as a one-row table."""
-    for key, value in items:
+def _report(args, columns: list[str], row: list, metadata: dict[str, str]) -> int:
+    """Print each ``column = value`` and, on ``--out``, write the row as a one-row table."""
+    for key, value in zip(columns, row):
         shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
     if args.out:
-        _write_output(args, ResultTable([k for k, _ in items], [[v for _, v in items]], metadata))
+        _write_output(args, ResultTable(columns, [row], metadata))
     return EXIT_OK
 
 
 def cmd_predict(args, parser) -> int:
     document = _load_document(args, parser)
     pred = cm.predict(*cfg.build_experiment(document))
-    items = [(f.name, getattr(pred, f.name)) for f in fields(pred)]
-    return _report(args, items, _base_metadata("predict", cfg.config_hash(document)))
+    columns = [f.name for f in fields(pred)]
+    meta = _base_metadata("predict", cfg.config_hash(document))
+    return _report(args, columns, [getattr(pred, name) for name in columns], meta)
 
 
-def _summary_items(summary: montecarlo.CountSummary) -> list[tuple[str, object]]:
-    duty_s, duty_i = montecarlo.measured_gate_duty(summary)
-    car = summary.car
-    return [
-        ("n_pulses", summary.n_pulses),
-        ("singles_signal", summary.singles_signal),
-        ("singles_idler", summary.singles_idler),
-        ("coincidences", summary.coincidences),
-        ("accidentals", summary.accidentals),
-        ("singles_rate_signal_hz", summary.singles_rate_signal_hz),
-        ("singles_rate_idler_hz", summary.singles_rate_idler_hz),
-        ("coincidence_rate_hz", summary.coincidence_rate_hz),
-        ("accidental_rate_hz", summary.accidental_rate_hz),
-        ("car", math.nan if car is None else car),
-        ("car_stderr", math.nan if summary.car_stderr is None else summary.car_stderr),
-        ("duty_signal", duty_s),
-        ("duty_idler", duty_i),
-    ]
+# the CountSummary fields and properties simulate writes, before the measured duties
+_SUMMARY_CELLS = (
+    "n_pulses", "singles_signal", "singles_idler", "coincidences", "accidentals",
+    "singles_rate_signal_hz", "singles_rate_idler_hz", "coincidence_rate_hz", "accidental_rate_hz",
+    "car", "car_stderr",
+)
+
+
+def _summary_cells(summary: montecarlo.CountSummary, names: tuple[str, ...]) -> list:
+    """The named values of a counting run; a CAR not yet defined is NaN."""
+    return [math.nan if (value := getattr(summary, name)) is None else value for name in names]
 
 
 def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig, montecarlo.TrialConfig]:
@@ -251,17 +226,19 @@ def cmd_simulate(args, parser) -> int:
     summary = montecarlo.simulate(chain, pump, trial, threads=args.threads)
     meta = _base_metadata("simulate", cfg.config_hash(document), seed=trial.seed)
     meta["rng_stream"] = montecarlo.RNG_STREAM
-    return _report(args, _summary_items(summary), meta)
+    row = _summary_cells(summary, _SUMMARY_CELLS) + list(montecarlo.measured_gate_duty(summary))
+    return _report(args, [*_SUMMARY_CELLS, "duty_signal", "duty_idler"], row, meta)
 
 
-# the counting-run items of _summary_items a sweep row adds, each as mc_<name>
+# the counting-run values a sweep row adds, each as mc_<name>
 _SWEEP_MC_CELLS = ("singles_signal", "singles_idler", "coincidences", "accidentals", "car", "car_stderr")
 
 
 def cmd_sweep(args, parser) -> int:
     document, chain, pump, trial = _counting_run(args, parser)  # checked even when nothing is simulated
     grid_user = _parse_grid(args.grid)
-    grid_si = grid_user * _GRID_UNITS[args.var]
+    si_per_unit, label = _VARIABLES[args.var]
+    grid_si = grid_user * si_per_unit
     try:
         swept = montecarlo.apply_sweep_value(chain, pump, args.var, grid_si)
     except ValueError:
@@ -274,17 +251,10 @@ def cmd_sweep(args, parser) -> int:
         raise
 
     pred_cols = [
-        "mu_pair_generated",
-        "mu_pair_out",
-        "mu_signal",
-        "mu_idler",
-        "p_click_signal",
-        "p_click_idler",
-        "p_coincidence",
-        "p_accidental",
-        "car",
+        "mu_pair_generated", "mu_pair_out", "mu_signal", "mu_idler",
+        "p_click_signal", "p_click_idler", "p_coincidence", "p_accidental", "car",
     ]
-    columns = [_GRID_LABELS[args.var]] + pred_cols
+    columns = [label] + pred_cols
     pred = cm.predict(*swept, thermal_modes=trial.pair_modes)
     rows = _stack_columns([grid_user] + [getattr(pred, name) for name in pred_cols])
 
@@ -293,9 +263,8 @@ def cmd_sweep(args, parser) -> int:
         columns += [f"mc_{name}" for name in _SWEEP_MC_CELLS]
         meta["rng_stream"] = montecarlo.RNG_STREAM
         runs = montecarlo.sweep(chain, pump, args.var, grid_si, trial, threads=args.threads)
-        for row, (_, s) in zip(rows, runs):
-            items = dict(_summary_items(s))
-            row += [items[name] for name in _SWEEP_MC_CELLS]
+        for row, (_, summary) in zip(rows, runs):
+            row += _summary_cells(summary, _SWEEP_MC_CELLS)
     meta["variable"] = args.var
     meta["grid"] = args.grid
     table = ResultTable(columns=columns, rows=rows, metadata=meta)
@@ -303,15 +272,23 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x, y and optional sigma: ``x,y[,sigma]`` without a header; under a
     header a third column must be named ``sigma`` and no other may follow;
     every data row has as many cells as the header, or without one as the
-    widest row.  Any other line, one without numeric x and y, with an empty
-    or non-finite cell, or with too few or too many cells, is an error naming
-    its number."""
+    widest row.  The first line is a header only when no cell of it reads as
+    a number, and a UTF-8 byte-order mark before it is dropped.  Any other
+    line, one without numeric x and y, with an empty or non-finite cell, or
+    with too few or too many cells, is an error naming its number."""
     rows, header = [], None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -319,16 +296,13 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             cells = [c.strip() for c in line.split(",")]
             if "" in cells:
                 raise cfg.ConfigError(f"data file line {number}: empty cell: {line!r}")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                row = None
-            if row is None and header is None and not rows and len(cells) >= 2:
+            row = [_number(c) for c in cells]
+            if header is None and not rows and len(cells) >= 2 and row.count(None) == len(row):
                 header = cells
                 extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
                 if extra:
                     raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
-            elif row is None or len(row) not in (2, 3):
+            elif None in row or len(row) not in (2, 3):
                 raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
             elif not all(map(math.isfinite, row)):
                 raise cfg.ConfigError(f"data file line {number}: non-finite value: {line!r}")
@@ -346,10 +320,10 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 
 
 _FIT_MODELS = {
-    # model: (role of x, SI per unit of x in the data file, fitter)
-    "decay": ("l_siox", 1e-2, fitting.fit_sio2_decay),
-    "gamma_alpha": ("l_si", 1e-2, fitting.fit_gamma_alpha),
-    "poly": ("pp", 1e-3, fitting.fit_singles_poly),
+    # model: (role of x, in the data file in the units of _VARIABLES, fitter)
+    "decay": ("l_siox", fitting.fit_sio2_decay),
+    "gamma_alpha": ("l_si", fitting.fit_gamma_alpha),
+    "poly": ("pp", fitting.fit_singles_poly),
 }
 
 
@@ -370,9 +344,9 @@ def cmd_fit(args, parser) -> int:
             "pulse_fwhm_s": pump.pulse_fwhm_s,
             "downstream_transmittance": rec.downstream_transmittance,
         }
-    role, unit, fitter = _FIT_MODELS[args.model]
+    role, fitter = _FIT_MODELS[args.model]
     try:
-        data = fitting.DataSet(x=x * unit, y=y, sigma=sigma, role=role, fixed_params=fixed)
+        data = fitting.DataSet(x=x * _VARIABLES[role][0], y=y, sigma=sigma, role=role, fixed_params=fixed)
     except ValueError as exc:
         raise cfg.ConfigError(f"bad data file: {exc}") from exc
     result = fitter(data)
@@ -386,17 +360,8 @@ def cmd_fit(args, parser) -> int:
     for note in result.notes:
         print(f"note: {note}")
     if args.out:
-        payload = {
-            "model": args.model,
-            "params": result.params,
-            "stderr": result.stderr,
-            "rss": result.rss,
-            "converged": result.converged,
-            "n_evaluations": result.n_evaluations,
-            "notes": list(result.notes),
-        }
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({"model": args.model, **asdict(result)}, fh, indent=2)
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
@@ -429,7 +394,7 @@ class _Figure:
     Each chain is a preset, optionally with one sweep value applied.
     ``values`` maps one chain, swept over the whole grid, to its columns
     (arrays, or floats where the variable does not enter); the row is the
-    grid value (in the units of ``_GRID_UNITS``) and then the cells of each
+    grid value (in the units of ``_VARIABLES``) and then the cells of each
     chain in order.  The metadata names the first chain's preset.
     """
 
@@ -502,7 +467,8 @@ def _built_preset(name: str) -> tuple[str, cm.ExperimentChain, cm.PumpConfig]:
 
 def _figure_table(name: str) -> ResultTable:
     figure = _FIGURES[name]
-    grid_si = figure.grid * _GRID_UNITS[figure.variable]
+    si_per_unit, label = _VARIABLES[figure.variable]
+    grid_si = figure.grid * si_per_unit
     columns = [figure.grid]
     for preset, override in figure.chains:
         _, chain, pump = _built_preset(preset)
@@ -511,7 +477,7 @@ def _figure_table(name: str) -> ResultTable:
         columns += figure.values(*montecarlo.apply_sweep_value(chain, pump, figure.variable, grid_si))
     meta = _base_metadata("reproduce", _built_preset(figure.chains[0][0])[0])
     meta["figure"] = name
-    return ResultTable([_GRID_LABELS[figure.variable], *figure.columns], _stack_columns(columns), meta)
+    return ResultTable([label, *figure.columns], _stack_columns(columns), meta)
 
 
 def cmd_reproduce(args, parser) -> int:
@@ -575,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid",
         required=True,
-        help="start:stop:count or log:start:stop:count "
-        "(cm for lengths, mW for pp, dB for awg_loss, Hz for dark)",
+        help="start:stop:count or log:start:stop:count, in the unit the column label names: "
+        + ", ".join(label for _, label in _VARIABLES.values()),
     )
     p.add_argument("--mc", action="store_true", help="add a counting run per grid point")
     _add_mc_arguments(p)
@@ -585,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit", help="fit model parameters to CSV data")
     p.add_argument("data", help="CSV with columns x,y[,sigma]")
-    p.add_argument("--model", required=True, choices=["decay", "gamma_alpha", "poly"])
+    p.add_argument("--model", required=True, choices=_FIT_MODELS)
     p.add_argument("--config", help="configuration supplying fixed parameters")
     p.add_argument("--preset", help="preset supplying fixed parameters")
     p.add_argument("--out", help="write fit result as JSON")
