@@ -383,6 +383,16 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     return gates, dead_gates, off, draw
 
 
+def _first_at(gates: np.ndarray, gate: int) -> int:
+    """Index of the first of a block's sorted gates at or past ``gate``.
+
+    Searched in the gates' own dtype: for a Python int, numpy would first
+    copy an int32 array to int64.  Block gates are never negative."""
+    if not gates.size or gate > gates[-1]:
+        return gates.size
+    return int(gates.searchsorted(gates.dtype.type(gate))) if gate > 0 else 0
+
+
 def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.ndarray, list[int]]:
     """Singles, coincidences, accidentals and each arm's last dead gate of a run of n gates in blocks.
 
@@ -396,10 +406,12 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
     for size, fires, worker_clicks in blocks:
         clicks = []
         for arm, (arm_fires, arm_clicks, dead) in enumerate(zip(fires, worker_clicks, dead_gates)):
-            drop = arm_fires.searchsorted(dead_until[arm] - start + 1)  # the fires in the carried window
+            drop = _first_at(arm_fires, dead_until[arm] - start + 1)  # the fires in the carried window
             if drop:
-                free = np.diff(arm_fires[drop - 1 :], append=size + dead) > dead
-                stop = drop + int(free.argmax())
+                # the rerun ends at the first fire more than D gates after the one
+                # before, or at the block's end; no gap in a block reaches its size
+                free = np.diff(arm_fires[drop - 1 :]) > min(dead, size)
+                stop = drop + int(free.argmax()) if free.any() else arm_fires.size
                 kept = arm_clicks[arm_clicks.searchsorted(arm_fires[stop - 1], "right") :]
                 arm_clicks = np.concatenate((_apply_dead_time(arm_fires[drop:stop], dead), kept))
             if arm_clicks.size:
@@ -417,9 +429,9 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
             due.append(chunk[:split] + (off - start))
             if split < chunk.size:
                 pending.appendleft(chunk[split:])
-        split = signal.searchsorted(size - off)
+        split = _first_at(signal, size - off)
         due.append(np.add(signal[:split], off, dtype=np.int64))
-        later = signal[split : signal.searchsorted(n - off - start)]
+        later = signal[split : _first_at(signal, n - off - start)]
         if later.size:
             pending.append(np.add(later, start, dtype=np.int64))
         totals[3] += _matches(np.concatenate(due), idler)
