@@ -108,11 +108,18 @@ def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
     return value
 
 
-def _generation_band(spec: AwgSpec, generation_band_hz: float | None) -> float:
+def generation_band(spec: AwgSpec, generation_band_hz: float | None) -> float:
+    """Width of the band pairs are spread over, centered on the pump."""
     band = generation_band_hz if generation_band_hz is not None else spec.default_generation_band_hz
     if band <= 0:
         raise ValueError("generation band must be positive")
     return band
+
+
+def channel_passband(spec: AwgSpec, channel: int, pump_frequency_hz: float) -> tuple:
+    """A channel's unit-peak ``passband_overlap`` tuple, in detuning from the pump."""
+    detuning = channel_center(spec, channel) - pump_frequency_hz
+    return (detuning, spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
 
 
 def _gaussian_integral(center: float, rate: float, lo: float, hi: float) -> float:
@@ -189,29 +196,7 @@ def effective_pair_bandwidth(
     ``nu_p - (nu_i - nu_p)``).  For mirrored rectangular passbands this
     equals the 3-dB width itself.
     """
-    band = _generation_band(spec, generation_band_hz)
-    shape = (spec.passband_3db_hz / 2.0, spec.passband_shape == "gaussian", spec.crosstalk_floor)
-    signal = (channel_center(spec, signal_channel) - pump_frequency_hz, *shape)
-    idler = (pump_frequency_hz - channel_center(spec, idler_channel), *shape)
-    return passband_overlap(signal, idler, -band / 2.0, band / 2.0)
-
-
-def effective_single_bandwidth(
-    spec: AwgSpec,
-    channel: int,
-    pump_frequency_hz: float,
-    generation_band_hz: float | None = None,
-) -> float:
-    """Equivalent noise bandwidth of one channel: its unit-peak shape integrated
-    over the generation band, crosstalk floor included.
-
-    This is ``passband_overlap`` of the channel with a flat band.  Without a
-    floor, and with the band edges far out in the tails, rectangular passbands
-    give the 3-dB width and gaussian ones ``(w/2) * sqrt(pi / ln 2)``; a floor
-    adds about ``floor * band``.
-    """
-    band = _generation_band(spec, generation_band_hz)
-    detuning = channel_center(spec, channel) - pump_frequency_hz
-    gaussian = spec.passband_shape == "gaussian"
-    passband = (detuning, spec.passband_3db_hz / 2.0, gaussian, spec.crosstalk_floor)
-    return passband_overlap(passband, (0.0, band / 2.0, False, 0.0), -math.inf, math.inf)
+    band = generation_band(spec, generation_band_hz)
+    signal = channel_passband(spec, signal_channel, pump_frequency_hz)
+    idler = channel_passband(spec, idler_channel, pump_frequency_hz)
+    return passband_overlap(signal, (-idler[0], *idler[1:]), -band / 2.0, band / 2.0)

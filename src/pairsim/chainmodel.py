@@ -45,12 +45,9 @@ from .elementwise import db_to_linear, elementwise, exp, expm1, holds, log1p, po
 C_VACUUM = 299_792_458.0  # m/s
 
 _LN10 = math.log(10.0)
-_LN2 = math.log(2.0)
 
 KIND_NONLINEAR = "nonlinear"
 KIND_PASSIVE = "passive"
-
-FILTER_SHAPES = ("rectangular", "gaussian")
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +165,14 @@ class FilterSpec:
             raise ValueError("bandwidth_3db_hz must be positive")
         if self.insertion_loss_db < 0:
             raise ValueError("insertion_loss_db must be non-negative (peak in (0, 1])")
-        if self.shape not in FILTER_SHAPES:
-            raise ValueError(f"shape must be one of {FILTER_SHAPES}")
+        if self.shape not in awg_mod.PASSBAND_SHAPES:
+            raise ValueError(f"shape must be one of {awg_mod.PASSBAND_SHAPES}")
         if self.center_frequency_hz is not None and self.center_frequency_hz <= 0:
             raise ValueError("center_frequency_hz must be positive")
 
     @property
     def peak_transmittance(self) -> float:
         return db_to_linear(self.insertion_loss_db)
-
-    @property
-    def equivalent_bandwidth_hz(self) -> float:
-        """Equivalent noise bandwidth of the unit-peak shape."""
-        if self.shape == "gaussian":
-            return (self.bandwidth_3db_hz / 2.0) * math.sqrt(math.pi / _LN2)
-        return self.bandwidth_3db_hz
 
 
 @dataclass(frozen=True)
@@ -423,37 +413,31 @@ def chain_transmittances(chain: ExperimentChain) -> tuple[float, float]:
 def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float, float]:
     """(pair, signal-single, idler-single) equivalent collection bandwidths.
 
-    The pair bandwidth is the overlap of one demux passband with the mirror
-    image of the other under perfect spectral anti-correlation; the single
-    bandwidths are each channel's own equivalent noise bandwidth (for an AWG,
-    over the generation band and with its crosstalk floor).  Post
-    filters are assumed spectrally broader than the demux channels and only
-    clamp these widths (their insertion loss enters the transmittance).
+    Each demux arm is one unit-peak ``passband_overlap`` tuple over a flat band
+    of pairs around the pump (an AWG's generation band; infinite behind
+    filters).  The pair bandwidth is the signal arm's overlap with the idler
+    arm mirrored about the pump (perfect spectral anti-correlation), a single
+    bandwidth an arm's overlap with the band.  Post filters are assumed broader
+    than the demux channels and only clamp these widths (their insertion loss
+    enters the transmittance).
     """
-    if isinstance(chain.demux, AwgDemux):
-        d = chain.demux
-        pair_bw = awg_mod.effective_pair_bandwidth(
-            d.spec, d.signal_channel, d.idler_channel, pump.frequency_hz, d.generation_band_hz
-        )
-        single_s, single_i = (
-            awg_mod.effective_single_bandwidth(d.spec, ch, pump.frequency_hz, d.generation_band_hz)
-            for ch in (d.signal_channel, d.idler_channel)
-        )
+    d = chain.demux
+    if isinstance(d, AwgDemux):
+        signal = awg_mod.channel_passband(d.spec, d.signal_channel, pump.frequency_hz)
+        idler = awg_mod.channel_passband(d.spec, d.idler_channel, pump.frequency_hz)
+        half_band = awg_mod.generation_band(d.spec, d.generation_band_hz) / 2.0
     else:
-        sig, idl = chain.demux.signal, chain.demux.idler
-        # offset: where the mirrored idler passband center lands from the signal one
-        offset = 0.0
-        if sig.center_frequency_hz is not None and idl.center_frequency_hz is not None:
-            mirrored_idler = 2.0 * pump.frequency_hz - idl.center_frequency_hz
-            offset = mirrored_idler - sig.center_frequency_hz
-        pair_bw = awg_mod.passband_overlap(
-            (0.0, sig.bandwidth_3db_hz / 2.0, sig.shape == "gaussian", 0.0),
-            (offset, idl.bandwidth_3db_hz / 2.0, idl.shape == "gaussian", 0.0),
-            -math.inf,
-            math.inf,
-        )
-        single_s = sig.equivalent_bandwidth_hz
-        single_i = idl.equivalent_bandwidth_hz
+        # in the signal's frame, as the band is infinite: the signal at 0 and
+        # the mirrored idler at its center's offset from the signal's
+        centers = (d.signal.center_frequency_hz, d.idler.center_frequency_hz)
+        offset = 0.0 if None in centers else (2.0 * pump.frequency_hz - centers[1]) - centers[0]
+        signal = (0.0, d.signal.bandwidth_3db_hz / 2.0, d.signal.shape == "gaussian", 0.0)
+        idler = (-offset, d.idler.bandwidth_3db_hz / 2.0, d.idler.shape == "gaussian", 0.0)
+        half_band = math.inf
+    pair_bw = awg_mod.passband_overlap(signal, (-idler[0], *idler[1:]), -half_band, half_band)
+    flat = (0.0, half_band, False, 0.0)
+    single_s = awg_mod.passband_overlap(signal, flat, -math.inf, math.inf)
+    single_i = awg_mod.passband_overlap(idler, flat, -math.inf, math.inf)
     for f in chain.post_filters_signal:
         pair_bw = min(pair_bw, f.bandwidth_3db_hz)
         single_s = min(single_s, f.bandwidth_3db_hz)

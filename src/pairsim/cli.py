@@ -155,9 +155,10 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _report(args, columns: list[str], row: list, metadata: dict[str, str]) -> int:
-    """Print each ``column = value`` and, on ``--out``, write the row as a one-row table."""
+    """Print each ``column = value`` (a count exactly, a float to 8 digits) and, on
+    ``--out``, write the row as a one-row table."""
     for key, value in zip(columns, row):
-        shown = "undefined" if isinstance(value, float) and math.isnan(value) else f"{value:.8g}"
+        shown = f"{value}" if isinstance(value, int) else "undefined" if math.isnan(value) else f"{value:.8g}"
         print(f"{key} = {shown}")
     if args.out:
         _write_output(args, ResultTable(columns, [row], metadata))

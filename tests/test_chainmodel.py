@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsim import awg
 from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import montecarlo as mc
@@ -615,13 +614,13 @@ class TestEvaluate:
     def test_one_awg_overlap_per_call(self, awg_chain, monkeypatch, call):
         call = getattr(cm, call)
         calls = []
-        original = awg.effective_pair_bandwidth
+        original = cm.collection_bandwidths
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(awg, "effective_pair_bandwidth", counting)
+        monkeypatch.setattr(cm, "collection_bandwidths", counting)
         call(*awg_chain)
         assert len(calls) == 1
 

@@ -433,6 +433,19 @@ class TestPredictOutput:
         assert printed == table["columns"]
 
 
+class TestSimulateOutput:
+    def test_counts_print_exactly(self, tmp_path, capsys):
+        # 1e9 pulses: a count of 1e8 or more has more digits than 8
+        out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--preset", "wg-i", "--pulses", "1000000000", "--out", str(out)]) == cli.EXIT_OK
+        table = json.loads(out.read_text())
+        written = dict(zip(table["columns"], table["rows"][0]))
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        counts = {key: value for key, value in written.items() if isinstance(value, int)}
+        assert counts["n_pulses"] == 1_000_000_000
+        assert {key: int(printed[key]) for key in counts} == counts
+
+
 class TestConfigSource:
     @pytest.mark.parametrize(
         "command",
