@@ -20,11 +20,14 @@ pair P0(x) is given by ``chainmodel.no_pair_excess``.  The other
 a - x photons and the dark counts are independent of the pairs, so a gate
 leaves an arm quiet with probability P0(x) exp(-(a - x)) (1 - p_dark), and
 leaves both quiet by the same law over the photons that reach either arm.
-The gates where some detector fires are one Bernoulli stream per block,
-drawn as geometric gaps between them, and one uniform per such gate picks
-the signal detector alone, the idler alone or both, so each arm's fires
-come out sorted and unique.  The work per block therefore scales with the
-number of fires, not with the number of pulses.
+Where fires are sparse, the gates where some detector fires are one
+Bernoulli stream per block, drawn as geometric gaps between them, and one
+uniform per such gate picks the signal detector alone, the idler alone or
+both, so the work per block scales with the number of fires, not with the
+number of pulses.  Where some detector fires on at least ``_PER_GATE_FROM``
+of the gates, an exponential and a uniform per fire cost more than one
+uniform per gate, so such a block draws one per gate and cuts it at three
+thresholds.  Either way each arm's fires come out sorted and unique.
 
 A run is cut into blocks, each with its own random stream seeded from
 (seed, block index).  A gate fires some detector with probability p, one
@@ -58,7 +61,10 @@ only with it.  The v5 stream brought the block sizing and the carries, the
 geometric gaps drawn as 1 + floor(E * scale) from one standard exponential
 E each, and coincidences counted from one stable sort of two click arrays.
 The v6 stream changed only each block's bit generator, from Philox to the
-cheaper SFC64 (``_BIT_GENERATOR``); with Philox it counts as v5 did.
+cheaper SFC64 (``_BIT_GENERATOR``); with Philox it counts as v5 did.  The v7
+stream changed only the draw of dense blocks, from the gaps to one uniform
+per gate; a block below ``_PER_GATE_FROM`` keeps its v6 bits, and with the
+constant above 1 every block counts as in v6.
 """
 
 from __future__ import annotations
@@ -82,7 +88,10 @@ _FIRES_PER_BLOCK = 2**16
 _MIN_BLOCK = 2**20
 _BLOCK_SIZE = 2**28
 
-RNG_STREAM = "sfc64-sparse-v6"
+RNG_STREAM = "sfc64-v7"
+# a block whose gates fire some detector at least this often draws one uniform
+# per gate; sparser blocks draw the gaps between fires
+_PER_GATE_FROM = 0.3
 # every block's bit generator, behind a call so that importing loads no numpy.random
 _BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
 
@@ -311,20 +320,31 @@ def _gate_fires(
 
     ``quiet`` holds the exponents -log P that a gate fires neither detector,
     not the signal and not the idler.  A gate fires some detector with
-    probability p = 1 - exp(-quiet[0]).  Given that, it fires the signal
-    alone with probability (P(idler quiet) - P(neither fires)) / p, the idler
-    alone likewise and both otherwise; one uniform per firing gate picks
-    which.
+    probability p = 1 - exp(-quiet[0]), and the idler alone with
+    a = P(signal quiet) - P(neither fires).  From p = ``_PER_GATE_FROM`` on,
+    one uniform u per gate decides both arms: the idler fires where
+    u < P(idler fires), and the signal where a <= u < p, since p is a plus
+    P(signal fires).  Below it, the firing gates are drawn as geometric gaps
+    and one uniform per firing gate picks the signal alone, with probability
+    (P(idler quiet) - P(neither fires)) / p, the idler alone, with a / p, or
+    both.  Gates are int32 below 2**31 gates and int64 from there.
     """
     l_none, l_signal, l_idler = quiet
     p = -math.expm1(-l_none)
+    # P(x quiet) - P(neither) as -exp(-L(x)) * expm1(L(x) - L(none)): the
+    # exponent is never positive, so no term overflows however likely a fire
+    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none)
+    if p >= _PER_GATE_FROM:
+        dtype = np.int32 if size < 2**31 else np.int64
+        u = rng.random(size)
+        signal = u >= idler_alone
+        signal &= u < p
+        return np.flatnonzero(signal).astype(dtype), np.flatnonzero(u < -math.expm1(-l_idler)).astype(dtype)
     fired = _bernoulli_positions(rng, p, size)
     if not fired.size:
         return fired, fired
-    # P(x quiet) - P(neither) as -exp(-L(x)) * expm1(L(x) - L(none)): the
-    # exponent is never positive, so no term overflows however likely a fire
     signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none) / p
-    idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none) / p
+    idler_alone /= p
     u = rng.random(fired.size)
     idler = u >= signal_alone
     # the signal fires unless the idler fires alone

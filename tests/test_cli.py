@@ -74,7 +74,9 @@ class TestFrozenFigures:
     # ``car_stderr`` (no accidental is counted), and so do some ``mc_car`` cells.
     # The simulate and sweep texts name the random stream and hold its
     # counts; they were frozen again for sfc64-sparse-v6, whose blocks draw
-    # from SFC64 instead of Philox, so the counts moved with the name
+    # from SFC64 instead of Philox, so the counts moved with the name.  For
+    # sfc64-v7 only the name moved: no block of these runs fires on
+    # _PER_GATE_FROM of its gates, so each draws its gaps as in v6
     JSON = {
         **{
             ("reproduce", "--figure", figure): digest
@@ -91,16 +93,16 @@ class TestFrozenFigures:
         ("predict", "--preset", "awg"): "f2b3c367a5c2cdc4cb301d6c2e00b3d839dbc06dd842157b22220beb67cf9e2d",
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11",
-        ): "27445a0c7fe92acde71d4611e7b7166676a4fe17c735a8f5b8a471da2e6addfb",
+        ): "a14b72ed6514832bb67767fbd10b4758edd41ede8b954673a3328f60d23a07eb",
         (
             "sweep", "--preset", "wg-i", "--var", "pp", "--grid", "log:1:60:4",
             "--mc", "--pulses", "200000", "--seed", "5",
-        ): "8690410a889829dc4082051803d7e0a41b75f249711eb797f4fa67a2318317ca",
+        ): "8b03708ff2a26e5273e850a8e5f2b56449b6108136da3fa7c1c6550c0bcba46b",
         # the counting run without dead time, frozen while --no-dead-time was
         # a trial option and not a change to the chain
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11", "--no-dead-time",
-        ): "890dcb340b3d2e23c79dc3f4fb0b7aef3425bcff19637e2846bba6e974094123",
+        ): "7563b512a19b19e876d69ef552ba1a05bacc1ec79791e8b1d4e1e9fcdcdce641",
     }
 
     @pytest.mark.parametrize("figure", sorted(FIGURES))
@@ -521,9 +523,10 @@ class TestCountingOptions:
     def test_pair_statistics_reach_the_predictions(self, tmp_path):
         # one thermal mode on wg-i without dead time: the prediction columns
         # are predict's for that law, and the counts stay the ones frozen
-        # below.  At 1 W the counted CAR is 1.384 (sd 0.003); the thermal
-        # prediction lies within 4.5 sd of it, and the Poisson one, 1.022,
-        # more than 100 sd away
+        # below; the 1 W point fires on 0.63 of its gates and draws one
+        # uniform per gate.  At 1 W the counted CAR is 1.382 (sd 0.003); the
+        # thermal prediction lies within 4.5 sd of it, and the Poisson one,
+        # 1.022, more than 100 sd away
         out = tmp_path / "sweep.json"
         grid = ["--var", "pp", "--grid", "log:100:1000:2", "--mc", "--pulses", "2000000", "--seed", "1"]
         thermal = ["--pair-statistics", "thermal", "--thermal-modes", "1", "--no-dead-time"]
@@ -538,12 +541,12 @@ class TestCountingOptions:
         pred, poisson = cm.predict(*swept, thermal_modes=1), cm.predict(*swept)
         for name in table["columns"][1:10]:
             assert cells[name] == np.broadcast_to(getattr(pred, name), (2,)).tolist(), name
-        assert cells["mc_singles_signal"] == [18614, 929621]
-        assert cells["mc_singles_idler"] == [18488, 929824]
-        assert cells["mc_coincidences"] == [1070, 597921]
-        assert cells["mc_accidentals"] == [165, 431933]
-        assert cells["mc_car"] == [6.484848484848484, 1.3842910821817274]
-        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.0027642998800077824]
+        assert cells["mc_singles_signal"] == [18614, 930988]
+        assert cells["mc_singles_idler"] == [18488, 930679]
+        assert cells["mc_coincidences"] == [1070, 598693]
+        assert cells["mc_accidentals"] == [165, 433161]
+        assert cells["mc_car"] == [6.484848484848484, 1.3821489007551464]
+        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.002757002720895254]
         z = (cells["car"][1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         z_poisson = (poisson.car[1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         assert abs(z) < 4.5 and abs(z_poisson) > 100.0, (z, z_poisson)
@@ -552,10 +555,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-sparse-v6"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v7"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-sparse-v6"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v7"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]

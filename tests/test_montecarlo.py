@@ -486,13 +486,15 @@ class TestSparseSampling:
     def test_helpers_match_their_first_arithmetic(self, p, n, shares, seed):
         # the same gates as the int64 references draw from the same stream,
         # held in int32 below 2**31 gates; each arm's quiet exponent is a
-        # share of the exponent of neither firing
+        # share of the exponent of neither firing.  The references draw the
+        # gaps, so every block does here, at any p
         positions = mc._bernoulli_positions(np.random.default_rng(seed), p, n)
         expected = reference_bernoulli_positions(np.random.default_rng(seed), p, n)
         assert positions.dtype == np.int32 and np.array_equal(positions, expected)
         l_none = -math.log1p(-p)
         quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
-        arms = mc._gate_fires(np.random.default_rng(seed), quiet, n)
+        with mock.patch.object(mc, "_PER_GATE_FROM", 2.0):
+            arms = mc._gate_fires(np.random.default_rng(seed), quiet, n)
         for arm, reference in zip(arms, reference_gate_fires(np.random.default_rng(seed), quiet, n)):
             assert arm.dtype == np.int32 and np.array_equal(arm, reference)
 
@@ -564,6 +566,14 @@ class TestInt32Gates:
         assert positions.size and np.all(np.diff(positions) > 0) and 0 <= positions[0] and positions[-1] < n
         assert mc._bernoulli_positions(np.random.default_rng(seed), 0.0, n).dtype == positions.dtype
 
+    @pytest.mark.parametrize("p", [0.01, 0.9], ids=["gaps", "per-gate"])
+    @pytest.mark.parametrize("n", [1, 100_000])
+    def test_gate_fires_are_int32_on_both_paths(self, p, n):
+        l_none = -math.log1p(-p)
+        assert (p >= mc._PER_GATE_FROM) == (p == 0.9)
+        for arm in mc._gate_fires(np.random.default_rng(3), (l_none, l_none / 2, l_none / 2), n):
+            assert arm.dtype == np.int32 and (n == 1 or arm.size)
+
     @pytest.mark.parametrize("dead_gates", [2**31, 2**40, 2**62])
     def test_dead_window_past_int32_keeps_the_first_fire(self, dead_gates):
         fires = np.array([3, 5, 2**28, 2**31 - 1], dtype=np.int32)
@@ -625,9 +635,25 @@ def _pair_quiet(rates, trial, other=(0.0, 0.0)):
     )
 
 
+@pytest.fixture(params=["per-gate", "gaps"])
+def draw_path(request, monkeypatch):
+    """How ``_gate_fires`` draws: as the sampler does, one uniform per gate from
+    a fire probability of ``_PER_GATE_FROM`` on, or the gaps at every p."""
+    if request.param == "gaps":
+        monkeypatch.setattr(mc, "_PER_GATE_FROM", 2.0)
+    return request.param
+
+
 class TestJointDraw:
+    """The joint law of the two arms' fires, on both draw paths.
+
+    Each test but the extreme means fires some detector on 0.86 of the gates
+    or more, past ``_PER_GATE_FROM``: the sampler draws one uniform per gate
+    there, and the gap draw runs with the constant patched above 1.
+    """
+
     @pytest.mark.parametrize("statistics, modes", [("poisson", 24), ("thermal", 1), ("thermal", 3)])
-    def test_fires_follow_the_pair_law(self, statistics, modes):
+    def test_fires_follow_the_pair_law(self, draw_path, statistics, modes):
         # Pairs reaching a detector at 2 per pulse, 1.2 of them reaching the
         # signal detector, 1.3 the idler and 0.5 both.  With G the pair law's
         # generating function at that mean, no signal fires with probability
@@ -639,7 +665,9 @@ class TestJointDraw:
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes)
         size = 2_000_000
         rng = np.random.default_rng(4)
-        fires_s, fires_i = mc._gate_fires(rng, _pair_quiet((seen, signal, both), trial), size)
+        quiet = _pair_quiet((seen, signal, both), trial)
+        assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate")
+        fires_s, fires_i = mc._gate_fires(rng, quiet, size)
         assert np.all(np.diff(fires_s) > 0) and np.all(np.diff(fires_i) > 0)
 
         def g(z):
@@ -658,7 +686,7 @@ class TestJointDraw:
             assert abs(z_score(count, size * p, size * p * (1 - p))) < 4.5
 
     @pytest.mark.parametrize("statistics, modes", [("poisson", 24), ("thermal", 1), ("thermal", 3)])
-    def test_fires_match_a_per_pulse_oracle(self, statistics, modes):
+    def test_fires_match_a_per_pulse_oracle(self, draw_path, statistics, modes):
         # An oracle that rests on no generating function: 2.5 pairs per pulse
         # are drawn pulse by pulse, and each pair goes to the signal detector
         # alone, the idler alone, both or neither, so that 2.0 pairs per pulse
@@ -691,6 +719,7 @@ class TestJointDraw:
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes)
         other = [n - math.log1p(-d) for n, d in zip(noise, dark)]
         quiet = _pair_quiet((seen, signal, both), trial, other)
+        assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate")
         fires_s, fires_i = mc._gate_fires(np.random.default_rng(4), quiet, size)
         fired = np.zeros(size, dtype=bool)
         fired[fires_s] = fired[fires_i] = True
@@ -713,11 +742,15 @@ class TestJointDraw:
         ],
         ids=["mean-1000", "mean-1e-12", "dark-0.999"],
     )
-    def test_extreme_means_give_sorted_unique_fires(self, statistics, rates, dark, size):
-        # the fires of each arm strictly increase: no gate is counted twice
+    def test_extreme_means_give_sorted_unique_fires(self, draw_path, statistics, rates, dark, size):
+        # the fires of each arm strictly increase: no gate is counted twice.
+        # At a mean of 1e-12 about 1e-12 of the gates fire, so the 10**13
+        # gates draw their gaps on either path; one uniform per gate would
+        # take 80 TB
         trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=1)
         other = -math.log1p(-dark)
         quiet = _pair_quiet(rates, trial, (other, other))
+        assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate" and size < 10**13)
         for fires in mc._gate_fires(np.random.default_rng(6), quiet, size):
             assert np.all(np.diff(fires) > 0)
             assert fires.size == 0 or (fires[0] >= 0 and fires[-1] < size)
@@ -1126,6 +1159,40 @@ class TestStreamLaw:
         assert max(abs(v) for v in z.values()) < 4.5, z
 
 
+class TestAcrossThePerGateThreshold:
+    """Blocks on both sides of ``_PER_GATE_FROM`` count what ``predict`` gives without dead time.
+
+    wg-i without dead time, 4M pulses at each of two peak powers: 0.45 W,
+    where 0.29 of the gates fire some detector, just below the threshold, so
+    that its blocks draw the gaps between fires, and 1 W, where 0.81 do and
+    its blocks draw one uniform per gate.  Without dead time the gates are
+    independent, so each count's variance is exact: binomial for the singles
+    and the coincidences, and for the accidentals each window's binomial term
+    plus twice its covariance p_s p_c p_i - p_a**2 with the next window, which
+    shares a gate with it.  At 4.5 sigma a count is caught with 90% power when
+    it is 0.66% (singles), 1.6% (coincidences) or 1.8% (accidentals) off at
+    0.45 W, and 0.25%, 0.40% and 0.41% off at 1 W.
+    """
+
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("peak_w, per_gate", [(0.45, False), (1.0, True)], ids=["gaps", "per-gate"])
+    def test_counts_match_predict(self, wg_i, peak_w, per_gate):
+        chain, pump = mc.apply_sweep_value(without_dead_time(wg_i[0]), wg_i[1], "pp", peak_w)
+        p_s, p_i, p_c, p_a = predicted_probabilities(chain, pump)
+        assert (p_s + p_i - p_c >= mc._PER_GATE_FROM) == per_gate
+        n = 4_000_000
+        s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=31))
+        windows = s.accidental_pairs
+        neighbours = 2 * (windows - 1) * (p_s * p_c * p_i - p_a**2)
+        z = {
+            "singles_signal": z_score(s.singles_signal, n * p_s, n * p_s * (1 - p_s)),
+            "singles_idler": z_score(s.singles_idler, n * p_i, n * p_i * (1 - p_i)),
+            "coincidences": z_score(s.coincidences, n * p_c, n * p_c * (1 - p_c)),
+            "accidentals": z_score(s.accidentals, windows * p_a, windows * p_a * (1 - p_a) + neighbours),
+        }
+        assert max(abs(v) for v in z.values()) < 4.5, z
+
+
 class TestGoldenCounts:
     """Counts pinned bit for bit: a refactor of the rate parameters must not move them.
 
@@ -1138,19 +1205,34 @@ class TestGoldenCounts:
     edges, at a one-gate dead time (the closed form) and a two-gate one
     (pointer doubling under dense fires); two threads must count them alike.
 
-    ``GOLDEN_V5`` holds the same runs under ``philox-sparse-v5``, frozen
-    before v6.  The v6 stream changed only the bit generator of each block,
-    from Philox to SFC64, so with ``_BIT_GENERATOR`` set back to Philox the
-    v6 arithmetic must still count them bit for bit.
+    ``GOLDEN_V5`` and ``GOLDEN_V6`` hold the same runs under
+    ``philox-sparse-v5`` and ``sfc64-sparse-v6``, each frozen before the next
+    stream.  The v6 stream changed only the bit generator of each block, from
+    Philox to SFC64; v7 only the draw of a block whose gates fire some
+    detector at least ``_PER_GATE_FROM`` of the time, from one uniform per
+    fire to one per gate.  So with ``_PER_GATE_FROM`` set above 1, where every
+    block draws its gaps, the v7 arithmetic must count the v6 goldens bit for
+    bit, and with ``_BIT_GENERATOR`` set back to Philox also the v5 ones.
+    Only the three 1 W runs, about 0.81 fires per gate, draw per gate in v7.
     """
 
-    RNG_STREAM = "sfc64-sparse-v6"
+    RNG_STREAM = "sfc64-v7"
     GOLDEN = {
         # (preset, pair statistics, seed, dead time us, peak power W, pulses) -> counts
         ("wg-i", "poisson", 11, None, None, 300_000): (180, 178, 1, 0, 120358, 122000, 299999),
         ("wg-i", "thermal", 12, None, None, 300_000): (165, 176, 4, 1, 135704, 124000, 299999),
         ("awg", "poisson", 13, None, None, 300_000): (94, 101, 0, 0, 206000, 199000, 299999),
         ("wg-i", "poisson", 14, 0.01, 0.2, 300_000): (10111, 10188, 766, 319, 289889, 289812, 299999),
+        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (110096, 109815, 41711, 39454, 189905, 190186, 299999),
+        ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
+            1099234, 1098646, 416247, 394499, 1900767, 1901354, 2999999
+        ),
+        ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
+            804203, 804678, 223677, 212741, 1391595, 1390644, 2999999
+        ),
+    }
+    GOLDEN_V6 = {
+        **GOLDEN,
         ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109757, 109743, 41323, 39549, 190243, 190258, 299999),
         ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
             1098990, 1098769, 416209, 394347, 1901010, 1901232, 2999999
@@ -1176,7 +1258,8 @@ class TestGoldenCounts:
     }
 
     @staticmethod
-    def _counts(key) -> tuple[int, ...]:
+    def _counts(key, gaps_only: bool = False) -> tuple[int, ...]:
+        """The counts of the run ``key``; with ``gaps_only`` every block draws its gaps, as before v7."""
         name, statistics, seed, dead_us, peak_w, pulses = key
         document = presets.get_preset(name)
         if dead_us is not None:
@@ -1186,9 +1269,10 @@ class TestGoldenCounts:
         if peak_w is not None:
             chain, pump = mc.apply_sweep_value(chain, pump, "pp", peak_w)
         trial = mc.TrialConfig(n_pulses=pulses, seed=seed, pair_statistics=statistics)
-        s = mc.simulate(chain, pump, trial)
-        if pulses > mc._MIN_BLOCK:
-            assert mc.simulate(chain, pump, trial, threads=2) == s
+        with mock.patch.object(mc, "_PER_GATE_FROM", 2.0 if gaps_only else mc._PER_GATE_FROM):
+            s = mc.simulate(chain, pump, trial)
+            if pulses > mc._MIN_BLOCK:
+                assert mc.simulate(chain, pump, trial, threads=2) == s
         return (
             s.singles_signal,
             s.singles_idler,
@@ -1207,10 +1291,15 @@ class TestGoldenCounts:
         assert self._counts(key) == self.GOLDEN[key]
 
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
+    @pytest.mark.parametrize("key", list(GOLDEN_V6), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
+    def test_gap_draws_count_the_v6_goldens(self, key):
+        assert self._counts(key, gaps_only=True) == self.GOLDEN_V6[key]
+
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("key", list(GOLDEN_V5), ids=lambda k: f"{k[0]}-{k[1]}-seed{k[2]}")
     def test_philox_blocks_count_the_v5_goldens(self, monkeypatch, key):
         monkeypatch.setattr(mc, "_BIT_GENERATOR", np.random.Philox)
-        assert self._counts(key) == self.GOLDEN_V5[key]
+        assert self._counts(key, gaps_only=True) == self.GOLDEN_V5[key]
 
 
 def recording_gate_fires(drawn: list):
@@ -1250,15 +1339,24 @@ class TestBlockEdges:
     and than the accidental offset.  The fires each block draws are recorded
     and joined into one gate mask per arm; the per-gate reference filter over
     it and a direct count of the clicks it accepts must give every count of
-    the run.
+    the run.  The dense and saturated cases fire on 0.31 and 0.81 of their
+    gates, past ``_PER_GATE_FROM``, so the join's carry repair and pointer
+    doubling run on blocks drawn one uniform per gate.  So do the examples
+    of the property test with a pair rate above 0.47 per pulse, about 13% of
+    them (counted over 488 examples), and its explicit example.
     """
 
     CASES = {
-        # 0.31 fires per gate with a one-gate dead time: 667 blocks of 3 gates
+        # 0.31 fires per gate with a one-gate dead time: 667 blocks of 3 gates,
+        # just past _PER_GATE_FROM, so each draws one uniform per gate
         "dense-1-gate": ((0.5, 0.5, 0.5, 0.0, 0.01), 1.0, 2_000),
         # the same fires with a two-gate dead time: pointer doubling, not the
         # closed form, on every block and on every rerun after a carry
         "dense-2-gate": ((0.5, 0.5, 0.5, 0.0, 0.02), 1.0, 2_000),
+        # 0.81 fires per gate, well into the per-gate draw, with a one-gate and
+        # a two-gate dead time: 667 blocks of 3 gates
+        "saturated-1-gate": ((2.2, 0.5, 0.5, 0.0, 0.01), 2.5, 2_000),
+        "saturated-2-gate": ((2.2, 0.5, 0.5, 0.0, 0.02), 2.5, 2_000),
         # 0.035 fires per gate with a 1000-gate dead time: 878 blocks of 57 gates
         "sparse-1000-gate": ((0.02, 0.5, 0.5, 1e6, 10.0), 2.0, 50_000),
     }
@@ -1273,6 +1371,8 @@ class TestBlockEdges:
         monkeypatch.setattr(mc, "_gate_fires", recording_gate_fires(drawn))
         return mc.simulate(chain, pump, trial, threads=threads), drawn, chain
 
+    # the saturated cases hold 2.2 pairs per pulse, past the model's range
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("case", list(CASES))
     def test_counts_equal_one_pass_over_the_whole_run(self, monkeypatch, case):
         _, drawn, chain = self._run(monkeypatch, case, 1, threads=1)
@@ -1284,6 +1384,7 @@ class TestBlockEdges:
             s, drawn, _ = self._run(monkeypatch, case, offset, threads=1)
             assert_one_pass(s, drawn, (dead, dead), offset)
 
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("case", list(CASES))
     def test_thread_count_irrelevant(self, monkeypatch, case):
         counts = [self._run(monkeypatch, case, 2, threads)[0] for threads in (1, 2, 4)]
