@@ -56,6 +56,17 @@ block wait for it in a queue, so every gate but the last
 gates apart, so a run of n gates whose last click is at gate l has
 n - D * clicks + max(l + D + 1 - n, 0) active gates.
 
+A run whose blocks draw one uniform per gate, with at most one dead gate
+per arm and an accidental offset of at most a block, is counted on bitsets
+instead (``_join_bits``): the sampler checks this once per run.  Each arm's
+fires in a block are one Python int, bit g for gate g.  The one-gate pass
+takes one carry-propagating add: x + (s & E), with s the first fire of each
+run and E the even gates, clears the runs that start at an even gate, which
+keep their fires at even gates; the other runs keep those at odd gates.  A
+carried window holds at most a block's gate 0, and a fire there flips the
+clicks of its run.  Singles and coincidences are bit counts, and the signal
+clicks shifted by the offset are one int of open windows across the edge.
+
 ``RNG_STREAM`` names this sampling scheme; counts for a given seed change
 only with it.  The v5 stream brought the block sizing and the carries, the
 geometric gaps drawn as 1 + floor(E * scale) from one standard exponential
@@ -282,6 +293,18 @@ def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     return fires[path[path < k]]
 
 
+def _dead_time_bits(fires: int, dead_gates: int) -> int:
+    """``_apply_dead_time`` of at most one dead gate on a bitset, bit g = gate g.
+
+    The closed form of the module notes: ``even_runs`` holds the runs that start at an even gate."""
+    if not dead_gates:
+        return fires
+    even = int.from_bytes(b"\x55" * (fires.bit_length() // 8 + 1), "little")
+    starts = fires ^ (fires & (fires << 1))
+    even_runs = fires ^ (fires & (fires + (starts & even)))
+    return fires ^ (fires & (even_runs ^ even))
+
+
 def _dead_gates(clicks: int, dead_until: int, n: int, dead_gates: int) -> int:
     """Gates of [0, n) left dead by ``clicks`` accepted clicks; the last dead gate is dead_until.
 
@@ -314,8 +337,8 @@ def _matches(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _gate_fires(
-    rng: np.random.Generator, quiet: tuple[float, float, float], size: int
-) -> tuple[np.ndarray, np.ndarray]:
+    rng: np.random.Generator, quiet: tuple[float, float, float], size: int, bits: bool = False
+) -> tuple[np.ndarray, np.ndarray] | tuple[int, int]:
     """Sorted, unique gates of a block where the signal and the idler detector fire.
 
     ``quiet`` holds the exponents -log P that a gate fires neither detector,
@@ -327,7 +350,9 @@ def _gate_fires(
     P(signal fires).  Below it, the firing gates are drawn as geometric gaps
     and one uniform per firing gate picks the signal alone, with probability
     (P(idler quiet) - P(neither fires)) / p, the idler alone, with a / p, or
-    both.  Gates are int32 below 2**31 gates and int64 from there.
+    both.  Gates are int32 below 2**31 gates and int64 from there; with
+    ``bits``, which only a per-gate block takes, each arm is one int, bit g
+    set where gate g fires.
     """
     l_none, l_signal, l_idler = quiet
     p = -math.expm1(-l_none)
@@ -335,11 +360,14 @@ def _gate_fires(
     # exponent is never positive, so no term overflows however likely a fire
     idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none)
     if p >= _PER_GATE_FROM:
-        dtype = np.int32 if size < 2**31 else np.int64
         u = rng.random(size)
         signal = u >= idler_alone
         signal &= u < p
-        return np.flatnonzero(signal).astype(dtype), np.flatnonzero(u < -math.expm1(-l_idler)).astype(dtype)
+        arms = signal, u < -math.expm1(-l_idler)
+        if bits:
+            return tuple(int.from_bytes(np.packbits(arm, bitorder="little"), "little") for arm in arms)
+        dtype = np.int32 if size < 2**31 else np.int64
+        return tuple(np.flatnonzero(arm).astype(dtype) for arm in arms)
     fired = _bernoulli_positions(rng, p, size)
     if not fired.size:
         return fired, fired
@@ -357,9 +385,10 @@ def _gate_fires(
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
     """The worker of one block ``(block_index, size)``, read from the record and detectors alone.
 
-    Returns the gates per block, each arm's dead gates, the accidental offset
-    and the worker, which returns the block's size, each arm's sorted fires
-    and its clicks filtered as if the block started live.  An offset of n_pulses
+    Returns the gates per block, each arm's dead gates, the accidental offset,
+    the worker, which returns the block's size, each arm's sorted fires
+    and its clicks filtered as if the block started live, and whether those
+    are bitsets for ``_join_bits``, as the module notes say.  An offset of n_pulses
     or more opens no window, and as many dead gates leave all gates after a
     click dead, so both are cut to n_pulses, which keeps every shifted gate
     inside int64.  The record gives the mean photons a reaching each
@@ -390,17 +419,19 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             stacklevel=3,
         )
 
+    p_fire = -math.expm1(-quiet[0])
+    gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
+    bits = p_fire >= _PER_GATE_FROM and max(dead_gates) <= 1 and off <= gates
+
     def draw(block: tuple[int, int]):
         block_index, size = block
         # SFC64 steps a 64-bit counter from the same start in every stream, and
         # its step is invertible: distinct keys do not meet within 2**64 draws
         rng = np.random.Generator(_BIT_GENERATOR(np.random.SeedSequence([int(trial.seed), block_index])))
-        fires = _gate_fires(rng, quiet, size)
-        return size, fires, tuple(map(_apply_dead_time, fires, dead_gates))
+        fires = _gate_fires(rng, quiet, size, bits)
+        return size, fires, tuple(map(_dead_time_bits if bits else _apply_dead_time, fires, dead_gates))
 
-    p_fire = -math.expm1(-quiet[0])
-    gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
-    return gates, dead_gates, off, draw
+    return gates, dead_gates, off, draw, bits
 
 
 def _first_at(gates: np.ndarray, gate: int) -> int:
@@ -459,6 +490,32 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
     return totals, dead_until
 
 
+def _join_bits(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[list[int], list[int]]:
+    """``_join`` of bitset blocks, each arm with at most one dead gate, at an offset of at most a block.
+
+    Bit j of ``window`` is the block's gate j where an idler click would
+    close the window of a signal click ``off`` gates before; past a block it
+    holds at most ``off`` bits, and none past the run's end is read."""
+    totals, dead_until, window, start = [0, 0, 0, 0], [-1, -1], 0, 0
+    for size, fires, worker_clicks in blocks:
+        clicks = []
+        for arm, (arm_fires, arm_clicks, dead) in enumerate(zip(fires, worker_clicks, dead_gates)):
+            if dead_until[arm] >= start and arm_fires & 1:
+                # the run of fires from gate 0 keeps its 2nd, 4th, ... fire, not its 1st, 3rd, ...
+                arm_clicks ^= (arm_fires ^ (arm_fires + 1)) >> 1
+            if arm_clicks:
+                dead_until[arm] = start + arm_clicks.bit_length() - 1 + dead
+            totals[arm] += arm_clicks.bit_count()
+            clicks.append(arm_clicks)
+        signal, idler = clicks
+        window |= signal << off
+        totals[2] += (signal & idler).bit_count()
+        totals[3] += (window & idler).bit_count()
+        window >>= size
+        start += size
+    return totals, dead_until
+
+
 def _ahead(pool: ThreadPoolExecutor, fn, items, depth: int):
     """fn over an iterator of items on the pool, in order, with at most ``depth`` calls submitted and not yet taken."""
     futures = deque(pool.submit(fn, item) for item in islice(items, depth))
@@ -483,7 +540,8 @@ def simulate(
     the same CountSummary, regardless of ``threads``, which caps the worker
     threads; no more start than there are blocks or cores.
     """
-    block_gates, dead_gates, off, draw = _block_sampler(chain, cm.evaluate(chain, pump), trial)
+    block_gates, dead_gates, off, draw, bits = _block_sampler(chain, cm.evaluate(chain, pump), trial)
+    join = _join_bits if bits else _join
     n = trial.n_pulses
     count = -(-n // block_gates)
     blocks = ((bi, min(block_gates, n - bi * block_gates)) for bi in range(count))
@@ -492,9 +550,9 @@ def simulate(
     workers = min(threads, count, os.cpu_count() or 1) if threads > 1 else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals, dead_until = _join(_ahead(pool, draw, blocks, 2 * workers), dead_gates, off, n)
+            totals, dead_until = join(_ahead(pool, draw, blocks, 2 * workers), dead_gates, off, n)
     else:
-        totals, dead_until = _join(map(draw, blocks), dead_gates, off, n)
+        totals, dead_until = join(map(draw, blocks), dead_gates, off, n)
     active = [n - _dead_gates(int(totals[arm]), dead_until[arm], n, dead_gates[arm]) for arm in (0, 1)]
     return CountSummary(
         n_pulses=n,

@@ -211,19 +211,24 @@ class TestTrivialAndDeterminism:
                 submitted.append(args)
                 return super().submit(fn, *args)
 
-        def counting_join(blocks, *args, join=mc._join):
-            def taken():
-                for count, block in enumerate(blocks, 1):
-                    ahead.append(len(submitted) - count)
-                    yield block
+        def counting(join):
+            def counting_join(blocks, *args):
+                def taken():
+                    for count, block in enumerate(blocks, 1):
+                        ahead.append(len(submitted) - count)
+                        yield block
 
-            return join(taken(), *args)
+                return join(taken(), *args)
 
+            return counting_join
+
+        # 0.35 fires per gate at one dead gate: the blocks are bitsets
         chain, pump = make_rate_chain(0.5, 0.5, 0.5, dead_time_us=0.01)
         trial = mc.TrialConfig(n_pulses=2_000, seed=3)
         serial = mc.simulate(chain, pump, trial)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(mc, "_join", counting_join)
+        for join in ("_join", "_join_bits"):
+            monkeypatch.setattr(mc, join, counting(getattr(mc, join)))
         assert mc.simulate(chain, pump, trial, threads=2) == serial
         assert len(submitted) > 300 and max(ahead) <= 4
 
@@ -439,6 +444,120 @@ class TestDeadTime:
         sigma = (1.0 - expected) * math.sqrt(1.0 - p) / p / (math.sqrt(n / cycle) * cycle)
         for measured in mc.measured_gate_duty(s):
             assert abs(z_score(measured, expected, sigma**2)) < 4.5
+
+
+def mask_bits(mask: np.ndarray) -> int:
+    """A per-gate fire mask as a bitset, bit g = gate g, written out as binary digits."""
+    return int("0" + "".join("1" if fired else "0" for fired in mask[::-1]), 2)
+
+
+def bit_gates(fires: int) -> np.ndarray:
+    """The sorted gates of a bitset, bit g = gate g, read off its binary digits."""
+    return np.flatnonzero(np.frombuffer(bin(fires)[:1:-1].encode(), np.uint8) == ord("1"))
+
+
+@st.composite
+def fire_masks(draw, max_gates: int = 300):
+    n = draw(st.integers(1, max_gates))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < draw(st.floats(0.0, 1.0))
+
+
+def _single(n: int, gate: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[gate] = True
+    return mask
+
+
+class TestBitsets:
+    """The bitset path against the index path and the per-gate reference.
+
+    Lengths of 1 to 300 gates, most not a multiple of 8 or 64, so that the
+    top byte and the top machine word of a bitset hold gates and padding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask=fire_masks())
+    @example(mask=np.ones(300, dtype=bool))
+    @example(mask=np.ones(65, dtype=bool))
+    @example(mask=np.ones(1, dtype=bool))
+    @example(mask=np.arange(299) % 2 == 0)
+    @example(mask=np.arange(64) % 2 == 1)
+    @example(mask=_single(1, 0))
+    @example(mask=_single(300, 299))
+    @example(mask=_single(257, 128))
+    @example(mask=_RUNS)
+    def test_one_gate_dead_time_matches_the_index_pass(self, mask):
+        clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), 1))
+        assert np.array_equal(clicks, mc._apply_dead_time(np.flatnonzero(mask), 1))
+        assert np.array_equal(clicks, np.flatnonzero(reference_dead_time(mask, 1)[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(1, 80),
+        blocks=st.integers(1, 60),
+        last_share=st.floats(0.0, 1.0),
+        densities=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        dead=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+        offset_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # every gate fires both arms: each block's gate 0 sits under a carried
+    # window, and each window opens in the next block
+    @example(size=7, blocks=30, last_share=0.5, densities=(1.0, 1.0, 1.0), dead=(1, 1), offset_share=1.0, seed=0)
+    @example(size=1, blocks=60, last_share=1.0, densities=(0.8, 0.8, 0.5), dead=(0, 1), offset_share=1.0, seed=1)
+    def test_bitset_join_counts_as_the_index_join(
+        self, size, blocks, last_share, densities, dead, offset_share, seed
+    ):
+        # blocks of ``size`` gates and a last one of 1 to ``size``; the idler
+        # repeats the signal's gate with probability densities[2], so that
+        # coincidences and accidentals are common
+        sizes = [size] * (blocks - 1) + [1 + int(last_share * (size - 1))]
+        offset = 1 + int(offset_share * (size - 1))
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        signal = rng.random(n) < densities[0]
+        idler = np.where(rng.random(n) < densities[2], signal, rng.random(n) < densities[1])
+        index_blocks, bit_blocks, start = [], [], 0
+        for block_size in sizes:
+            masks = signal[start : start + block_size], idler[start : start + block_size]
+            fires = tuple(np.flatnonzero(mask).astype(np.int32) for mask in masks)
+            index_blocks.append((block_size, fires, tuple(map(mc._apply_dead_time, fires, dead))))
+            bits = tuple(map(mask_bits, masks))
+            clicks = tuple(map(mc._dead_time_bits, bits, dead))
+            bit_blocks.append((block_size, bits, clicks))
+            start += block_size
+        totals, dead_until = mc._join_bits(iter(bit_blocks), dead, offset, n)
+        index_totals, index_dead_until = mc._join(iter(index_blocks), dead, offset, n)
+        assert (totals, dead_until) == (index_totals.tolist(), index_dead_until)
+        # and as one per-gate pass over the whole run
+        clicks = [np.flatnonzero(reference_dead_time(mask, d)[0]) for mask, d in zip((signal, idler), dead)]
+        expected = [clicks[0].size, clicks[1].size, np.intersect1d(*clicks).size]
+        assert totals == expected + [np.intersect1d(clicks[0] + offset, clicks[1]).size]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 1000, 2**16 + 3])
+    def test_gate_fire_bits_hold_the_gates_of_the_index_draw(self, n):
+        l_none = -math.log1p(-0.8)
+        quiet = (l_none, 0.6 * l_none, 0.6 * l_none)
+        fires = mc._gate_fires(np.random.default_rng(n), quiet, n)
+        bits = mc._gate_fires(np.random.default_rng(n), quiet, n, bits=True)
+        assert all(isinstance(x, int) and x < 2**n for x in bits)
+        for arm, x in zip(fires, bits):
+            assert np.array_equal(bit_gates(x), arm)
+
+    @pytest.mark.parametrize(
+        "mu, dead_us, offset, bits",
+        [
+            (0.9, 0.01, 1, True),  # 0.49 fires per gate, one dead gate
+            (0.9, 0.0, 2**20, True),  # no dead time, an offset of a whole block
+            (0.9, 0.02, 1, False),  # two dead gates
+            (0.9, 0.01, 2**20 + 1, False),  # an offset past the block
+            (0.4, 0.01, 1, False),  # 0.26 fires per gate: the gaps are drawn
+        ],
+    )
+    def test_path_is_chosen_from_p_dead_gates_and_offset(self, mu, dead_us, offset, bits):
+        chain, pump = make_rate_chain(mu, 0.5, 0.5, dead_time_us=dead_us)
+        trial = mc.TrialConfig(n_pulses=2**22, accidental_offset=offset)
+        gates, _, _, _, chosen = mc._block_sampler(chain, cm.evaluate(chain, pump), trial)
+        assert gates == 2**20 and chosen == bits
 
 
 def reference_bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
@@ -975,7 +1094,10 @@ class TestSamplerGateLaw:
         base = cfg.build_experiment(presets.get_preset(name))
         captured = []
         none = np.empty(0, dtype=np.int64)
-        monkeypatch.setattr(mc, "_gate_fires", lambda rng, quiet, size: captured.append(quiet) or (none, none))
+        # a run of one pulse cuts the dead time to one gate, so a 1 W point draws bitsets
+        monkeypatch.setattr(
+            mc, "_gate_fires", lambda rng, quiet, size, bits: captured.append(quiet) or ((0, 0) if bits else (none, none))
+        )
         for peak_w in (0.01, 0.1, 1.0):
             chain, pump = mc.apply_sweep_value(*base, "pp", peak_w)
             for modes in (None, 1, 24):
@@ -1303,12 +1425,12 @@ class TestGoldenCounts:
 
 
 def recording_gate_fires(drawn: list):
-    """``mc._gate_fires`` that appends each block's fires and size to ``drawn``."""
+    """``mc._gate_fires`` that appends each block's fires, as sorted gates, and size to ``drawn``."""
     gate_fires = mc._gate_fires
 
-    def recording(rng, quiet, size):
-        fires = gate_fires(rng, quiet, size)
-        drawn.append((fires, size))
+    def recording(rng, quiet, size, bits):
+        fires = gate_fires(rng, quiet, size, bits)
+        drawn.append((tuple(map(bit_gates, fires)) if bits else fires, size))
         return fires
 
     return recording
@@ -1341,9 +1463,11 @@ class TestBlockEdges:
     it and a direct count of the clicks it accepts must give every count of
     the run.  The dense and saturated cases fire on 0.31 and 0.81 of their
     gates, past ``_PER_GATE_FROM``, so the join's carry repair and pointer
-    doubling run on blocks drawn one uniform per gate.  So do the examples
-    of the property test with a pair rate above 0.47 per pulse, about 13% of
-    them (counted over 488 examples), and its explicit example.
+    doubling run on blocks drawn one uniform per gate; at one dead gate and
+    an offset of 1 or 2 gates those blocks are bitsets, counted by
+    ``_join_bits``.  Counted over 620 examples of the property test (10
+    runs): 2.4% hold no pairs, 81% draw one uniform per gate, 39% count
+    bitsets and 22% count bitsets over more than one block.
     """
 
     CASES = {
@@ -1390,11 +1514,15 @@ class TestBlockEdges:
         counts = [self._run(monkeypatch, case, 2, threads)[0] for threads in (1, 2, 4)]
         assert counts[0] == counts[1] == counts[2]
 
+    @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 2000),
-        mu=st.one_of(st.just(0.0), st.floats(1e-4, 0.9)),
-        dead_us=st.sampled_from([0.0, 0.01, 0.02, 0.03, 0.05, 1.0, 10.0]),
+        # drawn as the chance q that a gate sees no pair photon, 0.75 mu at
+        # 0.5 efficiency per arm: hypothesis leans to small q, dense runs
+        mu=st.floats(0.15, 1.0).map(lambda q: -math.log(q) / 0.75),
+        # half the examples at most one dead gate, where dense blocks are bitsets
+        dead_us=st.one_of(st.sampled_from([0.0, 0.01]), st.sampled_from([0.02, 0.03, 0.05, 1.0, 10.0])),
         fires_per_block=st.floats(2.0, 100.0),
         offset=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
@@ -1402,6 +1530,8 @@ class TestBlockEdges:
     # an idler click the join reruns after a carry closes the window of a
     # signal click in the block before
     @example(n=12, mu=0.5, dead_us=0.01, fires_per_block=2.0, offset=1, seed=4)
+    # no pairs: dark counts alone, 1e-3 per gate, in blocks of about 3,000 gates
+    @example(n=20_000, mu=0.0, dead_us=0.01, fires_per_block=3.0, offset=2, seed=5)
     def test_counts_equal_one_pass_for_any_block_count(self, n, mu, dead_us, fires_per_block, offset, seed):
         chain, pump = make_rate_chain(mu, 0.5, 0.5, dark_rate_hz=1e5, dead_time_us=dead_us)
         trial = mc.TrialConfig(n_pulses=n, seed=seed, accidental_offset=offset)
