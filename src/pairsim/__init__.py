@@ -1,76 +1,3 @@
-"""Simulator and analysis toolkit for integrated-photonic photon-pair experiments."""
+"""Photon-pair experiment simulator; import from chainmodel, awg, config, presets, montecarlo, fitting or cli."""
 
 __version__ = "0.1.0"
-
-from .awg import AwgSpec, channel_transmission, effective_pair_bandwidth
-from .chainmodel import (
-    AwgDemux,
-    ChainEvaluation,
-    DetectorConfig,
-    ExperimentChain,
-    FilterDemux,
-    FilterSpec,
-    NoiseCoefficients,
-    PumpConfig,
-    RatePrediction,
-    WaveguideSegment,
-    car_estimate,
-    chain_transmittances,
-    db_to_linear,
-    db_to_neper,
-    effective_length,
-    evaluate,
-    expected_gate_statistics,
-    gate_duty,
-    pair_rate_from_counts_multipair,
-    peak_power,
-    predict,
-    singles_rate,
-)
-from .config import build_experiment, load_file, validate_config
-from .fitting import DataSet, FitResult, fit_gamma_alpha, fit_singles_poly, fit_sio2_decay
-from .montecarlo import CountSummary, TrialConfig, measured_gate_duty, simulate, sweep
-from .presets import get_preset, preset_names
-
-__all__ = [
-    "AwgDemux",
-    "AwgSpec",
-    "ChainEvaluation",
-    "CountSummary",
-    "DataSet",
-    "DetectorConfig",
-    "ExperimentChain",
-    "FilterDemux",
-    "FilterSpec",
-    "FitResult",
-    "NoiseCoefficients",
-    "PumpConfig",
-    "RatePrediction",
-    "TrialConfig",
-    "WaveguideSegment",
-    "build_experiment",
-    "car_estimate",
-    "chain_transmittances",
-    "channel_transmission",
-    "db_to_linear",
-    "db_to_neper",
-    "effective_length",
-    "effective_pair_bandwidth",
-    "evaluate",
-    "expected_gate_statistics",
-    "fit_gamma_alpha",
-    "fit_singles_poly",
-    "fit_sio2_decay",
-    "gate_duty",
-    "get_preset",
-    "load_file",
-    "measured_gate_duty",
-    "pair_rate_from_counts_multipair",
-    "peak_power",
-    "predict",
-    "preset_names",
-    "simulate",
-    "singles_rate",
-    "sweep",
-    "validate_config",
-]

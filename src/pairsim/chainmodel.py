@@ -476,6 +476,12 @@ def no_pair_excess(x: float, thermal_modes: int | None = None) -> float:
     return thermal_modes * log1p(x / thermal_modes) - x
 
 
+def pair_law_excess(rec: ChainEvaluation, thermal_modes: int | None = None) -> tuple:
+    """``no_pair_excess`` of the pair-law photons at the signal arm, the idler arm and either arm."""
+    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
+    return tuple(no_pair_excess(x, thermal_modes) for x in means)
+
+
 def pair_rate_from_counts_multipair(
     coincidence_rate_hz: float,
     accidental_rate_hz: float,
@@ -602,8 +608,7 @@ def predict(chain: ExperimentChain, pump: PumpConfig, thermal_modes: int | None 
     pd_i = det_i.dark_prob_per_gate
 
     a_s, a_i = rec.detected_signal, rec.detected_idler  # mean photon causes per arm
-    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
-    ex_s, ex_i, ex_si = (no_pair_excess(x, thermal_modes) for x in means)
+    ex_s, ex_i, ex_si = pair_law_excess(rec, thermal_modes)
     p_active_s = 1.0 - exp(-(a_s + ex_s)) * (1.0 - pd_s)
     p_active_i = 1.0 - exp(-(a_i + ex_i)) * (1.0 - pd_i)
     duty_s = gate_duty(p_active_s, det_s.dead_gates)

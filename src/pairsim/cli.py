@@ -128,7 +128,7 @@ def _load_document(args, parser: argparse.ArgumentParser) -> dict:
 
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid syntax: ``start:stop:count`` (linear) or ``log:start:stop:count``,
-    with finite endpoints."""
+    with finite endpoints and a count that numpy can allocate."""
     parts = spec.split(":")
     log = parts[0] == "log"
     try:
@@ -146,7 +146,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         if not np.isfinite(grid).all():
             raise ValueError("grid values overflow")
         return grid
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise cfg.ConfigError(f"bad grid spec {spec!r}: {exc}") from exc
 
 

@@ -391,17 +391,13 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     are bitsets for ``_join_bits``, as the module notes say.  An offset of n_pulses
     or more opens no window, and as many dead gates leave all gates after a
     click dead, so both are cut to n_pulses, which keeps every shifted gate
-    inside int64.  The record gives the mean photons a reaching each
-    detector and the x of them that follow the pair law; the others are
-    Poisson.  So a gate leaves an arm quiet with the exponent
-    a + (L(x) - x) - log(1 - p_dark), and leaves both quiet with the same
-    over the photons that reach either arm.  Warns when a pulse holds more
-    than one pair or unpaired photon on average.
+    inside int64.  A gate is quiet by the module notes' law, with the pair
+    law's excess from ``chainmodel.pair_law_excess``.  Warns when a pulse
+    holds more than one pair or unpaired photon on average.
     """
     detectors = (chain.detector_signal, chain.detector_idler)
     dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
-    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
-    ex_s, ex_i, ex_si = (cm.no_pair_excess(x, trial.pair_modes) for x in means)
+    ex_s, ex_i, ex_si = cm.pair_law_excess(rec, trial.pair_modes)
     quiet = (
         rec.detected_signal + rec.detected_idler - rec.detected_pairs + ex_si + dark_s + dark_i,
         rec.detected_signal + ex_s + dark_s,

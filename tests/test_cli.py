@@ -373,6 +373,8 @@ class TestExitCodes:
             (["sweep", "--preset", "wg-i", "--var", "pp", "--grid=-1e308:1e308:3"], "bad grid spec"),
             ([*sweep, "1:2:3:4"], "bad grid spec '1:2:3:4'"),
             ([*sweep, "log:1:2"], "bad grid spec 'log:1:2'"),
+            # 7.1 PiB of grid, more than a 64-bit process can map
+            ([*sweep, "1:2:1000000000000000"], "bad grid spec '1:2:1000000000000000'"),
             # finite grid values whose average power overflows
             ([*sweep, "log:1e-300:1e308:3"], "--grid value 1e+308:"),
             (["sweep", "--preset", "wg-i", "--var", "awg_loss", "--grid", "0:1:2"], "--var awg_loss"),
@@ -580,13 +582,19 @@ class TestImport:
     def test_import_builds_no_parser(self):
         assert _fresh_python("import pairsim.cli as cli; print(cli._parser)") == "None"
 
+    def test_package_loads_no_module(self):
+        # each name is imported from the module that defines it
+        code = "import sys, pairsim; print([m for m in sys.modules if m.startswith('pairsim.')])"
+        assert _fresh_python(code) == "[]"
+
     def test_import_loads_no_scipy(self):
-        # scipy is imported only inside the fitter that uses it, and the
-        # configuration builders check each key without jsonschema
-        code = "import sys, pairsim; print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')])"
+        # the console script loads pairsim.cli, which loads every module the
+        # commands call; scipy is imported only inside the fitter that uses
+        # it, and the configuration builders check each key without jsonschema
+        code = "import sys, pairsim.cli; print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')])"
         assert _fresh_python(code) == "[]"
 
     def test_import_loads_no_numpy_random(self):
         # numpy loads numpy.random (some 17 ms and 2 MB) at its first use,
         # which is the first Monte Carlo draw
-        assert _fresh_python("import sys, pairsim; print('numpy.random' in sys.modules)") == "False"
+        assert _fresh_python("import sys, pairsim.cli; print('numpy.random' in sys.modules)") == "False"
