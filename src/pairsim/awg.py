@@ -7,7 +7,8 @@ joint collection efficiency of a channel pair is the overlap integral of one
 passband with the mirror image of the other.  ``passband_overlap`` gives
 that integral in closed form: every passband, with or without a crosstalk
 floor, is piecewise constant or gaussian, so each piece of a product is an
-erf difference.
+erf difference.  numpy is imported only by ``channel_transmission`` and
+``_shape``, the dense-grid reference for the closed forms, which no model path calls.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elementwise import db_to_linear, holds
 
@@ -85,6 +84,7 @@ def channel_center(spec: AwgSpec, channel: int) -> float:
 
 def _shape(spec: AwgSpec, detuning_hz):
     """Unit-peak passband shape versus detuning from the channel center."""
+    import numpy as np
     half_width = spec.passband_3db_hz / 2.0
     if spec.passband_shape == "gaussian":
         value = np.exp2(-np.square(np.asarray(detuning_hz, dtype=float) / half_width))
@@ -101,6 +101,7 @@ def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
     Accepts a scalar or an array of frequencies.  The peak equals
     ``10**(-insertion_loss_db / 10)`` at the channel center.
     """
+    import numpy as np
     center = channel_center(spec, channel)
     value = spec.peak_transmittance * _shape(spec, np.asarray(frequency_hz, dtype=float) - center)
     if np.ndim(frequency_hz) == 0:

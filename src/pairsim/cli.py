@@ -287,28 +287,28 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     widest row.  The first line is a header only when no cell of it reads as
     a number, and a UTF-8 byte-order mark before it is dropped.  Any other
     line, one without numeric x and y, with an empty or non-finite cell, or
-    with too few or too many cells, is an error naming its number."""
+    with too few or too many cells, is an error naming its number, and so is
+    a file that is not UTF-8."""
     rows, header = [], None
-    with open(path, encoding="utf-8-sig") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if "" in cells:
-                raise cfg.ConfigError(f"data file line {number}: empty cell: {line!r}")
-            row = [_number(c) for c in cells]
-            if header is None and not rows and len(cells) >= 2 and row.count(None) == len(row):
-                header = cells
-                extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
-                if extra:
-                    raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
-            elif None in row or len(row) not in (2, 3):
-                raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
-            elif not all(map(math.isfinite, row)):
-                raise cfg.ConfigError(f"data file line {number}: non-finite value: {line!r}")
-            else:
-                rows.append((number, line, row))
+    for number, line in enumerate(cfg.read_text(path, "data file").split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if "" in cells:
+            raise cfg.ConfigError(f"data file line {number}: empty cell: {line!r}")
+        row = [_number(c) for c in cells]
+        if header is None and not rows and len(cells) >= 2 and row.count(None) == len(row):
+            header = cells
+            extra = header[3:] if header[2:3] == ["sigma"] else header[2:]
+            if extra:
+                raise cfg.ConfigError(f"data file column {extra[0]!r} is not x, y or 'sigma'")
+        elif None in row or len(row) not in (2, 3):
+            raise cfg.ConfigError(f"data file line {number}: expected x,y[,sigma]: {line!r}")
+        elif not all(map(math.isfinite, row)):
+            raise cfg.ConfigError(f"data file line {number}: non-finite value: {line!r}")
+        else:
+            rows.append((number, line, row))
     if not rows:
         raise cfg.ConfigError("no numeric rows found in data file")
     n_cols = len(header) if header is not None else max(len(row) for _, _, row in rows)

@@ -56,10 +56,19 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file, a byte-order mark before it dropped; a file
+    that is not UTF-8 raises ConfigError naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {str(path)!r} is not UTF-8: {exc}") from exc
+
+
 def load_file(path: str | Path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
+        document = json.loads(read_text(path, "configuration"))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -10,13 +10,19 @@ of inputs, and even ``arr**2`` (computed as ``x * x``) differs from
 ``float**2`` (the C library's ``pow``) on about 0.1% of them.  So every
 power, exponential and branch on a swept quantity goes through a function
 made by ``elementwise``, calling the same scalar function on each element.
+numpy is not imported here: no array exists before it is loaded, so floats
+alone never load it, and each ufunc is built at the first array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
-import numpy as np
+
+def _is_array(x) -> bool:
+    return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
 
 
 def elementwise(f, nin: int):
@@ -26,14 +32,17 @@ def elementwise(f, nin: int):
     ``np.frompyfunc(f, nin, 1)``; with floats alone it is ``f`` itself, so a
     scalar call returns the same Python float at the cost of one call.
     """
-    ufunc = np.frompyfunc(f, nin, 1)
+    @functools.cache
+    def ufunc():
+        return sys.modules["numpy"].frompyfunc(f, nin, 1)
+
     if nin == 1:
         def call(x):
-            return ufunc(x).astype(float) if isinstance(x, np.ndarray) else f(x)
+            return ufunc()(x).astype(float) if _is_array(x) else f(x)
     else:
         def call(x, y):
-            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-                return ufunc(x, y).astype(float)
+            if _is_array(x) or _is_array(y):
+                return ufunc()(x, y).astype(float)
             return f(x, y)
     return call
 
@@ -46,7 +55,7 @@ power = elementwise(pow, 2)
 
 def holds(ok) -> bool:
     """Whether a check holds: a scalar check as it is, an array check at every element."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
+    return ok.all() if _is_array(ok) else ok
 
 
 def db_to_linear(loss_db):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +73,20 @@ def awg_chain():
     from pairsim import config as cfg, presets
 
     return cfg.build_experiment(presets.get_preset("awg"))
+
+
+@pytest.fixture
+def fresh_python():
+    """Standard output of a code string run in a new interpreter on these sources."""
+    src = Path(cm.__file__).resolve().parents[1]
+
+    def run(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+
+    return run

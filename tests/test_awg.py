@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -58,6 +59,22 @@ def trapezoid_pair_overlap(spec, ch_s, ch_i, pump_hz, band_hz):
 
 
 class TestChannelTransmission:
+    def test_fresh_interpreter_loads_numpy_at_the_call(self, fresh_python):
+        # awg imports numpy inside the dense-grid functions alone
+        code = (
+            "import json, sys\n"
+            "from pairsim import awg\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "spec = awg.AwgSpec(16, 200e9, 80e9, 7.7, 193.4e12)\n"
+            "scalar = awg.channel_transmission(spec, 1, 193.63e12)\n"
+            "import numpy as np\n"
+            "array = awg.channel_transmission(spec, 1, np.array([193.57e12, 193.6e12, 193.63e12]))\n"
+            "print(json.dumps([loaded, type(scalar).__name__, scalar, array.tolist()]))"
+        )
+        spec = make_spec()
+        expected = awg.channel_transmission(spec, 1, np.array([193.57e12, 193.6e12, 193.63e12])).tolist()
+        assert json.loads(fresh_python(code)) == [False, "float", expected[2], expected]
+
     def test_peak_value(self):
         spec = make_spec()
         center = awg.channel_center(spec, 3)

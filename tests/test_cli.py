@@ -4,10 +4,6 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +384,38 @@ class TestExitCodes:
             assert cli.main(bad) == cli.EXIT_CONFIG
             assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, command",
+        [
+            (
+                "wg-i.json",
+                json.dumps(presets.get_preset("wg-i") | {"description": "d\xe9bit"}, ensure_ascii=False),
+                ["predict"],
+            ),
+            ("d.csv", "1,2\n2,3\n3,5\xe9\n", ["fit", "--model", "poly"]),
+        ],
+        ids=["config", "data"],
+    )
+    def test_file_not_utf8_exits_two_naming_it(self, tmp_path, capsys, name, text, command):
+        # a latin-1 e-acute is no UTF-8: its decode error is a ValueError,
+        # which would exit 3 as a numerical failure
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        assert cli.main([command[0], str(path), *command[1:]]) == cli.EXIT_CONFIG
+        assert f"{str(path)!r} is not UTF-8" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark_predicts_the_same(self, tmp_path, capsys):
+        # an editor may save JSON after a UTF-8 byte-order mark, which
+        # json.loads rejects; fit data files already drop it
+        text = json.dumps(presets.get_preset("wg-i"))
+        printed = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(mark + text, encoding="utf-8")
+            assert cli.main(["predict", str(path)]) == cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
     def test_thermal_modes_past_the_float_range_exits_two(self, capsys):
         # 10**400 modes is no float, so the pair law cannot take it
         thermal = [*SIMULATE, "--pair-statistics", "thermal", "--thermal-modes", str(10**400)]
@@ -566,35 +594,39 @@ class TestCountingOptions:
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on these sources."""
-    src = Path(cli.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-
-
 class TestImport:
-    def test_import_builds_no_parser(self):
-        assert _fresh_python("import pairsim.cli as cli; print(cli._parser)") == "None"
+    def test_import_builds_no_parser(self, fresh_python):
+        assert fresh_python("import pairsim.cli as cli; print(cli._parser)") == "None"
 
-    def test_package_loads_no_module(self):
+    def test_package_loads_no_module(self, fresh_python):
         # each name is imported from the module that defines it
         code = "import sys, pairsim; print([m for m in sys.modules if m.startswith('pairsim.')])"
-        assert _fresh_python(code) == "[]"
+        assert fresh_python(code) == "[]"
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, fresh_python):
         # the console script loads pairsim.cli, which loads every module the
         # commands call; scipy is imported only inside the fitter that uses
         # it, and the configuration builders check each key without jsonschema
         code = "import sys, pairsim.cli; print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')])"
-        assert _fresh_python(code) == "[]"
+        assert fresh_python(code) == "[]"
 
-    def test_import_loads_no_numpy_random(self):
+    def test_import_loads_no_numpy_random(self, fresh_python):
         # numpy loads numpy.random (some 17 ms and 2 MB) at its first use,
         # which is the first Monte Carlo draw
-        assert _fresh_python("import sys, pairsim.cli; print('numpy.random' in sys.modules)") == "False"
+        assert fresh_python("import sys, pairsim.cli; print('numpy.random' in sys.modules)") == "False"
+
+    def test_closed_form_loads_no_numpy(self, fresh_python):
+        # numpy's import is most of a cold start; the closed-form layer loads
+        # it only when an array reaches it, and building and predicting a
+        # preset passes none
+        code = (
+            "import sys\n"
+            "from pairsim import chainmodel as cm, config, presets\n"
+            "for name in presets.preset_names():\n"
+            "    document = presets.get_preset(name)\n"
+            "    config.config_hash(document)\n"
+            "    chain, pump = config.build_experiment(document)\n"
+            "    cm.evaluate(chain, pump), cm.predict(chain, pump), cm.car_estimate(chain, pump)\n"
+            "print(len(presets.preset_names()), 'numpy' in sys.modules)"
+        )
+        assert fresh_python(code) == "7 False"

@@ -282,3 +282,17 @@ class TestSchema:
         built = cfg.build_experiment(document)
         assert built == cfg.build_experiment(DOCUMENTS["awg"])
         assert cm.predict(*built) == cm.predict(*cfg.build_experiment(DOCUMENTS["awg"]))
+
+
+class TestLoadFile:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "awg.json"
+        path.write_text("\ufeff" + json.dumps(DOCUMENTS["awg"]), encoding="utf-8")
+        assert cfg.load_file(path) == DOCUMENTS["awg"]
+
+    def test_file_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "awg.json"
+        document = DOCUMENTS["awg"] | {"description": "d\xe9bit"}
+        path.write_bytes(json.dumps(document, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(cfg.ConfigError, match=re.escape(f"configuration {str(path)!r} is not UTF-8")):
+            cfg.load_file(path)
