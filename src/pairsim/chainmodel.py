@@ -17,17 +17,18 @@ analytic model of what two gated threshold detectors with dead time count
 (``expected_gate_statistics`` is another name for it); ``car_estimate`` keeps
 the paper's linearised CAR, which figures 3d and 5b plot.
 
-One swept field may hold a 1-D float array in place of a float: a segment
-length, the pump's average power, the AWG insertion loss or the detectors'
-dark probability (see ``montecarlo.apply_sweep_value``).  Every check of
-that field then holds for each element, and ``evaluate``, ``predict`` and
-``car_estimate`` return arrays over the grid, equal bit for bit to the
-calls at each single value.  Sums, products and quotients use the plain
-operators, which round as Python's do; every power, exponential, logarithm
-and branch on a swept quantity goes through a function made by
-``elementwise.elementwise``, which calls the same ``math`` function on each
-element, because numpy's vectorised ``exp``, ``power``, ``expm1`` and
-``log1p`` differ from it in the last bit on a few percent of inputs.
+Every figure and sweep is one chain with one of ``SWEEP_VARIABLES`` replaced
+by ``apply_sweep_value``: a segment length, the pump's average power, the
+AWG insertion loss or the detectors' dark probability.  That field may hold
+a 1-D float array in place of a float.  Every check of it then holds for
+each element, and ``evaluate``, ``predict`` and ``car_estimate`` return
+arrays over the grid, equal bit for bit to the calls at each single value.
+Sums, products and quotients use the plain operators, which round as
+Python's do; every power, exponential, logarithm and branch on a swept
+quantity goes through a function made by ``elementwise.elementwise``, which
+calls the same ``math`` function on each element, because numpy's
+vectorised ``exp``, ``power``, ``expm1`` and ``log1p`` differ from it in the
+last bit on a few percent of inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from . import awg as awg_mod
@@ -48,6 +49,10 @@ _LN10 = math.log(10.0)
 
 KIND_NONLINEAR = "nonlinear"
 KIND_PASSIVE = "passive"
+
+PAIR_STATISTICS = ("poisson", "thermal")
+
+SWEEP_VARIABLES = ("l_si", "l_siox", "pp", "awg_loss", "dark")
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +479,44 @@ def no_pair_excess(x: float, thermal_modes: int | None = None) -> float:
     if not 1 <= thermal_modes <= sys.float_info.max:
         raise ValueError("thermal modes must be a finite number of at least 1")
     return thermal_modes * log1p(x / thermal_modes) - x
+
+
+def apply_sweep_value(
+    chain: ExperimentChain, pump: PumpConfig, variable: str, value: float
+) -> tuple[ExperimentChain, PumpConfig]:
+    """Return (chain, pump) with one of ``SWEEP_VARIABLES`` replaced by a float or a grid.
+
+    Values are SI: meters for the nonlinear (``l_si``) and the following
+    passive (``l_siox``) segment's length, watts for the peak power, dB for
+    the AWG insertion loss, hertz for the dark rate.
+    """
+    if variable in ("l_si", "l_siox"):
+        # every segment but the nonlinear one is passive
+        index = chain.nonlinear_index + (variable == "l_siox")
+        if index == len(chain.segments):
+            raise ValueError("chain has no passive segment after the nonlinear one")
+        segments = list(chain.segments)
+        segments[index] = replace(segments[index], length_m=value)
+        return replace(chain, segments=tuple(segments)), pump
+    if variable == "pp":
+        import numpy as np  # a grid's product that overflows warns; this raises instead
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
+        if not np.all(np.isfinite(avg)):
+            raise ValueError("average power (peak power * rep_rate * fwhm) is not finite")
+        return chain, replace(pump, average_power_w=avg)
+    if variable == "awg_loss":
+        if not isinstance(chain.demux, AwgDemux):
+            raise ValueError("awg_loss sweep requires an AWG demultiplexer")
+        spec = replace(chain.demux.spec, insertion_loss_db=value)
+        return replace(chain, demux=replace(chain.demux, spec=spec)), pump
+    if variable == "dark":
+        p_dark = value / pump.rep_rate_hz
+        signal = replace(chain.detector_signal, dark_prob_per_gate=p_dark)
+        idler = replace(chain.detector_idler, dark_prob_per_gate=p_dark)
+        return replace(chain, detector_signal=signal, detector_idler=idler), pump
+    raise ValueError(f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
 
 
 def pair_law_excess(rec: ChainEvaluation, thermal_modes: int | None = None) -> tuple:

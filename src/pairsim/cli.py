@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# each sweep variable: SI per unit of its grid, figure and data-file values, and its column label
+# each of chainmodel.SWEEP_VARIABLES: SI per unit of its grid, figure and data-file values, and its column label
 _VARIABLES = {
     "l_si": (1e-2, "l_si_cm"),
     "l_siox": (1e-2, "l_siox_cm"),
@@ -241,12 +241,12 @@ def cmd_sweep(args, parser) -> int:
     si_per_unit, label = _VARIABLES[args.var]
     grid_si = grid_user * si_per_unit
     try:
-        swept = montecarlo.apply_sweep_value(chain, pump, args.var, grid_si)
+        swept = cm.apply_sweep_value(chain, pump, args.var, grid_si)
     except ValueError:
         # name the first grid value the chain cannot take
         for user, si in zip(grid_user, grid_si):
             try:
-                montecarlo.apply_sweep_value(chain, pump, args.var, float(si))
+                cm.apply_sweep_value(chain, pump, args.var, float(si))
             except ValueError as exc:
                 raise cfg.ConfigError(f"--var {args.var} at --grid value {user:g}: {exc}") from exc
         raise
@@ -474,8 +474,8 @@ def _figure_table(name: str) -> ResultTable:
     for preset, override in figure.chains:
         _, chain, pump = _built_preset(preset)
         if override is not None:
-            chain, pump = montecarlo.apply_sweep_value(chain, pump, *override)
-        columns += figure.values(*montecarlo.apply_sweep_value(chain, pump, figure.variable, grid_si))
+            chain, pump = cm.apply_sweep_value(chain, pump, *override)
+        columns += figure.values(*cm.apply_sweep_value(chain, pump, figure.variable, grid_si))
     meta = _base_metadata("reproduce", _built_preset(figure.chains[0][0])[0])
     meta["figure"] = name
     return ResultTable([label, *figure.columns], _stack_columns(columns), meta)
@@ -505,7 +505,7 @@ def _add_mc_arguments(sub: argparse.ArgumentParser) -> None:
         "--no-dead-time", action="store_true", help="zero both detectors' dead time, in the predictions and the counts"
     )
     sub.add_argument(
-        "--pair-statistics", choices=montecarlo.PAIR_STATISTICS, default="poisson",
+        "--pair-statistics", choices=cm.PAIR_STATISTICS, default="poisson",
         help="pair-number law per pulse; thermal spreads it over --thermal-modes modes.  Sweep "
         "predictions follow it; the predict subcommand stays Poisson",
     )
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="grid over one physical variable")
     _add_config_arguments(p)
-    p.add_argument("--var", required=True, choices=montecarlo.SWEEP_VARIABLES)
+    p.add_argument("--var", required=True, choices=cm.SWEEP_VARIABLES)
     p.add_argument(
         "--grid",
         required=True,
@@ -576,10 +576,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args, _parser)
-    except (cfg.ConfigError, fitting.DegenerateDataError, OSError) as exc:
+    except (cfg.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chainmodel as cm
+from .config import ConfigError
 
 ROLES = ("l_si", "l_siox", "pp")
 
 
-class DegenerateDataError(ValueError):
-    """The data cannot constrain the requested model."""
+class DegenerateDataError(ConfigError):
+    """The data cannot constrain the requested model: a bad input, as a configuration error is."""
 
 
 @dataclass

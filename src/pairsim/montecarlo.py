@@ -91,7 +91,7 @@ from itertools import islice
 import numpy as np
 
 from . import chainmodel as cm
-from .chainmodel import AwgDemux, ExperimentChain, PumpConfig
+from .chainmodel import PAIR_STATISTICS, ExperimentChain, PumpConfig, apply_sweep_value
 
 # a block holds about _FIRES_PER_BLOCK expected fires, and _MIN_BLOCK to
 # _BLOCK_SIZE gates
@@ -107,10 +107,6 @@ _PER_GATE_FROM = 0.3
 _BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
 
 MAX_PULSES = 2**62  # a gate plus a dead window or an accidental offset, each cut to the run, fits int64
-
-PAIR_STATISTICS = ("poisson", "thermal")
-
-SWEEP_VARIABLES = ("l_si", "l_siox", "pp", "awg_loss", "dark")
 
 
 @dataclass(frozen=True)
@@ -561,50 +557,6 @@ def simulate(
         active_gates_idler=active[1],
         accidental_pairs=max(n - trial.accidental_offset, 0),
     )
-
-
-def apply_sweep_value(
-    chain: ExperimentChain, pump: PumpConfig, variable: str, value: float | np.ndarray
-) -> tuple[ExperimentChain, PumpConfig]:
-    """Return (chain, pump) with one physical variable replaced.
-
-    Values are SI: meters for lengths, watts for the peak power, dB for the
-    demux insertion loss, hertz for the dark rate.  ``value`` may be a 1-D
-    float array: the replaced field then holds the whole grid, every element
-    is checked as a single value would be, and ``chainmodel.evaluate``,
-    ``predict`` and ``car_estimate`` return arrays over it, equal to the
-    single-value calls element by element.
-    """
-    if variable == "l_si":
-        idx = chain.nonlinear_index
-        segments = list(chain.segments)
-        segments[idx] = replace(segments[idx], length_m=value)
-        return replace(chain, segments=tuple(segments)), pump
-    if variable == "l_siox":
-        idx = chain.nonlinear_index
-        for j in range(idx + 1, len(chain.segments)):
-            if chain.segments[j].kind == cm.KIND_PASSIVE:
-                segments = list(chain.segments)
-                segments[j] = replace(segments[j], length_m=value)
-                return replace(chain, segments=tuple(segments)), pump
-        raise ValueError("chain has no passive segment after the nonlinear one")
-    if variable == "pp":
-        with np.errstate(over="ignore", invalid="ignore"):
-            avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
-        if not np.all(np.isfinite(avg)):
-            raise ValueError("average power (peak power * rep_rate * fwhm) is not finite")
-        return chain, replace(pump, average_power_w=avg)
-    if variable == "awg_loss":
-        if not isinstance(chain.demux, AwgDemux):
-            raise ValueError("awg_loss sweep requires an AWG demultiplexer")
-        spec = replace(chain.demux.spec, insertion_loss_db=value)
-        return replace(chain, demux=replace(chain.demux, spec=spec)), pump
-    if variable == "dark":
-        p_dark = value / pump.rep_rate_hz
-        signal = replace(chain.detector_signal, dark_prob_per_gate=p_dark)
-        idler = replace(chain.detector_idler, dark_prob_per_gate=p_dark)
-        return replace(chain, detector_signal=signal, detector_idler=idler), pump
-    raise ValueError(f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
 
 
 def sweep(

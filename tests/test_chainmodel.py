@@ -477,7 +477,7 @@ class TestPredict:
     @pytest.mark.parametrize("modes", [None, 1])
     @pytest.mark.parametrize("peak_w", [1e3, 1e9])
     def test_defined_at_any_power(self, wg_i, peak_w, modes):
-        pred = cm.predict(*mc.apply_sweep_value(*wg_i, "pp", peak_w), thermal_modes=modes)
+        pred = cm.predict(*cm.apply_sweep_value(*wg_i, "pp", peak_w), thermal_modes=modes)
         assert all(math.isfinite(v) for v in vars(pred).values())
         for p in gate_probabilities(pred) + (pred.duty_signal, pred.duty_idler):
             assert 0.0 <= p <= 1.0
@@ -491,7 +491,7 @@ class TestPredict:
     def test_clicks_never_exceed_dead_time_ceiling(self, peak_w, dark_fraction, dead_gates):
         # a detector that clicks in every active gate clicks once per D + 1
         # gates; the bound allows the rounding of duty * p_active
-        chain, pump = mc.apply_sweep_value(*WG_I, "pp", peak_w)
+        chain, pump = cm.apply_sweep_value(*WG_I, "pp", peak_w)
         detector = replace(
             chain.detector_signal, dark_prob_per_gate=dark_fraction, dead_gates=dead_gates
         )
@@ -670,6 +670,29 @@ def fields_of(result) -> dict:
     return {"value": result}
 
 
+class TestApplySweepValue:
+    def test_one_definition_and_a_float_sweep_loads_no_numpy(self, fresh_python):
+        # the Monte Carlo sweeps the chain that the figures and predictions sweep
+        assert mc.apply_sweep_value is cm.apply_sweep_value
+        # a float length, dark rate or AWG loss stays in the closed-form
+        # layer, which loads numpy only at its first array
+        code = (
+            "import sys\n"
+            "from pairsim import chainmodel as cm, config, presets\n"
+            "swept = []\n"
+            "for name, variable, value in (\n"
+            "    ('wg-i', 'l_si', 0.02), ('wg-i', 'l_siox', 0.03), ('wg-i', 'dark', 1e4), ('awg', 'awg_loss', 0.5)\n"
+            "):\n"
+            "    chain, pump = cm.apply_sweep_value(*config.build_experiment(presets.get_preset(name)), variable, value)\n"
+            "    cm.predict(chain, pump), cm.car_estimate(chain, pump)\n"
+            "    swept.append(chain)\n"
+            "print([swept[0].segments[0].length_m, swept[1].segments[1].length_m,\n"
+            "       swept[2].detector_idler.dark_prob_per_gate, swept[3].demux.spec.insertion_loss_db])\n"
+            "print('numpy' in sys.modules)"
+        )
+        assert fresh_python(code).split("\n") == ["[0.02, 0.03, 0.0001, 0.5]", "False"]
+
+
 class TestGridCalls:
     """One call over a grid equals the single-value calls bit for bit.
 
@@ -685,7 +708,7 @@ class TestGridCalls:
     @given(
         data=st.data(),
         preset=st.sampled_from(sorted(GRID_CHAINS)),
-        variable=st.sampled_from(mc.SWEEP_VARIABLES),
+        variable=st.sampled_from(cm.SWEEP_VARIABLES),
         dark_prob=st.floats(1e-7, 1e-2),
         dead_gates=st.integers(1, 3000),
         seed=st.integers(0, 2**32 - 1),
@@ -699,12 +722,12 @@ class TestGridCalls:
         values += DENSE_GRIDS[variable](np.random.default_rng(seed), 300).tolist()
         grid = np.array(values)
         try:
-            points = [mc.apply_sweep_value(chain, pump, variable, v) for v in values]
+            points = [cm.apply_sweep_value(chain, pump, variable, v) for v in values]
         except ValueError:  # l_siox on awg, awg_loss on wg-i
             with pytest.raises(ValueError):
-                mc.apply_sweep_value(chain, pump, variable, grid)
+                cm.apply_sweep_value(chain, pump, variable, grid)
             return
-        swept = mc.apply_sweep_value(chain, pump, variable, grid)
+        swept = cm.apply_sweep_value(chain, pump, variable, grid)
         for call in GRID_CALLS:
             law = {"thermal_modes": modes} if call is cm.predict else {}
             try:
@@ -727,7 +750,7 @@ class TestGridCalls:
     @given(
         data=st.data(),
         preset=st.sampled_from(sorted(GRID_CHAINS)),
-        variable=st.sampled_from(mc.SWEEP_VARIABLES),
+        variable=st.sampled_from(cm.SWEEP_VARIABLES),
     )
     def test_grid_with_a_value_the_chain_cannot_take_raises(self, data, preset, variable):
         chain, pump = GRID_CHAINS[preset]
@@ -735,9 +758,9 @@ class TestGridCalls:
         bad = data.draw(BAD_GRID_VALUES[variable])
         values.insert(data.draw(st.integers(0, len(values))), bad)
         with pytest.raises(ValueError):
-            mc.apply_sweep_value(chain, pump, variable, bad)
+            cm.apply_sweep_value(chain, pump, variable, bad)
         with pytest.raises(ValueError):
-            mc.apply_sweep_value(chain, pump, variable, np.array(values))
+            cm.apply_sweep_value(chain, pump, variable, np.array(values))
 
     def test_both_branches_of_effective_length(self):
         lengths = np.array([0.0, 1e-9, 2e-8, 3e-8, 1e-3, 0.0137, 10.0])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
-from pairsim import montecarlo as mc
 from pairsim import presets
 
 
@@ -385,6 +385,27 @@ class TestExitCodes:
             assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "preset, section, update",
+        [
+            # gamma * P * L_eff squared overflows: pow raises OverflowError
+            ("wg-i", ("segments", 0), {"gamma_per_w_m": 1e308}),
+            # a half width whose square underflows to 0 divides the overlap by zero
+            ("awg", ("demux", "awg"), {"passband_ghz": 1e-320}),
+            ("wg-i", ("demux", "filters", "signal"), {"shape": "gaussian", "bandwidth_ghz": 1e-320}),
+        ],
+        ids=["gamma", "awg-passband", "gaussian-filter"],
+    )
+    def test_arithmetic_error_exits_three(self, tmp_path, capsys, preset, section, update):
+        # each passes every check of its key and fails in the model's arithmetic,
+        # which is a numerical failure, not a crash with a traceback
+        document = presets.get_preset(preset)
+        functools.reduce(lambda node, key: node[key], section, document).update(update)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["predict", str(path)]) == cli.EXIT_NUMERICAL
+        assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "name, text, command",
         [
             (
@@ -567,7 +588,7 @@ class TestCountingOptions:
         document = presets.get_preset("wg-i")
         for arm in document["detectors"].values():
             arm["dead_time_us"] = 0.0
-        swept = mc.apply_sweep_value(*cfg.build_experiment(document), "pp", np.geomspace(100.0, 1000.0, 2) * 1e-3)
+        swept = cm.apply_sweep_value(*cfg.build_experiment(document), "pp", np.geomspace(100.0, 1000.0, 2) * 1e-3)
         pred, poisson = cm.predict(*swept, thermal_modes=1), cm.predict(*swept)
         for name in table["columns"][1:10]:
             assert cells[name] == np.broadcast_to(getattr(pred, name), (2,)).tolist(), name

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
-from pairsim import montecarlo as mc
 from pairsim import presets
 
 DOCUMENTS = {name: presets.get_preset(name) for name in ("wg-i", "awg")}
@@ -130,7 +129,7 @@ FROZEN_PREDICTIONS = json.loads(Path(__file__).with_name("frozen_predictions.jso
 def frozen_cases() -> dict:
     """(chain, pump) of every case in ``frozen_predictions.json``."""
     cases = {name: cfg.build_experiment(presets.get_preset(name)) for name in presets.preset_names()}
-    cases["wg-i, dark 1e5 Hz"] = mc.apply_sweep_value(*cases["wg-i"], "dark", 1e5)
+    cases["wg-i, dark 1e5 Hz"] = cm.apply_sweep_value(*cases["wg-i"], "dark", 1e5)
     document = presets.get_preset("wg-i")
     for arm in ("signal", "idler"):
         document["detectors"][arm]["dead_time_us"] = 0.01  # one gate at 100 MHz

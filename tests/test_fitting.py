@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import fitting
-from pairsim import montecarlo as mc
 from pairsim import presets
 
 WG_I = cfg.build_experiment(presets.get_preset("wg-i"))
@@ -21,7 +20,7 @@ def _with_segment(chain, index, **changes):
 
 
 def _predict(chain, pump, variable, value):
-    return cm.predict(*mc.apply_sweep_value(chain, pump, variable, value))
+    return cm.predict(*cm.apply_sweep_value(chain, pump, variable, value))
 
 
 class TestDataSet:

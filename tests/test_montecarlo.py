@@ -944,7 +944,7 @@ class TestSweep:
         chain, pump = make_rate_chain(5e-3, 0.4, 0.4)
         trial = mc.TrialConfig(n_pulses=400_000, seed=81)
         [(value, summary)] = mc.sweep(chain, pump, "pp", [0.02], trial)
-        chain_v, pump_v = mc.apply_sweep_value(chain, pump, "pp", 0.02)
+        chain_v, pump_v = cm.apply_sweep_value(chain, pump, "pp", 0.02)
         direct = mc.simulate(
             chain_v, pump_v, replace(trial, seed=mc.derive_seed(trial.seed, 0))
         )
@@ -987,20 +987,20 @@ class TestSweep:
         chain, pump = make_rate_chain(1e-3)
         seg = cm.WaveguideSegment("passive", 0.01, 180.0)
         chain = replace(chain, segments=chain.segments + (seg,))
-        chain2, _ = mc.apply_sweep_value(chain, pump, "l_siox", 0.03)
+        chain2, _ = cm.apply_sweep_value(chain, pump, "l_siox", 0.03)
         assert chain2.segments[-1].length_m == 0.03
         with pytest.raises(ValueError):
-            mc.apply_sweep_value(make_rate_chain(1e-3)[0], pump, "l_siox", 0.03)
+            cm.apply_sweep_value(make_rate_chain(1e-3)[0], pump, "l_siox", 0.03)
 
     def test_awg_loss_sweep_requires_awg(self):
         chain, pump = make_rate_chain(1e-3)
         with pytest.raises(ValueError):
-            mc.apply_sweep_value(chain, pump, "awg_loss", 0.0)
+            cm.apply_sweep_value(chain, pump, "awg_loss", 0.0)
 
     def test_unknown_variable(self):
         chain, pump = make_rate_chain(1e-3)
         with pytest.raises(ValueError):
-            mc.apply_sweep_value(chain, pump, "loss", 0.0)
+            cm.apply_sweep_value(chain, pump, "loss", 0.0)
 
     def test_overflowing_peak_power_raises_without_a_warning(self):
         # 1e308 W peak at 100 MHz overflows the average power
@@ -1009,7 +1009,7 @@ class TestSweep:
             warnings.simplefilter("error")
             for value in (1e308, np.float64(1e308), np.array([1.0, 1e308])):
                 with pytest.raises(ValueError, match="average power"):
-                    mc.apply_sweep_value(chain, pump, "pp", value)
+                    cm.apply_sweep_value(chain, pump, "pp", value)
 
 
 class TestPresetEquivalence:
@@ -1067,7 +1067,7 @@ class TestPresetEquivalence:
         # gate.  Dead time makes the clicks nearly regular: 4M pulses give
         # about 3,680 singles per arm with a renewal sd of 4.9 (0.13%), so a
         # rate 0.8% off is caught with 90% power.
-        chain, pump = mc.apply_sweep_value(*wg_i, "dark", 1e6)
+        chain, pump = cm.apply_sweep_value(*wg_i, "dark", 1e6)
         pred = cm.predict(chain, pump)
         n = 4_000_000
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=29))
@@ -1099,7 +1099,7 @@ class TestSamplerGateLaw:
             mc, "_gate_fires", lambda rng, quiet, size, bits: captured.append(quiet) or ((0, 0) if bits else (none, none))
         )
         for peak_w in (0.01, 0.1, 1.0):
-            chain, pump = mc.apply_sweep_value(*base, "pp", peak_w)
+            chain, pump = cm.apply_sweep_value(*base, "pp", peak_w)
             for modes in (None, 1, 24):
                 statistics = "poisson" if modes is None else "thermal"
                 trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes or 24)
@@ -1130,7 +1130,7 @@ class TestThermalPresets:
         # 1e-9 relative where the coincidences are rarest.
         base = cfg.build_experiment(presets.get_preset(name))
         for peak_w in (0.01, 0.037, 0.1, 0.3, 1.0):
-            chain, pump = mc.apply_sweep_value(*base, "pp", peak_w)
+            chain, pump = cm.apply_sweep_value(*base, "pp", peak_w)
             for modes in (1, 24, 256):
                 expected = pgf_gate_probabilities(chain, pump, modes)
                 got = predicted_probabilities(chain, pump, modes)
@@ -1160,7 +1160,7 @@ class TestThermalPresets:
         # At 300 mW wg-i makes 1.6 pairs per pulse, where one thermal mode and
         # Poisson pairs differ by tens of sigma in 4M pulses: the thermal run
         # must match its own law and reject the Poisson one.
-        chain, pump = mc.apply_sweep_value(*wg_i, "pp", 0.3)
+        chain, pump = cm.apply_sweep_value(*wg_i, "pp", 0.3)
         trial = mc.TrialConfig(
             n_pulses=4_000_000,
             seed=29,
@@ -1269,7 +1269,7 @@ class TestStreamLaw:
         sweeps = [mc.sweep(chain, pump, "pp", grid, mc.TrialConfig(n_pulses=pulses, seed=seed)) for seed in range(seeds)]
         n, z = pulses * seeds, {}
         for point, peak_w in enumerate(grid):
-            pred = cm.predict(*mc.apply_sweep_value(chain, pump, "pp", peak_w))
+            pred = cm.predict(*cm.apply_sweep_value(chain, pump, "pp", peak_w))
             runs = [sweep[point][1] for sweep in sweeps]
             for arm in ("signal", "idler"):
                 p_click, duty = getattr(pred, f"p_click_{arm}"), getattr(pred, f"duty_{arm}")
@@ -1299,7 +1299,7 @@ class TestAcrossThePerGateThreshold:
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("peak_w, per_gate", [(0.45, False), (1.0, True)], ids=["gaps", "per-gate"])
     def test_counts_match_predict(self, wg_i, peak_w, per_gate):
-        chain, pump = mc.apply_sweep_value(without_dead_time(wg_i[0]), wg_i[1], "pp", peak_w)
+        chain, pump = cm.apply_sweep_value(without_dead_time(wg_i[0]), wg_i[1], "pp", peak_w)
         p_s, p_i, p_c, p_a = predicted_probabilities(chain, pump)
         assert (p_s + p_i - p_c >= mc._PER_GATE_FROM) == per_gate
         n = 4_000_000
@@ -1389,7 +1389,7 @@ class TestGoldenCounts:
                 document["detectors"][arm]["dead_time_us"] = dead_us
         chain, pump = cfg.build_experiment(document)
         if peak_w is not None:
-            chain, pump = mc.apply_sweep_value(chain, pump, "pp", peak_w)
+            chain, pump = cm.apply_sweep_value(chain, pump, "pp", peak_w)
         trial = mc.TrialConfig(n_pulses=pulses, seed=seed, pair_statistics=statistics)
         with mock.patch.object(mc, "_PER_GATE_FROM", 2.0 if gaps_only else mc._PER_GATE_FROM):
             s = mc.simulate(chain, pump, trial)
