@@ -64,21 +64,13 @@ def db_to_neper(loss_db: float) -> float:
     return loss_db * _LN10 / 10.0
 
 
-def effective_length(loss_db_per_m: float, length_m: float) -> float:
+def _effective_length_at(a: float, length_m: float) -> float:
     """Loss-weighted interaction length ``(1 - exp(-a*L)) / a`` with a in nepers.
 
     Continuous in the lossless limit: below ``a*L = 1e-6`` the second-order
     series ``L - a*L**2 / 2`` is used to avoid cancellation, so the value
     tends to L as the loss tends to zero.
     """
-    if loss_db_per_m < 0:
-        raise ValueError("loss must be non-negative")
-    if not holds(length_m >= 0):
-        raise ValueError("length must be non-negative")
-    return _effective_length(db_to_neper(loss_db_per_m), length_m)
-
-
-def _effective_length_at(a: float, length_m: float) -> float:
     x = a * length_m
     if x < 1e-6:
         return length_m - a * length_m**2 / 2.0
@@ -120,7 +112,7 @@ class WaveguideSegment:
 
     @property
     def effective_length_m(self) -> float:
-        return effective_length(self.loss_db_per_m, self.length_m)
+        return _effective_length(db_to_neper(self.loss_db_per_m), self.length_m)
 
 
 @dataclass(frozen=True)

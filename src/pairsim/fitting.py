@@ -3,17 +3,19 @@
 Recovers the nonlinear coefficient, the nonlinear-waveguide loss, the passive
 loss, and the singles noise polynomial from rate-versus-length or
 rate-versus-power data.  Every fitter is deterministic: identical data gives
-a bit-identical result.  The amplitude-like parameter of each model is linear
-in the data and is profiled out in closed form, leaving a one-dimensional
-deterministic search over the decay or loss parameter.
+a bit-identical result.  The two length models are ``chainmodel``'s own
+formulas over the data's lengths, so a change to the chain reaches the fits.
+Their amplitude is linear in the data and is profiled out in closed form,
+leaving a one-dimensional deterministic search over a loss.
 
-Every fitter takes its standard errors from the covariance ``(J^T W J)^-1``,
-with ``J`` the model's analytic Jacobian at the estimate and ``W`` the
-weights.  With sigma given, the weights ``1/sigma**2`` carry the noise scale
-and the covariance is used as it is.  Without sigma, every point is assumed
-to carry the same absolute noise, whose variance is estimated as rss/dof
-(dof = points - parameters), so (estimate - truth)/stderr follows Student's t
-with dof degrees of freedom rather than a unit normal.
+Standard errors come from the covariance ``(J^T W J)^-1``, with ``W`` the
+weights and ``J`` the model's Jacobian at the estimate: analytic in the
+amplitude, a central difference of the chain's formula in the loss.  With
+sigma given, the weights ``1/sigma**2`` carry the noise scale and the
+covariance is used as it is.  Without sigma, every point is assumed to carry
+the same absolute noise, whose variance is estimated as rss/dof (dof =
+points - parameters), so (estimate - truth)/stderr follows Student's t with
+dof degrees of freedom rather than a unit normal.
 """
 
 from __future__ import annotations
@@ -137,6 +139,17 @@ def _profiled_search(shape, grid: np.ndarray, y: np.ndarray, w: np.ndarray):
     return theta, profile(theta)[1], rss, evaluations, bool(res.success)
 
 
+def _jacobian(shape, theta: float, amp: float, damp: float) -> np.ndarray:
+    """Jacobian of ``amp * shape(theta)`` in (amplitude parameter, theta).
+
+    ``damp`` is the derivative of ``amp`` in its parameter.  The theta column
+    is a central difference, one-sided at theta = 0: a loss is never negative.
+    """
+    step = 1e-5 * theta or 1e-5
+    lo, hi = max(theta - step, 0.0), theta + step
+    return np.column_stack([damp * shape(theta), amp * (shape(hi) - shape(lo)) / (hi - lo)])
+
+
 def _fit_result(
     data: DataSet, params: dict, jac: np.ndarray, rss: float, evaluations: int, converged: bool, notes: list[str]
 ) -> FitResult:
@@ -145,8 +158,11 @@ def _fit_result(
     ``jac`` holds the model's derivatives in ``params`` order, one row per
     point.  The covariance is scaled by rss/dof only when ``data`` has no
     sigma.  An error is inf, with a note, at dof <= 0 or where the normal
-    matrix is singular.
+    matrix is singular.  A non-finite estimate or rss has not converged.
     """
+    if not all(map(math.isfinite, (*params.values(), rss))):
+        converged = False
+        notes.append("non-finite estimate or rss: the data overflow floating point")
     n_points, n_par = jac.shape
     dof = n_points - n_par
     err = np.full(n_par, math.inf)
@@ -161,25 +177,21 @@ def _fit_result(
             notes.append("singular normal matrix: some parameter errors unbounded")
         scale = rss / dof if data.sigma is None else 1.0
         err = np.where(var > 0, np.sqrt(np.abs(var) * scale), math.inf)
-    return FitResult(
-        params=params,
-        stderr={name: float(e) for name, e in zip(params, err)},
-        rss=rss,
-        converged=converged,
-        n_evaluations=evaluations,
-        notes=tuple(notes),
-    )
+    stderr = {name: float(e) for name, e in zip(params, err)}
+    return FitResult(params, stderr, rss, converged, evaluations, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
-# exponential decay of the pair rate with passive waveguide length
+# decay of the pair rate with passive waveguide length
 
 
 def fit_sio2_decay(data: DataSet) -> FitResult:
-    """Fit ``y = A * exp(-2 * a_np * x)`` for (amplitude, passive loss).
+    """Fit ``y = amplitude * T**2`` for (amplitude, passive loss in dB/m).
 
-    Log-linear initialization, coarse grid, then bounded refinement of the
-    profiled one-parameter objective.  The loss is reported in dB per meter.
+    ``T`` is the transmittance of a passive ``WaveguideSegment`` of length x,
+    which both photons of a pair cross.  A log-linear slope, converted to
+    dB/m, centres a 49-point grid, refined by bounded Brent.  The loss column
+    of the Jacobian is a central difference.
     """
     _require_role(data, "l_siox")
     x, y, w = data.x, data.y, data.weights
@@ -196,40 +208,28 @@ def fit_sio2_decay(data: DataSet) -> FitResult:
         rate0 = 1.0 / float(np.mean(x))
         notes.append("log-linear initialization unavailable; using 1/mean(x)")
 
-    grid = rate0 * np.geomspace(1.0 / 30.0, 30.0, 49)
-    rate, amp, rss, evaluations, converged = _profiled_search(lambda r: np.exp(-r * x), grid, y, w)
-    alpha_db_per_m = (rate / 2.0) * 10.0 / math.log(10.0)
-    m = np.exp(-rate * x)
-    jac = np.column_stack([m, -2.0 * math.log(10.0) / 10.0 * x * amp * m])
-    params = {"amplitude": amp, "alpha_db_per_m": alpha_db_per_m}
-    return _fit_result(data, params, jac, rss, evaluations, converged, notes)
+    def shape(alpha: float) -> np.ndarray:
+        return cm.WaveguideSegment(cm.KIND_PASSIVE, x, alpha).transmittance ** 2
+
+    grid = rate0 / (2.0 * cm.db_to_neper(1.0)) * np.geomspace(1.0 / 30.0, 30.0, 49)
+    alpha, amp, rss, evaluations, converged = _profiled_search(shape, grid, y, w)
+    params = {"amplitude": amp, "alpha_db_per_m": alpha}
+    return _fit_result(data, params, _jacobian(shape, alpha, amp, 1.0), rss, evaluations, converged, notes)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear coefficient and nonlinear-waveguide loss from length data
 
 
-def _length_shape(alpha_db_per_m: float, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Length dependence of the pair rate at unit gamma and peak power, and
-    its derivative in ``alpha_db_per_m``."""
-    a = cm.db_to_neper(alpha_db_per_m)
-    x = a * lengths
-    small = x < 1e-6
-    a_safe = np.where(a > 0, a, 1.0)
-    leff = np.where(small, lengths - a * lengths**2 / 2.0, (1.0 - np.exp(-x)) / a_safe)
-    dleff = np.where(small, -(lengths**2) / 2.0, (lengths * np.exp(-x) - leff) / a_safe)
-    decay = np.exp(-2.0 * x)
-    shape = leff**2 * decay
-    return shape, 2.0 * cm.db_to_neper(1.0) * (leff * dleff * decay - lengths * shape)
-
-
 def fit_gamma_alpha(data: DataSet) -> FitResult:
     """Fit the pair rate versus nonlinear-waveguide length.
 
-    Model: ``y = dnu * dt * (gamma * P * L_eff(alpha, L))**2 * exp(-2 a_np L)
-    * eta_down**2``.  Required fixed parameters: ``peak_power_w``,
-    ``pair_bandwidth_hz``, ``pulse_fwhm_s``; ``downstream_transmittance``
-    (scalar or per point) defaults to 1.
+    Model: ``gamma**2 * R * eta_down**2``, with ``R`` ``chainmodel``'s
+    ``pair_generation_rate_at_power`` for a nonlinear ``WaveguideSegment``
+    of length L, loss alpha and unit gamma.  Required fixed parameters:
+    ``peak_power_w``, ``pair_bandwidth_hz``, ``pulse_fwhm_s``;
+    ``downstream_transmittance`` (scalar or per point) defaults to 1.  The
+    loss column of the Jacobian is a central difference.
     """
     _require_role(data, "l_si")
     x, y, w = data.x, data.y, data.weights
@@ -239,35 +239,27 @@ def fit_gamma_alpha(data: DataSet) -> FitResult:
         pulse_fwhm_s = float(data.fixed_params["pulse_fwhm_s"])
     except KeyError as missing:
         raise ValueError(f"fixed_params missing required entry {missing}") from None
-    scale = pair_bandwidth_hz * pulse_fwhm_s * peak_power_w**2
-    eta_down = np.broadcast_to(
-        np.asarray(data.fixed_params.get("downstream_transmittance", 1.0), dtype=float), x.shape
-    )
-    k = scale * eta_down**2
+    eta_down = np.broadcast_to(np.asarray(data.fixed_params.get("downstream_transmittance", 1.0), float), x.shape)
+
+    def shape(alpha: float) -> np.ndarray:
+        segment = cm.WaveguideSegment(cm.KIND_NONLINEAR, x, alpha, 1.0)
+        return cm.pair_generation_rate_at_power(segment, pair_bandwidth_hz, pulse_fwhm_s, peak_power_w) * eta_down**2
 
     if np.unique(x).size < 2:
-        rss, amp = _profile(k * _length_shape(0.0, x)[0], y, w)
-        return FitResult(
-            params={"gamma_per_w_m": math.sqrt(max(amp, 0.0)), "alpha_db_per_m": 0.0},
-            stderr={"gamma_per_w_m": math.inf, "alpha_db_per_m": math.inf},
-            rss=rss,
-            converged=False,
-            n_evaluations=1,
-            notes=("single waveguide length: loss is non-identifiable, reported at 0",),
-        )
+        rss, amp = _profile(shape(0.0), y, w)
+        params = {"gamma_per_w_m": math.sqrt(max(amp, 0.0)), "alpha_db_per_m": 0.0}
+        note = "single waveguide length: loss is non-identifiable, reported at 0"
+        return FitResult(params, dict.fromkeys(params, math.inf), rss, False, 1, (note,))
 
     grid = np.geomspace(1.0, 1e4, 61)  # dB/m, spans mm-scale to meter-scale decay
-    alpha, amp, rss, evaluations, converged = _profiled_search(
-        lambda a: k * _length_shape(a, x)[0], grid, y, w
-    )
+    alpha, amp, rss, evaluations, converged = _profiled_search(shape, grid, y, w)
     gamma = math.sqrt(max(amp, 0.0))
     notes: list[str] = []
-    if alpha * float(np.max(x)) * math.log(10.0) / 10.0 < 0.05:
+    if cm.db_to_neper(alpha * float(np.max(x))) < 0.05:
         notes.append("all lengths well below 1/alpha: loss is weakly identified")
 
-    shape, dshape = _length_shape(alpha, x)
-    jac = np.column_stack([2.0 * gamma * k * shape, gamma**2 * k * dshape])
     params = {"gamma_per_w_m": gamma, "alpha_db_per_m": alpha}
+    jac = _jacobian(shape, alpha, gamma**2, 2.0 * gamma)
     return _fit_result(data, params, jac, rss, evaluations, converged, notes)
 
 

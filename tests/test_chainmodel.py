@@ -66,41 +66,45 @@ class TestUnitHelpers:
         assert cm.db_to_neper(200.0) == pytest.approx(46.0517018598809, rel=1e-12, abs=0.0)
 
 
+def _effective_length(loss_db_per_m, length_m):
+    return cm.WaveguideSegment(cm.KIND_PASSIVE, length_m, loss_db_per_m).effective_length_m
+
+
 class TestEffectiveLength:
     def test_lossless_limit(self):
-        assert cm.effective_length(0.0, 0.05) == 0.05
+        assert _effective_length(0.0, 0.05) == 0.05
 
     def test_reference_point(self):
         # oracle: alpha = 2.0 dB/cm, L = 1.37 cm
-        assert cm.effective_length(200.0, 0.0137) == pytest.approx(
+        assert _effective_length(200.0, 0.0137) == pytest.approx(
             0.0101601400564269, rel=1e-12, abs=0.0
         )
 
     def test_long_length_asymptote(self):
         # oracle: 1 / alpha_Np for 2.0 dB/cm
-        assert cm.effective_length(200.0, 10.0) == pytest.approx(
+        assert _effective_length(200.0, 10.0) == pytest.approx(
             0.0217147240951626, rel=1e-9
         )
 
     def test_series_branch_continuity(self):
         # just above and below the series switchover agree to high order
         a_db = 1e-6 * 10.0 / math.log(10.0)  # alpha_Np = 1e-6 per m
-        below = cm.effective_length(a_db, 0.999999)
-        above = cm.effective_length(a_db, 1.000001)
+        below = _effective_length(a_db, 0.999999)
+        above = _effective_length(a_db, 1.000001)
         assert abs(above - below) < 1e-5
         assert below < 1.0
 
     def test_monotone_in_length_and_loss(self):
         lengths = np.linspace(0.001, 0.2, 40)
-        values = [cm.effective_length(200.0, float(l)) for l in lengths]
+        values = [_effective_length(200.0, float(l)) for l in lengths]
         assert all(b > a for a, b in zip(values, values[1:]))
         losses = np.linspace(10.0, 2000.0, 40)
-        values = [cm.effective_length(float(a), 0.02) for a in losses]
+        values = [_effective_length(float(a), 0.02) for a in losses]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_bounds(self):
         for a_db, length in [(50.0, 0.01), (500.0, 0.05), (0.0, 0.1)]:
-            leff = cm.effective_length(a_db, length)
+            leff = _effective_length(a_db, length)
             assert 0.0 <= leff <= length + 1e-15
             if a_db > 0:
                 assert leff <= 1.0 / cm.db_to_neper(a_db) + 1e-15
@@ -629,7 +633,7 @@ GRID_CHAINS = {name: cfg.build_experiment(presets.get_preset(name)) for name in 
 RATE = GRID_CHAINS["wg-i"][1].rep_rate_hz  # both presets pump at 100 MHz
 
 # SI values each sweep variable can take; the l_si values reach the series
-# branch of effective_length (a * L < 1e-6 below 2.2e-8 m at 2 dB/cm)
+# branch of the effective length (a * L < 1e-6 below 2.2e-8 m at 2 dB/cm)
 GRID_VALUES = {
     "l_si": st.one_of(st.floats(0.0, 3e-8), st.floats(0.0, 0.1)),
     "l_siox": st.floats(0.0, 0.1),
@@ -766,5 +770,5 @@ class TestGridCalls:
         lengths = np.array([0.0, 1e-9, 2e-8, 3e-8, 1e-3, 0.0137, 10.0])
         a_l = cm.db_to_neper(200.0) * lengths
         assert (a_l < 1e-6).any() and (a_l >= 1e-6).any()
-        grid = cm.effective_length(200.0, lengths)
-        assert grid.tolist() == [cm.effective_length(200.0, float(v)) for v in lengths]
+        grid = _effective_length(200.0, lengths)
+        assert grid.tolist() == [_effective_length(200.0, float(v)) for v in lengths]

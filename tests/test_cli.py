@@ -56,7 +56,7 @@ class TestFrozenFigures:
         "5a": "ccc6f97524538533b0390008a1afc958ac86263ec38475bda2ce861e55be4e0a",
         "5b": "7d8cdc7d51b3bf8697731c82b4b2c63fcc45634e865608e8922651a61de706cf",
     }
-    # the l_si grid starts at 1e-8 cm, inside the series branch of effective_length
+    # the l_si grid starts at 1e-8 cm, inside the series branch of the effective length
     SWEEPS = {
         ("wg-i", "pp", "log:0.01:1000000:17"): "f5a198a19842a0ec0c0f71b9f49ba6eff262a8cf61a562159dc13294ab30188e",
         ("wg-i", "dark", "0:1000000:9"): "444cee88bc2136f2e18818eea49b8e794b91e9cce5938000f5f7e0798a89dd1e",
@@ -404,6 +404,32 @@ class TestExitCodes:
         path.write_text(json.dumps(document))
         assert cli.main(["predict", str(path)]) == cli.EXIT_NUMERICAL
         assert "numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            # finite data whose sums overflow to inf - inf = nan
+            ("1,1e308\n2,1e308\n3,-1e308\n4,1\n", ["--model", "poly"]),
+            # powers whose squares overflow
+            ("1e200,1\n2e200,2\n3e200,4\n", ["--model", "poly"]),
+            # a sigma whose 1/sigma**2 weight overflows
+            ("pp_mw,y,sigma\n1,1,1e-300\n2,2,1e-300\n3,4,1e-300\n4,9,1e-300\n", ["--model", "poly"]),
+            # rates whose profiled amplitude or rss overflows
+            ("0,1e308\n1,1e308\n2,1e308\n", ["--model", "decay"]),
+            ("1,1e308\n2,1e308\n3,1e308\n", ["--model", "gamma_alpha", "--preset", "wg-i"]),
+        ],
+        ids=["poly-y", "poly-x", "poly-sigma", "decay", "gamma-alpha"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_fit_exits_three(self, tmp_path, capsys, text, flags):
+        # every value is finite, but the fit's arithmetic is not (numpy warns
+        # of the overflow on the way): a nan or inf estimate is no converged fit
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert cli.main(["fit", str(data), *flags]) == cli.EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "converged = False" in out
+        assert "note: non-finite estimate or rss" in out
 
     @pytest.mark.parametrize(
         "name, text, command",

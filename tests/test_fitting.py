@@ -72,6 +72,31 @@ class TestRecoveryFromPredict:
         assert result.params["gamma_per_w_m"] == pytest.approx(gamma, rel=1e-6)
         assert result.params["alpha_db_per_m"] == pytest.approx(alpha, rel=1e-6)
 
+    def test_gamma_alpha_with_a_passive_section_per_length(self):
+        # each length's pairs then cross their own passive section, given to
+        # the fit as one downstream transmittance per point
+        chain, pump = WG_I
+        lengths = np.linspace(0.3, 6.0, 12) * 1e-2
+        passive = np.linspace(6.0, 0.5, 12) * 1e-2
+        recs = [
+            cm.evaluate(*cm.apply_sweep_value(*cm.apply_sweep_value(chain, pump, "l_si", l_si), "l_siox", l_siox))
+            for l_si, l_siox in zip(lengths, passive)
+        ]
+        eta_down = np.array([rec.downstream_transmittance for rec in recs])
+        assert eta_down.max() / eta_down.min() > 5.0
+        fixed = {
+            "peak_power_w": recs[0].peak_power_w,
+            "pair_bandwidth_hz": recs[0].pair_bandwidth_hz,
+            "pulse_fwhm_s": pump.pulse_fwhm_s,
+            "downstream_transmittance": eta_down,
+        }
+        y = [rec.mu_pair * rec.downstream_transmittance**2 for rec in recs]
+        result = fitting.fit_gamma_alpha(fitting.DataSet(x=lengths, y=y, role="l_si", fixed_params=fixed))
+        nonlinear = chain.segments[chain.nonlinear_index]
+        assert result.converged
+        assert result.params["gamma_per_w_m"] == pytest.approx(nonlinear.gamma_per_w_m, rel=1e-6)
+        assert result.params["alpha_db_per_m"] == pytest.approx(nonlinear.loss_db_per_m, rel=1e-6)
+
     @settings(max_examples=25, deadline=None)
     @given(alpha_db_per_cm=st.floats(0.5, 5.0))
     def test_sio2_decay(self, alpha_db_per_cm):
@@ -146,8 +171,10 @@ class TestUnboundedErrors:
 
 
 class TestStderrMatchesNumericalJacobian:
-    """The analytic Jacobians give the errors of a central-difference reference:
-    ``sqrt(diag((J^T W J)^-1))``, times rss/dof without sigma."""
+    """The fitters' errors match ``sqrt(diag((J^T W J)^-1))``, times rss/dof
+    without sigma, with ``J`` a central difference of this file's own closed
+    forms of the models, in every parameter: an oracle that shares neither
+    ``chainmodel``'s formulas nor the fitters' difference step."""
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["sigma", "no-sigma"])
     @pytest.mark.parametrize("model", sorted(FITTERS))
