@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -515,57 +514,6 @@ def pair_law_excess(rec: ChainEvaluation, thermal_modes: int | None = None) -> t
     """``no_pair_excess`` of the pair-law photons at the signal arm, the idler arm and either arm."""
     means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
     return tuple(no_pair_excess(x, thermal_modes) for x in means)
-
-
-def pair_rate_from_counts_multipair(
-    coincidence_rate_hz: float,
-    accidental_rate_hz: float,
-    singles_rate_signal_hz: float,
-    singles_rate_idler_hz: float,
-    rep_rate_hz: float,
-    eta_total_signal: float,
-    eta_total_idler: float,
-) -> float:
-    """Pairs per pulse from threshold-detector counts, corrected for multi-pair emission.
-
-    With per-gate probabilities ``P = rate / R`` the estimate solves
-    ``mu * eta_s * eta_i = log1p((P_c - P_acc) / ((1 - P_s) * (1 - P_i)))``
-    (Takesue and Shimizu, Opt. Commun. 283, 276 (2010)).  The identity is
-    exact for Poisson pair numbers with Poisson noise photons and dark counts
-    and without dead time: it inverts the pair term of ``predict``.  For
-    ``mu * eta << 1`` it reduces to the linear ``(P_c - P_acc) / (eta_s *
-    eta_i)``.  A negative result (accidentals exceeding coincidences) is
-    returned as-is with a warning rather than clamped, so callers can see
-    non-physical inputs.
-    """
-    rates_hz = (coincidence_rate_hz, accidental_rate_hz, singles_rate_signal_hz, singles_rate_idler_hz)
-    if any(rate < 0 for rate in rates_hz):
-        raise ValueError("count rates must be non-negative")
-    if rep_rate_hz <= 0:
-        raise ValueError("rep_rate_hz must be positive")
-    for name, eta in (("eta_total_signal", eta_total_signal), ("eta_total_idler", eta_total_idler)):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"{name} must be in (0, 1]")
-    p_s = singles_rate_signal_hz / rep_rate_hz
-    p_i = singles_rate_idler_hz / rep_rate_hz
-    for name, p in (("signal", p_s), ("idler", p_i)):
-        if p >= 1.0:
-            raise ValueError(f"{name} singles probability per gate {p:.4g} must be below 1")
-    excess = (coincidence_rate_hz - accidental_rate_hz) / rep_rate_hz
-    ratio = excess / ((1.0 - p_s) * (1.0 - p_i))
-    if ratio <= -1.0:
-        raise ValueError(
-            f"excess coincidence ratio {ratio:.4g} is at or below -1; the counts are inconsistent"
-        )
-    mu = math.log1p(ratio) / (eta_total_signal * eta_total_idler)
-    if mu < 0:
-        warnings.warn(
-            "accidental rate exceeds coincidence rate; returning a non-physical "
-            "negative pair rate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return mu
 
 
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:

@@ -9,6 +9,8 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 Outputs are CSV with a '#'-prefixed metadata header, or JSON for single-shot
 results; both are bit-identical for identical (config, flags, seed, version).
 ``main`` builds one parser per process and may be called repeatedly in it.
+Each command imports numpy, ``montecarlo`` and ``fitting`` only if it uses
+them, so ``predict``, ``--help`` and ``--version`` start without numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +23,18 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from . import chainmodel as cm
 from . import config as cfg
-from . import fitting, montecarlo, presets
+from . import presets
 from .elementwise import power
+
+if TYPE_CHECKING:  # for annotations; the commands import what they run
+    import numpy as np
+
+    from . import montecarlo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,6 +134,7 @@ def _load_document(args, parser: argparse.ArgumentParser) -> dict:
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid syntax: ``start:stop:count`` (linear) or ``log:start:stop:count``,
     with finite endpoints and a count that numpy can allocate."""
+    import numpy as np
     parts = spec.split(":")
     log = parts[0] == "log"
     try:
@@ -192,6 +198,7 @@ def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig
     ``--no-dead-time`` zeroes both detectors' dead gates on the chain, so
     that ``predict`` and the counting run read one chain.
     """
+    from . import montecarlo
     document = _load_document(args, parser)
     chain, pump = cfg.build_experiment(document)
     if args.seed < 0:
@@ -223,6 +230,7 @@ def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig
 
 
 def cmd_simulate(args, parser) -> int:
+    from . import montecarlo
     document, chain, pump, trial = _counting_run(args, parser)
     summary = montecarlo.simulate(chain, pump, trial, threads=args.threads)
     meta = _base_metadata("simulate", cfg.config_hash(document), seed=trial.seed)
@@ -236,6 +244,7 @@ _SWEEP_MC_CELLS = ("singles_signal", "singles_idler", "coincidences", "accidenta
 
 
 def cmd_sweep(args, parser) -> int:
+    from . import montecarlo
     document, chain, pump, trial = _counting_run(args, parser)  # checked even when nothing is simulated
     grid_user = _parse_grid(args.grid)
     si_per_unit, label = _VARIABLES[args.var]
@@ -289,6 +298,7 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     line, one without numeric x and y, with an empty or non-finite cell, or
     with too few or too many cells, is an error naming its number, and so is
     a file that is not UTF-8."""
+    import numpy as np
     rows, header = [], None
     for number, line in enumerate(cfg.read_text(path, "data file").split("\n"), 1):
         line = line.strip()
@@ -321,14 +331,15 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 
 
 _FIT_MODELS = {
-    # model: (role of x, in the data file in the units of _VARIABLES, fitter)
-    "decay": ("l_siox", fitting.fit_sio2_decay),
-    "gamma_alpha": ("l_si", fitting.fit_gamma_alpha),
-    "poly": ("pp", fitting.fit_singles_poly),
+    # model: (role of x, in the data file in the units of _VARIABLES, fitter in fitting)
+    "decay": ("l_siox", "fit_sio2_decay"),
+    "gamma_alpha": ("l_si", "fit_gamma_alpha"),
+    "poly": ("pp", "fit_singles_poly"),
 }
 
 
 def cmd_fit(args, parser) -> int:
+    from . import fitting
     x, y, sigma = _read_xy_csv(args.data)
     built = None
     if args.preset or args.config:
@@ -350,7 +361,7 @@ def cmd_fit(args, parser) -> int:
         data = fitting.DataSet(x=x * _VARIABLES[role][0], y=y, sigma=sigma, role=role, fixed_params=fixed)
     except ValueError as exc:
         raise cfg.ConfigError(f"bad data file: {exc}") from exc
-    result = fitter(data)
+    result = getattr(fitting, fitter)(data)
 
     for name, value in result.params.items():
         print(f"{name} = {value:.10g}  (stderr {result.stderr[name]:.4g})")
@@ -393,6 +404,7 @@ class _Figure:
     """A built-in curve: a grid over one sweep variable on one or more chains.
 
     Each chain is a preset, optionally with one sweep value applied.
+    ``grid`` makes the grid from the numpy module (see ``_figure_grid``).
     ``values`` maps one chain, swept over the whole grid, to its columns
     (arrays, or floats where the variable does not enter); the row is the
     grid value (in the units of ``_VARIABLES``) and then the cells of each
@@ -401,7 +413,7 @@ class _Figure:
 
     chains: tuple[tuple[str, tuple[str, float] | None], ...]
     variable: str
-    grid: np.ndarray
+    grid: Callable
     columns: tuple[str, ...]
     values: Callable[[cm.ExperimentChain, cm.PumpConfig], list]
 
@@ -410,42 +422,42 @@ _FIGURES = {
     "3a": _Figure(
         (("wg-i", None),),
         "l_siox",
-        np.arange(0.0, 6.0 + 1e-9, 0.05),
+        lambda np: np.arange(0.0, 6.0 + 1e-9, 0.05),
         ("pair_rate_per_pulse",),
         _pair_rate_past_passive,
     ),
     "3b": _Figure(
         (("wg-i", None),),
         "l_si",
-        np.arange(0.30, 6.0 + 1e-9, 0.01),
+        lambda np: np.arange(0.30, 6.0 + 1e-9, 0.01),
         ("pair_rate_per_pulse",),
         _pair_rate_past_passive,
     ),
     "3c": _Figure(
         (("wg-i", None),),
         "pp",
-        np.geomspace(0.5, 50.0, 60),
+        lambda np: np.geomspace(0.5, 50.0, 60),
         ("singles_signal_per_pulse", "singles_idler_per_pulse"),
         _singles,
     ),
     "3d": _Figure(
         (("wg-i", None), ("wg-v", None), ("wg-vi", None)),
         "pp",
-        np.geomspace(1.0, 60.0, 50),
+        lambda np: np.geomspace(1.0, 60.0, 50),
         ("car_wg_i", "car_wg_v", "car_wg_vi"),
         _car,
     ),
     "5a": _Figure(
         (("awg", None),),
         "pp",
-        np.geomspace(1.0, 60.0, 50),
+        lambda np: np.geomspace(1.0, 60.0, 50),
         ("pair_rate_per_pulse",),
         _pair_rate_past_demux,
     ),
     "5b": _Figure(
         (("awg", None), ("awg", ("awg_loss", 0.0)), ("awg", ("dark", 20.0))),
         "pp",
-        np.geomspace(1.0, 60.0, 60),
+        lambda np: np.geomspace(1.0, 60.0, 60),
         ("car", "car_no_demux_loss", "car_low_dark"),
         _car,
     ),
@@ -453,8 +465,18 @@ _FIGURES = {
 FIGURES = tuple(_FIGURES)
 
 
+@functools.cache
+def _figure_grid(name: str) -> np.ndarray:
+    """A figure's grid, built once per process at first use and read-only."""
+    import numpy as np
+    grid = _FIGURES[name].grid(np)
+    grid.flags.writeable = False
+    return grid
+
+
 def _stack_columns(columns: list) -> list[list[float]]:
     """Rows of float cells from columns that are grid arrays or single floats."""
+    import numpy as np
     return np.column_stack(np.broadcast_arrays(*columns)).tolist()
 
 
@@ -467,10 +489,10 @@ def _built_preset(name: str) -> tuple[str, cm.ExperimentChain, cm.PumpConfig]:
 
 
 def _figure_table(name: str) -> ResultTable:
-    figure = _FIGURES[name]
+    figure, grid = _FIGURES[name], _figure_grid(name)
     si_per_unit, label = _VARIABLES[figure.variable]
-    grid_si = figure.grid * si_per_unit
-    columns = [figure.grid]
+    grid_si = grid * si_per_unit
+    columns = [grid]
     for preset, override in figure.chains:
         _, chain, pump = _built_preset(preset)
         if override is not None:

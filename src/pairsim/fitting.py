@@ -15,7 +15,9 @@ sigma given, the weights ``1/sigma**2`` carry the noise scale and the
 covariance is used as it is.  Without sigma, every point is assumed to carry
 the same absolute noise, whose variance is estimated as rss/dof (dof =
 points - parameters), so (estimate - truth)/stderr follows Student's t with
-dof degrees of freedom rather than a unit normal.
+dof degrees of freedom rather than a unit normal.  A fit whose arithmetic
+overflows reports its non-finite estimate as not converged, with a note, and
+not by numpy's warnings.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ def _fit_result(
 # decay of the pair rate with passive waveguide length
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_sio2_decay(data: DataSet) -> FitResult:
     """Fit ``y = amplitude * T**2`` for (amplitude, passive loss in dB/m).
 
@@ -221,6 +224,7 @@ def fit_sio2_decay(data: DataSet) -> FitResult:
 # nonlinear coefficient and nonlinear-waveguide loss from length data
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_gamma_alpha(data: DataSet) -> FitResult:
     """Fit the pair rate versus nonlinear-waveguide length.
 
@@ -267,6 +271,7 @@ def fit_gamma_alpha(data: DataSet) -> FitResult:
 # second-order polynomial for the singles flux versus peak power
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_singles_poly(data: DataSet) -> FitResult:
     """Closed-form weighted least squares for ``y = n0 + n1 x + a2 x**2``."""
     _require_role(data, "pp")

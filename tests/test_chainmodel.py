@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,18 +14,20 @@ from conftest import make_rate_chain
 
 WG_I = cfg.build_experiment(presets.get_preset("wg-i"))
 
-def threshold_oracle(mu, eta_s, eta_i, p_dark=0.0, dead_gates=0):
+def threshold_oracle(mu, eta_s, eta_i, p_dark=0.0, dead_gates=0, noise_s=0.0, noise_i=0.0):
     """(signal, idler, coincidence, accidental) per clock gate for a
     ``make_rate_chain`` chain, by inclusion-exclusion over the no-click events.
 
     Poisson pairs of mean mu reach each detector independently, so no signal
     cause arrives with probability exp(-mu eta_s), and neither arm sees one
-    with exp(-mu (eta_s + eta_i - eta_s eta_i)).  A dark count fires an active
-    gate with p_dark; each arm is active a fraction 1 / (1 + p_active D).
+    with exp(-mu (eta_s + eta_i - eta_s eta_i)).  Each arm also sees Poisson
+    noise photons of mean noise_s or noise_i at its detector, independent of
+    the pairs and of the other arm.  A dark count fires an active gate with
+    p_dark; each arm is active a fraction 1 / (1 + p_active D).
     """
-    q_s = (1.0 - p_dark) * math.exp(-mu * eta_s)
-    q_i = (1.0 - p_dark) * math.exp(-mu * eta_i)
-    q_si = (1.0 - p_dark) ** 2 * math.exp(-mu * (eta_s + eta_i - eta_s * eta_i))
+    q_s = (1.0 - p_dark) * math.exp(-mu * eta_s - noise_s)
+    q_i = (1.0 - p_dark) * math.exp(-mu * eta_i - noise_i)
+    q_si = (1.0 - p_dark) ** 2 * math.exp(-mu * (eta_s + eta_i - eta_s * eta_i) - noise_s - noise_i)
     duty_s = 1.0 / (1.0 + (1.0 - q_s) * dead_gates)
     duty_i = 1.0 / (1.0 + (1.0 - q_i) * dead_gates)
     return (
@@ -304,6 +305,18 @@ class TestClickProbabilities:
         expected = threshold_oracle(1440.0, 1e-3, 1e-3)
         assert gate_probabilities(cm.predict(chain, big)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mu, eta_s, eta_i", [(1e-3, 0.1, 0.1), (0.5, 0.3, 0.2), (6.0, 0.3, 0.3)])
+    def test_noise_dark_and_pile_up_together(self, mu, eta_s, eta_i):
+        # noise photons n0 + n1 P at the source, dark counts, and up to 6
+        # pairs per pulse, with no dead time; the chain's peak power is
+        # sqrt(mu / (B dt)) with B dt = 0.12 THz * 200 ps = 24
+        chain, pump = make_rate_chain(mu, eta_s, eta_i, dark_rate_hz=2e5, n0=0.05, n1_per_w=0.2)
+        noise = 0.05 + 0.2 * math.sqrt(mu / 24.0)
+        expected = threshold_oracle(mu, eta_s, eta_i, p_dark=2e-3, noise_s=eta_s * noise, noise_i=eta_i * noise)
+        # the oracle's 1 - q_s - q_i + q_si cancels terms near 1, so it carries
+        # a few units in the last place of 1, about 1e-16 each, absolute
+        assert gate_probabilities(cm.predict(chain, pump)) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
 
 class TestCarEstimate:
     def test_no_pairs_gives_one(self):
@@ -354,97 +367,6 @@ class TestCarEstimate:
             for p in np.geomspace(5e-4, 0.2, 120)
         ]
         assert 50.0 <= max(cars) <= 200.0
-
-
-class TestPairRateFromCounts:
-    """The multi-pair estimator with no singles, where only the pair term counts."""
-
-    def test_pure_accidentals(self):
-        assert cm.pair_rate_from_counts_multipair(10.0, 10.0, 0.0, 0.0, 1e8, 0.1, 0.1) == 0.0
-
-    def test_reference(self):
-        # oracle: log1p(90 / 1e8) / 0.05**2 from a 30-digit mpmath evaluation
-        value = cm.pair_rate_from_counts_multipair(100.0, 10.0, 0.0, 0.0, 1e8, 0.05, 0.05)
-        assert value == pytest.approx(3.59999838000097e-4, rel=1e-12, abs=0.0)
-
-    def test_round_trip(self):
-        mu = 3.3e-4
-        eta_s, eta_i = 0.07, 0.04
-        rep = 1e8
-        accidental = 12.0
-        coincidence = rep * math.expm1(mu * eta_s * eta_i) + accidental
-        value = cm.pair_rate_from_counts_multipair(coincidence, accidental, 0.0, 0.0, rep, eta_s, eta_i)
-        assert value == pytest.approx(mu, rel=1e-12, abs=0.0)
-
-    def test_negative_flagged_not_clamped(self):
-        with pytest.warns(RuntimeWarning, match="non-physical"):
-            value = cm.pair_rate_from_counts_multipair(5.0, 10.0, 0.0, 0.0, 1e8, 0.05, 0.05)
-        assert value < 0.0
-
-    def test_bad_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            cm.pair_rate_from_counts_multipair(10.0, 1.0, 0.0, 0.0, 1e8, 0.0, 0.5)
-
-
-def _counts_from_statistics(stats: cm.RatePrediction, rep: float) -> tuple[float, ...]:
-    """Coincidence, accidental and singles rates in hertz for the estimators."""
-    return tuple(
-        p * rep
-        for p in (stats.p_coincidence, stats.p_accidental, stats.p_click_signal, stats.p_click_idler)
-    )
-
-
-class TestPairRateFromCountsMultipair:
-    @pytest.mark.parametrize(
-        "mu,eta_s,eta_i",
-        [(1e-3, 0.1, 0.1), (0.5, 0.3, 0.2), (6.0, 0.3, 0.3)],
-    )
-    def test_inverts_gate_statistics(self, mu, eta_s, eta_i):
-        chain, pump = make_rate_chain(
-            mu, eta_s, eta_i, dark_rate_hz=2e5, n0=0.05, n1_per_w=0.2
-        )
-        stats = cm.expected_gate_statistics(chain, pump)
-        rates = _counts_from_statistics(stats, pump.rep_rate_hz)
-        value = cm.pair_rate_from_counts_multipair(*rates, pump.rep_rate_hz, eta_s, eta_i)
-        assert value == pytest.approx(mu, rel=1e-12, abs=0.0)
-
-    def test_agrees_with_linear_at_small_mu(self):
-        mu, eta = 1e-4, 0.1
-        chain, pump = make_rate_chain(mu, eta, eta, dark_rate_hz=500.0, n0=1e-4)
-        stats = cm.expected_gate_statistics(chain, pump)
-        c, a, s, i = _counts_from_statistics(stats, pump.rep_rate_hz)
-        rep = pump.rep_rate_hz
-        exact = cm.pair_rate_from_counts_multipair(c, a, s, i, rep, eta, eta)
-        linear = (c - a) / (rep * eta * eta)
-        # the two differ by first-order terms in P_s, P_i and mu * eta_s * eta_i
-        first_order = s / rep + i / rep + mu * eta * eta
-        assert first_order < 1e-4
-        assert abs(linear / exact - 1.0) <= first_order
-        assert linear < exact  # the linear estimate saturates
-
-    def test_negative_flagged_not_clamped(self):
-        with pytest.warns(RuntimeWarning, match="non-physical"):
-            value = cm.pair_rate_from_counts_multipair(5.0, 10.0, 1e4, 1e4, 1e8, 0.05, 0.05)
-        assert value < 0.0
-
-    @pytest.mark.parametrize(
-        "args,match",
-        [
-            ((-1.0, 1.0, 1e4, 1e4, 1e8, 0.1, 0.1), "non-negative"),
-            ((10.0, -1.0, 1e4, 1e4, 1e8, 0.1, 0.1), "non-negative"),
-            ((10.0, 1.0, -1e4, 1e4, 1e8, 0.1, 0.1), "non-negative"),
-            ((10.0, 1.0, 1e4, -1e4, 1e8, 0.1, 0.1), "non-negative"),
-            ((10.0, 1.0, 1e4, 1e4, 0.0, 0.1, 0.1), "rep_rate_hz"),
-            ((10.0, 1.0, 1e4, 1e4, 1e8, 0.0, 0.1), "eta_total_signal"),
-            ((10.0, 1.0, 1e4, 1e4, 1e8, 0.1, 1.5), "eta_total_idler"),
-            ((10.0, 1.0, 1e8, 1e4, 1e8, 0.1, 0.1), "signal singles probability"),
-            ((10.0, 1.0, 1e4, 2e8, 1e8, 0.1, 0.1), "idler singles probability"),
-            ((0.0, 9e7, 5e7, 5e7, 1e8, 0.1, 0.1), "at or below -1"),
-        ],
-    )
-    def test_bad_input_rejected(self, args, match):
-        with pytest.raises(ValueError, match=match):
-            cm.pair_rate_from_counts_multipair(*args)
 
 
 class TestPredict:

@@ -278,6 +278,12 @@ class TestFitInput:
         assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_file_of_comments_only_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("# pp_mw,y\n\n# nothing measured\n")
+        assert cli.main(["fit", str(data), "--model", "poly"]) == cli.EXIT_CONFIG
+        assert "no numeric rows found in data file" in capsys.readouterr().err
+
     def test_empty_cell_names_its_line(self, tmp_path, capsys):
         # read with the empty cell dropped, line 1 would be x = 1, y = 2 and
         # every other row's sigma column would be ignored
@@ -369,6 +375,10 @@ class TestExitCodes:
             (["sweep", "--preset", "wg-i", "--var", "pp", "--grid=-1e308:1e308:3"], "bad grid spec"),
             ([*sweep, "1:2:3:4"], "bad grid spec '1:2:3:4'"),
             ([*sweep, "log:1:2"], "bad grid spec 'log:1:2'"),
+            # a log grid needs two positive endpoints; two negative ones make
+            # a grid numpy can build
+            ([*sweep, "log:0:1:3"], "log grids need positive endpoints"),
+            ([*sweep, "log:-1:-10:3"], "log grids need positive endpoints"),
             # 7.1 PiB of grid, more than a 64-bit process can map
             ([*sweep, "1:2:1000000000000000"], "bad grid spec '1:2:1000000000000000'"),
             # finite grid values whose average power overflows
@@ -420,10 +430,10 @@ class TestExitCodes:
         ],
         ids=["poly-y", "poly-x", "poly-sigma", "decay", "gamma-alpha"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_fit_exits_three(self, tmp_path, capsys, text, flags):
-        # every value is finite, but the fit's arithmetic is not (numpy warns
-        # of the overflow on the way): a nan or inf estimate is no converged fit
+        # every value is finite, but the fit's arithmetic is not: a nan or inf
+        # estimate is no converged fit, reported by a note and not by warnings
         data = tmp_path / "d.csv"
         data.write_text(text)
         assert cli.main(["fit", str(data), *flags]) == cli.EXIT_NUMERICAL
@@ -548,6 +558,17 @@ class TestConfigSource:
         assert exc.value.code == cli.EXIT_CONFIG
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["predict"], ["simulate", "--pulses", "1000"], ["sweep", "--var", "pp", "--grid", "1:2:2"]],
+        ids=lambda command: command[0],
+    )
+    def test_neither_config_nor_preset_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "a configuration file or --preset is required" in capsys.readouterr().err
+
 
 SIMULATE = ["simulate", "--preset", "wg-i", "--pulses", "1000"]
 
@@ -661,6 +682,32 @@ class TestImport:
         # numpy loads numpy.random (some 17 ms and 2 MB) at its first use,
         # which is the first Monte Carlo draw
         assert fresh_python("import sys, pairsim.cli; print('numpy.random' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["predict", "--preset", "wg-i"], 0), (["--help"], 0), (["--version"], 0), (["predict", "CONFIG"], 2)],
+        ids=["predict", "help", "version", "bad-config"],
+    )
+    def test_command_without_arrays_loads_no_numpy(self, tmp_path, fresh_python, argv, code):
+        # numpy's import is most of a cold start; a command that builds no
+        # grid, draws nothing and fits nothing runs without it, and so does a
+        # configuration that exits 2 (here a rep rate given as a string)
+        document = presets.get_preset("wg-i")
+        document["pump"]["rep_rate_mhz"] = "100"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(document))
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        program = (
+            "import contextlib, io, sys\n"
+            "from pairsim import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = cli.main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        assert fresh_python(program) == f"{code} False"
 
     def test_closed_form_loads_no_numpy(self, fresh_python):
         # numpy's import is most of a cold start; the closed-form layer loads

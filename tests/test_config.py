@@ -266,6 +266,37 @@ class TestSchema:
         assert code == cli.EXIT_CONFIG
         assert named in err
 
+    @pytest.mark.parametrize(
+        "name, path, key",
+        [
+            ("wg-i", (), "pump"),
+            ("wg-i", ("pump",), "fwhm_ps"),
+            ("wg-i", ("segments", 0), "kind"),
+            ("awg", ("demux", "awg"), "spacing_ghz"),
+            ("wg-i", ("detectors", "idler"), "qe"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_missing_required_key_exits_2_naming_it(self, tmp_dir, name, path, key):
+        document = copy.deepcopy(DOCUMENTS[name])
+        del _at(document, path)[key]
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert f"missing key {key!r}" in err
+
+    def test_average_power_builds_as_the_peak_power(self):
+        # wg-i's 37 mW peak at 100 MHz and 200 ps is 0.74 mW average
+        document = copy.deepcopy(DOCUMENTS["wg-i"])
+        del document["pump"]["peak_power_mw"]
+        document["pump"]["average_power_mw"] = 0.74
+        chain, pump = cfg.build_experiment(document)
+        preset_chain, preset_pump = cfg.build_experiment(DOCUMENTS["wg-i"])
+        assert chain == preset_chain
+        assert pump.average_power_w == pytest.approx(preset_pump.average_power_w, rel=1e-12, abs=0.0)
+        pred, preset_pred = cm.predict(chain, pump), cm.predict(preset_chain, preset_pump)
+        for f in fields(pred):
+            assert getattr(pred, f.name) == pytest.approx(getattr(preset_pred, f.name), rel=1e-12, abs=0.0), f.name
+
     @pytest.mark.parametrize("path, key", [(("pump",), "peak_power_mw"), (("demux",), "filters")])
     def test_neither_of_two_keys_exits_2(self, tmp_dir, path, key):
         document = copy.deepcopy(DOCUMENTS["wg-i"])
@@ -295,3 +326,21 @@ class TestLoadFile:
         path.write_bytes(json.dumps(document, ensure_ascii=False).encode("latin-1"))
         with pytest.raises(cfg.ConfigError, match=re.escape(f"configuration {str(path)!r} is not UTF-8")):
             cfg.load_file(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, "cannot read configuration"),
+            ('{"pump": ', "configuration is not valid JSON"),
+            ("[]", "configuration root must be a JSON object"),
+        ],
+        ids=["missing", "invalid-json", "list"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text, match):
+        path = tmp_path / "chain.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(cfg.ConfigError, match=match):
+            cfg.load_file(path)
+        assert cli.main(["predict", str(path)]) == cli.EXIT_CONFIG
+        assert match in capsys.readouterr().err

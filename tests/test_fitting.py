@@ -39,6 +39,98 @@ class TestDataSet:
         with pytest.raises(ValueError, match="finite"):
             fitting.DataSet(role="l_siox", **columns)
 
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            ({"role": "l_sio2"}, "role must be one of"),
+            ({"x": [[0.0, 0.01], [0.02, 0.03]], "y": [[1.0, 0.5], [0.25, 0.125]]}, "1-d arrays of equal length"),
+            ({"y": [1.0, 0.5]}, "1-d arrays of equal length"),
+            ({"x": [0.01], "y": [1.0]}, "at least two data points"),
+            ({"sigma": [0.1, 0.1]}, "sigma must match y in length"),
+            ({"sigma": [0.1, 0.0, 0.1]}, "strictly positive"),
+            ({"sigma": [0.1, 0.1, -0.1]}, "strictly positive"),
+        ],
+        ids=["role", "2-d", "unequal-lengths", "one-point", "sigma-length", "zero-sigma", "negative-sigma"],
+    )
+    def test_bad_columns_rejected(self, columns, match):
+        data = {"x": [0.0, 0.01, 0.02], "y": [1.0, 0.5, 0.25], "role": "l_siox"} | columns
+        with pytest.raises(ValueError, match=match):
+            fitting.DataSet(**data)
+
+
+def _gamma_alpha_fixed() -> dict:
+    """The fixed parameters ``pairsim fit --model gamma_alpha --preset wg-i`` passes."""
+    chain, pump = WG_I
+    rec = cm.evaluate(chain, pump)
+    return {
+        "peak_power_w": rec.peak_power_w,
+        "pair_bandwidth_hz": rec.pair_bandwidth_hz,
+        "pulse_fwhm_s": pump.pulse_fwhm_s,
+    }
+
+
+class TestInputsTheFitsCannotTake:
+    @pytest.mark.parametrize("n_points", [2, 5])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["no-sigma", "sigma"])
+    def test_single_length_reports_gamma_at_zero_loss(self, n_points, weighted):
+        # lengths that are all equal cannot separate the loss from gamma: the
+        # fit profiles gamma at zero loss and reports no converged fit
+        fixed = _gamma_alpha_fixed()
+        lossless = cm.WaveguideSegment(cm.KIND_NONLINEAR, 0.02, 0.0, 161.0)
+        rate = cm.pair_generation_rate_at_power(
+            lossless, fixed["pair_bandwidth_hz"], fixed["pulse_fwhm_s"], fixed["peak_power_w"]
+        )
+        x, y = np.full(n_points, 0.02), np.full(n_points, rate)
+        sigma = 0.05 * y if weighted else None
+        data = fitting.DataSet(x=x, y=y, sigma=sigma, role="l_si", fixed_params=fixed)
+        result = fitting.fit_gamma_alpha(data)
+        assert result.params["gamma_per_w_m"] == pytest.approx(161.0, rel=1e-12)
+        assert result.params["alpha_db_per_m"] == 0.0
+        assert result.stderr == {"gamma_per_w_m": np.inf, "alpha_db_per_m": np.inf}
+        assert not result.converged
+        assert result.n_evaluations == 1
+        assert result.notes == ("single waveguide length: loss is non-identifiable, reported at 0",)
+
+    @pytest.mark.parametrize(
+        "fitter, role, x, match",
+        [
+            (fitting.fit_singles_poly, "pp", [0.01, 0.02], "at least three points"),
+            (fitting.fit_singles_poly, "pp", [0.01, 0.01, 0.02, 0.02], "fewer than three distinct powers"),
+            (fitting.fit_sio2_decay, "l_siox", [0.01, 0.01, 0.01], "all waveguide lengths are equal"),
+        ],
+        ids=["poly-two-points", "poly-two-powers", "decay-one-length"],
+    )
+    def test_degenerate_data_raise(self, fitter, role, x, match):
+        data = fitting.DataSet(x=x, y=np.linspace(1.0, 2.0, len(x)), role=role)
+        with pytest.raises(fitting.DegenerateDataError, match=match):
+            fitter(data)
+
+    @pytest.mark.parametrize(
+        "fitter, role, missing",
+        [
+            (fitting.fit_gamma_alpha, "l_si", "peak_power_w"),
+            (fitting.fit_gamma_alpha, "l_si", "pair_bandwidth_hz"),
+            (fitting.fit_gamma_alpha, "l_si", "pulse_fwhm_s"),
+            (fitting.fit_sio2_decay, "l_si", None),
+            (fitting.fit_gamma_alpha, "pp", None),
+            (fitting.fit_singles_poly, "l_siox", None),
+        ],
+        ids=[
+            "no-peak-power", "no-pair-bandwidth", "no-pulse-width",
+            "decay-on-l_si", "gamma-alpha-on-pp", "poly-on-l_siox",
+        ],
+    )
+    def test_missing_fixed_parameter_or_wrong_role_raise(self, fitter, role, missing):
+        fixed = _gamma_alpha_fixed()
+        fixed.pop(missing, None)
+        data = fitting.DataSet(x=[0.01, 0.02, 0.03, 0.04], y=[4.0, 3.0, 2.0, 1.5], role=role, fixed_params=fixed)
+        if missing:
+            match = f"fixed_params missing required entry '{missing}'"
+        else:
+            match = f"dataset role '{role}' does not match"
+        with pytest.raises(ValueError, match=match):
+            fitter(data)
+
 
 class TestRecoveryFromPredict:
     """Fits on noiseless ``predict`` data recover the chain parameters."""
@@ -137,13 +229,7 @@ def _wg_i_truth(model):
         return (amplitude, passive.loss_db_per_m), np.array(y), {}, "l_siox"
     nonlinear = chain.segments[chain.nonlinear_index]
     y = [_predict(chain, pump, "l_si", x).mu_pair_generated for x in LENGTHS]
-    rec = cm.evaluate(chain, pump)
-    fixed = {
-        "peak_power_w": rec.peak_power_w,
-        "pair_bandwidth_hz": rec.pair_bandwidth_hz,
-        "pulse_fwhm_s": pump.pulse_fwhm_s,
-    }
-    return (nonlinear.gamma_per_w_m, nonlinear.loss_db_per_m), np.array(y), fixed, "l_si"
+    return (nonlinear.gamma_per_w_m, nonlinear.loss_db_per_m), np.array(y), _gamma_alpha_fixed(), "l_si"
 
 
 FITTERS = {"decay": fitting.fit_sio2_decay, "gamma_alpha": fitting.fit_gamma_alpha}
