@@ -26,8 +26,8 @@ uniform per such gate picks the signal detector alone, the idler alone or
 both, so the work per block scales with the number of fires, not with the
 number of pulses.  Where some detector fires on at least ``_PER_GATE_FROM``
 of the gates, an exponential and a uniform per fire cost more than one
-uniform per gate, so such a block draws one per gate and cuts it at three
-thresholds.  Either way each arm's fires come out sorted and unique.
+32-bit uniform per gate, so such a block draws one per gate and cuts it at
+three thresholds.  Either way each arm's fires come out sorted and unique.
 
 A run is cut into blocks, each with its own random stream seeded from
 (seed, block index).  A gate fires some detector with probability p, one
@@ -75,12 +75,20 @@ The v6 stream changed only each block's bit generator, from Philox to the
 cheaper SFC64 (``_BIT_GENERATOR``); with Philox it counts as v5 did.  The v7
 stream changed only the draw of dense blocks, from the gaps to one uniform
 per gate; a block below ``_PER_GATE_FROM`` keeps its v6 bits, and with the
-constant above 1 every block counts as in v6.
+constant above 1 every block counts as in v6.  The v8 stream changed only
+that per-gate draw, from a float64 uniform per gate to a 32-bit integer u:
+each 64-bit word of the block's SFC64 gives two gates, its low half the
+first, and a block of odd size drops the high half of its last word.  Each
+probability x the draw cuts at becomes the threshold T = round(x * 2**32),
+so u < T holds with a probability within 2**-33 of x; at x = 1, T = 2**32
+and every gate passes.  The gaps are drawn as in v6, so a block below the
+constant, every sparse run among them, counts as in v6 and v7.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from collections import deque
@@ -99,10 +107,19 @@ _FIRES_PER_BLOCK = 2**16
 _MIN_BLOCK = 2**20
 _BLOCK_SIZE = 2**28
 
-RNG_STREAM = "sfc64-v7"
-# a block whose gates fire some detector at least this often draws one uniform
-# per gate; sparser blocks draw the gaps between fires
-_PER_GATE_FROM = 0.3
+RNG_STREAM = "sfc64-v8"
+# a block whose gates fire some detector at least this often draws one 32-bit
+# uniform per gate; sparser blocks draw the gaps between fires.  A 250k-pulse
+# wg-i simulate, medians of 40 alternated calls on a loaded 2-core host (ms):
+#   fires per gate              0.05  0.06  0.07  0.08  0.10  0.145 0.30
+#   1 dead gate, gaps           1.02  1.12  1.27  1.40  1.66  1.80  3.37
+#     per gate, as bitsets      1.34  1.33  1.33  1.31  1.34  1.34  1.36
+#   2 dead gates, gaps          1.34  1.35  1.58  1.74  2.12  2.79  5.94
+#     per gate, index arrays    2.37  2.00  2.32  2.50  2.88  3.78  6.19
+# The constant is the bitset crossover; blocks that return index arrays (two
+# or more dead gates, or an offset past a block) cross near 0.3, so between
+# the two they pay about a third more than their gaps would
+_PER_GATE_FROM = 0.07
 # every block's bit generator, behind a call so that importing loads no numpy.random
 _BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
 
@@ -127,6 +144,10 @@ class TrialConfig:
     thermal_modes: int = 24
 
     def __post_init__(self) -> None:
+        for name in ("n_pulses", "seed", "accidental_offset"):
+            value = getattr(self, name)  # a float would reach numpy as a size or a seed, and True counts as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int")
         if not 1 <= self.n_pulses <= MAX_PULSES:
             raise ValueError("n_pulses must be in [1, 2**62]")
         if self.seed < 0:
@@ -341,10 +362,11 @@ def _gate_fires(
     not the signal and not the idler.  A gate fires some detector with
     probability p = 1 - exp(-quiet[0]), and the idler alone with
     a = P(signal quiet) - P(neither fires).  From p = ``_PER_GATE_FROM`` on,
-    one uniform u per gate decides both arms: the idler fires where
-    u < P(idler fires), and the signal where a <= u < p, since p is a plus
-    P(signal fires).  Below it, the firing gates are drawn as geometric gaps
-    and one uniform per firing gate picks the signal alone, with probability
+    one 32-bit uniform u per gate decides both arms at the thresholds
+    T(x) = round(x * 2**32): the idler fires where u < T(P(idler fires)), and
+    the signal where T(a) <= u < T(p), since p is a plus P(signal fires).
+    Below it, the firing gates are drawn as geometric gaps and one uniform
+    per firing gate picks the signal alone, with probability
     (P(idler quiet) - P(neither fires)) / p, the idler alone, with a / p, or
     both.  Gates are int32 below 2**31 gates and int64 from there; with
     ``bits``, which only a per-gate block takes, each arm is one int, bit g
@@ -356,10 +378,13 @@ def _gate_fires(
     # exponent is never positive, so no term overflows however likely a fire
     idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none)
     if p >= _PER_GATE_FROM:
-        u = rng.random(size)
-        signal = u >= idler_alone
-        signal &= u < p
-        arms = signal, u < -math.expm1(-l_idler)
+        # two gates per 64-bit word, low half first (the view assumes a
+        # little-endian host); numpy compares a uint32 with 2**32 exactly
+        u = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+        alone, fire, idler = (round(x * 2**32) for x in (idler_alone, p, -math.expm1(-l_idler)))
+        signal = u >= alone
+        signal &= u < fire
+        arms = signal, u < idler
         if bits:
             return tuple(int.from_bytes(np.packbits(arm, bitorder="little"), "little") for arm in arms)
         dtype = np.int32 if size < 2**31 else np.int64

@@ -71,8 +71,9 @@ class TestFrozenFigures:
     # The simulate and sweep texts name the random stream and hold its
     # counts; they were frozen again for sfc64-sparse-v6, whose blocks draw
     # from SFC64 instead of Philox, so the counts moved with the name.  For
-    # sfc64-v7 only the name moved: no block of these runs fires on
-    # _PER_GATE_FROM of its gates, so each draws its gaps as in v6
+    # sfc64-v7 and again for sfc64-v8 only the name moved: no block of these
+    # runs fires on _PER_GATE_FROM of its gates, so each draws its gaps as in
+    # v6, and each text differs from the one before only in its rng_stream line
     JSON = {
         **{
             ("reproduce", "--figure", figure): digest
@@ -89,16 +90,16 @@ class TestFrozenFigures:
         ("predict", "--preset", "awg"): "f2b3c367a5c2cdc4cb301d6c2e00b3d839dbc06dd842157b22220beb67cf9e2d",
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11",
-        ): "a14b72ed6514832bb67767fbd10b4758edd41ede8b954673a3328f60d23a07eb",
+        ): "79da0c0efbf7f7a6df330c325dd3a42f5c43938918f0604fe7c1f37e5b0c042a",
         (
             "sweep", "--preset", "wg-i", "--var", "pp", "--grid", "log:1:60:4",
             "--mc", "--pulses", "200000", "--seed", "5",
-        ): "8b03708ff2a26e5273e850a8e5f2b56449b6108136da3fa7c1c6550c0bcba46b",
+        ): "8465b5b997a720ba846de0a087c3e056f1cdcde3a501491b7954d20ef9243e11",
         # the counting run without dead time, frozen while --no-dead-time was
         # a trial option and not a change to the chain
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11", "--no-dead-time",
-        ): "7563b512a19b19e876d69ef552ba1a05bacc1ec79791e8b1d4e1e9fcdcdce641",
+        ): "9e1791b53f012a21b4b55740d87cacb1077ed599e9c21775adb56314aefa42b4",
     }
 
     @pytest.mark.parametrize("figure", sorted(FIGURES))
@@ -621,8 +622,9 @@ class TestCountingOptions:
     def test_pair_statistics_reach_the_predictions(self, tmp_path):
         # one thermal mode on wg-i without dead time: the prediction columns
         # are predict's for that law, and the counts stay the ones frozen
-        # below; the 1 W point fires on 0.63 of its gates and draws one
-        # uniform per gate.  At 1 W the counted CAR is 1.382 (sd 0.003); the
+        # below, under sfc64-v8; the 100 mW point fires on 0.018 of its gates
+        # and draws its gaps, the 1 W point on 0.63 and draws one 32-bit
+        # uniform per gate.  At 1 W the counted CAR is 1.384 (sd 0.003); the
         # thermal prediction lies within 4.5 sd of it, and the Poisson one,
         # 1.022, more than 100 sd away
         out = tmp_path / "sweep.json"
@@ -639,12 +641,12 @@ class TestCountingOptions:
         pred, poisson = cm.predict(*swept, thermal_modes=1), cm.predict(*swept)
         for name in table["columns"][1:10]:
             assert cells[name] == np.broadcast_to(getattr(pred, name), (2,)).tolist(), name
-        assert cells["mc_singles_signal"] == [18614, 930988]
-        assert cells["mc_singles_idler"] == [18488, 930679]
-        assert cells["mc_coincidences"] == [1070, 598693]
-        assert cells["mc_accidentals"] == [165, 433161]
-        assert cells["mc_car"] == [6.484848484848484, 1.3821489007551464]
-        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.002757002720895254]
+        assert cells["mc_singles_signal"] == [18614, 930564]
+        assert cells["mc_singles_idler"] == [18488, 930790]
+        assert cells["mc_coincidences"] == [1070, 599038]
+        assert cells["mc_accidentals"] == [165, 432760]
+        assert cells["mc_car"] == [6.484848484848484, 1.38422682318144]
+        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.0027615560292255604]
         z = (cells["car"][1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         z_poisson = (poisson.car[1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         assert abs(z) < 4.5 and abs(z_poisson) > 100.0, (z, z_poisson)
@@ -653,10 +655,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v7"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v8"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v7"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v8"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from itertools import islice
 from unittest import mock
 
@@ -258,6 +259,30 @@ class TestTrivialAndDeterminism:
         assert mc.TrialConfig(n_pulses=2**62, seed=0).n_pulses == 2**62
         with pytest.raises(ValueError, match=field):
             mc.TrialConfig(**{"n_pulses": 1_000, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_pulses", 1e5),
+            ("n_pulses", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("accidental_offset", 1.5),
+            ("accidental_offset", np.float64(2.0)),
+            ("accidental_offset", True),
+        ],
+    )
+    def test_trial_takes_only_integers(self, field, value):
+        # a float size fails in numpy, a float offset fails mixed with int
+        # gates, a float seed runs the stream of its integer part and True
+        # runs as 1: each is refused where the trial is made, by name
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            mc.TrialConfig(**{"n_pulses": 1_000, field: value})
+
+    def test_trial_takes_numpy_integers(self):
+        trial = mc.TrialConfig(n_pulses=np.int64(1_000), seed=np.uint32(3), accidental_offset=np.int32(2))
+        chain, pump = make_rate_chain(5e-3, 0.5, 0.5)
+        assert mc.simulate(chain, pump, trial) == mc.simulate(chain, pump, mc.TrialConfig(1_000, 3, 2))
 
     def test_spectral_path_deterministic(self, awg_chain):
         chain, pump = awg_chain
@@ -554,7 +579,10 @@ class TestBitsets:
             (0.9, 0.0, 2**20, True),  # no dead time, an offset of a whole block
             (0.9, 0.02, 1, False),  # two dead gates
             (0.9, 0.01, 2**20 + 1, False),  # an offset past the block
-            (0.4, 0.01, 1, False),  # 0.26 fires per gate: the gaps are drawn
+            # 0.95 and 1.05 times _PER_GATE_FROM fires per gate, 1 - exp(-0.75 mu)
+            # at 0.5 efficiency per arm: the gaps are drawn, then one uniform per gate
+            (-math.log1p(-0.95 * mc._PER_GATE_FROM) / 0.75, 0.01, 1, False),
+            (-math.log1p(-1.05 * mc._PER_GATE_FROM) / 0.75, 0.01, 1, True),
         ],
     )
     def test_path_is_chosen_from_p_dead_gates_and_offset(self, mu, dead_us, offset, bits):
@@ -562,6 +590,98 @@ class TestBitsets:
         trial = mc.TrialConfig(n_pulses=2**22, accidental_offset=offset)
         gates, _, _, _, chosen = mc._block_sampler(chain, cm.evaluate(chain, pump), trial)
         assert gates == 2**20 and chosen == bits
+
+
+class _Words:
+    """A stand-in generator whose 64-bit words carry the given 32-bit uniforms,
+    two a word, the first in the low half; zeros follow them."""
+
+    def __init__(self, uniforms):
+        self.bit_generator = self
+        self.uniforms = np.asarray(uniforms, dtype=np.uint64)
+
+    def random_raw(self, words: int) -> np.ndarray:
+        u = np.zeros(2 * words, dtype=np.uint64)
+        u[: self.uniforms.size] = self.uniforms
+        return u[0::2] | (u[1::2] << np.uint64(32))
+
+
+class TestThirtyTwoBitDraw:
+    """The per-gate draw of stream v8: one 32-bit uniform per gate, two a word."""
+
+    @pytest.mark.parametrize("p", [0.07, 0.3, 0.5, 0.81, 1 - 1e-9])
+    @pytest.mark.parametrize("shares", [(0.6, 0.6), (0.9, 0.3), (0.3, 0.9)])
+    def test_thresholds_sit_within_2_33_of_each_probability(self, p, shares):
+        # Each probability x the draw cuts at, computed as the sampler does:
+        # P(idler alone), P(idler fires) and p.  With X = x * 2**32, an
+        # integer threshold T lies within 1/2 of X, 2**-33 of x, exactly when
+        # ceil(X - 1/2) <= T <= floor(X + 1/2): u < T holds at the first
+        # integer below that range and fails at its top.  A gate at each,
+        # fed through stand-in words, shows on which side of T it falls
+        l_none = -math.log1p(-p)
+        quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
+        alone = -math.exp(-quiet[1]) * math.expm1(quiet[1] - quiet[0])
+        idler = -math.expm1(-quiet[2])
+        # more than two steps of 2**-32 apart, so that each gate's side is plain
+        assert 2**-30 < alone < idler - 2**-30 and idler < -math.expm1(-quiet[0]) - 2**-30
+        signal_fires, idler_fires = {}, {}
+        for x, below_fires, above_fires in (
+            # gates under T(alone) fire the idler alone, from it the signal too
+            (alone, (False, True), (True, True)),
+            (idler, (True, True), (True, False)),
+            # from T(p) on no detector fires
+            (-math.expm1(-quiet[0]), (True, False), (False, False)),
+        ):
+            big, half = Fraction(x) * 2**32, Fraction(1, 2)
+            for u, fires in ((math.ceil(big - half) - 1, below_fires), (math.floor(big + half), above_fires)):
+                if 0 <= u < 2**32:
+                    signal_fires[u], idler_fires[u] = fires
+        uniforms = list(signal_fires)
+        for bits in (False, True):
+            arms = mc._gate_fires(_Words(uniforms), quiet, len(uniforms), bits)
+            if bits:
+                arms = tuple(map(bit_gates, arms))
+            for arm, expected in zip(arms, (signal_fires, idler_fires)):
+                assert arm.tolist() == [gate for gate, u in enumerate(uniforms) if expected[u]]
+
+    @pytest.mark.parametrize("bits", [False, True], ids=["indices", "bits"])
+    def test_every_gate_fires_both_arms_at_p_one(self, bits):
+        # T(1) = 2**32 lies above every 32-bit uniform, the largest included
+        quiet = (50.0, 40.0, 40.0)
+        assert -math.expm1(-quiet[0]) == -math.expm1(-quiet[2]) == 1.0
+        for rng, n in ((_Words([2**32 - 1, 0, 2**31, 2**32 - 1, 2**32 - 2]), 5), (np.random.default_rng(1), 2**16 + 3)):
+            for arm in mc._gate_fires(rng, quiet, n, bits):
+                assert (arm == 2**n - 1) if bits else np.array_equal(arm, np.arange(n))
+
+    @pytest.mark.parametrize("bits", [False, True], ids=["indices", "bits"])
+    def test_an_arm_with_no_lone_fires_never_fires_alone(self, bits):
+        # the idler is quiet whenever the signal is, so P(idler alone) = 0 and
+        # T = 0; then the signal whenever the idler is.  Half the gates fire
+        l_none, n = math.log(2.0), 200_000
+        for quiet, (lone, partner) in (((l_none, l_none, l_none / 2), (1, 0)), ((l_none, l_none / 2, l_none), (0, 1))):
+            arms = mc._gate_fires(np.random.default_rng(2), quiet, n, bits)
+            if bits:
+                assert arms[lone] & ~arms[partner] == 0 and arms[partner] & ~arms[lone]
+            else:
+                assert np.isin(arms[lone], arms[partner]).all() and arms[partner].size > arms[lone].size
+
+    @pytest.mark.parametrize("n", [1, 7, 65, 2**16 + 3])
+    def test_an_odd_block_drops_the_high_half_of_its_last_word(self, n):
+        # n gates use (n + 1) // 2 words, as the next even size does: its
+        # gates below n are those of the odd block, and its gate n, the high
+        # half of the last word, is dropped.  That the bitsets of these sizes
+        # hold the gates of the index arrays is
+        # TestBitsets.test_gate_fire_bits_hold_the_gates_of_the_index_draw
+        l_none = -math.log1p(-0.8)
+        quiet = (l_none, 0.6 * l_none, 0.6 * l_none)
+        fires = mc._gate_fires(np.random.default_rng(n), quiet, n)
+        even = mc._gate_fires(np.random.default_rng(n), quiet, n + 1)
+        for arm, even_arm in zip(fires, even):
+            assert np.array_equal(arm, even_arm[even_arm < n])
+        rng, words = np.random.default_rng(n), np.random.default_rng(n)
+        mc._gate_fires(rng, quiet, n)
+        words.bit_generator.random_raw((n + 1) // 2)
+        assert rng.bit_generator.state == words.bit_generator.state
 
 
 def reference_bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
@@ -1246,23 +1366,33 @@ class TestPostFilterClamp:
 
 
 class TestStreamLaw:
-    """The v6 stream draws the law of v5: either bit generator against ``predict``.
+    """The v8, v6 and v5 streams draw one law: each against ``predict``.
 
     wg-i with a one-gate dead time at the six pump powers of the saturated
-    benchmark sweep, 50 mW to 1 W peak, where 0.003 to 0.37 of the gates
-    click.  Each generator runs that sweep, 250k pulses a point, under 20
-    master seeds, so every point sums 5M pulses drawn from 20 child seeds.
-    An arm's dead time depends on that arm's fires alone, so ``predict``'s
-    renewal singles and active gates are exact for each arm's marginal.
-    Each arm's summed singles and active gates are z-tested against them at
-    4.5 sigma; a singles bias of 0.18% at 1 W (5.1% at 50 mW) is caught with
-    90% power.
+    benchmark sweep, 50 mW to 1 W peak, where 0.005 to 0.81 of the gates fire
+    some detector.  Under v8 the 302 mW, 549 mW and 1 W points (0.145, 0.40
+    and 0.81) fire on at least ``_PER_GATE_FROM`` of their gates and draw one
+    32-bit uniform per gate; the others, and every point under v6 (SFC64) and
+    v5 (Philox), with the constant set above 1, draw their gaps.  Each stream
+    runs that sweep, 250k pulses a point, under 20 master seeds, so every
+    point sums 5M pulses drawn from 20 child seeds.  An arm's dead time
+    depends on that arm's fires alone, so ``predict``'s renewal singles and
+    active gates are exact for each arm's marginal.  Each arm's summed singles
+    and active gates are z-tested against them at 4.5 sigma; a singles bias
+    of 0.18% at 1 W, 0.43% at 549 mW and 0.86% at 302 mW (5.1% at 50 mW) is
+    caught with 90% power.
     """
 
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
-    @pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.Philox], ids=["v6-sfc64", "v5-philox"])
-    def test_singles_and_active_gates_match_predict(self, monkeypatch, bit_generator):
+    @pytest.mark.parametrize(
+        "bit_generator, per_gate_from",
+        [(np.random.SFC64, None), (np.random.SFC64, 2.0), (np.random.Philox, 2.0)],
+        ids=["v8", "v6-sfc64", "v5-philox"],
+    )
+    def test_singles_and_active_gates_match_predict(self, monkeypatch, bit_generator, per_gate_from):
         monkeypatch.setattr(mc, "_BIT_GENERATOR", bit_generator)
+        if per_gate_from is not None:
+            monkeypatch.setattr(mc, "_PER_GATE_FROM", per_gate_from)
         document = presets.get_preset("wg-i")
         for arm in ("signal", "idler"):
             document["detectors"][arm]["dead_time_us"] = 0.01
@@ -1283,28 +1413,44 @@ class TestStreamLaw:
         assert max(abs(v) for v in z.values()) < 4.5, z
 
 
+def power_at_fire_probability(chain, pump, p: float) -> float:
+    """The peak power at which a gate fires some detector with probability p, by bisection on ``predict``."""
+    low, high = 1e-3, 10.0
+    for _ in range(60):
+        mid = math.sqrt(low * high)
+        p_s, p_i, p_c, _ = predicted_probabilities(*cm.apply_sweep_value(chain, pump, "pp", mid))
+        low, high = (mid, high) if p_s + p_i - p_c < p else (low, mid)
+    return low
+
+
 class TestAcrossThePerGateThreshold:
     """Blocks on both sides of ``_PER_GATE_FROM`` count what ``predict`` gives without dead time.
 
-    wg-i without dead time, 4M pulses at each of two peak powers: 0.45 W,
-    where 0.29 of the gates fire some detector, just below the threshold, so
-    that its blocks draw the gaps between fires, and 1 W, where 0.81 do and
-    its blocks draw one uniform per gate.  Without dead time the gates are
-    independent, so each count's variance is exact: binomial for the singles
-    and the coincidences, and for the accidentals each window's binomial term
-    plus twice its covariance p_s p_c p_i - p_a**2 with the next window, which
-    shares a gate with it.  At 4.5 sigma a count is caught with 90% power when
-    it is 0.66% (singles), 1.6% (coincidences) or 1.8% (accidentals) off at
-    0.45 W, and 0.25%, 0.40% and 0.41% off at 1 W.
+    wg-i without dead time at three peak powers: where 0.9 and 1.1 times
+    ``_PER_GATE_FROM`` of the gates fire some detector, so that the blocks of
+    the first draw the gaps between fires and those of the second one uniform
+    per gate, 16M pulses each, and 1 W, where 0.81 of the gates fire, 4M
+    pulses.  Without dead time the gates are independent, so each count's
+    variance is exact: binomial for the singles and the coincidences, and for
+    the accidentals each window's binomial term plus twice its covariance
+    p_s p_c p_i - p_a**2 with the next window, which shares a gate with it.
+    At 4.5 sigma a count is caught with 90% power when it is 0.79% (singles),
+    2.9% (coincidences) or 4.4% (accidentals) off below the constant (193 mW
+    at 0.07), 0.71%, 2.5% and 3.6% off above it (215 mW), and 0.25%, 0.40%
+    and 0.41% off at 1 W.
     """
 
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
-    @pytest.mark.parametrize("peak_w, per_gate", [(0.45, False), (1.0, True)], ids=["gaps", "per-gate"])
-    def test_counts_match_predict(self, wg_i, peak_w, per_gate):
-        chain, pump = cm.apply_sweep_value(without_dead_time(wg_i[0]), wg_i[1], "pp", peak_w)
+    @pytest.mark.parametrize(
+        "share, n, per_gate", [(0.9, 16_000_000, False), (1.1, 16_000_000, True), (None, 4_000_000, True)],
+        ids=["gaps", "per-gate", "per-gate-1w"],
+    )
+    def test_counts_match_predict(self, wg_i, share, n, per_gate):
+        chain = without_dead_time(wg_i[0])
+        peak_w = 1.0 if share is None else power_at_fire_probability(chain, wg_i[1], share * mc._PER_GATE_FROM)
+        chain, pump = cm.apply_sweep_value(chain, wg_i[1], "pp", peak_w)
         p_s, p_i, p_c, p_a = predicted_probabilities(chain, pump)
         assert (p_s + p_i - p_c >= mc._PER_GATE_FROM) == per_gate
-        n = 4_000_000
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=31))
         windows = s.accidental_pairs
         neighbours = 2 * (windows - 1) * (p_s * p_c * p_i - p_a**2)
@@ -1334,35 +1480,39 @@ class TestGoldenCounts:
     stream.  The v6 stream changed only the bit generator of each block, from
     Philox to SFC64; v7 only the draw of a block whose gates fire some
     detector at least ``_PER_GATE_FROM`` of the time, from one uniform per
-    fire to one per gate.  So with ``_PER_GATE_FROM`` set above 1, where every
-    block draws its gaps, the v7 arithmetic must count the v6 goldens bit for
-    bit, and with ``_BIT_GENERATOR`` set back to Philox also the v5 ones.
-    Only the three 1 W runs, about 0.81 fires per gate, draw per gate in v7.
+    fire to one per gate; and v8 only that per-gate draw, from a float64
+    uniform to a 32-bit one, two gates per SFC64 word.  So with
+    ``_PER_GATE_FROM`` set above 1, where every block draws its gaps, the v8
+    arithmetic must count the v6 goldens bit for bit, and with
+    ``_BIT_GENERATOR`` set back to Philox also the v5 ones.  Only the three
+    1 W runs, about 0.81 fires per gate, draw per gate in v8; the 200 mW run
+    fires on 0.067 of its gates, just below the constant's 0.07, and draws its
+    gaps.  The v7 counts of the 1 W runs, from the float64 draw, are gone with it.
     """
 
-    RNG_STREAM = "sfc64-v7"
-    GOLDEN = {
+    RNG_STREAM = "sfc64-v8"
+    GOLDEN_V6 = {
         # (preset, pair statistics, seed, dead time us, peak power W, pulses) -> counts
         ("wg-i", "poisson", 11, None, None, 300_000): (180, 178, 1, 0, 120358, 122000, 299999),
         ("wg-i", "thermal", 12, None, None, 300_000): (165, 176, 4, 1, 135704, 124000, 299999),
         ("awg", "poisson", 13, None, None, 300_000): (94, 101, 0, 0, 206000, 199000, 299999),
         ("wg-i", "poisson", 14, 0.01, 0.2, 300_000): (10111, 10188, 766, 319, 289889, 289812, 299999),
-        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (110096, 109815, 41711, 39454, 189905, 190186, 299999),
-        ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
-            1099234, 1098646, 416247, 394499, 1900767, 1901354, 2999999
-        ),
-        ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
-            804203, 804678, 223677, 212741, 1391595, 1390644, 2999999
-        ),
-    }
-    GOLDEN_V6 = {
-        **GOLDEN,
         ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109757, 109743, 41323, 39549, 190243, 190258, 299999),
         ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
             1098990, 1098769, 416209, 394347, 1901010, 1901232, 2999999
         ),
         ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
             804761, 804300, 223874, 213303, 1390478, 1391402, 2999999
+        ),
+    }
+    GOLDEN = {
+        **GOLDEN_V6,
+        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109987, 110010, 41618, 39549, 190014, 189990, 299999),
+        ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
+            1099281, 1098730, 416555, 394071, 1900719, 1901270, 2999999
+        ),
+        ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
+            804777, 804476, 223997, 212581, 1390446, 1391048, 2999999
         ),
     }
     # below a fire probability of 1/3 the gaps of v5 are those numpy's
@@ -1383,7 +1533,7 @@ class TestGoldenCounts:
 
     @staticmethod
     def _counts(key, gaps_only: bool = False) -> tuple[int, ...]:
-        """The counts of the run ``key``; with ``gaps_only`` every block draws its gaps, as before v7."""
+        """The counts of the run ``key``; with ``gaps_only`` every block draws its gaps, as in v6."""
         name, statistics, seed, dead_us, peak_w, pulses = key
         document = presets.get_preset(name)
         if dead_us is not None:
@@ -1468,13 +1618,13 @@ class TestBlockEdges:
     doubling run on blocks drawn one uniform per gate; at one dead gate and
     an offset of 1 or 2 gates those blocks are bitsets, counted by
     ``_join_bits``.  Counted over 620 examples of the property test (10
-    runs): 2.4% hold no pairs, 81% draw one uniform per gate, 39% count
-    bitsets and 22% count bitsets over more than one block.
+    runs, under sfc64-v8): 3.7% hold no pairs, 92% draw one uniform per
+    gate, 50% count bitsets and 27% count bitsets over more than one block.
     """
 
     CASES = {
         # 0.31 fires per gate with a one-gate dead time: 667 blocks of 3 gates,
-        # just past _PER_GATE_FROM, so each draws one uniform per gate
+        # past _PER_GATE_FROM, so each draws one uniform per gate
         "dense-1-gate": ((0.5, 0.5, 0.5, 0.0, 0.01), 1.0, 2_000),
         # the same fires with a two-gate dead time: pointer doubling, not the
         # closed form, on every block and on every rerun after a carry
