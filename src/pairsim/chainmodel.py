@@ -490,11 +490,15 @@ def apply_sweep_value(
         segments[index] = replace(segments[index], length_m=value)
         return replace(chain, segments=tuple(segments)), pump
     if variable == "pp":
-        import numpy as np  # a grid's product that overflows warns; this raises instead
-
-        with np.errstate(over="ignore", invalid="ignore"):
+        if type(value) is type(pump.rep_rate_hz) is type(pump.pulse_fwhm_s) is float:
             avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
-        if not np.all(np.isfinite(avg)):
+            finite = math.isfinite(avg)
+        else:
+            import numpy as np  # a grid's or a numpy float's product that overflows warns; this raises instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                avg = value * pump.rep_rate_hz * pump.pulse_fwhm_s
+            finite = np.all(np.isfinite(avg))
+        if not finite:
             raise ValueError("average power (peak power * rep_rate * fwhm) is not finite")
         return chain, replace(pump, average_power_w=avg)
     if variable == "awg_loss":

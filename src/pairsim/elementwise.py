@@ -22,7 +22,7 @@ import sys
 
 
 def _is_array(x) -> bool:
-    return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
+    return type(x) is not float and isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
 
 
 def elementwise(f, nin: int):

@@ -87,13 +87,14 @@ constant, every sparse run among them, counts as in v6 and v7.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -122,6 +123,8 @@ RNG_STREAM = "sfc64-v8"
 _PER_GATE_FROM = 0.07
 # every block's bit generator, behind a call so that importing loads no numpy.random
 _BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
+# a block's even gates as an int, built once per size: a run has at most two sizes, a bitset block at most 2**20 gates
+_even_gates = functools.lru_cache(maxsize=4)(lambda size: int.from_bytes(b"\x55" * (size // 8 + 1), "little"))
 
 MAX_PULSES = 2**62  # a gate plus a dead window or an accidental offset, each cut to the run, fits int64
 
@@ -310,13 +313,13 @@ def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     return fires[path[path < k]]
 
 
-def _dead_time_bits(fires: int, dead_gates: int) -> int:
-    """``_apply_dead_time`` of at most one dead gate on a bitset, bit g = gate g.
+def _dead_time_bits(fires: int, dead_gates: int, size: int) -> int:
+    """``_apply_dead_time`` of at most one dead gate on a bitset of a block of ``size`` gates, bit g = gate g.
 
     The closed form of the module notes: ``even_runs`` holds the runs that start at an even gate."""
     if not dead_gates:
         return fires
-    even = int.from_bytes(b"\x55" * (fires.bit_length() // 8 + 1), "little")
+    even = _even_gates(size)
     starts = fires ^ (fires & (fires << 1))
     even_runs = fires ^ (fires & (fires + (starts & even)))
     return fires ^ (fires & (even_runs ^ even))
@@ -404,7 +407,7 @@ def _gate_fires(
 
 
 def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: TrialConfig):
-    """The worker of one block ``(block_index, size)``, read from the record and detectors alone.
+    """The worker of one block ``(seed, block_index, size)``, read from the record and detectors alone.
 
     Returns the gates per block, each arm's dead gates, the accidental offset,
     the worker, which returns the block's size, each arm's sorted fires
@@ -433,20 +436,22 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             f"per-pulse mean {mu_check:.3g} exceeds 1; multi-photon pile-up will be "
             "heavy and the analytic model unreliable",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
     p_fire = -math.expm1(-quiet[0])
     gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
     bits = p_fire >= _PER_GATE_FROM and max(dead_gates) <= 1 and off <= gates
 
-    def draw(block: tuple[int, int]):
-        block_index, size = block
+    def draw(block: tuple[int, int, int]):
+        seed, block_index, size = block
         # SFC64 steps a 64-bit counter from the same start in every stream, and
         # its step is invertible: distinct keys do not meet within 2**64 draws
-        rng = np.random.Generator(_BIT_GENERATOR(np.random.SeedSequence([int(trial.seed), block_index])))
+        rng = np.random.Generator(_BIT_GENERATOR(np.random.SeedSequence([int(seed), block_index])))
         fires = _gate_fires(rng, quiet, size, bits)
-        return size, fires, tuple(map(_dead_time_bits if bits else _apply_dead_time, fires, dead_gates))
+        if bits:
+            return size, fires, tuple(map(_dead_time_bits, fires, dead_gates, (size, size)))
+        return size, fires, tuple(map(_apply_dead_time, fires, dead_gates))
 
     return gates, dead_gates, off, draw, bits
 
@@ -557,11 +562,16 @@ def simulate(
     the same CountSummary, regardless of ``threads``, which caps the worker
     threads; no more start than there are blocks or cores.
     """
+    return _simulate(chain, pump, trial, trial.seed, threads)
+
+
+def _simulate(chain: ExperimentChain, pump: PumpConfig, trial: TrialConfig, seed: int, threads: int) -> CountSummary:
+    """``simulate`` with the blocks seeded from ``seed`` in place of ``trial.seed``, which a sweep point takes."""
     block_gates, dead_gates, off, draw, bits = _block_sampler(chain, cm.evaluate(chain, pump), trial)
     join = _join_bits if bits else _join
     n = trial.n_pulses
     count = -(-n // block_gates)
-    blocks = ((bi, min(block_gates, n - bi * block_gates)) for bi in range(count))
+    blocks = ((seed, bi, min(block_gates, n - bi * block_gates)) for bi in range(count))
 
     # more workers than blocks or cores would idle; the blocks never depend on the worker count
     workers = min(threads, count, os.cpu_count() or 1) if threads > 1 else 1
@@ -604,6 +614,5 @@ def sweep(
     out: list[tuple[float, CountSummary]] = []
     for index, value in enumerate(grid):
         chain_v, pump_v = apply_sweep_value(chain, pump, variable, value)
-        trial_v = replace(trial, seed=derive_seed(trial.seed, index))
-        out.append((value, simulate(chain_v, pump_v, trial_v, threads=threads)))
+        out.append((value, _simulate(chain_v, pump_v, trial, derive_seed(trial.seed, index), threads)))
     return out

@@ -515,7 +515,7 @@ class TestBitsets:
     @example(mask=_single(257, 128))
     @example(mask=_RUNS)
     def test_one_gate_dead_time_matches_the_index_pass(self, mask):
-        clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), 1))
+        clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), 1, mask.size))
         assert np.array_equal(clicks, mc._apply_dead_time(np.flatnonzero(mask), 1))
         assert np.array_equal(clicks, np.flatnonzero(reference_dead_time(mask, 1)[0]))
 
@@ -551,7 +551,7 @@ class TestBitsets:
             fires = tuple(np.flatnonzero(mask).astype(np.int32) for mask in masks)
             index_blocks.append((block_size, fires, tuple(map(mc._apply_dead_time, fires, dead))))
             bits = tuple(map(mask_bits, masks))
-            clicks = tuple(map(mc._dead_time_bits, bits, dead))
+            clicks = tuple(map(mc._dead_time_bits, bits, dead, (block_size, block_size)))
             bit_blocks.append((block_size, bits, clicks))
             start += block_size
         totals, dead_until = mc._join_bits(iter(bit_blocks), dead, offset, n)
@@ -590,6 +590,17 @@ class TestBitsets:
         trial = mc.TrialConfig(n_pulses=2**22, accidental_offset=offset)
         gates, _, _, _, chosen = mc._block_sampler(chain, cm.evaluate(chain, pump), trial)
         assert gates == 2**20 and chosen == bits
+
+    def test_shared_even_gate_mask_serves_only_its_block_size(self):
+        # one process, blocks of alternating sizes, so that a mask kept from a
+        # smaller or a larger block would be met by the next
+        rng = np.random.default_rng(35)
+        for size in (1, 65, 250_000, 2**20, 250_000):
+            mask = rng.random(size) < 0.4
+            mask[-1] = True  # the top gate fires, so the mask must reach it
+            for dead in (0, 1):
+                clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), dead, size))
+                assert np.array_equal(clicks, mc._apply_dead_time(np.flatnonzero(mask), dead)), (size, dead)
 
 
 class _Words:
@@ -1075,6 +1086,37 @@ class TestSweep:
         assert value == 0.02
         assert summary == direct
 
+    @pytest.mark.parametrize("dead_time_us", [0.01, 0.02])
+    def test_every_saturated_point_equals_its_direct_call(self, dead_time_us):
+        # the benchmark's saturated sweep on wg-i: at one dead gate the 50 to
+        # 166 mW points draw gaps for _join and the 0.30 to 1 W points bitsets
+        # for _join_bits; at two dead gates those draw per gate for _join
+        document = presets.get_preset("wg-i")
+        for arm in document["detectors"].values():
+            arm["dead_time_us"] = dead_time_us
+        chain, pump = cfg.build_experiment(document)
+        trial = mc.TrialConfig(n_pulses=250_000, seed=85)
+        grid = np.geomspace(0.05, 1.0, 6)
+        with pytest.warns(RuntimeWarning, match="exceeds 1"):
+            results = mc.sweep(chain, pump, "pp", grid, trial)
+            for i, (value, summary) in enumerate(results):
+                chain_v, pump_v = cm.apply_sweep_value(chain, pump, "pp", value)
+                bits = mc._block_sampler(chain_v, cm.evaluate(chain_v, pump_v), trial)[4]
+                assert bits == (i >= 3 and dead_time_us == 0.01)
+                direct = mc.simulate(chain_v, pump_v, replace(trial, seed=mc.derive_seed(trial.seed, i)))
+                assert (value, summary) == (grid[i], direct)
+
+    def test_pile_up_warning_names_the_callers_line(self):
+        chain, pump = make_rate_chain(2.0)
+        trial = mc.TrialConfig(n_pulses=10)
+        for run in (
+            lambda: mc.simulate(chain, pump, trial),
+            lambda: mc.sweep(chain, pump, "pp", [cm.peak_power(pump)], trial),
+        ):
+            with pytest.warns(RuntimeWarning, match="exceeds 1") as record:
+                run()
+            assert [w.filename for w in record] == [__file__]
+
     def test_sweep_reproducible(self):
         chain, pump = make_rate_chain(5e-3, 0.4, 0.4)
         trial = mc.TrialConfig(n_pulses=200_000, seed=82)
@@ -1129,9 +1171,31 @@ class TestSweep:
         chain, pump = make_rate_chain(1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for value in (1e308, np.float64(1e308), np.array([1.0, 1e308])):
+            for value in (1e308, np.float64(1e308), np.array([1.0, 1e308]), float("inf"), float("nan")):
                 with pytest.raises(ValueError, match="average power"):
                     cm.apply_sweep_value(chain, pump, "pp", value)
+
+    def test_overflow_with_a_numpy_scalar_pump_raises_without_a_warning(self):
+        chain, pump = make_rate_chain(1e-3)
+        pump = replace(pump, rep_rate_hz=np.float64(pump.rep_rate_hz))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="average power"):
+                cm.apply_sweep_value(chain, pump, "pp", 1e308)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(1e-300, 1e300))
+    @example(value=0.02)
+    @example(value=0.3017088168272581)
+    def test_float_peak_power_keeps_the_array_bits(self, value):
+        # a Python float takes plain arithmetic; a numpy float and an array take numpy's
+        chain, pump = make_rate_chain(1e-3)
+        plain, scalar, array = (
+            cm.apply_sweep_value(chain, pump, "pp", v)[1].average_power_w
+            for v in (value, np.float64(value), np.array([value]))
+        )
+        assert type(plain) is float
+        assert np.float64(plain).tobytes() == np.float64(scalar).tobytes() == array.tobytes()
 
 
 class TestPresetEquivalence:
