@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .elementwise import db_to_linear, holds
+from .records import Record
 
 _LN2 = math.log(2.0)
 
 PASSBAND_SHAPES = ("gaussian", "rectangular")
 
 
-@dataclass(frozen=True)
-class AwgSpec:
+class AwgSpec(Record):
     """Static description of an arrayed waveguide grating.
 
     Channel k is centered at ``center_frequency_hz + k * channel_spacing_hz``

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Union
 
 from . import awg as awg_mod
 from .awg import AwgSpec
 from .elementwise import db_to_linear, elementwise, exp, expm1, holds, log1p, power
+from .records import Record, replace
 
 C_VACUUM = 299_792_458.0  # m/s
 
@@ -83,8 +82,7 @@ _effective_length = elementwise(_effective_length_at, 2)
 # domain types
 
 
-@dataclass(frozen=True)
-class WaveguideSegment:
+class WaveguideSegment(Record):
     """One propagation section, either the nonlinear pair source or passive."""
 
     kind: str
@@ -114,8 +112,7 @@ class WaveguideSegment:
         return _effective_length(db_to_neper(self.loss_db_per_m), self.length_m)
 
 
-@dataclass(frozen=True)
-class PumpConfig:
+class PumpConfig(Record):
     """Pulsed pump train.  Powers are coupled (in-waveguide) values."""
 
     wavelength_m: float
@@ -147,8 +144,7 @@ def peak_power(pump: PumpConfig) -> float:
     return pump.average_power_w / duty
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(Record):
     """A bandpass filter stage on one channel."""
 
     bandwidth_3db_hz: float
@@ -171,8 +167,7 @@ class FilterSpec:
         return db_to_linear(self.insertion_loss_db)
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Record):
     """Gated threshold (non-photon-number-resolving) single-photon detector.
 
     The detector is read once per pump pulse, so both figures count pump
@@ -193,8 +188,7 @@ class DetectorConfig:
             raise ValueError("dead_gates must be non-negative")
 
 
-@dataclass(frozen=True)
-class NoiseCoefficients:
+class NoiseCoefficients(Record):
     """Phenomenological noise photons per pulse in one collection channel.
 
     ``offset_photons + slope_per_watt * P_peak``, referred to the nonlinear
@@ -213,16 +207,14 @@ class NoiseCoefficients:
         return self.offset_photons + self.slope_per_watt * peak_power_w
 
 
-@dataclass(frozen=True)
-class FilterDemux:
+class FilterDemux(Record):
     """Demultiplexer realized by a pair of bandpass filters (signal, idler)."""
 
     signal: FilterSpec
     idler: FilterSpec
 
 
-@dataclass(frozen=True)
-class AwgDemux:
+class AwgDemux(Record):
     """Demultiplexer realized by an AWG with one selected output channel per arm."""
 
     spec: AwgSpec
@@ -237,11 +229,7 @@ class AwgDemux:
             raise ValueError("generation_band_hz must be positive")
 
 
-Demux = Union[FilterDemux, AwgDemux]
-
-
-@dataclass(frozen=True)
-class ExperimentChain:
+class ExperimentChain(Record):
     """Ordered component chain from the coupling facet to the two detectors.
 
     ``nonlinear_index`` is the position of the one nonlinear segment.
@@ -249,7 +237,7 @@ class ExperimentChain:
 
     coupling_loss_per_facet_db: float
     segments: tuple[WaveguideSegment, ...]
-    demux: Demux
+    demux: FilterDemux | AwgDemux
     detector_signal: DetectorConfig
     detector_idler: DetectorConfig
     post_filters_signal: tuple[FilterSpec, ...] = ()
@@ -279,8 +267,7 @@ class ExperimentChain:
         return self.segments[self.nonlinear_index + 1 :]
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(Record):
     """Closed-form rates for one chain and pump operating point.
 
     Pair rates are per pulse; click and coincidence figures are per clock
@@ -305,8 +292,7 @@ class RatePrediction:
     duty_idler: float
 
 
-@dataclass(frozen=True)
-class ChainEvaluation:
+class ChainEvaluation(Record):
     """Derived SI quantities of one chain at one pump operating point.
 
     Built by ``evaluate``.  Photon numbers ``mu_*`` are per pulse at the

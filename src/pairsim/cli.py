@@ -11,6 +11,7 @@ results; both are bit-identical for identical (config, flags, seed, version).
 ``main`` builds one parser per process and may be called repeatedly in it.
 Each command imports numpy, ``montecarlo`` and ``fitting`` only if it uses
 them, so ``predict``, ``--help`` and ``--version`` start without numpy.
+Commands that build no array load neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__
@@ -30,6 +30,7 @@ from . import chainmodel as cm
 from . import config as cfg
 from . import presets
 from .elementwise import power
+from .records import Record, field_names, replace
 
 if TYPE_CHECKING:  # for annotations; the commands import what they run
     import numpy as np
@@ -50,13 +51,12 @@ _VARIABLES = {
 }
 
 
-@dataclass
-class ResultTable:
+class ResultTable(Record):
     """Column-labeled rows of numbers plus a provenance header."""
 
     columns: list[str]
-    rows: list[list[float]] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
+    rows: list[list[float]]
+    metadata: dict[str, str]
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -174,7 +174,7 @@ def _report(args, columns: list[str], row: list, metadata: dict[str, str]) -> in
 def cmd_predict(args, parser) -> int:
     document = _load_document(args, parser)
     pred = cm.predict(*cfg.build_experiment(document))
-    columns = [f.name for f in fields(pred)]
+    columns = list(field_names(pred))
     meta = _base_metadata("predict", cfg.config_hash(document))
     return _report(args, columns, [getattr(pred, name) for name in columns], meta)
 
@@ -339,6 +339,8 @@ _FIT_MODELS = {
 
 
 def cmd_fit(args, parser) -> int:
+    from dataclasses import asdict
+
     from . import fitting
     x, y, sigma = _read_xy_csv(args.data)
     built = None
@@ -399,8 +401,7 @@ def _car(chain, pump) -> list:
     return [cm.car_estimate(chain, pump)]
 
 
-@dataclass(frozen=True)
-class _Figure:
+class _Figure(Record):
     """A built-in curve: a grid over one sweep variable on one or more chains.
 
     Each chain is a preset, optionally with one sweep value applied.

@@ -18,11 +18,10 @@ passes on one they reject.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import chainmodel as cm
 from .awg import AwgSpec
@@ -52,11 +51,13 @@ def validate_config(document: dict) -> None:
 
 def config_hash(document: dict) -> str:
     """Short stable digest of a configuration for result provenance."""
+    import hashlib  # only here: building and predicting need no digest
+
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def read_text(path: str | Path, what: str) -> str:
+def read_text(path: str | os.PathLike, what: str) -> str:
     """The text of a UTF-8 file, a byte-order mark before it dropped; a file
     that is not UTF-8 raises ConfigError naming it as ``what``."""
     try:
@@ -66,7 +67,7 @@ def read_text(path: str | Path, what: str) -> str:
         raise ConfigError(f"{what} {str(path)!r} is not UTF-8: {exc}") from exc
 
 
-def load_file(path: str | Path) -> dict:
+def load_file(path: str | os.PathLike) -> dict:
     try:
         document = json.loads(read_text(path, "configuration"))
     except OSError as exc:

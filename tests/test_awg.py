@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from pairsim import awg
 from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import presets
+from pairsim.records import replace
 
 # Values marked "oracle" were frozen from an independent 30-digit mpmath
 # evaluation of the closed-form gaussian integrals.

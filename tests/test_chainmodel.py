@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import montecarlo as mc
 from pairsim import presets
+from pairsim.records import field_names, replace
 from conftest import make_rate_chain
 
 WG_I = cfg.build_experiment(presets.get_preset("wg-i"))
@@ -592,7 +592,7 @@ def with_detectors(chain, dark_prob, dead_gates):
 def fields_of(result) -> dict:
     """A call's result as field -> value; ``car_estimate`` returns a bare float."""
     if isinstance(result, (cm.ChainEvaluation, cm.RatePrediction)):
-        return {f.name: getattr(result, f.name) for f in fields(result)}
+        return {name: getattr(result, name) for name in field_names(result)}
     return {"value": result}
 
 

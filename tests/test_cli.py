@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -15,6 +14,7 @@ from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
 from pairsim import presets
+from pairsim.records import field_names
 
 
 def _reproduce(tmp_path, figure: str):
@@ -517,8 +517,8 @@ class TestPredictOutput:
         assert cli.main(["predict", "--preset", preset, "--out", str(out)]) == cli.EXIT_OK
         pred = cm.predict(*cfg.build_experiment(presets.get_preset(preset)))
         table = json.loads(out.read_text())
-        assert table["columns"] == [f.name for f in dataclasses.fields(pred)]
-        assert table["rows"] == [list(dataclasses.astuple(pred))]
+        assert table["columns"] == list(field_names(pred))
+        assert table["rows"] == [[getattr(pred, name) for name in field_names(pred)]]
         printed = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
         assert printed == table["columns"]
 
@@ -693,7 +693,10 @@ class TestImport:
     def test_command_without_arrays_loads_no_numpy(self, tmp_path, fresh_python, argv, code):
         # numpy's import is most of a cold start; a command that builds no
         # grid, draws nothing and fits nothing runs without it, and so does a
-        # configuration that exits 2 (here a rep rate given as a string)
+        # configuration that exits 2 (here a rep rate given as a string).
+        # Nor does it load dataclasses, which imports inspect and compiles
+        # each record's methods: the records of the closed-form layer are
+        # records.Record
         document = presets.get_preset("wg-i")
         document["pump"]["rep_rate_mhz"] = "100"
         config = tmp_path / "bad.json"
@@ -707,22 +710,26 @@ class TestImport:
             f"        code = cli.main({argv!r})\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(code, 'numpy' in sys.modules)"
+            "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
         )
-        assert fresh_python(program) == f"{code} False"
+        assert fresh_python(program) == f"{code} []"
 
     def test_closed_form_loads_no_numpy(self, fresh_python):
         # numpy's import is most of a cold start; the closed-form layer loads
         # it only when an array reaches it, and building and predicting a
-        # preset passes none
+        # preset passes none.  Building and predicting load neither
+        # dataclasses nor inspect, nor hashlib, which only the config hash uses
         code = (
             "import sys\n"
             "from pairsim import chainmodel as cm, config, presets\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy', 'dataclasses', 'inspect', 'hashlib') if m in sys.modules]\n"
             "for name in presets.preset_names():\n"
-            "    document = presets.get_preset(name)\n"
-            "    config.config_hash(document)\n"
-            "    chain, pump = config.build_experiment(document)\n"
+            "    chain, pump = config.build_experiment(presets.get_preset(name))\n"
             "    cm.evaluate(chain, pump), cm.predict(chain, pump), cm.car_estimate(chain, pump)\n"
-            "print(len(presets.preset_names()), 'numpy' in sys.modules)"
+            "built = loaded()\n"
+            "for name in presets.preset_names():\n"
+            "    config.config_hash(presets.get_preset(name))\n"
+            "print(len(presets.preset_names()), built, 'numpy' in sys.modules)"
         )
-        assert fresh_python(code) == "7 False"
+        assert fresh_python(code) == "7 [] False"

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from pairsim import chainmodel as cm
 from pairsim import cli
 from pairsim import config as cfg
 from pairsim import presets
+from pairsim.records import field_names
 
 DOCUMENTS = {name: presets.get_preset(name) for name in ("wg-i", "awg")}
 
@@ -150,7 +150,7 @@ class TestFrozenPredictions:
     @pytest.mark.parametrize("case", sorted(FROZEN_PREDICTIONS))
     def test_every_field_is_bit_identical(self, cases, case):
         pred = cm.predict(*cases[case])
-        assert {f.name: repr(getattr(pred, f.name)) for f in fields(pred)} == FROZEN_PREDICTIONS[case]
+        assert {name: repr(getattr(pred, name)) for name in field_names(pred)} == FROZEN_PREDICTIONS[case]
 
 
 class TestSchema:
@@ -294,8 +294,8 @@ class TestSchema:
         assert chain == preset_chain
         assert pump.average_power_w == pytest.approx(preset_pump.average_power_w, rel=1e-12, abs=0.0)
         pred, preset_pred = cm.predict(chain, pump), cm.predict(preset_chain, preset_pump)
-        for f in fields(pred):
-            assert getattr(pred, f.name) == pytest.approx(getattr(preset_pred, f.name), rel=1e-12, abs=0.0), f.name
+        for name in field_names(pred):
+            assert getattr(pred, name) == pytest.approx(getattr(preset_pred, name), rel=1e-12, abs=0.0), name
 
     @pytest.mark.parametrize("path, key", [(("pump",), "peak_power_mw"), (("demux",), "filters")])
     def test_neither_of_two_keys_exits_2(self, tmp_dir, path, key):

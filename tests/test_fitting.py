@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +7,7 @@ from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import fitting
 from pairsim import presets
+from pairsim.records import replace
 
 WG_I = cfg.build_experiment(presets.get_preset("wg-i"))
 

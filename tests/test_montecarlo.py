@@ -1,8 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -18,6 +18,7 @@ from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import montecarlo as mc
 from pairsim import presets
+from pairsim.records import replace
 from conftest import make_rate_chain
 
 
@@ -426,7 +427,7 @@ class TestDeadTime:
     def test_monotonicity(self):
         chain, pump = make_rate_chain(2e-2, 0.5, 0.5, dark_rate_hz=5e3, dead_time_us=10.0)
         trial_on = mc.TrialConfig(n_pulses=1_000_000, seed=31, dead_time_enabled=True)
-        trial_off = replace(trial_on, dead_time_enabled=False)
+        trial_off = dataclasses.replace(trial_on, dead_time_enabled=False)
         on = mc.simulate(chain, pump, trial_on)
         off = mc.simulate(chain, pump, trial_off)
         assert on.singles_signal <= off.singles_signal
@@ -1042,7 +1043,7 @@ class TestAccidentalOffset:
         assert runs[0].accidentals > 0
         assert runs[1] == runs[2]
         assert runs[2].accidentals == runs[2].accidental_pairs == 0
-        assert replace(runs[0], accidentals=0, accidental_pairs=0) == runs[2]
+        assert dataclasses.replace(runs[0], accidentals=0, accidental_pairs=0) == runs[2]
 
 
 class TestThermalStatistics:
@@ -1081,7 +1082,7 @@ class TestSweep:
         [(value, summary)] = mc.sweep(chain, pump, "pp", [0.02], trial)
         chain_v, pump_v = cm.apply_sweep_value(chain, pump, "pp", 0.02)
         direct = mc.simulate(
-            chain_v, pump_v, replace(trial, seed=mc.derive_seed(trial.seed, 0))
+            chain_v, pump_v, dataclasses.replace(trial, seed=mc.derive_seed(trial.seed, 0))
         )
         assert value == 0.02
         assert summary == direct
@@ -1103,7 +1104,7 @@ class TestSweep:
                 chain_v, pump_v = cm.apply_sweep_value(chain, pump, "pp", value)
                 bits = mc._block_sampler(chain_v, cm.evaluate(chain_v, pump_v), trial)[4]
                 assert bits == (i >= 3 and dead_time_us == 0.01)
-                direct = mc.simulate(chain_v, pump_v, replace(trial, seed=mc.derive_seed(trial.seed, i)))
+                direct = mc.simulate(chain_v, pump_v, dataclasses.replace(trial, seed=mc.derive_seed(trial.seed, i)))
                 assert (value, summary) == (grid[i], direct)
 
     def test_pile_up_warning_names_the_callers_line(self):
@@ -1215,8 +1216,8 @@ class TestPresetEquivalence:
         # The coincidences (330-1900) are caught when 13% (wg-i) to 32%
         # (wg-vi, awg) off, the accidentals (14-70) when 70% to 160% off.  The
         # closed form treats the two dead-time states as independent, which
-        # puts the coincidences about 2.3% low on wg-i (ROADMAP item 2): about
-        # 1 sigma here.
+        # puts the coincidences about 2.3% low on wg-i (ROADMAP item 4, the
+        # joint dead time): about 1 sigma here.
         chain, pump = cfg.build_experiment(presets.get_preset(name))
         stats = cm.expected_gate_statistics(chain, pump)
         n = 200_000_000
