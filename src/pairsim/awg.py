@@ -7,8 +7,8 @@ joint collection efficiency of a channel pair is the overlap integral of one
 passband with the mirror image of the other.  ``passband_overlap`` gives
 that integral in closed form: every passband, with or without a crosstalk
 floor, is piecewise constant or gaussian, so each piece of a product is an
-erf difference.  numpy is imported only by ``channel_transmission`` and
-``_shape``, the dense-grid reference for the closed forms, which no model path calls.
+erf difference.  numpy is imported only by ``channel_transmission``, the
+dense-grid reference for the closed forms, which no model path calls.
 """
 
 from __future__ import annotations
@@ -81,19 +81,6 @@ def channel_center(spec: AwgSpec, channel: int) -> float:
     return spec.center_frequency_hz + channel * spec.channel_spacing_hz
 
 
-def _shape(spec: AwgSpec, detuning_hz):
-    """Unit-peak passband shape versus detuning from the channel center."""
-    import numpy as np
-    half_width = spec.passband_3db_hz / 2.0
-    if spec.passband_shape == "gaussian":
-        value = np.exp2(-np.square(np.asarray(detuning_hz, dtype=float) / half_width))
-    else:
-        value = (np.abs(np.asarray(detuning_hz, dtype=float)) <= half_width).astype(float)
-    if spec.crosstalk_floor > 0.0:
-        value = np.maximum(value, spec.crosstalk_floor)
-    return value
-
-
 def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
     """Power transmittance of one output channel at the given frequency.
 
@@ -101,19 +88,21 @@ def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
     ``10**(-insertion_loss_db / 10)`` at the channel center.
     """
     import numpy as np
-    center = channel_center(spec, channel)
-    value = spec.peak_transmittance * _shape(spec, np.asarray(frequency_hz, dtype=float) - center)
+    detuning = np.asarray(frequency_hz, dtype=float) - channel_center(spec, channel)
+    half_width = spec.passband_3db_hz / 2.0
+    if spec.passband_shape == "gaussian":
+        shape = np.exp2(-np.square(detuning / half_width))
+    else:
+        shape = (np.abs(detuning) <= half_width).astype(float)
+    value = spec.peak_transmittance * np.maximum(shape, spec.crosstalk_floor)
     if np.ndim(frequency_hz) == 0:
         return float(value)
     return value
 
 
 def generation_band(spec: AwgSpec, generation_band_hz: float | None) -> float:
-    """Width of the band pairs are spread over, centered on the pump."""
-    band = generation_band_hz if generation_band_hz is not None else spec.default_generation_band_hz
-    if band <= 0:
-        raise ValueError("generation band must be positive")
-    return band
+    """Width of the band pairs are spread over, centered on the pump; ``AwgDemux`` checks a given one."""
+    return generation_band_hz if generation_band_hz is not None else spec.default_generation_band_hz
 
 
 def channel_passband(spec: AwgSpec, channel: int, pump_frequency_hz: float) -> tuple:

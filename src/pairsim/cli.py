@@ -6,6 +6,8 @@ sweep (grid over one physical variable, optionally with counting runs), fit
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 (a fit that does not converge, or a value the model cannot compute).
+``montecarlo.TrialConfig`` checks the counting options of simulate and sweep
+but --threads: a bad one exits 2 with the option's name and the trial's text.
 Outputs are CSV with a '#'-prefixed metadata header, or JSON for single-shot
 results; both are bit-identical for identical (config, flags, seed, version).
 ``main`` builds one parser per process and may be called repeatedly in it.
@@ -23,7 +25,6 @@ import io
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from . import chainmodel as cm
@@ -32,7 +33,10 @@ from . import presets
 from .elementwise import power
 from .records import Record, field_names, replace
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing, as mypy and pyright read it
 if TYPE_CHECKING:  # for annotations; the commands import what they run
+    from collections.abc import Callable
+
     import numpy as np
 
     from . import montecarlo
@@ -62,12 +66,9 @@ class ResultTable(Record):
         buf = io.StringIO()
         for key, value in self.metadata.items():
             buf.write(f"# {key} = {value}\n")
-        csv.writer(buf, lineterminator="\n").writerow(self.columns)
-        if self.rows:
-            # json's C encoder writes every number by float.__repr__ or int's
-            # str, but NaN and +-inf by their JSON names; a number needs no quotes
-            text = json.dumps(self.rows, separators=(",", ":"))[2:-2].replace("],[", "\n")
-            buf.write(text.replace("NaN", "nan").replace("Infinity", "inf") + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_json_text(self) -> str:
@@ -192,6 +193,13 @@ def _summary_cells(summary: montecarlo.CountSummary, names: tuple[str, ...]) -> 
     return [math.nan if (value := getattr(summary, name)) is None else value for name in names]
 
 
+def _trial_flag(error: ValueError) -> str:
+    """The option a ``TrialConfig`` error is about: the message starts with the
+    field's name, and the thermal mode law's with ``thermal``."""
+    name = str(error).split()[0]
+    return {"n_pulses": "--pulses", "thermal": "--thermal-modes"}.get(name, "--" + name.replace("_", "-"))
+
+
 def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig, montecarlo.TrialConfig]:
     """The document, chain, pump and trial of ``simulate`` or ``sweep``.
 
@@ -201,31 +209,21 @@ def _counting_run(args, parser) -> tuple[dict, cm.ExperimentChain, cm.PumpConfig
     from . import montecarlo
     document = _load_document(args, parser)
     chain, pump = cfg.build_experiment(document)
-    if args.seed < 0:
-        parser.error("--seed must be a non-negative integer")
-    for flag, value in (
-        ("--pulses", args.pulses),
-        ("--threads", args.threads),
-        ("--accidental-offset", args.accidental_offset),
-    ):
-        if value < 1:
-            parser.error(f"{flag} must be a positive integer")
-    if args.pulses > montecarlo.MAX_PULSES:
-        parser.error("--pulses must be at most 2**62")
     try:
-        cm.no_pair_excess(0.0, args.thermal_modes)
+        trial = montecarlo.TrialConfig(
+            n_pulses=args.pulses,
+            seed=args.seed,
+            accidental_offset=args.accidental_offset,
+            pair_statistics=args.pair_statistics,
+            thermal_modes=args.thermal_modes,
+        )
     except ValueError as exc:
-        parser.error(f"--thermal-modes: {exc}")
+        parser.error(f"{_trial_flag(exc)}: {exc}")
+    if args.threads < 1:
+        parser.error("--threads must be a positive integer")
     if args.no_dead_time:
         signal, idler = (replace(d, dead_gates=0) for d in (chain.detector_signal, chain.detector_idler))
         chain = replace(chain, detector_signal=signal, detector_idler=idler)
-    trial = montecarlo.TrialConfig(
-        n_pulses=args.pulses,
-        seed=args.seed,
-        accidental_offset=args.accidental_offset,
-        pair_statistics=args.pair_statistics,
-        thermal_modes=args.thermal_modes,
-    )
     return document, chain, pump, trial
 
 

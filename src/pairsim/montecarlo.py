@@ -136,7 +136,9 @@ class TrialConfig:
     ``accidental_offset`` is the gate separation used for the accidental
     (side-peak) coincidence window.  ``thermal_modes`` matters only for
     thermal pairs (``pair_modes``); its default of 24 is the wg presets'
-    120 GHz pair bandwidth times their 200 ps pulse length.
+    120 GHz pair bandwidth times their 200 ps pulse length.  These checks
+    are the only ones of the CLI's counting options: each error message
+    starts with the name of its field, or with ``thermal modes``.
     """
 
     n_pulses: int

@@ -128,6 +128,11 @@ class TestPeakPower:
         with pytest.raises(ValueError):
             cm.PumpConfig(1550e-9, 1e8, 2e-8, 1e-3)
 
+    def test_duty_that_underflows_to_zero_rejected(self):
+        # both factors positive, their product 0.0: no peak power divides by it
+        with pytest.raises(ValueError, match=r"duty cycle rep_rate \* fwhm must be in \(0, 1\]"):
+            cm.PumpConfig(1550e-9, 1e-294, 1e-312, 3.7e-5)
+
 
 class TestPairGenerationRate:
     def setup_method(self):

@@ -1,9 +1,14 @@
+import argparse
 import csv
 import functools
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,14 @@ class TestFrozenFigures:
         ("awg", "awg_loss", "0:10:11"): "7620006b69366d8b793a49f5fbd3e3190111dc3c95624565a8509ef5db62a2d4",
     }
 
+    # a counting sweep's CSV, frozen from the writer that printed json's
+    # numbers: integer counts, and NaN mc_car and mc_car_stderr where no
+    # accidental is counted
+    COUNTING_SWEEP = (
+        ("sweep", "--preset", "wg-i", "--var", "pp", "--grid", "0.001:0.002:2", "--mc", "--pulses", "1000", "--seed", "3"),
+        "568d78491393256fa41e0413825a5f9ea9f935f5a4deb49ae13b80a971d09580",
+    )
+
     # sha256 of the ``--out x.json`` text, frozen from the writer that called
     # ``json.dumps(..., indent=2)``; the simulate row has NaN for ``car`` and
     # ``car_stderr`` (no accidental is counted), and so do some ``mc_car`` cells.
@@ -113,6 +126,14 @@ class TestFrozenFigures:
         command = ["sweep", "--preset", preset, "--var", var, "--grid", grid, "--out", str(out)]
         assert cli.main(command) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEPS[preset, var, grid]
+
+    def test_counting_sweep_csv_is_unchanged(self, tmp_path):
+        out = tmp_path / "x.csv"
+        command, digest = self.COUNTING_SWEEP
+        assert cli.main([*command, "--out", str(out)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert [row[-6:] for row in rows[1:]] == [["0", "0", "0", "0", "nan", "nan"]] * 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("command", sorted(JSON), ids=" ".join)
     def test_json_is_unchanged(self, tmp_path, command):
@@ -575,30 +596,77 @@ SIMULATE = ["simulate", "--preset", "wg-i", "--pulses", "1000"]
 
 
 class TestCountingOptions:
+    # montecarlo.TrialConfig is the one check of every counting option but
+    # --threads, and the error names the option before TrialConfig's own text
     @pytest.mark.parametrize(
-        "flags, named",
+        "flags, message",
         [
-            ([*SIMULATE, "--accidental-offset", "0"], "--accidental-offset"),
-            ([*SIMULATE, "--pair-statistics", "thermal", "--thermal-modes", "0"], "--thermal-modes"),
-            ([*SIMULATE, "--threads", "0"], "--threads"),
-            # an analytic sweep draws nothing, but its counting options are still checked
+            ([*SIMULATE, "--accidental-offset", "0"], "--accidental-offset: accidental_offset must be >= 1"),
+            (
+                [*SIMULATE, "--pair-statistics", "thermal", "--thermal-modes", "0"],
+                "--thermal-modes: thermal modes must be a finite number of at least 1",
+            ),
+            (
+                [*SIMULATE, "--thermal-modes", str(10**400)],
+                "--thermal-modes: thermal modes must be a finite number of at least 1",
+            ),
+            ([*SIMULATE, "--threads", "0"], "--threads must be a positive integer"),
+            ([*SIMULATE, "--pulses", "0"], "--pulses: n_pulses must be in [1, 2**62]"),
+            # an analytic sweep draws nothing, but its counting options are
+            # still checked, the trial's before --threads
             (
                 ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--threads", "0", "--pulses", "0"],
-                "--pulses",
+                "--pulses: n_pulses must be in [1, 2**62]",
             ),
             # runs whose gates plus a dead window would pass int64
-            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(2**62 + 1)], "--pulses"),
-            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(10**400)], "--pulses"),
+            (
+                ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(2**62 + 1)],
+                "--pulses: n_pulses must be in [1, 2**62]",
+            ),
+            (
+                ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--pulses", str(10**400)],
+                "--pulses: n_pulses must be in [1, 2**62]",
+            ),
             # a negative seed, which the random stream cannot take, with and without draws
-            ([*SIMULATE, "--seed", "-1"], "--seed"),
-            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--seed", "-1"], "--seed"),
+            ([*SIMULATE, "--seed", "-1"], "--seed: seed must be >= 0"),
+            (["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "1:2:2", "--seed", "-1"], "--seed: seed must be >= 0"),
         ],
     )
-    def test_bad_counting_option_is_a_usage_error(self, capsys, flags, named):
+    def test_bad_counting_option_is_a_usage_error(self, capsys, flags, message):
+        # an error of the option lookup itself would escape main and fail pytest.raises
         with pytest.raises(SystemExit) as exc:
             cli.main(flags)
         assert exc.value.code == cli.EXIT_CONFIG
-        assert named in capsys.readouterr().err
+        assert f"pairsim: error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, flag",
+        [
+            ({"n_pulses": 0}, "--pulses"),
+            ({"n_pulses": 2**62 + 1}, "--pulses"),
+            ({"n_pulses": 1.0}, "--pulses"),
+            ({"n_pulses": True}, "--pulses"),
+            ({"seed": -1}, "--seed"),
+            ({"seed": 0.5}, "--seed"),
+            ({"accidental_offset": 0}, "--accidental-offset"),
+            ({"accidental_offset": 1.0}, "--accidental-offset"),
+            ({"pair_statistics": "binomial"}, "--pair-statistics"),
+            ({"thermal_modes": 0}, "--thermal-modes"),
+            ({"thermal_modes": math.nan}, "--thermal-modes"),
+        ],
+        ids=str,
+    )
+    def test_every_trial_error_names_its_option(self, fields, flag):
+        # each of TrialConfig's errors, also those argparse's types and
+        # choices keep from the command line, maps to the option it is about
+        from pairsim import montecarlo
+
+        with pytest.raises(ValueError) as exc:
+            montecarlo.TrialConfig(**{"n_pulses": 1000, **fields})
+        assert cli._trial_flag(exc.value) == flag
+        options = argparse.ArgumentParser()
+        cli._add_mc_arguments(options)
+        assert flag in options.format_help().split()
 
     def test_no_dead_time_reaches_the_predictions(self, tmp_path):
         # at 300 mW the 1000-gate dead time cuts the predicted clicks about
@@ -713,6 +781,28 @@ class TestImport:
             "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
         )
         assert fresh_python(program) == f"{code} []"
+
+    def test_predict_loads_no_typing(self):
+        # cli declares the names of its annotations behind TYPE_CHECKING =
+        # False, and typing costs some 5 ms of a cold start.  Without site
+        # (-S), which on some hosts loads typing through a .pth hook, predict
+        # needs nothing outside the standard library and these sources
+        program = (
+            "import contextlib, io, sys\n"
+            "from pairsim import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['predict', '--preset', 'wg-i'])\n"
+            "print(code, 'typing' in sys.modules)"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", program],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "0 False"
 
     def test_closed_form_loads_no_numpy(self, fresh_python):
         # numpy's import is most of a cold start; the closed-form layer loads

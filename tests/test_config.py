@@ -229,6 +229,18 @@ class TestSchema:
         assert code == cli.EXIT_CONFIG
         assert named in err
 
+    def test_duty_cycle_that_underflows_to_zero_exits_2(self, tmp_dir):
+        # 1e-300 MHz times 1e-300 ps is a duty cycle of 0.0, which the pump
+        # rejects as it rejects one above 1: no peak power divides by it.  No
+        # dark rate or dead time, which the rep rate would turn into gates
+        document = copy.deepcopy(DOCUMENTS["wg-i"])
+        document["pump"] = {"wavelength_nm": 1551.1, "rep_rate_mhz": 1e-300, "fwhm_ps": 1e-300, "average_power_mw": 0.037}
+        for arm in document["detectors"].values():
+            arm.update(dark_rate_khz=0.0, dead_time_us=0.0)
+        code, err = _cli_predict(tmp_dir, document)
+        assert code == cli.EXIT_CONFIG
+        assert "error: pump: duty cycle rep_rate * fwhm must be in (0, 1]" in err
+
     @pytest.mark.parametrize("name, path, key, value, named", list(_bad_leaf_cases()))
     def test_bad_leaf_exits_2_naming_it(self, tmp_dir, name, path, key, value, named):
         document = copy.deepcopy(DOCUMENTS[name])
