@@ -42,12 +42,16 @@ The blocks still count as one continuous stream.  A block's worker draws
 its fires and applies dead time to them at once, as if both detectors were
 live at the block's first gate.  At one dead gate a window holds at most
 the very next gate's fire, so each run of fires at consecutive gates keeps
-its 1st, 3rd, 5th, ... fire, found in one pass; longer dead times take
-pointer doubling over each fire's next allowed fire.  The worker hands back
-each arm's fires and clicks; it counts nothing.  The join takes the blocks
-in order and carries each arm's dead window across the block boundary.
-Where it reaches into a block, the fires under it are dropped, and the pass
-reruns on the fires up to the first one more than D gates after the fire
+its 1st, 3rd, 5th, ... fire, found in one pass.  Longer dead times take one
+pass over both arms' fires laid end to end: a jump table gives each fire's
+next allowed fire, counted shift by shift where the arms hold many fires
+but a window few of them (``_WINDOWED_FROM``, ``_WINDOWED_BELOW``) and found
+by binary search elsewhere, and pointer doubling over it walks one path
+through both arms' clicks.  The worker hands back each arm's fires and
+clicks; it counts nothing.  The join takes the blocks in order and carries
+each arm's dead window across the block boundary.  Where it reaches into a
+block, the fires under it are dropped, and the pass reruns, on both arms at
+once, on the fires up to the first one more than D gates after the fire
 before it: every pass accepts that one, so the worker's clicks hold from it
 on.  The join counts the singles, coincidences and accidentals of each
 block's clicks.  Signal clicks whose accidental window opens in a later
@@ -111,16 +115,33 @@ _BLOCK_SIZE = 2**28
 RNG_STREAM = "sfc64-v8"
 # a block whose gates fire some detector at least this often draws one 32-bit
 # uniform per gate; sparser blocks draw the gaps between fires.  A 250k-pulse
-# wg-i simulate, medians of 40 alternated calls on a loaded 2-core host (ms):
+# wg-i simulate, medians of 40 alternated calls on a loaded 2-core host (ms;
+# past one dead gate with the both-arm dead-time pass, medians of 6 processes):
 #   fires per gate              0.05  0.06  0.07  0.08  0.10  0.145 0.30
 #   1 dead gate, gaps           1.02  1.12  1.27  1.40  1.66  1.80  3.37
 #     per gate, as bitsets      1.34  1.33  1.33  1.31  1.34  1.34  1.36
-#   2 dead gates, gaps          1.34  1.35  1.58  1.74  2.12  2.79  5.94
-#     per gate, index arrays    2.37  2.00  2.32  2.50  2.88  3.78  6.19
+#   2 dead gates, gaps          0.82  0.92  1.10  1.21  1.46  1.78  4.17
+#     per gate, index arrays    1.42  1.53  1.77  1.88  2.10  2.51  3.92
+#   1000 dead gates, gaps       0.79  0.95  1.11  1.21  1.51  2.18  5.18
+#     per gate, index arrays    1.37  1.56  1.76  1.87  2.19  2.91  4.82
 # The constant is the bitset crossover; blocks that return index arrays (two
 # or more dead gates, or an offset past a block) cross near 0.3, so between
-# the two they pay about a third more than their gaps would
+# the two they pay 0.6 to 0.7 ms a block, 30% to 60%, more than their gaps
 _PER_GATE_FROM = 0.07
+# the dead-time pass at two or more dead gates counts its jump table where the
+# arms hold at least _WINDOWED_FROM fires and the densest arm's window fewer
+# than _WINDOWED_BELOW on average, and searches it elsewhere.  The whole pass
+# on two equal arms, counted / searched, medians of alternated calls (us):
+#   fires per window             2         4         8         12        16
+#     5,955 fires, 2M gates    142/207   171/221   209/209   214/191   250/191
+#     24,773 fires, 250k       474/901   523/937   569/872   597/823   654/798
+#     75,276 fires, 250k     1389/3217 1334/2729 1490/2736 1681/2716 1986/2742
+#   fires, at 1.5 a window       501     1,016     2,020     2,986     6,100
+#     counted / searched        53/37     64/52     82/86   102/121   157/235
+# The count wins from about 2,000 fires (3,000 with other work run between
+# calls) and up to 8 to 10 fires a window on the fewest fires
+_WINDOWED_BELOW = 8.0
+_WINDOWED_FROM = 2048
 # every block's bit generator, behind a call so that importing loads no numpy.random
 _BIT_GENERATOR = lambda seeds: np.random.SFC64(seeds)  # noqa: E731
 # a block's even gates as an int, built once per size: a run has at most two sizes, a bitset block at most 2**20 gates
@@ -275,11 +296,12 @@ def _bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarr
     return positions[: positions.searchsorted(n)].astype(dtype)
 
 
-def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
-    """Suppress fires landing in the dead window after an accepted click.
+def _apply_dead_time(fires: tuple[np.ndarray, ...], dead_gates: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Suppress fires landing in the dead window after an accepted click, arm by arm.
 
-    ``fires`` are the sorted gate indices where a detector fires.  Returns the
-    accepted clicks; a click at gate g deactivates gates g+1 .. g+dead_gates.
+    ``fires`` holds each arm's sorted gate indices where its detector fires,
+    and ``dead_gates`` its dead gates.  Returns each arm's accepted clicks; a
+    click at gate g deactivates gates g+1 .. g+dead_gates.
 
     At one dead gate the pass has a closed form.  Fires sit at distinct
     gates, so a click's window holds at most one fire, the one at the very
@@ -287,32 +309,96 @@ def _apply_dead_time(fires: np.ndarray, dead_gates: int) -> np.ndarray:
     fire more than one gate after the fire before it starts a run and is
     always accepted, since any earlier click's window has closed; within a
     run each accepted fire kills the next and the one after is free again,
-    so the run keeps its 1st, 3rd, 5th, ... fire.  Longer dead times go
-    through pointer doubling.
+    so the run keeps its 1st, 3rd, 5th, ... fire.
+
+    The arms with longer dead times take one greedy pass together, over
+    their fires laid end to end (``_jump_table``).  The accepted fires are
+    the path 0, jump[0], jump[jump[0]], ..., found by pointer doubling; each
+    arm's first fire is accepted, so the one path holds every arm's clicks
+    in turn, and is split where the next arm's fires begin.
     """
-    if dead_gates <= 0:
-        return fires
-    if dead_gates == 1:
-        # head: the index of the first fire of each fire's run; the accepted
-        # fires lie an even number of fires past it, and index ^ head has the
-        # parity of index - head.  A block holds fewer than 2**31 gates.
-        head = np.arange(fires.size, dtype=np.int32)
-        head[1:] *= np.diff(fires) > 1
-        np.maximum.accumulate(head, out=head)
-        head ^= np.arange(fires.size, dtype=np.int32)
-        head &= 1
-        return fires.compress(head == 0)
-    k = fires.size
-    # jump[i] is the first fire past the dead window of fire i (sentinel k maps
-    # to itself).  The accepted fires are the path 0, jump[0], jump[jump[0]], ...:
-    # once path holds its first 2**L nodes and jump leaps 2**L, jump[path] holds
-    # the next 2**L.  Window ends are int64: a dead time may pass int32.
-    jump = np.concatenate((np.searchsorted(fires, np.add(fires, dead_gates + 1, dtype=np.int64)), [k]))
+    clicks = list(fires)
+    arms = []
+    for arm, (arm_fires, dead) in enumerate(zip(fires, dead_gates)):
+        if dead == 1:
+            # head: the index of the first fire of each fire's run; the accepted
+            # fires lie an even number of fires past it, and index ^ head has the
+            # parity of index - head.  A block holds fewer than 2**31 gates.
+            head = np.arange(arm_fires.size, dtype=np.int32)
+            head[1:] *= np.diff(arm_fires) > 1
+            np.maximum.accumulate(head, out=head)
+            head ^= np.arange(arm_fires.size, dtype=np.int32)
+            head &= 1
+            clicks[arm] = arm_fires.compress(head == 0)
+        elif dead > 1 and arm_fires.size:
+            arms.append(arm)
+    if not arms:
+        return tuple(clicks)
+    jump, spare, firsts = _jump_table([fires[arm] for arm in arms], [dead_gates[arm] for arm in arms])
+    k = jump.size - 1
+    # once path holds its first 2**L nodes and jump leaps 2**L, jump[path]
+    # holds the next 2**L; the sentinel k maps to itself.  Every index is in
+    # range, so "clip" changes none and spares numpy a buffered copy of spare
     path = np.zeros(1, dtype=np.intp)
-    while path[-1] < k:
-        path = np.concatenate((path, jump[path]))
-        jump = jump[jump]
-    return fires[path[path < k]]
+    while True:
+        path = np.concatenate((path, jump.take(path)))
+        if path[-1] == k:
+            break
+        jump, spare = jump.take(jump, out=spare, mode="clip"), jump
+    cuts = path.searchsorted(firsts).tolist()
+    for arm, first, start, stop in zip(arms, firsts, cuts, cuts[1:]):
+        clicks[arm] = fires[arm].take(path[start:stop] - first)
+    return tuple(clicks)
+
+
+def _jump_table(fires: list[np.ndarray], dead_gates: list[int]) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """The index of the first fire past each fire's dead window, over the arms' fires laid end to end.
+
+    Each arm holds a fire, and its dead gates are cut to one past the last
+    fire: a window over every later fire changes nothing by growing.  Each
+    arm's fires start past the last window of the arm before, so no window
+    reaches another arm, and below 2**29 gates every gate f[i] and window end
+    end[i] = f[i] + D fits int32.  Where the densest arm's window holds fewer
+    than ``_WINDOWED_BELOW`` fires on average (its fires times D over their
+    span) and the arms hold ``_WINDOWED_FROM`` fires or more, jump[i] is
+    i + 1 plus the count of m >= 1 with f[i + m] <= end[i], one compare per
+    fire and m up to the first m that matches none; elsewhere one
+    ``searchsorted`` of the window ends finds it.  The sentinel k = len(f)
+    maps to itself.  Returns the table, a spare array of its size or None,
+    and where each arm's fires begin, then k.  f and end share one buffer of
+    8 bytes a fire, which becomes the spare or the counted table, so the
+    pass holds about 16 bytes a fire at once.
+    """
+    top = max(int(arm[-1]) for arm in fires) + 1
+    k, load, shift, starts, firsts = 0, 0.0, 0, [], [0]
+    for arm, d in zip(fires, dead_gates):
+        d = min(d, top)
+        load = max(load, arm.size * d / (int(arm[-1]) - int(arm[0]) + 1))
+        starts.append((shift, d))
+        k += arm.size
+        firsts.append(k)
+        shift += top + d  # the next arm starts past this arm's last window
+    dtype = np.int32 if shift < 2**31 else np.int64
+    scratch = np.empty(2 * k + 2, dtype=dtype)
+    f, end = scratch[:k], scratch[k + 1 :]
+    for arm, (start, d), lo, hi in zip(fires, starts, firsts, firsts[1:]):
+        np.add(arm, dtype(start), out=f[lo:hi])
+        np.add(f[lo:hi], d, out=end[lo:hi])
+    if load >= _WINDOWED_BELOW or k < _WINDOWED_FROM:
+        end[k] = shift  # past every fire
+        return f.searchsorted(end, "right"), scratch.view(np.intp)[: k + 1], firsts
+    table, hit = np.arange(1, k + 1, dtype=dtype), np.empty(k, dtype=bool)
+    for m in range(1, k):
+        shifted = hit[: k - m]
+        np.less_equal(f[m:], end[: k - m], out=shifted)
+        if not shifted.any():
+            break
+        counted = table[: k - m]
+        counted += shifted
+    jump = scratch.view(np.intp)[: k + 1]
+    jump[:k] = table
+    jump[k] = k
+    return jump, None, firsts
 
 
 def _dead_time_bits(fires: int, dead_gates: int, size: int) -> int:
@@ -453,7 +539,7 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
         fires = _gate_fires(rng, quiet, size, bits)
         if bits:
             return size, fires, tuple(map(_dead_time_bits, fires, dead_gates, (size, size)))
-        return size, fires, tuple(map(_apply_dead_time, fires, dead_gates))
+        return size, fires, _apply_dead_time(fires, dead_gates)
 
     return gates, dead_gates, off, draw, bits
 
@@ -479,20 +565,22 @@ def _join(blocks, dead_gates: tuple[int, int], off: int, n: int) -> tuple[np.nda
     pending: deque[np.ndarray] = deque()  # sorted int64 run gates of signal clicks whose windows open later
     start = 0
     for size, fires, worker_clicks in blocks:
-        clicks = []
-        for arm, (arm_fires, arm_clicks, dead) in enumerate(zip(fires, worker_clicks, dead_gates)):
-            drop = _first_at(arm_fires, dead_until[arm] - start + 1)  # the fires in the carried window
+        clicks, reruns = list(worker_clicks), []
+        for arm, (arm_fires, dead) in enumerate(zip(fires, dead_gates)):
+            drop = stop = _first_at(arm_fires, dead_until[arm] - start + 1)  # the fires in the carried window
             if drop:
                 # the rerun ends at the first fire more than D gates after the one
                 # before, or at the block's end; no gap in a block reaches its size
                 free = np.diff(arm_fires[drop - 1 :]) > min(dead, size)
                 stop = drop + int(free.argmax()) if free.any() else arm_fires.size
-                kept = arm_clicks[arm_clicks.searchsorted(arm_fires[stop - 1], "right") :]
-                arm_clicks = np.concatenate((_apply_dead_time(arm_fires[drop:stop], dead), kept))
+                clicks[arm] = clicks[arm][clicks[arm].searchsorted(arm_fires[stop - 1], "right") :]
+            reruns.append(arm_fires[drop:stop])
+        if reruns[0].size or reruns[1].size:
+            clicks = [np.concatenate(pair) for pair in zip(_apply_dead_time(reruns, dead_gates), clicks)]
+        for arm, (arm_clicks, dead) in enumerate(zip(clicks, dead_gates)):
             if arm_clicks.size:
                 dead_until[arm] = start + int(arm_clicks[-1]) + dead
             totals[arm] += arm_clicks.size
-            clicks.append(arm_clicks)
         signal, idler = clicks
         totals[2] += _matches(signal, idler)
         # a signal click at g opens the window of the idler click at g + off;

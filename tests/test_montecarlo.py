@@ -411,7 +411,7 @@ class TestDeadTime:
     def test_filter_matches_per_gate_reference(self, case):
         fire, dead_gates = case
         fires = np.flatnonzero(fire)
-        clicks = mc._apply_dead_time(fires, dead_gates)
+        (clicks,) = mc._apply_dead_time((fires,), (dead_gates,))
         dead_until = int(clicks[-1]) + dead_gates if clicks.size else -1
         active = fire.size - mc._dead_gates(clicks.size, dead_until, fire.size, dead_gates)
         ref_clicks, ref_active = reference_dead_time(fire, dead_gates)
@@ -476,6 +476,59 @@ class TestDeadTime:
             assert abs(z_score(measured, expected, sigma**2)) < 4.5
 
 
+@st.composite
+def two_arms_and_dead_times(draw):
+    """A block of n gates, each arm's fire mask and dead gates drawn apart.
+
+    Dead gates of 0, 1 and 2, a few, up to twice the block, the block and one
+    past it; densities from empty arms to every gate, so that the densest
+    arm's mean fires per window falls on both sides of ``_WINDOWED_BELOW``
+    and the fires of both arms on both sides of ``_WINDOWED_FROM``."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = st.one_of(st.just(0.0), st.floats(0.0, 0.02), st.floats(0.0, 1.0))
+    dead = st.one_of(st.sampled_from([0, 1, 2, n, n + 1]), st.integers(3, 60), st.integers(0, 2 * n))
+    masks = tuple(rng.random(n) < draw(density) for _ in range(2))
+    return masks, (draw(dead), draw(dead))
+
+
+# every 4th gate fires, _WINDOWED_FROM fires over a span of 4 * _WINDOWED_FROM
+# - 3 gates: a dead time of _WINDOWED_D puts the mean fires per window just
+# below _WINDOWED_BELOW, and one gate more just above it; with the last fire
+# gone, the arms hold one fire too few for the counted table
+_EVERY_4TH = np.arange(4 * mc._WINDOWED_FROM) % 4 == 0
+_WINDOWED_D = math.floor(mc._WINDOWED_BELOW * (4 * mc._WINDOWED_FROM - 3) / mc._WINDOWED_FROM)
+_NONE = np.zeros(4 * mc._WINDOWED_FROM, dtype=bool)
+
+
+class TestBothArmPass:
+    """The dead-time pass over both arms at once, arm by arm against the per-gate reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=two_arms_and_dead_times(), table=st.sampled_from(["chosen", "counted", "searchsorted"]),
+           dtype=st.sampled_from([np.int32, np.int64]))
+    @example(case=((_EVERY_4TH, _NONE), (_WINDOWED_D, 2)), table="chosen", dtype=np.int32)
+    @example(case=((_EVERY_4TH, _NONE), (_WINDOWED_D + 1, 2)), table="chosen", dtype=np.int32)
+    @example(case=((_NONE, _EVERY_4TH[:-4]), (3, _WINDOWED_D)), table="chosen", dtype=np.int32)
+    # the other arm's few fires make no difference to the choice
+    @example(case=((_EVERY_4TH, _LAST_ONLY.repeat(8)), (_WINDOWED_D + 1, 2)), table="chosen", dtype=np.int32)
+    @example(case=((_LAST_ONLY.repeat(8), _EVERY_4TH), (3, _WINDOWED_D)), table="chosen", dtype=np.int32)
+    # one arm empty, one arm at one dead gate, a window longer than the block
+    @example(case=((np.zeros(500, dtype=bool), np.ones(500, dtype=bool)), (5, 3)), table="chosen", dtype=np.int32)
+    @example(case=((np.ones(500, dtype=bool), _RUNS.repeat(17)[:500]), (1, 7)), table="chosen", dtype=np.int32)
+    @example(case=((np.ones(500, dtype=bool), np.ones(500, dtype=bool)), (500, 2**40)), table="chosen", dtype=np.int32)
+    def test_each_arm_matches_the_per_gate_reference(self, case, table, dtype):
+        masks, dead = case
+        fires = tuple(np.flatnonzero(mask).astype(dtype) for mask in masks)
+        below, least = {"chosen": (mc._WINDOWED_BELOW, mc._WINDOWED_FROM), "counted": (math.inf, 0),
+                        "searchsorted": (0.0, 0)}[table]
+        with mock.patch.object(mc, "_WINDOWED_BELOW", below), mock.patch.object(mc, "_WINDOWED_FROM", least):
+            clicks = mc._apply_dead_time(fires, dead)
+        for arm_clicks, mask, arm_dead in zip(clicks, masks, dead):
+            assert arm_clicks.dtype == dtype
+            assert np.array_equal(arm_clicks, np.flatnonzero(reference_dead_time(mask, arm_dead)[0]))
+
+
 def mask_bits(mask: np.ndarray) -> int:
     """A per-gate fire mask as a bitset, bit g = gate g, written out as binary digits."""
     return int("0" + "".join("1" if fired else "0" for fired in mask[::-1]), 2)
@@ -517,7 +570,7 @@ class TestBitsets:
     @example(mask=_RUNS)
     def test_one_gate_dead_time_matches_the_index_pass(self, mask):
         clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), 1, mask.size))
-        assert np.array_equal(clicks, mc._apply_dead_time(np.flatnonzero(mask), 1))
+        assert np.array_equal(clicks, mc._apply_dead_time((np.flatnonzero(mask),), (1,))[0])
         assert np.array_equal(clicks, np.flatnonzero(reference_dead_time(mask, 1)[0]))
 
     @settings(max_examples=200, deadline=None)
@@ -550,7 +603,7 @@ class TestBitsets:
         for block_size in sizes:
             masks = signal[start : start + block_size], idler[start : start + block_size]
             fires = tuple(np.flatnonzero(mask).astype(np.int32) for mask in masks)
-            index_blocks.append((block_size, fires, tuple(map(mc._apply_dead_time, fires, dead))))
+            index_blocks.append((block_size, fires, mc._apply_dead_time(fires, dead)))
             bits = tuple(map(mask_bits, masks))
             clicks = tuple(map(mc._dead_time_bits, bits, dead, (block_size, block_size)))
             bit_blocks.append((block_size, bits, clicks))
@@ -601,7 +654,7 @@ class TestBitsets:
             mask[-1] = True  # the top gate fires, so the mask must reach it
             for dead in (0, 1):
                 clicks = bit_gates(mc._dead_time_bits(mask_bits(mask), dead, size))
-                assert np.array_equal(clicks, mc._apply_dead_time(np.flatnonzero(mask), dead)), (size, dead)
+                assert np.array_equal(clicks, mc._apply_dead_time((np.flatnonzero(mask),), (dead,))[0]), (size, dead)
 
 
 class _Words:
@@ -832,8 +885,8 @@ class TestInt32Gates:
     @pytest.mark.parametrize("dead_gates", [2**31, 2**40, 2**62])
     def test_dead_window_past_int32_keeps_the_first_fire(self, dead_gates):
         fires = np.array([3, 5, 2**28, 2**31 - 1], dtype=np.int32)
-        assert mc._apply_dead_time(fires, dead_gates).tolist() == [3]
-        assert mc._apply_dead_time(fires[:0], dead_gates).size == 0
+        assert mc._apply_dead_time((fires,), (dead_gates,))[0].tolist() == [3]
+        assert mc._apply_dead_time((fires[:0],), (dead_gates,))[0].size == 0
 
     def test_join_carries_a_window_past_2_31_gates(self):
         # a signal click 50 gates into a block that starts past 2**31 opens
@@ -1700,13 +1753,19 @@ class TestBlockEdges:
         "saturated-2-gate": ((2.2, 0.5, 0.5, 0.0, 0.02), 2.5, 2_000),
         # 0.035 fires per gate with a 1000-gate dead time: 878 blocks of 57 gates
         "sparse-1000-gate": ((0.02, 0.5, 0.5, 1e6, 10.0), 2.0, 50_000),
+        # the dense fires with two dead gates on the signal and 40 on the idler,
+        # in 80 blocks of 25 gates: the join reruns the pass on the idler after
+        # about 30 carries, some with signal fires beside them (seed 9, offset 1)
+        "dense-2-and-40-gate": ((0.5, 0.5, 0.5, 0.0, 0.02), 8.0, 2_000, 40),
     }
 
     def _run(self, monkeypatch, case, offset, threads):
-        rates, fires_per_block, n = self.CASES[case]
+        rates, fires_per_block, n, *idler_dead = self.CASES[case]
         monkeypatch.setattr(mc, "_FIRES_PER_BLOCK", fires_per_block)
         monkeypatch.setattr(mc, "_MIN_BLOCK", 1)
         chain, pump = make_rate_chain(*rates)
+        if idler_dead:
+            chain = replace(chain, detector_idler=replace(chain.detector_idler, dead_gates=idler_dead[0]))
         trial = mc.TrialConfig(n_pulses=n, seed=9, accidental_offset=offset)
         drawn = []
         monkeypatch.setattr(mc, "_gate_fires", recording_gate_fires(drawn))
@@ -1723,7 +1782,7 @@ class TestBlockEdges:
         # the offsets: the next gate, two on, and one longer than any block
         for offset in (1, 2, max(sizes) + 3):
             s, drawn, _ = self._run(monkeypatch, case, offset, threads=1)
-            assert_one_pass(s, drawn, (dead, dead), offset)
+            assert_one_pass(s, drawn, (dead, chain.detector_idler.dead_gates), offset)
 
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("case", list(CASES))
