@@ -101,7 +101,9 @@ def channel_transmission(spec: AwgSpec, channel: int, frequency_hz):
 
 
 def generation_band(spec: AwgSpec, generation_band_hz: float | None) -> float:
-    """Width of the band pairs are spread over, centered on the pump; ``AwgDemux`` checks a given one."""
+    """Width of the band pairs are spread over, centered on the pump; a given one must be positive."""
+    if generation_band_hz is not None and not generation_band_hz > 0:
+        raise ValueError("generation_band_hz must be positive")
     return generation_band_hz if generation_band_hz is not None else spec.default_generation_band_hz
 
 

@@ -14,8 +14,9 @@ pair and singles photon numbers and the photons each detector sees once into
 a ``ChainEvaluation``.  ``predict``, ``car_estimate``, the Monte Carlo and the
 fitters' fixed parameters all read that record.  ``predict`` is the one
 analytic model of what two gated threshold detectors with dead time count
-(``expected_gate_statistics`` is another name for it); ``car_estimate`` keeps
-the paper's linearised CAR, which figures 3d and 5b plot.
+(``expected_gate_statistics`` is another name for it); its per-gate law,
+``no_fire_exponents``, is the one the Monte Carlo sampler draws from.
+``car_estimate`` keeps the paper's linearised CAR, which figures 3d and 5b plot.
 
 Every figure and sweep is one chain with one of ``SWEEP_VARIABLES`` replaced
 by ``apply_sweep_value``: a segment length, the pump's average power, the
@@ -222,8 +223,7 @@ class AwgDemux(Record):
     def __post_init__(self) -> None:
         awg_mod.channel_center(self.spec, self.signal_channel)
         awg_mod.channel_center(self.spec, self.idler_channel)
-        if self.generation_band_hz is not None and self.generation_band_hz <= 0:
-            raise ValueError("generation_band_hz must be positive")
+        awg_mod.generation_band(self.spec, self.generation_band_hz)
 
 
 class ExperimentChain(Record):
@@ -426,17 +426,17 @@ def collection_bandwidths(chain: ExperimentChain, pump: PumpConfig) -> tuple[flo
     return pair_bw, single_s, single_i
 
 
-def gate_duty(p_click: float, dead_gates: int) -> float:
-    """Steady-state fraction of gates that are active, given a dead time.
+def gate_duty(p_click: float, detector: DetectorConfig) -> float:
+    """Steady-state fraction of gates that ``detector`` keeps active, given its dead time.
 
-    Every click disables the next D = ``dead_gates`` gates, so the dead
-    fraction is the per-clock-gate click rate (the supplied active click
+    Every click disables the next D = ``detector.dead_gates`` gates, so the
+    dead fraction is the per-clock-gate click rate (the supplied active click
     probability scaled by the duty itself) times D.  The balance
     ``duty = 1 - duty * p_click * D`` has the closed-form fixed point below.
     """
     if not holds((0.0 <= p_click) & (p_click <= 1.0)):
         raise ValueError("p_click must be a probability")
-    return 1.0 / (1.0 + p_click * dead_gates)
+    return 1.0 / (1.0 + p_click * detector.dead_gates)
 
 
 def no_pair_excess(x: float, thermal_modes: int | None = None) -> float:
@@ -495,10 +495,26 @@ def apply_sweep_value(
     raise ValueError(f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}")
 
 
-def pair_law_excess(rec: ChainEvaluation, thermal_modes: int | None = None) -> tuple:
-    """``no_pair_excess`` of the pair-law photons at the signal arm, the idler arm and either arm."""
-    means = (rec.pair_law_signal, rec.pair_law_idler, rec.pair_law_signal + rec.pair_law_idler - rec.detected_pairs)
-    return tuple(no_pair_excess(x, thermal_modes) for x in means)
+def no_fire_exponents(rec: ChainEvaluation, chain: ExperimentChain, thermal_modes: int | None = None) -> tuple:
+    """``(L_none, L_signal, L_idler, coupling)``, L = -log P(a gate fires neither detector, not signal, not idler).
+
+    Each L is the record's mean photon causes at the detectors it covers, the
+    excess (``no_pair_excess``) of the pair-law photons among them, which keep
+    the pair law at a thinned mean, and ``-log1p(-p_dark)`` of each of those
+    detectors.  The coupling ``L_signal + L_idler - L_none`` is summed
+    directly, so it is exactly 0 for Poisson pairs of which none reaches both
+    detectors.  ``predict`` and the Monte Carlo sampler read this one law.
+    """
+    a_s, a_i, c = rec.detected_signal, rec.detected_idler, rec.detected_pairs
+    x_s, x_i = rec.pair_law_signal, rec.pair_law_idler
+    ex_s, ex_i, ex_si = (no_pair_excess(x, thermal_modes) for x in (x_s, x_i, x_s + x_i - c))
+    dark_s, dark_i = (-log1p(-d.dark_prob_per_gate) for d in (chain.detector_signal, chain.detector_idler))
+    return (
+        a_s + a_i - c + ex_si + dark_s + dark_i,
+        a_s + ex_s + dark_s,
+        a_i + ex_i + dark_i,
+        c + ex_s + ex_i - ex_si,
+    )
 
 
 def evaluate(chain: ExperimentChain, pump: PumpConfig) -> ChainEvaluation:
@@ -560,32 +576,20 @@ def singles_rate(chain: ExperimentChain, pump: PumpConfig) -> tuple[float, float
 def predict(chain: ExperimentChain, pump: PumpConfig, thermal_modes: int | None = None) -> RatePrediction:
     """Exact per-clock-gate click and coincidence expectations.
 
-    Pairs follow the law of ``no_pair_excess``, Poisson or ``thermal_modes``
-    modes, as ``montecarlo.TrialConfig`` sets it.  Pairs reaching a detector
-    keep it at a thinned mean x, so with the mean causes a of ``evaluate``'s
-    record an arm stays quiet with ``exp(-(a + L(x) - x)) * (1 - p_dark)``,
-    and both arms likewise (for Poisson pairs, Takesue and Shimizu, Opt.
-    Commun. 283, 276 (2010)).  Exact for both laws without dead time; dead
-    gates suppress dark counts, and the two detectors' dead-time states are
-    treated as independent.  Defined at any pump power: the joint term's
-    exponent is never positive.
+    Every probability derives from ``no_fire_exponents`` under the pair law
+    ``thermal_modes`` sets, as ``montecarlo.TrialConfig`` does: an active gate
+    fires an arm with ``-expm1(-L_arm)``, and both arms beyond chance with
+    ``exp(-L_none) * -expm1(-coupling)`` (for Poisson pairs, Takesue and
+    Shimizu, Opt. Commun. 283, 276 (2010)).  Exact for both laws without dead
+    time; dead gates suppress dark counts, and the two detectors' dead-time
+    states are treated as independent.  No term overflows at any pump power.
     """
     rec = evaluate(chain, pump)
-    det_s, det_i = chain.detector_signal, chain.detector_idler
-    pd_s = det_s.dark_prob_per_gate
-    pd_i = det_i.dark_prob_per_gate
-
-    a_s, a_i = rec.detected_signal, rec.detected_idler  # mean photon causes per arm
-    ex_s, ex_i, ex_si = pair_law_excess(rec, thermal_modes)
-    p_active_s = 1.0 - exp(-(a_s + ex_s)) * (1.0 - pd_s)
-    p_active_i = 1.0 - exp(-(a_i + ex_i)) * (1.0 - pd_i)
-    duty_s = gate_duty(p_active_s, det_s.dead_gates)
-    duty_i = gate_duty(p_active_i, det_i.dead_gates)
-
-    # pairs whose both photons reach the detectors couple the two arms; each
-    # such pair is also a cause on each arm, so c <= a_s + a_i
-    c = rec.detected_pairs
-    joint_excess = (1.0 - pd_s) * (1.0 - pd_i) * exp(c - a_s - a_i - ex_si) * (-expm1(-(c + ex_s + ex_i - ex_si)))
+    l_none, l_s, l_i, coupling = no_fire_exponents(rec, chain, thermal_modes)
+    p_active_s, p_active_i = -expm1(-l_s), -expm1(-l_i)
+    duty_s, duty_i = gate_duty(p_active_s, chain.detector_signal), gate_duty(p_active_i, chain.detector_idler)
+    # P(both fire) - P(signal) P(idler) = P(none) - P(signal quiet) P(idler quiet)
+    joint_excess = exp(-l_none) * -expm1(-coupling)
     p_accidental = duty_s * duty_i * p_active_s * p_active_i
     p_coincidence = duty_s * duty_i * (p_active_s * p_active_i + joint_excess)
     return RatePrediction(
@@ -632,8 +636,8 @@ def car_estimate(chain: ExperimentChain, pump: PumpConfig) -> float:
     det_s, det_i = chain.detector_signal, chain.detector_idler
     active_s = rec.detected_signal + det_s.dark_prob_per_gate
     active_i = rec.detected_idler + det_i.dark_prob_per_gate
-    duty_s = gate_duty(active_s, det_s.dead_gates)
-    duty_i = gate_duty(active_i, det_i.dead_gates)
+    duty_s = gate_duty(active_s, det_s)
+    duty_i = gate_duty(active_i, det_i)
     eta_s_total = rec.eta_signal * det_s.quantum_efficiency * duty_s
     eta_i_total = rec.eta_idler * det_i.quantum_efficiency * duty_i
     p_acc = (eta_s_total * rec.mu_signal + det_s.dark_prob_per_gate) * (

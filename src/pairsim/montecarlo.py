@@ -15,11 +15,10 @@ a dark count, so the sampler draws only whether each gate fires it.  A pair
 reaches the signal detector, the idler detector, both or neither
 independently of the other pairs, so the pairs that reach a detector keep
 the pair law at a thinned mean x: Poisson stays Poisson, and a negative
-binomial stays one with the same number of modes; its probability of no
-pair P0(x) is given by ``chainmodel.no_pair_excess``.  The other
-a - x photons and the dark counts are independent of the pairs, so a gate
-leaves an arm quiet with probability P0(x) exp(-(a - x)) (1 - p_dark), and
-leaves both quiet by the same law over the photons that reach either arm.
+binomial stays one with the same number of modes.  The other a - x
+photons and the dark counts are independent of the pairs, so the chance
+that a gate leaves an arm quiet, or both, is the one per-gate law of
+``chainmodel.no_fire_exponents``, which ``predict`` reads too.
 Where fires are sparse, the gates where some detector fires are one
 Bernoulli stream per block, drawn as geometric gaps between them, and one
 uniform per such gate picks the signal detector alone, the idler alone or
@@ -503,18 +502,12 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     are bitsets for ``_join_bits``, as the module notes say.  An offset of n_pulses
     or more opens no window, and as many dead gates leave all gates after a
     click dead, so both are cut to n_pulses, which keeps every shifted gate
-    inside int64.  A gate is quiet by the module notes' law, with the pair
-    law's excess from ``chainmodel.pair_law_excess``.  Warns when a pulse
-    holds more than one pair or unpaired photon on average.
+    inside int64.  A gate is quiet by the exponents of
+    ``chainmodel.no_fire_exponents``.  Warns when a pulse holds more than
+    one pair or unpaired photon on average.
     """
+    quiet = cm.no_fire_exponents(rec, chain, trial.pair_modes)[:3]
     detectors = (chain.detector_signal, chain.detector_idler)
-    dark_s, dark_i = (-math.log1p(-detector.dark_prob_per_gate) for detector in detectors)
-    ex_s, ex_i, ex_si = cm.pair_law_excess(rec, trial.pair_modes)
-    quiet = (
-        rec.detected_signal + rec.detected_idler - rec.detected_pairs + ex_si + dark_s + dark_i,
-        rec.detected_signal + ex_s + dark_s,
-        rec.detected_idler + ex_i + dark_i,
-    )
     dead_gates = tuple(min(d.dead_gates, trial.n_pulses) if trial.dead_time_enabled else 0 for d in detectors)
     off = min(trial.accidental_offset, trial.n_pulses)
     unpaired = max(rec.detected_signal - rec.pair_law_signal, rec.detected_idler - rec.pair_law_idler)

@@ -299,6 +299,12 @@ class TestEffectiveBandwidths:
         assert truncated < a
         assert (a - truncated) / a == pytest.approx(1.57e-5, rel=0.05)
 
+    @pytest.mark.parametrize("band", [-1.0, 0.0, -0.0, math.nan])
+    def test_band_that_is_not_positive_raises(self, band):
+        # an empty or reversed band would integrate to an overlap of 0.0 without a word
+        with pytest.raises(ValueError, match="generation_band_hz must be positive"):
+            awg.effective_pair_bandwidth(make_spec(), 3, -3, PUMP, band)
+
     def test_single_bandwidth(self):
         gaussian = make_spec()
         # oracle: (w/2) * sqrt(pi / ln 2); a 3 THz band puts its edge 22

@@ -246,15 +246,19 @@ class TestSinglesRate:
         assert mu_s == pytest.approx(0.0286, rel=1e-3)
 
 
+def detector(dead_gates: int) -> cm.DetectorConfig:
+    return cm.DetectorConfig(1.0, dead_gates=dead_gates)
+
+
 class TestGateDuty:
     def test_no_clicks(self):
-        assert cm.gate_duty(0.0, 1000) == 1.0
+        assert cm.gate_duty(0.0, detector(1000)) == 1.0
 
     def test_reference_point(self):
-        assert cm.gate_duty(0.01, 1000) == pytest.approx(1.0 / 11.0, rel=1e-12, abs=0.0)
+        assert cm.gate_duty(0.01, detector(1000)) == pytest.approx(1.0 / 11.0, rel=1e-12, abs=0.0)
 
     def test_zero_dead_gates(self):
-        assert cm.gate_duty(0.9, 0) == 1.0
+        assert cm.gate_duty(0.9, detector(0)) == 1.0
         # 4 ns at 100 MHz rounds to zero gates at the config boundary
         document = presets.get_preset("wg-i")
         document["detectors"]["signal"]["dead_time_us"] = 4e-3
@@ -263,11 +267,20 @@ class TestGateDuty:
 
     def test_dark_only_reference(self):
         # oracle: 1 / (1 + 2.1e-5 * 1000)
-        assert cm.gate_duty(2.1e-5, 1000) == pytest.approx(0.979431929480901, rel=1e-12, abs=0.0)
+        assert cm.gate_duty(2.1e-5, detector(1000)) == pytest.approx(0.979431929480901, rel=1e-12, abs=0.0)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            cm.gate_duty(1.5, 1000)
+            cm.gate_duty(1.5, detector(1000))
+
+    def test_negative_dead_time_is_refused_by_the_detector(self):
+        # the duty reads the dead gates of a DetectorConfig, which refuses a
+        # negative count however it is built, so -2 gates never reach the
+        # division, where 1 + 0.5 * -2 is zero
+        with pytest.raises(ValueError, match="dead_gates"):
+            cm.gate_duty(0.5, detector(-2))
+        with pytest.raises(ValueError, match="dead_gates"):
+            cm.gate_duty(0.5, replace(detector(1000), dead_gates=-2))
 
 
 class TestClickProbabilities:

@@ -1,9 +1,11 @@
 import contextlib
 import copy
+import decimal
 import io
 import json
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -139,9 +141,11 @@ def frozen_cases() -> dict:
 
 class TestFrozenPredictions:
     """The repr of every ``RatePrediction`` field, frozen from the model as it
-    stood before detectors were stated in pump gates.  The conversion at the
-    config boundary must keep every number bit-identical, so the file is not
-    regenerated by a change that claims the same output."""
+    stood before detectors were stated in pump gates, and frozen again when
+    ``predict`` came to read the per-gate law of
+    ``chainmodel.no_fire_exponents`` (every field within 4e-13 relative of
+    before; ``mu_*``, ``peak_power_w`` and ``pair_bandwidth_hz`` unmoved).
+    The file is not regenerated by a change that claims the same output."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -151,6 +155,27 @@ class TestFrozenPredictions:
     def test_every_field_is_bit_identical(self, cases, case):
         pred = cm.predict(*cases[case])
         assert {name: repr(getattr(pred, name)) for name in field_names(pred)} == FROZEN_PREDICTIONS[case]
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_PREDICTIONS))
+    def test_active_click_probability_is_within_4_ulps(self, cases, case):
+        """``p_click / duty``, the chance that an active gate fires an arm,
+        against a 60-digit ``decimal`` value of ``1 - exp(-a) (1 - p_dark)``,
+        a the photons reaching that detector.  The form that computed the
+        product and took it from 1 was 2.4e-14 to 1.25e-13 relative off on
+        the cases without dark counts (160 to 1,000 ulps);
+        ``-expm1(-L)`` of the summed exponent is within 1.6 ulps."""
+        chain, pump = cases[case]
+        rec, pred = cm.evaluate(chain, pump), cm.predict(chain, pump)
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for arm, a, detector in (
+                ("signal", rec.detected_signal, chain.detector_signal),
+                ("idler", rec.detected_idler, chain.detector_idler),
+            ):
+                exact = 1 - (-Decimal(a)).exp() * (1 - Decimal(detector.dark_prob_per_gate))
+                active = getattr(pred, f"p_click_{arm}") / getattr(pred, f"duty_{arm}")
+                ulps = abs(Decimal(active) - exact) / Decimal(math.ulp(float(exact)))
+                assert ulps <= 4, (arm, float(ulps))
 
 
 class TestSchema:

@@ -18,7 +18,7 @@ from pairsim import chainmodel as cm
 from pairsim import config as cfg
 from pairsim import montecarlo as mc
 from pairsim import presets
-from pairsim.records import replace
+from pairsim.records import field_names, replace
 from conftest import make_rate_chain
 
 
@@ -447,7 +447,8 @@ class TestDeadTime:
         p, dead_gates, n = 0.01, 1000, 48_000_000
         chain, pump = make_rate_chain(0.0, dark_rate_hz=1e6, dead_time_us=10.0)
         s = mc.simulate(chain, pump, mc.TrialConfig(n_pulses=n, seed=51), threads=2)
-        expected = cm.gate_duty(p, dead_gates)
+        assert chain.detector_signal.dead_gates == dead_gates
+        expected = cm.gate_duty(p, chain.detector_signal)
         # Each renewal cycle is a geometric run of active gates (mean 1/p,
         # variance (1 - p) / p**2) ending in a click, then D dead gates, so a
         # cycle lasts L = 1/p + D gates and n gates hold n / L cycles.  The
@@ -1319,7 +1320,9 @@ class TestPresetEquivalence:
 
 
 class TestSamplerGateLaw:
-    """The per-gate law the sampler draws from, against the generating-function oracle."""
+    """The per-gate law the sampler draws from, against the generating-function
+    oracle, and its one owner: the sampler and ``predict`` both read
+    ``chainmodel.no_fire_exponents``."""
 
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("name", presets.preset_names())
@@ -1330,7 +1333,9 @@ class TestSamplerGateLaw:
         # arithmetic.  At 10 mW, 100 mW and 1 W peak, for Poisson pairs and
         # one and 24 thermal modes, a gate fires with probability 1e-4 to 1,
         # where the oracle's 1 - q loses at most a few 1e-12 relative.  No
-        # gate is drawn.
+        # gate is drawn.  The three exponents are those of
+        # chainmodel.no_fire_exponents bit for bit, and predict's click
+        # probabilities are each arm's duty times -expm1(-L) of the same law.
         base = cfg.build_experiment(presets.get_preset(name))
         captured = []
         none = np.empty(0, dtype=np.int64)
@@ -1344,11 +1349,35 @@ class TestSamplerGateLaw:
                 statistics = "poisson" if modes is None else "thermal"
                 trial = mc.TrialConfig(n_pulses=1, pair_statistics=statistics, thermal_modes=modes or 24)
                 mc.simulate(chain, pump, trial)
-                l_none, l_signal, l_idler = captured.pop()
+                quiet = captured.pop()
+                law = cm.no_fire_exponents(cm.evaluate(chain, pump), chain, modes)
+                assert list(map(float.hex, quiet)) == list(map(float.hex, law[:3])), (peak_w, modes)
+                pred = cm.predict(chain, pump, thermal_modes=modes)
+                assert pred.p_click_signal == pred.duty_signal * -math.expm1(-law[1])
+                assert pred.p_click_idler == pred.duty_idler * -math.expm1(-law[2])
+                l_none, l_signal, l_idler = quiet
                 p_s, p_i, p_c, _ = pgf_gate_probabilities(chain, pump, modes)
                 sampler = [-math.expm1(-l_signal), -math.expm1(-l_idler), -math.expm1(-l_none)]
                 oracle = [p_s, p_i, p_s + p_i - p_c]
                 assert sampler == pytest.approx(oracle, rel=1e-9, abs=0.0), (peak_w, statistics, modes)
+
+    @pytest.mark.parametrize("modes", [None, 1, 24])
+    def test_predict_over_a_dark_grid_equals_single_calls(self, modes):
+        # the dark probability enters only the law's -log1p(-p_dark) terms,
+        # which a grid takes element by element: every field and exponent of
+        # one grid call equals the call at each single dark rate bit for bit
+        base = cfg.build_experiment(presets.get_preset("wg-i"))
+        grid = np.array([0.0, *np.geomspace(1.0, 1e6, 7), 5e6])
+        swept = cm.apply_sweep_value(*base, "dark", grid)
+        columns = cm.predict(*swept, thermal_modes=modes)
+        exponents = cm.no_fire_exponents(cm.evaluate(*swept), swept[0], modes)
+        for k, rate in enumerate(grid.tolist()):
+            chain, pump = cm.apply_sweep_value(*base, "dark", rate)
+            single = cm.predict(chain, pump, thermal_modes=modes)
+            for name in field_names(single):
+                assert np.broadcast_to(getattr(columns, name), grid.shape)[k].hex() == getattr(single, name).hex()
+            law = cm.no_fire_exponents(cm.evaluate(chain, pump), chain, modes)
+            assert [np.broadcast_to(x, grid.shape)[k].hex() for x in exponents] == list(map(float.hex, law))
 
 
 class TestThermalPresets:
