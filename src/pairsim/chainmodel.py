@@ -101,7 +101,7 @@ class WaveguideSegment(Record):
         if self.gamma_per_w_m < 0:
             raise ValueError("gamma_per_w_m must be non-negative")
         if self.kind == KIND_PASSIVE and self.gamma_per_w_m != 0.0:
-            raise ValueError("passive segments must have gamma_per_w_m = 0")
+            raise ValueError("gamma_per_w_m must be 0 on a passive segment")
 
     @property
     def transmittance(self) -> float:
@@ -122,11 +122,16 @@ class PumpConfig(Record):
     average_power_w: float
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "rep_rate_hz", "pulse_fwhm_s", "average_power_w"):
+        # the duty cycle before the power, so that an average power of 0 taken
+        # from a peak power and a duty cycle that underflows to 0 is reported
+        # as the duty cycle
+        for name in ("wavelength_m", "rep_rate_hz", "pulse_fwhm_s"):
             if not holds(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.rep_rate_hz * self.pulse_fwhm_s <= 1.0 + 1e-12:  # a tiny product underflows to 0
-            raise ValueError("duty cycle rep_rate * fwhm must be in (0, 1]")
+            raise ValueError("rep_rate_hz * pulse_fwhm_s, the duty cycle, must be in (0, 1]")
+        if not holds(self.average_power_w > 0):
+            raise ValueError("average_power_w must be strictly positive")
 
     @property
     def frequency_hz(self) -> float:
@@ -198,8 +203,9 @@ class NoiseCoefficients(Record):
     slope_per_watt: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.offset_photons < 0 or self.slope_per_watt < 0:
-            raise ValueError("noise coefficients must be non-negative")
+        for name in ("offset_photons", "slope_per_watt"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def at_peak_power(self, peak_power_w: float) -> float:
         return self.offset_photons + self.slope_per_watt * peak_power_w
@@ -221,8 +227,11 @@ class AwgDemux(Record):
     generation_band_hz: float | None = None
 
     def __post_init__(self) -> None:
-        awg_mod.channel_center(self.spec, self.signal_channel)
-        awg_mod.channel_center(self.spec, self.idler_channel)
+        for name in ("signal_channel", "idler_channel"):
+            try:
+                awg_mod.channel_center(self.spec, getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         awg_mod.generation_band(self.spec, self.generation_band_hz)
 
 

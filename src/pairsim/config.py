@@ -13,7 +13,9 @@ The domain types of ``chainmodel`` and ``awg`` check every range.  The
 builders pass on finite SI values only (``_si``): a number that overflows in
 SI units is named by its key, and where a unit conversion would hide a value
 from the range checks, a negative one that underflows to zero, the builder
-passes on one they reject.
+passes on one they reject.  A range check's error names the record fields
+it is about, and the builder reports each by its document key too
+(``_built``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 
 from . import chainmodel as cm
@@ -38,6 +41,19 @@ from .chainmodel import (
 
 _ARMS = ("signal", "idler")
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+# the document key of each record field read from a key of another name
+_PUMP_KEYS = {"wavelength_m": "wavelength_nm", "rep_rate_hz": "rep_rate_mhz", "pulse_fwhm_s": "fwhm_ps"}
+_SEGMENT_KEYS = {"length_m": "length_cm", "loss_db_per_m": "loss_db_per_cm"}
+_FILTER_KEYS = {"bandwidth_3db_hz": "bandwidth_ghz", "center_frequency_hz": "center_wavelength_nm"}
+_AWG_KEYS = {
+    "channel_count": "channels",
+    "channel_spacing_hz": "spacing_ghz",
+    "passband_3db_hz": "passband_ghz",
+    "generation_band_hz": "generation_band_ghz",
+}
+_DETECTOR_KEYS = {"quantum_efficiency": "qe", "dark_prob_per_gate": "dark_rate_khz", "dead_gates": "dead_time_us"}
+_NOISE_KEYS = {"offset_photons": "n0", "slope_per_watt": "n1_per_w"}
+_CHAIN_KEYS = {"coupling_loss_per_facet_db": "coupling_loss_db"}
 
 
 class ConfigError(ValueError):
@@ -79,12 +95,19 @@ def load_file(path: str | os.PathLike) -> dict:
     return document
 
 
-def _built(key: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ValueError reported under the document key."""
+def _built(key: str, build, *args, keys: dict[str, str] | None = None, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError reported under the document key.
+
+    A record's error starts with the name of the field it is about; ``keys``
+    maps the fields read from a document key of another name or unit to that
+    key, and each field the message names is reported by its key too, as
+    ``pump: peak_power_mw: average_power_w must be strictly positive``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        fields = keys or {}
+        named = ", ".join(dict.fromkeys(fields[word] for word in re.findall(r"\w+", str(exc)) if word in fields))
+        raise ConfigError(f"{key}: {named}: {exc}" if named else f"{key}: {exc}") from exc
 
 
 def _typed(value, kind: type):
@@ -203,9 +226,11 @@ def _build_awg(entry, pump_frequency_hz: float) -> AwgDemux:
 def _build_demux(entry, pump_frequency_hz: float) -> FilterDemux | AwgDemux:
     _built("demux", _fields, entry, one_of=("filters", "awg"))
     if "awg" in entry:
-        return _built("demux/awg", _build_awg, entry["awg"], pump_frequency_hz)
+        return _built("demux/awg", _build_awg, entry["awg"], pump_frequency_hz, keys=_AWG_KEYS)
     filters = _built("demux/filters", _fields, entry["filters"], _ARMS)
-    return FilterDemux(**{arm: _built(f"demux/filters/{arm}", _build_filter, filters[arm]) for arm in _ARMS})
+    return FilterDemux(
+        **{arm: _built(f"demux/filters/{arm}", _build_filter, filters[arm], keys=_FILTER_KEYS) for arm in _ARMS}
+    )
 
 
 def _build_detector(entry, rep_rate_hz: float) -> DetectorConfig:
@@ -233,7 +258,8 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
     The first problem found raises ConfigError, prefixed with the path of the
     object being built: ``<root>``, ``pump``, ``segments/<i>``, ``demux``,
     ``demux/filters/<arm>``, ``demux/awg``, ``post_filters/<arm>/<i>``,
-    ``detectors/<arm>`` or ``noise/<arm>``.  The checks across the whole
+    ``detectors/<arm>`` or ``noise/<arm>``, and then by the document keys of
+    the record fields it names (``_built``).  The checks across the whole
     chain are reported under ``<root>``.
     """
     _built(
@@ -244,20 +270,24 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
         ("description", "post_filters", "noise"),
     )
     _built("description", _typed, document.get("description", ""), str)
-    pump = _built("pump", _build_pump, document["pump"])
+    pump_entry = document["pump"]
+    power = "peak_power_mw" if isinstance(pump_entry, dict) and "peak_power_mw" in pump_entry else "average_power_mw"
+    pump = _built("pump", _build_pump, pump_entry, keys={**_PUMP_KEYS, "average_power_w": power})
     detectors = _built("detectors", _fields, document["detectors"], _ARMS)
     post = _built("post_filters", _fields, document.get("post_filters", {}), optional=_ARMS)
     noise = _built("noise", _fields, document.get("noise", {}), optional=_ARMS)
     arms = {}
     for arm in _ARMS:
-        arms[f"detector_{arm}"] = _built(f"detectors/{arm}", _build_detector, detectors[arm], pump.rep_rate_hz)
+        arms[f"detector_{arm}"] = _built(
+            f"detectors/{arm}", _build_detector, detectors[arm], pump.rep_rate_hz, keys=_DETECTOR_KEYS
+        )
         arms[f"post_filters_{arm}"] = tuple(
-            _built(f"post_filters/{arm}/{i}", _build_filter, entry)
+            _built(f"post_filters/{arm}/{i}", _build_filter, entry, keys=_FILTER_KEYS)
             for i, entry in enumerate(_built(f"post_filters/{arm}", _typed, post.get(arm, []), list))
         )
-        arms[f"noise_{arm}"] = _built(f"noise/{arm}", _build_noise, noise.get(arm, {}))
+        arms[f"noise_{arm}"] = _built(f"noise/{arm}", _build_noise, noise.get(arm, {}), keys=_NOISE_KEYS)
     segments = tuple(
-        _built(f"segments/{i}", _build_segment, entry)
+        _built(f"segments/{i}", _build_segment, entry, keys=_SEGMENT_KEYS)
         for i, entry in enumerate(_built("segments", _typed, document["segments"], list))
     )
     chain = _built(
@@ -266,6 +296,7 @@ def build_experiment(document: dict) -> tuple[ExperimentChain, PumpConfig]:
         coupling_loss_per_facet_db=_built("<root>", _number, document, "coupling_loss_db"),
         segments=segments,
         demux=_build_demux(document["demux"], pump.frequency_hz),
+        keys=_CHAIN_KEYS,
         **arms,
     )
     return chain, pump

@@ -25,8 +25,10 @@ uniform per such gate picks the signal detector alone, the idler alone or
 both, so the work per block scales with the number of fires, not with the
 number of pulses.  Where some detector fires on at least ``_PER_GATE_FROM``
 of the gates, an exponential and a uniform per fire cost more than one
-32-bit uniform per gate, so such a block draws one per gate and cuts it at
-three thresholds.  Either way each arm's fires come out sorted and unique.
+16-bit uniform per gate, so such a block draws one per gate, cuts it at
+three thresholds and redraws a sparse set of gates from a residual law that
+makes each gate's law exact.  Either way each arm's fires come out sorted
+and unique.
 
 A run is cut into blocks, each with its own random stream seeded from
 (seed, block index).  A gate fires some detector with probability p, one
@@ -85,7 +87,19 @@ first, and a block of odd size drops the high half of its last word.  Each
 probability x the draw cuts at becomes the threshold T = round(x * 2**32),
 so u < T holds with a probability within 2**-33 of x; at x = 1, T = 2**32
 and every gate passes.  The gaps are drawn as in v6, so a block below the
-constant, every sparse run among them, counts as in v6 and v7.
+constant, every sparse run among them, counts as in v6 and v7.  The v9
+stream changed only that per-gate draw again, to a 16-bit u: each word gives
+four gates, its lowest quarter first, and a block drops the quarters of its
+last word past its size.  The four outcomes keep their order, the idler
+alone, both, the signal alone and neither, on a grid of 2**-16: each share
+is floored to whole units and the 0 to 3 units left go to the largest.  That
+law differs from the exact one by less than 3 units an outcome, so after
+the words a Bernoulli stream of gates at a rate under 3 * 2**-14, drawn as
+gaps, redraws each of its gates from the residual law, one float64 uniform
+a gate, and every gate follows the exact law (``_quantised_law``).  The
+constant moved from 0.07 to 0.04 with it, so a block that fires some
+detector on 0.04 to 0.07 of its gates, which drew its gaps in v8, draws per
+gate in v9; every block below 0.04 counts as in v6, v7 and v8.
 """
 
 from __future__ import annotations
@@ -98,7 +112,8 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,22 +126,23 @@ _FIRES_PER_BLOCK = 2**16
 _MIN_BLOCK = 2**20
 _BLOCK_SIZE = 2**28
 
-RNG_STREAM = "sfc64-v8"
-# a block whose gates fire some detector at least this often draws one 32-bit
+RNG_STREAM = "sfc64-v9"
+# a block whose gates fire some detector at least this often draws one 16-bit
 # uniform per gate; sparser blocks draw the gaps between fires.  A 250k-pulse
-# wg-i simulate, medians of 40 alternated calls on a loaded 2-core host (ms;
-# past one dead gate with the both-arm dead-time pass, medians of 6 processes):
-#   fires per gate              0.05  0.06  0.07  0.08  0.10  0.145 0.30
-#   1 dead gate, gaps           1.02  1.12  1.27  1.40  1.66  1.80  3.37
-#     per gate, as bitsets      1.34  1.33  1.33  1.31  1.34  1.34  1.36
-#   2 dead gates, gaps          0.82  0.92  1.10  1.21  1.46  1.78  4.17
-#     per gate, index arrays    1.42  1.53  1.77  1.88  2.10  2.51  3.92
-#   1000 dead gates, gaps       0.79  0.95  1.11  1.21  1.51  2.18  5.18
-#     per gate, index arrays    1.37  1.56  1.76  1.87  2.19  2.91  4.82
-# The constant is the bitset crossover; blocks that return index arrays (two
-# or more dead gates, or an offset past a block) cross near 0.3, so between
-# the two they pay 0.6 to 0.7 ms a block, 30% to 60%, more than their gaps
-_PER_GATE_FROM = 0.07
+# wg-i simulate on a 2-core host, 60 rounds that each time both draws of
+# every point in turn, in shuffled order (ms; medians of 3 processes):
+#   fires per gate              0.03  0.04  0.05  0.06  0.07  0.08  0.10  0.145 0.30
+#   1 dead gate, gaps           0.45  0.53  0.61  0.68  0.76  0.85  1.01  1.13  2.39
+#     per gate, as bitsets      0.50  0.51  0.51  0.50  0.51  0.50  0.52  0.53  0.60
+#   2 dead gates, gaps          0.53  0.66  0.75  0.84  0.99  1.12  1.31  2.19  3.93
+#     per gate, index arrays    0.88  1.02  1.14  1.24  1.41  1.52  1.79  2.56  3.41
+#   1000 dead gates, gaps       0.55  0.65  0.77  0.89  1.00  1.12  1.39  1.94  4.60
+#     per gate, index arrays    0.88  1.01  1.15  1.29  1.42  1.57  1.85  2.49  4.05
+# The constant is the bitset crossover, near 0.038 (about 0.06 under the
+# 32-bit draw of v8, timed alike); blocks that return index arrays (two or
+# more dead gates, or an offset past a block) cross near 0.2, so between the
+# two they pay 0.35 to 0.55 ms a block, 15% to 55%, more than their gaps
+_PER_GATE_FROM = 0.04
 # the dead-time pass at two or more dead gates counts its jump table where the
 # arms hold at least _WINDOWED_FROM fires and the densest arm's window fewer
 # than _WINDOWED_BELOW on average, and searches it elsewhere.  The whole pass
@@ -443,51 +459,116 @@ def _matches(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(merged[1:] == merged[:-1]))
 
 
-def _gate_fires(
-    rng: np.random.Generator, quiet: tuple[float, float, float], size: int, bits: bool = False
-) -> tuple[np.ndarray, np.ndarray] | tuple[int, int]:
-    """Sorted, unique gates of a block where the signal and the idler detector fire.
+class _GateLaw(NamedTuple):
+    """How ``_gate_fires`` draws a block's gates, computed once per run by ``_gate_law``."""
 
-    ``quiet`` holds the exponents -log P that a gate fires neither detector,
-    not the signal and not the idler.  A gate fires some detector with
-    probability p = 1 - exp(-quiet[0]), and the idler alone with
-    a = P(signal quiet) - P(neither fires).  From p = ``_PER_GATE_FROM`` on,
-    one 32-bit uniform u per gate decides both arms at the thresholds
-    T(x) = round(x * 2**32): the idler fires where u < T(P(idler fires)), and
-    the signal where T(a) <= u < T(p), since p is a plus P(signal fires).
-    Below it, the firing gates are drawn as geometric gaps and one uniform
-    per firing gate picks the signal alone, with probability
-    (P(idler quiet) - P(neither fires)) / p, the idler alone, with a / p, or
-    both.  Gates are int32 below 2**31 gates and int64 from there; with
-    ``bits``, which only a per-gate block takes, each arm is one int, bit g
-    set where gate g fires.
+    fire: float  # p, the chance that a gate fires some detector
+    # the gaps: the chances that a firing gate fires the signal alone and the idler alone
+    signal_alone: float = 0.0
+    idler_alone: float = 0.0
+    # one uniform per gate: T1 .. T3 of the 16-bit uniform, None where the gaps are drawn
+    cuts: tuple[int, int, int] | None = None
+    residual_rate: float = 0.0  # epsilon, the chance that a gate redraws from the residual law
+    residual_cuts: tuple[float, float, float] = (0.0, 0.0, 0.0)  # the residual law's T1 .. T3 on [0, 1)
+
+
+def _quantised_law(shares: tuple[float, float, float, float]) -> tuple[list[int], float, list[float]]:
+    """The law q of four outcomes cut to whole units of 2**-16, and the residual law that keeps it exact.
+
+    Each share is floored to whole units, and the 0 to 3 units left over go
+    to the largest outcome m, so the units U sum to 2**16 and Q = U / 2**16
+    lies at or below q on every outcome but m.  A gate drawn from Q that,
+    with probability eps = 1 - q_m / Q_m, redraws from
+    R = (q - (1 - eps) Q) / eps follows (1 - eps) Q + eps R = q.  R holds no
+    negative share: R_m = 0, and elsewhere Q <= q.  Since Q_m exceeds q_m by
+    less than 3 units and q_m >= 1/4, eps < 3 * 2**-14.  Returns U, eps and
+    R; at eps = 0 no gate redraws, and R is q.
+    """
+    units = [math.floor(q * 2**16) for q in shares]
+    top = shares.index(max(shares))
+    units[top] += 2**16 - sum(units)
+    keep = min(shares[top] * 2**16 / units[top], 1.0)  # 1 - eps, exactly, since keep > 1/2
+    residual = [max(q - keep * (u / 2**16), 0.0) for q, u in zip(shares, units)]
+    residual[top] = 0.0
+    total = sum(residual)
+    if keep == 1.0 or not total:
+        return units, 0.0, list(shares)
+    return units, 1.0 - keep, [r / total for r in residual]
+
+
+def _gate_law(quiet: tuple[float, float, float]) -> _GateLaw:
+    """The draw of a gate by its no-fire exponents ``quiet``.
+
+    ``quiet`` holds -log P that a gate fires neither detector, not the signal
+    and not the idler.  A gate fires some detector with probability
+    p = 1 - exp(-quiet[0]), the idler alone with P(signal quiet) - P(neither
+    fires) and the signal alone with P(idler quiet) - P(neither fires); both
+    take the rest of p.  Below p = ``_PER_GATE_FROM`` the gaps between firing
+    gates are drawn, and the law holds each lone share of p.  From it on one
+    uniform per gate is drawn, cut into the idler alone, both, the signal
+    alone and neither, in that order, at the cumulative shares T1 .. T3 of
+    the quantised law and of the residual law of ``_quantised_law``.
     """
     l_none, l_signal, l_idler = quiet
     p = -math.expm1(-l_none)
     # P(x quiet) - P(neither) as -exp(-L(x)) * expm1(L(x) - L(none)): the
     # exponent is never positive, so no term overflows however likely a fire
     idler_alone = -math.exp(-l_signal) * math.expm1(l_signal - l_none)
-    if p >= _PER_GATE_FROM:
-        # two gates per 64-bit word, low half first (the view assumes a
-        # little-endian host); numpy compares a uint32 with 2**32 exactly
-        u = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
-        alone, fire, idler = (round(x * 2**32) for x in (idler_alone, p, -math.expm1(-l_idler)))
-        signal = u >= alone
-        signal &= u < fire
-        arms = signal, u < idler
-        if bits:
-            return tuple(int.from_bytes(np.packbits(arm, bitorder="little"), "little") for arm in arms)
+    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none)
+    if p < _PER_GATE_FROM:
+        return _GateLaw(p, signal_alone / p, idler_alone / p) if p else _GateLaw(p)
+    shares = [max(x, 0.0) for x in (idler_alone, p - idler_alone - signal_alone, signal_alone)]
+    units, rate, residual = _quantised_law((*shares, math.exp(-l_none)))
+    return _GateLaw(
+        p, cuts=tuple(accumulate(units[:3])), residual_rate=rate, residual_cuts=tuple(accumulate(residual[:3]))
+    )
+
+
+def _gate_fires(
+    rng: np.random.Generator, law: _GateLaw, size: int, bits: bool = False
+) -> tuple[np.ndarray, np.ndarray] | tuple[int, int]:
+    """Sorted, unique gates of a block where the signal and the idler detector fire, drawn by ``law``.
+
+    Where the law holds cuts, from p = ``_PER_GATE_FROM`` on, one 16-bit
+    uniform u per gate decides both arms at the thresholds T1 .. T3 of the
+    quantised law: the idler fires where u < T2, and the signal where
+    T1 <= u < T3.  The gates of a Bernoulli stream at the residual rate then
+    redraw, from one uniform v on [0, 1) each cut at the residual law's
+    thresholds, so every gate follows the exact law.  Otherwise the firing gates are drawn as geometric gaps
+    and one uniform per firing gate picks the signal alone, the idler alone
+    or both.  Gates are int32 below 2**31 gates and int64 from there; with
+    ``bits``, which only a per-gate block takes, each arm is one int, bit g
+    set where gate g fires.
+    """
+    if law.cuts is not None:
+        # four gates per 64-bit word, lowest quarter first (the view assumes a
+        # little-endian host), then the residual set and its uniforms
+        u = rng.bit_generator.random_raw((size + 3) // 4).view(np.uint16)[:size]
+        redrawn = _bernoulli_positions(rng, law.residual_rate, size)
+        v = rng.random(redrawn.size)
+        alone, idler, fire = law.cuts
+        alone_v, idler_v, fire_v = law.residual_cuts
         dtype = np.int32 if size < 2**31 else np.int64
-        return tuple(np.flatnonzero(arm).astype(dtype) for arm in arms)
-    fired = _bernoulli_positions(rng, p, size)
+
+        def arm(mask: np.ndarray, redrawn_fires: np.ndarray):
+            mask[redrawn] = redrawn_fires
+            if bits:
+                return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
+            return np.flatnonzero(mask).astype(dtype)
+
+        # one arm's mask at a time, the idler's first; then u - T1, taken in
+        # place modulo 2**16, lies below T3 - T1 exactly where T1 <= u < T3.
+        # numpy compares a uint16 with 2**16 exactly
+        idler_fires = arm(u < idler, v < idler_v)
+        u -= np.uint16(alone % 2**16)
+        return arm(u < fire - alone, (v >= alone_v) & (v < fire_v)), idler_fires
+    fired = _bernoulli_positions(rng, law.fire, size)
     if not fired.size:
         return fired, fired
-    signal_alone = -math.exp(-l_idler) * math.expm1(l_idler - l_none) / p
-    idler_alone /= p
     u = rng.random(fired.size)
-    idler = u >= signal_alone
+    idler = u >= law.signal_alone
     # the signal fires unless the idler fires alone
-    signal = u < signal_alone + idler_alone
+    signal = u < law.signal_alone + law.idler_alone
     signal &= idler
     np.logical_not(signal, out=signal)
     return fired.compress(signal), fired.compress(idler)
@@ -502,11 +583,11 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
     are bitsets for ``_join_bits``, as the module notes say.  An offset of n_pulses
     or more opens no window, and as many dead gates leave all gates after a
     click dead, so both are cut to n_pulses, which keeps every shifted gate
-    inside int64.  A gate is quiet by the exponents of
-    ``chainmodel.no_fire_exponents``.  Warns when a pulse holds more than
-    one pair or unpaired photon on average.
+    inside int64.  Every gate is drawn by the ``_gate_law`` of the exponents
+    of ``chainmodel.no_fire_exponents``, computed once per run.  Warns when a
+    pulse holds more than one pair or unpaired photon on average.
     """
-    quiet = cm.no_fire_exponents(rec, chain, trial.pair_modes)[:3]
+    law = _gate_law(cm.no_fire_exponents(rec, chain, trial.pair_modes)[:3])
     detectors = (chain.detector_signal, chain.detector_idler)
     dead_gates = tuple(min(d.dead_gates, trial.n_pulses) if trial.dead_time_enabled else 0 for d in detectors)
     off = min(trial.accidental_offset, trial.n_pulses)
@@ -520,16 +601,15 @@ def _block_sampler(chain: ExperimentChain, rec: cm.ChainEvaluation, trial: Trial
             stacklevel=4,
         )
 
-    p_fire = -math.expm1(-quiet[0])
-    gates = int(min(max(_FIRES_PER_BLOCK / p_fire, _MIN_BLOCK), _BLOCK_SIZE)) if p_fire > 0.0 else _BLOCK_SIZE
-    bits = p_fire >= _PER_GATE_FROM and max(dead_gates) <= 1 and off <= gates
+    gates = int(min(max(_FIRES_PER_BLOCK / law.fire, _MIN_BLOCK), _BLOCK_SIZE)) if law.fire > 0.0 else _BLOCK_SIZE
+    bits = law.cuts is not None and max(dead_gates) <= 1 and off <= gates
 
     def draw(block: tuple[int, int, int]):
         seed, block_index, size = block
         # SFC64 steps a 64-bit counter from the same start in every stream, and
         # its step is invertible: distinct keys do not meet within 2**64 draws
         rng = np.random.Generator(_BIT_GENERATOR(np.random.SeedSequence([int(seed), block_index])))
-        fires = _gate_fires(rng, quiet, size, bits)
+        fires = _gate_fires(rng, law, size, bits)
         if bits:
             return size, fires, tuple(map(_dead_time_bits, fires, dead_gates, (size, size)))
         return size, fires, _apply_dead_time(fires, dead_gates)

@@ -130,7 +130,7 @@ class TestPeakPower:
 
     def test_duty_that_underflows_to_zero_rejected(self):
         # both factors positive, their product 0.0: no peak power divides by it
-        with pytest.raises(ValueError, match=r"duty cycle rep_rate \* fwhm must be in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"rep_rate_hz \* pulse_fwhm_s, the duty cycle, must be in \(0, 1\]"):
             cm.PumpConfig(1550e-9, 1e-294, 1e-312, 3.7e-5)
 
 

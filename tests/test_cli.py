@@ -79,7 +79,7 @@ class TestFrozenFigures:
     # accidental is counted
     COUNTING_SWEEP = (
         ("sweep", "--preset", "wg-i", "--var", "pp", "--grid", "0.001:0.002:2", "--mc", "--pulses", "1000", "--seed", "3"),
-        "d7bf61ae09da209e29a4fc1dc17435af5f74dc0a067277959a1fd78448fec26b",
+        "cf0053a94e85dc7fc0a015ec86eb6ac79fa94ab03825e07a54b28da942cfc2db",
     )
 
     # sha256 of the ``--out x.json`` text, frozen from the writer that called
@@ -88,9 +88,10 @@ class TestFrozenFigures:
     # The simulate and sweep texts name the random stream and hold its
     # counts; they were frozen again for sfc64-sparse-v6, whose blocks draw
     # from SFC64 instead of Philox, so the counts moved with the name.  For
-    # sfc64-v7 and again for sfc64-v8 only the name moved: no block of these
+    # sfc64-v7, sfc64-v8 and sfc64-v9 only the name moved: no block of these
     # runs fires on _PER_GATE_FROM of its gates, so each draws its gaps as in
-    # v6, and each text differs from the one before only in its rng_stream line
+    # v6, and each text differs from the one before only in its rng_stream
+    # line.  The counting sweep's CSV was frozen again for each alike
     JSON = {
         **{
             ("reproduce", "--figure", figure): digest
@@ -107,16 +108,16 @@ class TestFrozenFigures:
         ("predict", "--preset", "awg"): "c04d04da4a2c40cb10b611346a1f36a86db0398f721b605b84208637139520b7",
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11",
-        ): "79da0c0efbf7f7a6df330c325dd3a42f5c43938918f0604fe7c1f37e5b0c042a",
+        ): "ef55cd3b2ac1159ddf35ae18f78eb513d771e8767c9691b80d6f780fa7dae9d9",
         (
             "sweep", "--preset", "wg-i", "--var", "pp", "--grid", "log:1:60:4",
             "--mc", "--pulses", "200000", "--seed", "5",
-        ): "4a966513d677f6c8d4b6c81ebf29d7f9ce78b1b151bf8e0800af44fa1c5f6f5d",
+        ): "0491650fcf730a3d249a5cd105aa7406653aafd56d757fecc369ab53c5612f1c",
         # the counting run without dead time, frozen while --no-dead-time was
         # a trial option and not a change to the chain
         (
             "simulate", "--preset", "wg-i", "--pulses", "300000", "--seed", "11", "--no-dead-time",
-        ): "9e1791b53f012a21b4b55740d87cacb1077ed599e9c21775adb56314aefa42b4",
+        ): "47b62286c11d60501393767ecf00cb35c8f1075015fb59b3e5837574c6beff14",
     }
 
     @pytest.mark.parametrize("figure", sorted(FIGURES))
@@ -694,8 +695,8 @@ class TestCountingOptions:
     def test_pair_statistics_reach_the_predictions(self, tmp_path):
         # one thermal mode on wg-i without dead time: the prediction columns
         # are predict's for that law, and the counts stay the ones frozen
-        # below, under sfc64-v8; the 100 mW point fires on 0.018 of its gates
-        # and draws its gaps, the 1 W point on 0.63 and draws one 32-bit
+        # below, under sfc64-v9; the 100 mW point fires on 0.018 of its gates
+        # and draws its gaps, the 1 W point on 0.63 and draws one 16-bit
         # uniform per gate.  At 1 W the counted CAR is 1.384 (sd 0.003); the
         # thermal prediction lies within 4.5 sd of it, and the Poisson one,
         # 1.022, more than 100 sd away
@@ -713,12 +714,12 @@ class TestCountingOptions:
         pred, poisson = cm.predict(*swept, thermal_modes=1), cm.predict(*swept)
         for name in table["columns"][1:10]:
             assert cells[name] == np.broadcast_to(getattr(pred, name), (2,)).tolist(), name
-        assert cells["mc_singles_signal"] == [18614, 930564]
-        assert cells["mc_singles_idler"] == [18488, 930790]
-        assert cells["mc_coincidences"] == [1070, 599038]
-        assert cells["mc_accidentals"] == [165, 432760]
-        assert cells["mc_car"] == [6.484848484848484, 1.38422682318144]
-        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.0027615560292255604]
+        assert cells["mc_singles_signal"] == [18614, 930588]
+        assert cells["mc_singles_idler"] == [18488, 930743]
+        assert cells["mc_coincidences"] == [1070, 599015]
+        assert cells["mc_accidentals"] == [165, 432860]
+        assert cells["mc_car"] == [6.484848484848484, 1.3838539019544425]
+        assert cells["mc_car_stderr"] == [0.5423747354684636, 0.002760649122720234]
         z = (cells["car"][1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         z_poisson = (poisson.car[1] - cells["mc_car"][1]) / cells["mc_car_stderr"][1]
         assert abs(z) < 4.5 and abs(z_poisson) > 100.0, (z, z_poisson)
@@ -727,10 +728,10 @@ class TestCountingOptions:
         out = tmp_path / "sim.json"
         simulate = ["simulate", "--preset", "wg-i", "--pulses", "1000", "--out", str(out)]
         assert cli.main(simulate) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v8"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v9"
         sweep = ["sweep", "--preset", "wg-i", "--var", "pp", "--grid", "10:20:2", "--out", str(out)]
         assert cli.main([*sweep, "--mc", "--pulses", "1000"]) == cli.EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v8"
+        assert json.loads(out.read_text())["metadata"]["rng_stream"] == "sfc64-v9"
         # the analytic sweep draws nothing and its output stays as it was
         assert cli.main(sweep) == cli.EXIT_OK
         assert "rng_stream" not in json.loads(out.read_text())["metadata"]

@@ -222,8 +222,8 @@ class TestSchema:
     @pytest.mark.parametrize(
         "name, path, key, value, named",
         [
-            ("wg-i", ("detectors", "idler"), "dark_rate_khz", 1e5, "detectors/idler: dark_prob_per_gate"),
-            ("wg-i", ("pump",), "fwhm_ps", 20000.0, "pump: duty cycle"),
+            ("wg-i", ("detectors", "idler"), "dark_rate_khz", 1e5, "detectors/idler: dark_rate_khz: dark_prob_per_gate"),
+            ("wg-i", ("pump",), "fwhm_ps", 20000.0, "pump: rep_rate_mhz, fwhm_ps: rep_rate_hz"),
             ("wg-i", ("pump",), "peak_power_mw", 1e308, "pump: 'peak_power_mw'"),
             ("wg-i", ("demux", "filters", "signal"), "bandwidth_ghz", 1e300, "demux/filters/signal: 'bandwidth_ghz'"),
             ("awg", ("demux", "awg"), "spacing_ghz", 1e308, "demux/awg: 'spacing_ghz'"),
@@ -264,7 +264,7 @@ class TestSchema:
             arm.update(dark_rate_khz=0.0, dead_time_us=0.0)
         code, err = _cli_predict(tmp_dir, document)
         assert code == cli.EXIT_CONFIG
-        assert "error: pump: duty cycle rep_rate * fwhm must be in (0, 1]" in err
+        assert "error: pump: rep_rate_mhz, fwhm_ps: rep_rate_hz * pulse_fwhm_s, the duty cycle, must be in (0, 1]" in err
 
     @pytest.mark.parametrize("name, path, key, value, named", list(_bad_leaf_cases()))
     def test_bad_leaf_exits_2_naming_it(self, tmp_dir, name, path, key, value, named):
@@ -275,6 +275,22 @@ class TestSchema:
         code, err = _cli_predict(tmp_dir, document)
         assert code == cli.EXIT_CONFIG
         assert named in err
+
+    @pytest.mark.parametrize("name, path, key", [entry[:3] for entry in LEAVES], ids=lambda v: v if isinstance(v, str) else None)
+    def test_every_exit_2_names_the_document_key(self, tmp_dir, name, path, key):
+        # each leaf of both presets, and the optional keys they leave out, set
+        # to -1, 0, 1e-320 and 1e308: predict prints numbers, exits 3 on a
+        # numerical failure, or exits 2 with a message that names the key as
+        # the document spells it, not only the record field it becomes (154
+        # exit-2 messages; 80 named a field or a description before each
+        # record's error named its field and the builder mapped it to its key)
+        for value in (-1.0, 0.0, 1e-320, 1e308):
+            document = copy.deepcopy(DOCUMENTS[name])
+            _at(document, path)[key] = value
+            code, err = _cli_predict(tmp_dir, document)
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), (value, err)
+            if code == cli.EXIT_CONFIG:
+                assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err), (value, err)
 
     @pytest.mark.parametrize(
         "name, path, key, value, named",

@@ -621,8 +621,9 @@ class TestBitsets:
     def test_gate_fire_bits_hold_the_gates_of_the_index_draw(self, n):
         l_none = -math.log1p(-0.8)
         quiet = (l_none, 0.6 * l_none, 0.6 * l_none)
-        fires = mc._gate_fires(np.random.default_rng(n), quiet, n)
-        bits = mc._gate_fires(np.random.default_rng(n), quiet, n, bits=True)
+        law = mc._gate_law(quiet)
+        fires = mc._gate_fires(np.random.default_rng(n), law, n)
+        bits = mc._gate_fires(np.random.default_rng(n), law, n, bits=True)
         assert all(isinstance(x, int) and x < 2**n for x in bits)
         for arm, x in zip(fires, bits):
             assert np.array_equal(bit_gates(x), arm)
@@ -644,7 +645,9 @@ class TestBitsets:
         chain, pump = make_rate_chain(mu, 0.5, 0.5, dead_time_us=dead_us)
         trial = mc.TrialConfig(n_pulses=2**22, accidental_offset=offset)
         gates, _, _, _, chosen = mc._block_sampler(chain, cm.evaluate(chain, pump), trial)
-        assert gates == 2**20 and chosen == bits
+        # the offsets of a whole block and one past it are set against blocks
+        # of 2**20 gates; near the constant a block holds 2**16 / p, 1.6M gates
+        assert chosen == bits and (offset == 1 or gates == 2**20)
 
     def test_shared_even_gate_mask_serves_only_its_block_size(self):
         # one process, blocks of alternating sizes, so that a mask kept from a
@@ -659,95 +662,152 @@ class TestBitsets:
 
 
 class _Words:
-    """A stand-in generator whose 64-bit words carry the given 32-bit uniforms,
-    two a word, the first in the low half; zeros follow them."""
+    """A stand-in generator whose 64-bit words carry the given 16-bit uniforms,
+    four a word, the first in the lowest quarter; zeros follow them.  Its
+    exponentials are infinite, so it redraws no gate from the residual law."""
 
     def __init__(self, uniforms):
         self.bit_generator = self
         self.uniforms = np.asarray(uniforms, dtype=np.uint64)
 
     def random_raw(self, words: int) -> np.ndarray:
-        u = np.zeros(2 * words, dtype=np.uint64)
+        u = np.zeros(4 * words, dtype=np.uint64)
         u[: self.uniforms.size] = self.uniforms
-        return u[0::2] | (u[1::2] << np.uint64(32))
+        return u[0::4] | (u[1::4] << np.uint64(16)) | (u[2::4] << np.uint64(32)) | (u[3::4] << np.uint64(48))
+
+    def standard_exponential(self, n: int) -> np.ndarray:
+        return np.full(n, np.inf)
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == 0  # no gate is redrawn
+        return np.empty(0)
 
 
-class TestThirtyTwoBitDraw:
-    """The per-gate draw of stream v8: one 32-bit uniform per gate, two a word."""
+# four-outcome weights: exact zeros, shares below 2**-16 and larger ones
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-12, 2**-16), st.floats(2**-16, 1.0)), min_size=4, max_size=4
+).filter(any)
 
-    @pytest.mark.parametrize("p", [0.07, 0.3, 0.5, 0.81, 1 - 1e-9])
+
+class TestSixteenBitDraw:
+    """The per-gate draw of stream v9: one 16-bit uniform per gate, four a
+    word, on the quantised law, and a sparse set of gates redrawn from the
+    residual law, which keeps every gate's law exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=_WEIGHTS)
+    @example(weights=[0.0, 1.0, 0.0, 0.0])  # p = 1, every gate fires both arms
+    @example(weights=[0.0, 0.0, 1.0, 0.0])
+    @example(weights=[0.35, 2**-17, 0.35, 0.3])
+    @example(weights=[1.0, 1.0, 1.0, 1.0])
+    @example(weights=[1.0, 1.0 - 2**-40, 1.0 - 2**-40, 1.0 - 2**-40])
+    def test_quantised_law_and_its_residual_make_the_exact_law(self, weights):
+        total = math.fsum(weights)
+        shares = tuple(w / total for w in weights)
+        units, rate, residual = mc._quantised_law(shares)
+        assert sum(units) == 2**16 and min(units) >= 0
+        assert 0.0 <= rate < 3 * 2**-14
+        assert min(residual) >= 0.0 and (rate == 0.0 or sum(residual) == pytest.approx(1.0, abs=1e-12))
+        for q, u, r in zip(shares, units, residual):
+            assert abs((1 - rate) * (u / 2**16) + rate * r - q) <= 1e-15, (shares, units, rate, residual)
+
+    @pytest.mark.parametrize("p", [0.07, 0.3, 0.5, 0.81, 0.999])
     @pytest.mark.parametrize("shares", [(0.6, 0.6), (0.9, 0.3), (0.3, 0.9)])
-    def test_thresholds_sit_within_2_33_of_each_probability(self, p, shares):
-        # Each probability x the draw cuts at, computed as the sampler does:
-        # P(idler alone), P(idler fires) and p.  With X = x * 2**32, an
-        # integer threshold T lies within 1/2 of X, 2**-33 of x, exactly when
-        # ceil(X - 1/2) <= T <= floor(X + 1/2): u < T holds at the first
-        # integer below that range and fails at its top.  A gate at each,
-        # fed through stand-in words, shows on which side of T it falls
+    def test_each_gate_falls_on_its_side_of_each_threshold(self, p, shares):
+        # T1 .. T3 cut the uniform into the idler alone, both, the signal
+        # alone and neither: a gate at T - 1 and one at T, fed through
+        # stand-in words that redraw no gate, show on which side of T it falls
         l_none = -math.log1p(-p)
-        quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
-        alone = -math.exp(-quiet[1]) * math.expm1(quiet[1] - quiet[0])
-        idler = -math.expm1(-quiet[2])
-        # more than two steps of 2**-32 apart, so that each gate's side is plain
-        assert 2**-30 < alone < idler - 2**-30 and idler < -math.expm1(-quiet[0]) - 2**-30
-        signal_fires, idler_fires = {}, {}
-        for x, below_fires, above_fires in (
-            # gates under T(alone) fire the idler alone, from it the signal too
-            (alone, (False, True), (True, True)),
-            (idler, (True, True), (True, False)),
-            # from T(p) on no detector fires
-            (-math.expm1(-quiet[0]), (True, False), (False, False)),
-        ):
-            big, half = Fraction(x) * 2**32, Fraction(1, 2)
-            for u, fires in ((math.ceil(big - half) - 1, below_fires), (math.floor(big + half), above_fires)):
-                if 0 <= u < 2**32:
-                    signal_fires[u], idler_fires[u] = fires
-        uniforms = list(signal_fires)
+        law = mc._gate_law((l_none, shares[0] * l_none, shares[1] * l_none))
+        t1, t2, t3 = law.cuts
+        assert 0 < t1 < t2 < t3 < 2**16
+        fires = {
+            t1 - 1: (False, True),
+            t1: (True, True),
+            t2 - 1: (True, True),
+            t2: (True, False),
+            t3 - 1: (True, False),
+            t3: (False, False),
+        }
+        uniforms = list(fires)
         for bits in (False, True):
-            arms = mc._gate_fires(_Words(uniforms), quiet, len(uniforms), bits)
+            arms = mc._gate_fires(_Words(uniforms), law, len(uniforms), bits)
             if bits:
                 arms = tuple(map(bit_gates, arms))
-            for arm, expected in zip(arms, (signal_fires, idler_fires)):
-                assert arm.tolist() == [gate for gate, u in enumerate(uniforms) if expected[u]]
+            for arm, side in zip(arms, (0, 1)):
+                assert arm.tolist() == [gate for gate, u in enumerate(uniforms) if fires[u][side]]
 
     @pytest.mark.parametrize("bits", [False, True], ids=["indices", "bits"])
-    def test_every_gate_fires_both_arms_at_p_one(self, bits):
-        # T(1) = 2**32 lies above every 32-bit uniform, the largest included
-        quiet = (50.0, 40.0, 40.0)
-        assert -math.expm1(-quiet[0]) == -math.expm1(-quiet[2]) == 1.0
-        for rng, n in ((_Words([2**32 - 1, 0, 2**31, 2**32 - 1, 2**32 - 2]), 5), (np.random.default_rng(1), 2**16 + 3)):
-            for arm in mc._gate_fires(rng, quiet, n, bits):
-                assert (arm == 2**n - 1) if bits else np.array_equal(arm, np.arange(n))
+    @pytest.mark.parametrize(
+        "quiet, fires",
+        [((50.0, 40.0, 40.0), (True, True)), ((50.0, 50.0, 0.0), (True, False)), ((50.0, 0.0, 50.0), (False, True))],
+        ids=["both", "signal", "idler"],
+    )
+    def test_every_gate_fires_at_p_one(self, bits, quiet, fires):
+        # T3 = 2**16 lies above every 16-bit uniform, the largest included,
+        # and the law is on the grid, so no gate is redrawn
+        law = mc._gate_law(quiet)
+        assert law.fire == 1.0 and law.cuts[2] == 2**16 and law.residual_rate == 0.0
+        for rng, n in ((_Words([2**16 - 1, 0, 2**15, 2**16 - 1, 2**16 - 2]), 5), (np.random.default_rng(1), 2**16 + 3)):
+            for arm, fire in zip(mc._gate_fires(rng, law, n, bits), fires):
+                if bits:
+                    assert arm == (2**n - 1 if fire else 0)
+                else:
+                    assert np.array_equal(arm, np.arange(n) if fire else [])
 
     @pytest.mark.parametrize("bits", [False, True], ids=["indices", "bits"])
     def test_an_arm_with_no_lone_fires_never_fires_alone(self, bits):
-        # the idler is quiet whenever the signal is, so P(idler alone) = 0 and
-        # T = 0; then the signal whenever the idler is.  Half the gates fire
+        # the idler is quiet whenever the signal is, so P(idler alone) = 0,
+        # and its residual share is 0 too; then the signal whenever the idler
+        # is.  Half the gates fire
         l_none, n = math.log(2.0), 200_000
         for quiet, (lone, partner) in (((l_none, l_none, l_none / 2), (1, 0)), ((l_none, l_none / 2, l_none), (0, 1))):
-            arms = mc._gate_fires(np.random.default_rng(2), quiet, n, bits)
+            law = mc._gate_law(quiet)
+            assert law.residual_rate > 0.0
+            arms = mc._gate_fires(np.random.default_rng(2), law, n, bits)
             if bits:
                 assert arms[lone] & ~arms[partner] == 0 and arms[partner] & ~arms[lone]
             else:
                 assert np.isin(arms[lone], arms[partner]).all() and arms[partner].size > arms[lone].size
 
-    @pytest.mark.parametrize("n", [1, 7, 65, 2**16 + 3])
-    def test_an_odd_block_drops_the_high_half_of_its_last_word(self, n):
-        # n gates use (n + 1) // 2 words, as the next even size does: its
-        # gates below n are those of the odd block, and its gate n, the high
-        # half of the last word, is dropped.  That the bitsets of these sizes
-        # hold the gates of the index arrays is
+    @pytest.mark.parametrize("bits", [False, True], ids=["indices", "bits"])
+    def test_an_outcome_below_one_unit_is_drawn_by_the_residual_set(self, bits):
+        # Both arms fire together with probability 2**-17, half a unit of
+        # 2**-16: its quantised share is 0, so only the residual set can draw
+        # it.  64 SFC64 blocks of 2**20 gates expect 512 such gates, tested
+        # at 4.5 sigma on the exact Poisson tail; a dropped residual set
+        # counts 0, 22.6 sigma below by the normal approximation
+        none, alone = 0.3, (0.7 - 2**-17) / 2
+        l_arm = -math.log(none + alone)
+        law = mc._gate_law((-math.log(none), l_arm, l_arm))
+        assert law.cuts[0] == law.cuts[1] and law.residual_rate > 0.0
+        both = 0
+        for seed in range(64):
+            signal, idler = mc._gate_fires(np.random.Generator(np.random.SFC64(seed)), law, 2**20, bits)
+            both += (signal & idler).bit_count() if bits else np.intersect1d(signal, idler).size
+        assert abs(poisson_z(both, 2**26 * 2**-17)) < 4.5, both
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 65, 2**16 + 3])
+    def test_a_block_uses_a_quarter_word_a_gate_before_its_residual_draws(self, n):
+        # n gates use ceil(n / 4) words, then the residual set's gaps and one
+        # uniform per redrawn gate.  With no gate redrawn, its gates are those
+        # below n of the next multiple of 4, which drops the quarters past n
+        # of its last word.  That the bitsets of these sizes hold the gates of
+        # the index arrays is
         # TestBitsets.test_gate_fire_bits_hold_the_gates_of_the_index_draw
         l_none = -math.log1p(-0.8)
-        quiet = (l_none, 0.6 * l_none, 0.6 * l_none)
-        fires = mc._gate_fires(np.random.default_rng(n), quiet, n)
-        even = mc._gate_fires(np.random.default_rng(n), quiet, n + 1)
-        for arm, even_arm in zip(fires, even):
-            assert np.array_equal(arm, even_arm[even_arm < n])
+        law = mc._gate_law((l_none, 0.6 * l_none, 0.6 * l_none))
+        assert law.residual_rate > 0.0
         rng, words = np.random.default_rng(n), np.random.default_rng(n)
-        mc._gate_fires(rng, quiet, n)
-        words.bit_generator.random_raw((n + 1) // 2)
+        mc._gate_fires(rng, law, n)
+        words.bit_generator.random_raw(-(-n // 4))
+        words.random(mc._bernoulli_positions(words, law.residual_rate, n).size)
         assert rng.bit_generator.state == words.bit_generator.state
+        plain = law._replace(residual_rate=0.0)
+        fires = mc._gate_fires(np.random.default_rng(n), plain, n)
+        whole = mc._gate_fires(np.random.default_rng(n), plain, n + -n % 4)
+        for arm, whole_arm in zip(fires, whole):
+            assert np.array_equal(arm, whole_arm[whole_arm < n])
 
 
 def reference_bernoulli_positions(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
@@ -803,7 +863,7 @@ class TestSparseSampling:
         l_none = -math.log1p(-p)
         quiet = (l_none, shares[0] * l_none, shares[1] * l_none)
         with mock.patch.object(mc, "_PER_GATE_FROM", 2.0):
-            arms = mc._gate_fires(np.random.default_rng(seed), quiet, n)
+            arms = mc._gate_fires(np.random.default_rng(seed), mc._gate_law(quiet), n)
         for arm, reference in zip(arms, reference_gate_fires(np.random.default_rng(seed), quiet, n)):
             assert arm.dtype == np.int32 and np.array_equal(arm, reference)
 
@@ -880,7 +940,7 @@ class TestInt32Gates:
     def test_gate_fires_are_int32_on_both_paths(self, p, n):
         l_none = -math.log1p(-p)
         assert (p >= mc._PER_GATE_FROM) == (p == 0.9)
-        for arm in mc._gate_fires(np.random.default_rng(3), (l_none, l_none / 2, l_none / 2), n):
+        for arm in mc._gate_fires(np.random.default_rng(3), mc._gate_law((l_none, l_none / 2, l_none / 2)), n):
             assert arm.dtype == np.int32 and (n == 1 or arm.size)
 
     @pytest.mark.parametrize("dead_gates", [2**31, 2**40, 2**62])
@@ -976,7 +1036,7 @@ class TestJointDraw:
         rng = np.random.default_rng(4)
         quiet = _pair_quiet((seen, signal, both), trial)
         assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate")
-        fires_s, fires_i = mc._gate_fires(rng, quiet, size)
+        fires_s, fires_i = mc._gate_fires(rng, mc._gate_law(quiet), size)
         assert np.all(np.diff(fires_s) > 0) and np.all(np.diff(fires_i) > 0)
 
         def g(z):
@@ -1029,7 +1089,7 @@ class TestJointDraw:
         other = [n - math.log1p(-d) for n, d in zip(noise, dark)]
         quiet = _pair_quiet((seen, signal, both), trial, other)
         assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate")
-        fires_s, fires_i = mc._gate_fires(np.random.default_rng(4), quiet, size)
+        fires_s, fires_i = mc._gate_fires(np.random.default_rng(4), mc._gate_law(quiet), size)
         fired = np.zeros(size, dtype=bool)
         fired[fires_s] = fired[fires_i] = True
         quiet_sampler = (size - fires_s.size, size - fires_i.size, size - np.count_nonzero(fired))
@@ -1060,7 +1120,7 @@ class TestJointDraw:
         other = -math.log1p(-dark)
         quiet = _pair_quiet(rates, trial, (other, other))
         assert (-math.expm1(-quiet[0]) >= mc._PER_GATE_FROM) == (draw_path == "per-gate" and size < 10**13)
-        for fires in mc._gate_fires(np.random.default_rng(6), quiet, size):
+        for fires in mc._gate_fires(np.random.default_rng(6), mc._gate_law(quiet), size):
             assert np.all(np.diff(fires) > 0)
             assert fires.size == 0 or (fires[0] >= 0 and fires[-1] < size)
 
@@ -1143,8 +1203,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("dead_time_us", [0.01, 0.02])
     def test_every_saturated_point_equals_its_direct_call(self, dead_time_us):
-        # the benchmark's saturated sweep on wg-i: at one dead gate the 50 to
-        # 166 mW points draw gaps for _join and the 0.30 to 1 W points bitsets
+        # the benchmark's saturated sweep on wg-i: at one dead gate the 50 and
+        # 91 mW points draw gaps for _join and the 166 mW to 1 W points bitsets
         # for _join_bits; at two dead gates those draw per gate for _join
         document = presets.get_preset("wg-i")
         for arm in document["detectors"].values():
@@ -1157,7 +1217,7 @@ class TestSweep:
             for i, (value, summary) in enumerate(results):
                 chain_v, pump_v = cm.apply_sweep_value(chain, pump, "pp", value)
                 bits = mc._block_sampler(chain_v, cm.evaluate(chain_v, pump_v), trial)[4]
-                assert bits == (i >= 3 and dead_time_us == 0.01)
+                assert bits == (i >= 2 and dead_time_us == 0.01)
                 direct = mc.simulate(chain_v, pump_v, dataclasses.replace(trial, seed=mc.derive_seed(trial.seed, i)))
                 assert (value, summary) == (grid[i], direct)
 
@@ -1327,22 +1387,19 @@ class TestSamplerGateLaw:
     @pytest.mark.filterwarnings("ignore:per-pulse mean:RuntimeWarning")
     @pytest.mark.parametrize("name", presets.preset_names())
     def test_fire_probabilities_match_pgf(self, monkeypatch, name):
-        # The three exponents _block_sampler hands to _gate_fires give the
+        # The three exponents _block_sampler hands to _gate_law give the
         # chance that a gate fires the signal detector, the idler and either;
         # pgf_gate_probabilities gives the same three without the sampler's
         # arithmetic.  At 10 mW, 100 mW and 1 W peak, for Poisson pairs and
         # one and 24 thermal modes, a gate fires with probability 1e-4 to 1,
-        # where the oracle's 1 - q loses at most a few 1e-12 relative.  No
-        # gate is drawn.  The three exponents are those of
+        # where the oracle's 1 - q loses at most a few 1e-12 relative.  Each
+        # run draws one gate.  The three exponents are those of
         # chainmodel.no_fire_exponents bit for bit, and predict's click
         # probabilities are each arm's duty times -expm1(-L) of the same law.
         base = cfg.build_experiment(presets.get_preset(name))
         captured = []
-        none = np.empty(0, dtype=np.int64)
-        # a run of one pulse cuts the dead time to one gate, so a 1 W point draws bitsets
-        monkeypatch.setattr(
-            mc, "_gate_fires", lambda rng, quiet, size, bits: captured.append(quiet) or ((0, 0) if bits else (none, none))
-        )
+        gate_law = mc._gate_law
+        monkeypatch.setattr(mc, "_gate_law", lambda quiet: captured.append(quiet) or gate_law(quiet))
         for peak_w in (0.01, 0.1, 1.0):
             chain, pump = cm.apply_sweep_value(*base, "pp", peak_w)
             for modes in (None, 1, 24):
@@ -1513,14 +1570,15 @@ class TestPostFilterClamp:
 
 
 class TestStreamLaw:
-    """The v8, v6 and v5 streams draw one law: each against ``predict``.
+    """The v9, v6 and v5 streams draw one law: each against ``predict``.
 
     wg-i with a one-gate dead time at the six pump powers of the saturated
     benchmark sweep, 50 mW to 1 W peak, where 0.005 to 0.81 of the gates fire
-    some detector.  Under v8 the 302 mW, 549 mW and 1 W points (0.145, 0.40
-    and 0.81) fire on at least ``_PER_GATE_FROM`` of their gates and draw one
-    32-bit uniform per gate; the others, and every point under v6 (SFC64) and
-    v5 (Philox), with the constant set above 1, draw their gaps.  Each stream
+    some detector.  Under v9 the 166 mW, 302 mW, 549 mW and 1 W points
+    (0.047, 0.145, 0.40 and 0.81) fire on at least ``_PER_GATE_FROM`` of
+    their gates and draw one 16-bit uniform per gate; the others, and every
+    point under v6 (SFC64) and v5 (Philox), with the constant set above 1,
+    draw their gaps.  Each stream
     runs that sweep, 250k pulses a point, under 20 master seeds, so every
     point sums 5M pulses drawn from 20 child seeds.  An arm's dead time
     depends on that arm's fires alone, so ``predict``'s renewal singles and
@@ -1534,7 +1592,7 @@ class TestStreamLaw:
     @pytest.mark.parametrize(
         "bit_generator, per_gate_from",
         [(np.random.SFC64, None), (np.random.SFC64, 2.0), (np.random.Philox, 2.0)],
-        ids=["v8", "v6-sfc64", "v5-philox"],
+        ids=["v9", "v6-sfc64", "v5-philox"],
     )
     def test_singles_and_active_gates_match_predict(self, monkeypatch, bit_generator, per_gate_from):
         monkeypatch.setattr(mc, "_BIT_GENERATOR", bit_generator)
@@ -1581,9 +1639,9 @@ class TestAcrossThePerGateThreshold:
     variance is exact: binomial for the singles and the coincidences, and for
     the accidentals each window's binomial term plus twice its covariance
     p_s p_c p_i - p_a**2 with the next window, which shares a gate with it.
-    At 4.5 sigma a count is caught with 90% power when it is 0.79% (singles),
-    2.9% (coincidences) or 4.4% (accidentals) off below the constant (193 mW
-    at 0.07), 0.71%, 2.5% and 3.6% off above it (215 mW), and 0.25%, 0.40%
+    At 4.5 sigma a count is caught with 90% power when it is 1.05% (singles),
+    4.3% (coincidences) or 7.8% (accidentals) off below the constant (144 mW
+    at 0.04), 0.95%, 3.7% and 6.4% off above it (160 mW), and 0.25%, 0.40%
     and 0.41% off at 1 W.
     """
 
@@ -1627,17 +1685,19 @@ class TestGoldenCounts:
     stream.  The v6 stream changed only the bit generator of each block, from
     Philox to SFC64; v7 only the draw of a block whose gates fire some
     detector at least ``_PER_GATE_FROM`` of the time, from one uniform per
-    fire to one per gate; and v8 only that per-gate draw, from a float64
-    uniform to a 32-bit one, two gates per SFC64 word.  So with
-    ``_PER_GATE_FROM`` set above 1, where every block draws its gaps, the v8
-    arithmetic must count the v6 goldens bit for bit, and with
-    ``_BIT_GENERATOR`` set back to Philox also the v5 ones.  Only the three
-    1 W runs, about 0.81 fires per gate, draw per gate in v8; the 200 mW run
-    fires on 0.067 of its gates, just below the constant's 0.07, and draws its
-    gaps.  The v7 counts of the 1 W runs, from the float64 draw, are gone with it.
+    fire to one per gate; v8 only that per-gate draw, from a float64 uniform
+    to a 32-bit one, two gates per SFC64 word; and v9 only that draw again,
+    to a 16-bit uniform, four gates a word, with a residual set of gates
+    redrawn.  So with ``_PER_GATE_FROM`` set above 1, where every block draws
+    its gaps, the v9 arithmetic must count the v6 goldens bit for bit, and
+    with ``_BIT_GENERATOR`` set back to Philox also the v5 ones.  The three
+    1 W runs, about 0.81 fires per gate, draw per gate, and so does the
+    200 mW run: it fires on 0.067 of its gates, below v8's constant of 0.07,
+    where it drew its gaps, and above v9's 0.04.  The v7 and v8 counts of
+    the per-gate runs are gone with their draws.
     """
 
-    RNG_STREAM = "sfc64-v8"
+    RNG_STREAM = "sfc64-v9"
     GOLDEN_V6 = {
         # (preset, pair statistics, seed, dead time us, peak power W, pulses) -> counts
         ("wg-i", "poisson", 11, None, None, 300_000): (180, 178, 1, 0, 120358, 122000, 299999),
@@ -1654,12 +1714,13 @@ class TestGoldenCounts:
     }
     GOLDEN = {
         **GOLDEN_V6,
-        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109987, 110010, 41618, 39549, 190014, 189990, 299999),
+        ("wg-i", "poisson", 14, 0.01, 0.2, 300_000): (10234, 10072, 799, 314, 289766, 289928, 299999),
+        ("wg-i", "poisson", 15, 0.01, 1.0, 300_000): (109787, 109882, 41546, 39347, 190214, 190119, 299999),
         ("wg-i", "poisson", 16, 0.01, 1.0, 3_000_000): (
-            1099281, 1098730, 416555, 394071, 1900719, 1901270, 2999999
+            1099808, 1098721, 417050, 394139, 1900193, 1901279, 2999999
         ),
         ("wg-i", "poisson", 17, 0.02, 1.0, 3_000_000): (
-            804777, 804476, 223997, 212581, 1390446, 1391048, 2999999
+            804397, 804821, 223974, 212922, 1391208, 1390359, 2999999
         ),
     }
     # below a fire probability of 1/3 the gaps of v5 are those numpy's
@@ -1727,8 +1788,8 @@ def recording_gate_fires(drawn: list):
     """``mc._gate_fires`` that appends each block's fires, as sorted gates, and size to ``drawn``."""
     gate_fires = mc._gate_fires
 
-    def recording(rng, quiet, size, bits):
-        fires = gate_fires(rng, quiet, size, bits)
+    def recording(rng, law, size, bits):
+        fires = gate_fires(rng, law, size, bits)
         drawn.append((tuple(map(bit_gates, fires)) if bits else fires, size))
         return fires
 
@@ -1765,8 +1826,8 @@ class TestBlockEdges:
     doubling run on blocks drawn one uniform per gate; at one dead gate and
     an offset of 1 or 2 gates those blocks are bitsets, counted by
     ``_join_bits``.  Counted over 620 examples of the property test (10
-    runs, under sfc64-v8): 3.7% hold no pairs, 92% draw one uniform per
-    gate, 50% count bitsets and 27% count bitsets over more than one block.
+    runs, under sfc64-v9): 3.1% hold no pairs, 93% draw one uniform per
+    gate, 41% count bitsets and 21% count bitsets over more than one block.
     """
 
     CASES = {
